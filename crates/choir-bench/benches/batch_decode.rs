@@ -1,7 +1,7 @@
 //! Batch slot-decoding throughput across worker-thread counts.
 //!
 //! Decodes a fixed batch of 16 two-user collision slots through
-//! [`ChoirDecoder::decode_slots_with_pool`] at 1, 2 and 4 threads,
+//! [`ChoirDecoder::decode_slot_views_with_pool`] at 1, 2 and 4 threads,
 //! reports slots/sec and a per-stage latency breakdown
 //! (dechirp/refine/demod/SIC/cluster) for each, verifies the outputs are
 //! **bit-identical** across thread counts (the choir-pool determinism
@@ -43,7 +43,7 @@
 use std::time::Instant;
 
 use choir_bench::{merge_bench_json, two_user_scenario};
-use choir_core::decoder::{ChoirConfig, ChoirDecoder, SlotCapture, SlotResult};
+use choir_core::decoder::{ChoirConfig, ChoirDecoder, SlotResult, SlotView};
 use choir_core::estimator::EstimatorConfig;
 use choir_core::profile;
 use choir_dsp::backend::{self, BackendKind};
@@ -85,11 +85,12 @@ fn digest(results: &[SlotResult]) -> Vec<u64> {
 }
 
 fn main() {
-    let slots: Vec<SlotCapture> = (0..SLOTS as u64)
-        .map(|i| {
-            let s = two_user_scenario(100 + i);
-            SlotCapture::known_len(&s.params, s.samples, s.slot_start, PAYLOAD_LEN)
-        })
+    let scenarios: Vec<_> = (0..SLOTS as u64)
+        .map(|i| two_user_scenario(100 + i))
+        .collect();
+    let slots: Vec<SlotView<'_>> = scenarios
+        .iter()
+        .map(|s| SlotView::known_len(&s.params, &s.samples, s.slot_start, PAYLOAD_LEN))
         .collect();
     let dec = ChoirDecoder::new(PhyParams::default());
 
@@ -107,11 +108,11 @@ fn main() {
     for threads in [1usize, 2, 4] {
         let pool = ThreadPool::with_threads(threads);
         // Warm-up: touch the FFT plan cache and the pool's spawn path.
-        let _ = dec.decode_slots_with_pool(&slots[..2], pool);
+        let _ = dec.decode_slot_views_with_pool(&slots[..2], pool);
         // Drop warm-up time from the per-stage accounting.
         let _ = profile::snapshot_and_reset();
         let t = Instant::now();
-        let out = dec.decode_slots_with_pool(&slots, pool);
+        let out = dec.decode_slot_views_with_pool(&slots, pool);
         let elapsed = t.elapsed().as_secs_f64();
         let stages = profile::snapshot_and_reset();
         let sps = SLOTS as f64 / elapsed;
@@ -285,7 +286,7 @@ fn main() {
 
 /// Measures single-thread slots/sec with the refine candidate-block
 /// width forced to `bw`, returning the throughput and output digest.
-fn run_width(bw: usize, slots: &[SlotCapture]) -> (f64, Vec<u64>) {
+fn run_width(bw: usize, slots: &[SlotView<'_>]) -> (f64, Vec<u64>) {
     let cfg = ChoirConfig {
         estimator: EstimatorConfig {
             block_width: bw,
@@ -295,24 +296,24 @@ fn run_width(bw: usize, slots: &[SlotCapture]) -> (f64, Vec<u64>) {
     };
     let dec = ChoirDecoder::with_config(PhyParams::default(), cfg);
     // Warm-up: FFT plans, tone bases, scratch arenas.
-    let _ = dec.decode_slots_with_pool(&slots[..2], ThreadPool::sequential());
+    let _ = dec.decode_slot_views_with_pool(&slots[..2], ThreadPool::sequential());
     let t = Instant::now();
-    let out = dec.decode_slots_with_pool(slots, ThreadPool::sequential());
+    let out = dec.decode_slot_views_with_pool(slots, ThreadPool::sequential());
     let elapsed = t.elapsed().as_secs_f64();
     (slots.len() as f64 / elapsed, digest(&out))
 }
 
 /// Measures single-thread slots/sec with `kind` forced, on a fresh
 /// thread, returning the throughput and the output digest.
-fn run_backend(kind: BackendKind, slots: &[SlotCapture]) -> (f64, Vec<u64>) {
+fn run_backend(kind: BackendKind, slots: &[SlotView<'_>]) -> (f64, Vec<u64>) {
     let joined = std::thread::scope(|s| {
         s.spawn(move || {
             backend::force(kind);
             let dec = ChoirDecoder::new(PhyParams::default());
             // Warm-up: FFT plans, tone bases, scratch arenas.
-            let _ = dec.decode_slots_with_pool(&slots[..2], ThreadPool::sequential());
+            let _ = dec.decode_slot_views_with_pool(&slots[..2], ThreadPool::sequential());
             let t = Instant::now();
-            let out = dec.decode_slots_with_pool(slots, ThreadPool::sequential());
+            let out = dec.decode_slot_views_with_pool(slots, ThreadPool::sequential());
             let elapsed = t.elapsed().as_secs_f64();
             (slots.len() as f64 / elapsed, digest(&out))
         })

@@ -4,7 +4,7 @@
 
 use choir_bench::harness::Bench;
 use choir_bench::two_user_scenario;
-use choir_core::decoder::ChoirDecoder;
+use choir_core::decoder::{ChoirDecoder, SlotView};
 use choir_core::estimator::{EstimatorConfig, OffsetEstimator};
 use choir_core::sic::{phased_sic, SicConfig};
 
@@ -21,7 +21,6 @@ fn main() {
     });
 
     let dec = ChoirDecoder::new(s.params);
-    b.bench("full_packet_2users", || {
-        dec.decode_known_len(&s.samples, s.slot_start, 8)
-    });
+    let slot = SlotView::known_len(&s.params, &s.samples, s.slot_start, 8);
+    b.bench("full_packet_2users", || dec.try_decode_view(slot));
 }

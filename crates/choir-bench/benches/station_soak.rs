@@ -34,7 +34,7 @@
 use std::time::Instant;
 
 use choir_bench::two_user_scenario;
-use choir_core::decoder::{ChoirDecoder, SlotCapture, SlotResult};
+use choir_core::decoder::{ChoirDecoder, SlotResult, SlotView};
 use choir_core::profile;
 use choir_dsp::complex::C64;
 use choir_station::{SlotSchedule, Station, StationConfig};
@@ -81,24 +81,23 @@ fn main() {
     // Workload: 8 two-user slots concatenated with silence gaps.
     let mut stream: Vec<C64> = Vec::new();
     let mut starts: Vec<u64> = Vec::new();
-    let mut captures: Vec<SlotCapture> = Vec::new();
+    let mut scenarios = Vec::new();
     for i in 0..SLOTS as u64 {
         let s = two_user_scenario(200 + i);
         stream.resize(stream.len() + 401 + 137 * i as usize, C64::ZERO);
         starts.push((stream.len() + s.slot_start) as u64);
         stream.extend_from_slice(&s.samples);
-        captures.push(SlotCapture::known_len(
-            &s.params,
-            s.samples,
-            s.slot_start,
-            PAYLOAD_LEN,
-        ));
+        scenarios.push(s);
     }
+    let captures: Vec<SlotView<'_>> = scenarios
+        .iter()
+        .map(|s| SlotView::known_len(&s.params, &s.samples, s.slot_start, PAYLOAD_LEN))
+        .collect();
     let chunks: Vec<Vec<C64>> = stream.chunks(CHUNK).map(|c| c.to_vec()).collect();
 
     // Batch reference for the bit-identity gate.
     let dec = ChoirDecoder::new(PhyParams::default());
-    let batch = dec.decode_slots_with_pool(&captures, *choir_pool::global());
+    let batch = dec.decode_slot_views_with_pool(&captures, *choir_pool::global());
     let batch_digest = digest(&batch);
     let crc_ok: usize = batch.iter().map(|r| r.ok_users().count()).sum();
     println!("batch reference: {crc_ok} CRC-ok users across {SLOTS} slots");

@@ -3,23 +3,22 @@
 //! `cargo run --release -p choir-bench --example profile_slots`
 
 use choir_bench::two_user_scenario;
-use choir_core::decoder::{ChoirDecoder, SlotCapture};
+use choir_core::decoder::{ChoirDecoder, SlotView};
 use choir_core::profile;
 use lora_phy::params::PhyParams;
 use std::time::Instant;
 
 fn main() {
-    let slots: Vec<SlotCapture> = (0..3u64)
-        .map(|i| {
-            let s = two_user_scenario(100 + i);
-            SlotCapture::known_len(&s.params, s.samples, s.slot_start, 8)
-        })
+    let scenarios: Vec<_> = (0..3u64).map(|i| two_user_scenario(100 + i)).collect();
+    let slots: Vec<SlotView<'_>> = scenarios
+        .iter()
+        .map(|s| SlotView::known_len(&s.params, &s.samples, s.slot_start, 8))
         .collect();
     let dec = ChoirDecoder::new(PhyParams::default());
     let _ = profile::snapshot_and_reset();
     let t = Instant::now();
     let pool = choir_pool::ThreadPool::with_threads(1);
-    for out in dec.decode_slots_with_pool(&slots, pool) {
+    for out in dec.decode_slot_views_with_pool(&slots, pool) {
         println!("slot: {} users, err={:?}", out.users.len(), out.error);
     }
     let total = t.elapsed().as_secs_f64();

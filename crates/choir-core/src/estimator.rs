@@ -28,7 +28,6 @@ use choir_dsp::linalg::{
 use choir_dsp::optim::{golden_section, Optimum};
 use choir_dsp::peaks::{find_peaks, Peak, PeakConfig};
 use choir_dsp::workspace;
-use choir_pool::ThreadPool;
 use lora_phy::chirp::base_downchirp_cached;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -222,20 +221,7 @@ pub struct OffsetEstimator {
     cfg: EstimatorConfig,
     downchirp: std::sync::Arc<Vec<C64>>,
     fft_padded: FftPlan,
-    /// Optional worker pool for the per-candidate boundary scans. `None`
-    /// (the default) keeps every scan on the calling thread; batch slot
-    /// decoding already parallelises at the slot level, so intra-slot
-    /// workers are opt-in via [`Self::with_pool`]. Either way the scan's
-    /// result is bit-identical: candidates are evaluated independently and
-    /// reduced in candidate order.
-    pool: Option<ThreadPool>,
 }
-
-/// Below this many boundary candidates a scan stays sequential even with a
-/// pool attached. Since the prefix-sum rewrite a candidate costs a bordered
-/// 2×2 solve (tens of nanoseconds), so only very large scans (big symbol
-/// lengths) can amortise spawn/join overhead.
-const MIN_PARALLEL_SCAN: usize = 64;
 
 /// Distinct tone bases kept per thread in the basis LRU. Refinement of a
 /// K≤6-component window revisits at most a few dozen grid points between
@@ -250,7 +236,8 @@ thread_local! {
     /// pair; most recently used entry last.
     static BASIS_CACHE: RefCell<BasisCache> = const { RefCell::new(Vec::new()) };
     /// Per-thread scratch factor for the boundary scan's bordered solves,
-    /// so pooled candidate evaluations stay allocation-free and unshared.
+    /// so candidate evaluations stay allocation-free (the estimator itself is
+    /// shared by every slot worker).
     static BORDER_SCRATCH: RefCell<CholeskyFactor> = RefCell::new(CholeskyFactor::new());
 }
 
@@ -444,16 +431,7 @@ impl OffsetEstimator {
             cfg,
             downchirp: base_downchirp_cached(n),
             fft_padded: FftPlan::new(n * cfg.pad),
-            pool: None,
         }
-    }
-
-    /// Attaches a worker pool for the per-candidate local searches of the
-    /// step-boundary fit. Output is guaranteed bit-identical with or
-    /// without a pool (and for any worker count).
-    pub fn with_pool(mut self, pool: ThreadPool) -> Self {
-        self.pool = (pool.threads() > 1).then_some(pool);
-        self
     }
 
     /// Symbol length in chips.
@@ -544,12 +522,12 @@ impl OffsetEstimator {
         }
     }
 
-    /// Cyclic coordinate descent over the joint residual, with a blocked
-    /// grid prefilter on the first sweep. Mirrors
-    /// [`cyclic_coordinate_descent`](choir_dsp::optim::cyclic_coordinate_descent)
-    /// exactly — same radius halving, same golden-section polish, same
-    /// convergence test — except that the first sweep's line searches
-    /// first score a fixed [`PREFILTER_GRID`]-point grid of candidate
+    /// Cyclic coordinate descent over the joint residual: each sweep runs
+    /// a golden-section line search along every coordinate within
+    /// `±radius` of the current point, the radius halves per sweep, and
+    /// the descent stops after `max_sweeps` or once a full sweep improves
+    /// the residual by less than the tolerance. The first sweep's line
+    /// searches first score a fixed [`PREFILTER_GRID`]-point grid of candidate
     /// offsets against the coordinate's deflated window through the
     /// blocked AoSoA kernels ([`CandidateBlock`]), then golden-polish
     /// only the bracket around the grid argmin. Exact-objective probes
@@ -627,8 +605,8 @@ impl OffsetEstimator {
                 }
             }
             r *= 0.5;
-            // Absolute-plus-relative improvement test — see
-            // `cyclic_coordinate_descent`, whose semantics this mirrors.
+            // Absolute-plus-relative improvement test: residual energies
+            // vary in scale by orders of magnitude.
             if before - best < tol * tol + 1e-9 * before.abs() {
                 break;
             }
@@ -836,25 +814,20 @@ impl OffsetEstimator {
                 // best cell: the boundary is the transmitter's (fractional)
                 // chip delay and rarely falls on a grid point.
                 let mut best_step: Option<(C64, Step, f64)> = None;
-                let coarse: Vec<usize> = (1..16).map(|k| k * n / 16).collect();
-                self.scan_boundaries(&coarse, &try_boundary, &mut best_step);
+                Self::scan_boundaries((1..16).map(|k| k * n / 16), &try_boundary, &mut best_step);
                 if let Some(coarse_best) = &best_step {
                     let centre = coarse_best.1.boundary;
                     let span = n / 16;
                     let fine_step = (n / 128).max(1);
-                    let fine: Vec<usize> = (centre.saturating_sub(span)
-                        ..=(centre + span).min(n - 1))
-                        .step_by(fine_step)
-                        .collect();
-                    self.scan_boundaries(&fine, &try_boundary, &mut best_step);
+                    let fine = (centre.saturating_sub(span)..=(centre + span).min(n - 1))
+                        .step_by(fine_step);
+                    Self::scan_boundaries(fine, &try_boundary, &mut best_step);
                     // Final single-chip resolution around the fine winner
                     // (falls back to the coarse centre if the fine sweep
                     // somehow emptied the candidate, which cannot happen).
                     let centre = best_step.as_ref().map_or(centre, |b| b.1.boundary);
-                    let single: Vec<usize> = (centre.saturating_sub(fine_step)
-                        ..=(centre + fine_step).min(n - 1))
-                        .collect();
-                    self.scan_boundaries(&single, &try_boundary, &mut best_step);
+                    let single = centre.saturating_sub(fine_step)..=(centre + fine_step).min(n - 1);
+                    Self::scan_boundaries(single, &try_boundary, &mut best_step);
                 }
                 if let Some((g1, st, r)) = best_step {
                     if r < best.2 * (1.0 - self.cfg.step_gain_threshold) {
@@ -872,25 +845,13 @@ impl OffsetEstimator {
 
     /// Evaluates `try_boundary` at every candidate and folds the winners
     /// into `best` (strictly smaller residual replaces, ties keep the
-    /// earlier candidate). Candidate evaluations are independent, so with a
-    /// pool attached they run on the workers — but the fold always walks
-    /// the results in candidate order, which is what makes the outcome
-    /// bit-identical to the sequential scan for any worker count.
-    fn scan_boundaries<F>(
-        &self,
-        cands: &[usize],
-        try_boundary: &F,
+    /// earlier candidate).
+    fn scan_boundaries(
+        cands: impl Iterator<Item = usize>,
+        try_boundary: &impl Fn(usize) -> Option<(C64, Step, f64)>,
         best: &mut Option<(C64, Step, f64)>,
-    ) where
-        F: Fn(usize) -> Option<(C64, Step, f64)> + Sync,
-    {
-        let evals: Vec<Option<(C64, Step, f64)>> = match &self.pool {
-            Some(pool) if cands.len() >= MIN_PARALLEL_SCAN => {
-                pool.map(cands, |_, &c_b| try_boundary(c_b))
-            }
-            _ => cands.iter().map(|&c_b| try_boundary(c_b)).collect(),
-        };
-        for cand in evals.into_iter().flatten() {
+    ) {
+        for cand in cands.filter_map(try_boundary) {
             if best.as_ref().map(|b| cand.2 < b.2).unwrap_or(true) {
                 *best = Some(cand);
             }

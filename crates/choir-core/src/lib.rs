@@ -26,17 +26,24 @@
 //!   filtering alone).
 //!
 //! ```no_run
-//! use choir_core::decoder::ChoirDecoder;
+//! use choir_core::decoder::{ChoirDecoder, SlotView};
 //! use lora_phy::params::PhyParams;
 //!
 //! # let samples: Vec<choir_dsp::C64> = vec![];
-//! let decoder = ChoirDecoder::new(PhyParams::default());
-//! // Decode every user colliding in a beacon slot starting at sample 512.
-//! for user in decoder.decode_known_len(&samples, 512, 16) {
-//!     if user.payload_ok() {
-//!         println!("offset {:.2} bins: {:?}",
-//!                  user.user.offset_bins, user.frame.unwrap().payload);
+//! let params = PhyParams::default();
+//! let decoder = ChoirDecoder::new(params);
+//! // Decode every user colliding in a beacon slot that starts at sample
+//! // 512 and carries 16-byte payloads.
+//! let slot = SlotView::known_len(&params, &samples, 512, 16);
+//! match decoder.try_decode_view(slot) {
+//!     Ok(users) => {
+//!         for user in users.iter().filter(|u| u.payload_ok()) {
+//!             println!("offset {:.2} bins: {:?}",
+//!                      user.user.offset_bins, user.frame.as_ref().unwrap().payload);
+//!         }
 //!     }
+//!     // Truncated capture, silent preamble: typed, never a panic.
+//!     Err(why) => eprintln!("slot not decoded: {why}"),
 //! }
 //! ```
 
@@ -54,9 +61,7 @@ pub mod profile;
 pub mod sic;
 pub mod unb;
 
-pub use decoder::{
-    ChoirConfig, ChoirDecoder, DecodedUser, SlotCapture, SlotResult, SlotView, UserEstimate,
-};
+pub use decoder::{ChoirConfig, ChoirDecoder, DecodedUser, SlotResult, SlotView, UserEstimate};
 pub use dedup::StartDedup;
 pub use error::DecodeError;
 pub use estimator::{ComponentEstimate, EstimatorConfig, OffsetEstimator};

@@ -11,7 +11,7 @@
 use choir_dsp::complex::C64;
 use lora_phy::params::{PhyParams, SpreadingFactor};
 
-use crate::decoder::{ChoirConfig, ChoirDecoder, DecodedUser};
+use crate::decoder::{ChoirConfig, ChoirDecoder, DecodedUser, SlotView};
 
 /// One SF's decoding lane.
 #[derive(Clone, Debug)]
@@ -45,7 +45,9 @@ pub fn decode_multi_sf(
         .iter()
         .map(|lane| {
             let decoder = ChoirDecoder::with_config(lane.params, cfg);
-            let users = decoder.decode(samples, slot_start, lane.num_data_symbols);
+            let users = decoder
+                .try_decode_view(SlotView::new(samples, slot_start, lane.num_data_symbols))
+                .unwrap_or_default();
             LaneResult {
                 sf: lane.params.sf,
                 users,

@@ -12,8 +12,8 @@
 //! of that too.
 
 use choir_channel::impairments::HardwareProfile;
-use choir_channel::scenario::ScenarioBuilder;
-use choir_core::{ChoirDecoder, SlotCapture};
+use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
+use choir_core::{ChoirDecoder, SlotView};
 use choir_dsp::backend;
 use choir_pool::ThreadPool;
 use lora_phy::params::PhyParams;
@@ -36,7 +36,7 @@ fn profile(cfo_bins: f64, toff_symbols: f64) -> HardwareProfile {
 
 /// The same eight seeded multi-user scenarios `parallel.rs` pins against
 /// the golden capture.
-fn seeded_slots(payload_len: usize) -> Vec<SlotCapture> {
+fn seeded_slots(payload_len: usize) -> Vec<CollisionScenario> {
     type Scenario = (&'static [f64], &'static [(f64, f64)], u64);
     let configs: [Scenario; 8] = [
         (&[20.0, 17.0], &[(2.3, 0.1), (-7.6, 0.32)], 31),
@@ -59,14 +59,21 @@ fn seeded_slots(payload_len: usize) -> Vec<SlotCapture> {
     configs
         .iter()
         .map(|(snrs, profs, seed)| {
-            let s = ScenarioBuilder::new(params())
+            ScenarioBuilder::new(params())
                 .snrs_db(snrs)
                 .payload_len(payload_len)
                 .profiles(profs.iter().map(|&(c, t)| profile(c, t)).collect())
                 .seed(*seed)
-                .build();
-            SlotCapture::known_len(&s.params, s.samples, s.slot_start, payload_len)
+                .build()
         })
+        .collect()
+}
+
+/// One known-length view over each scenario's capture.
+fn views(slots: &[CollisionScenario], payload_len: usize) -> Vec<SlotView<'_>> {
+    slots
+        .iter()
+        .map(|s| SlotView::known_len(&s.params, &s.samples, s.slot_start, payload_len))
         .collect()
 }
 
@@ -78,7 +85,7 @@ fn decode_with_backend(kind: backend::BackendKind) -> std::thread::Result<String
         backend::force(kind);
         let slots = seeded_slots(6);
         let dec = ChoirDecoder::new(params());
-        let results = dec.decode_slots_with_pool(&slots, ThreadPool::sequential());
+        let results = dec.decode_slot_views_with_pool(&views(&slots, 6), ThreadPool::sequential());
         let mut rendered = String::new();
         // Writing to a String is infallible.
         for (i, r) in results.iter().enumerate() {

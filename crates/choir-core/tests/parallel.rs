@@ -5,8 +5,8 @@
 //! last-ulp divergence (e.g. from a reordered reduction) fails loudly.
 
 use choir_channel::impairments::HardwareProfile;
-use choir_channel::scenario::ScenarioBuilder;
-use choir_core::{ChoirDecoder, DecodedUser, SlotCapture};
+use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
+use choir_core::{ChoirDecoder, DecodedUser, SlotView};
 use choir_pool::ThreadPool;
 use lora_phy::params::PhyParams;
 
@@ -28,7 +28,7 @@ fn profile(cfo_bins: f64, toff_symbols: f64) -> HardwareProfile {
 /// Eight seeded multi-user scenarios with varying user counts, SNRs and
 /// hardware offsets — the workload `parallel_decode_matches_sequential`
 /// compares across thread counts.
-fn seeded_slots(payload_len: usize) -> Vec<SlotCapture> {
+fn seeded_slots(payload_len: usize) -> Vec<CollisionScenario> {
     type Scenario = (&'static [f64], &'static [(f64, f64)], u64);
     let configs: [Scenario; 8] = [
         (&[20.0, 17.0], &[(2.3, 0.1), (-7.6, 0.32)], 31),
@@ -51,14 +51,21 @@ fn seeded_slots(payload_len: usize) -> Vec<SlotCapture> {
     configs
         .iter()
         .map(|(snrs, profs, seed)| {
-            let s = ScenarioBuilder::new(params())
+            ScenarioBuilder::new(params())
                 .snrs_db(snrs)
                 .payload_len(payload_len)
                 .profiles(profs.iter().map(|&(c, t)| profile(c, t)).collect())
                 .seed(*seed)
-                .build();
-            SlotCapture::known_len(&s.params, s.samples, s.slot_start, payload_len)
+                .build()
         })
+        .collect()
+}
+
+/// One known-length view over each scenario's capture.
+fn views(slots: &[CollisionScenario], payload_len: usize) -> Vec<SlotView<'_>> {
+    slots
+        .iter()
+        .map(|s| SlotView::known_len(&s.params, &s.samples, s.slot_start, payload_len))
         .collect()
 }
 
@@ -111,37 +118,19 @@ fn assert_users_identical(a: &[DecodedUser], b: &[DecodedUser], ctx: &str) {
 fn parallel_decode_matches_sequential() {
     let slots = seeded_slots(6);
     let dec = ChoirDecoder::new(params());
-    let baseline = dec.decode_slots_with_pool(&slots, ThreadPool::sequential());
+    let baseline = dec.decode_slot_views_with_pool(&views(&slots, 6), ThreadPool::sequential());
     assert!(
         baseline.iter().any(|r| r.ok_users().count() >= 2),
         "workload too easy to be a meaningful determinism probe"
     );
     for threads in [2, 4, 7] {
-        let parallel = dec.decode_slots_with_pool(&slots, ThreadPool::with_threads(threads));
+        let parallel =
+            dec.decode_slot_views_with_pool(&views(&slots, 6), ThreadPool::with_threads(threads));
         assert_eq!(baseline.len(), parallel.len());
         for (i, (s, p)) in baseline.iter().zip(&parallel).enumerate() {
             let ctx = format!("threads={threads}, slot {i}");
             assert_eq!(s.error, p.error, "{ctx}: error status diverged");
             assert_users_identical(&s.users, &p.users, &ctx);
-        }
-    }
-}
-
-/// Intra-slot parallelism (the estimator's boundary scan) must also be
-/// bit-identical: attaching a pool to the decoder changes wall-clock
-/// behaviour, never results.
-#[test]
-fn pooled_estimator_matches_sequential() {
-    let slots = seeded_slots(6);
-    let plain = ChoirDecoder::new(params());
-    let pooled = ChoirDecoder::new(params()).with_pool(ThreadPool::with_threads(4));
-    for (i, slot) in slots.iter().enumerate().take(3) {
-        let a = plain.try_decode(&slot.samples, slot.slot_start, slot.num_data_symbols);
-        let b = pooled.try_decode(&slot.samples, slot.slot_start, slot.num_data_symbols);
-        match (a, b) {
-            (Ok(ua), Ok(ub)) => assert_users_identical(&ua, &ub, &format!("slot {i}")),
-            (Err(ea), Err(eb)) => assert_eq!(ea, eb),
-            (a, b) => panic!("slot {i}: outcome diverged: {a:?} vs {b:?}"),
         }
     }
 }
@@ -160,7 +149,7 @@ fn seeded_scenarios_match_golden_capture() {
     const GOLDEN: &str = include_str!("golden_seeded.txt");
     let slots = seeded_slots(6);
     let dec = ChoirDecoder::new(params());
-    let results = dec.decode_slots_with_pool(&slots, ThreadPool::sequential());
+    let results = dec.decode_slot_views_with_pool(&views(&slots, 6), ThreadPool::sequential());
     let mut rendered = String::new();
     for (i, r) in results.iter().enumerate() {
         writeln!(

@@ -417,25 +417,6 @@ pub fn dft_naive(x: &[C64]) -> Vec<C64> {
         .collect()
 }
 
-/// Swaps the two halves of a spectrum so that DC sits in the middle
-/// (`fftshift`). For odd lengths the extra sample goes to the first half of
-/// the output, matching NumPy's convention.
-pub fn fftshift<T: Clone>(x: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(x.len());
-    fftshift_into(x, &mut out);
-    out
-}
-
-/// Allocation-free [`fftshift`]: clears `out` and fills it with the
-/// shifted spectrum, reusing `out`'s existing capacity.
-pub fn fftshift_into<T: Clone>(x: &[T], out: &mut Vec<T>) {
-    let n = x.len();
-    let half = n.div_ceil(2);
-    out.clear();
-    out.extend_from_slice(&x[half..]);
-    out.extend_from_slice(&x[..half]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,13 +532,6 @@ mod tests {
         let y = plan.forward_padded(&x);
         assert_eq!(y.len(), 4);
         assert!((y[0] - c64(4.0, 0.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fftshift_even_odd() {
-        assert_eq!(fftshift(&[0, 1, 2, 3]), vec![2, 3, 0, 1]);
-        assert_eq!(fftshift(&[0, 1, 2, 3, 4]), vec![3, 4, 0, 1, 2]);
-        assert_eq!(fftshift(&[7]), vec![7]);
     }
 
     #[test]

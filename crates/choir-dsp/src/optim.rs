@@ -3,15 +3,11 @@
 //! Sec. 5.1 of the paper observes that the residual `R(f1, …, fK)` is
 //! locally convex in the frequency-offset hypotheses (Fig. 4) and minimises
 //! it with stochastic gradient descent from random starting points. We
-//! provide:
-//!
-//! * [`golden_section`] — exact 1-D line search on a unimodal interval;
-//! * [`cyclic_coordinate_descent`] — per-coordinate golden-section sweeps,
-//!   which converges fast on separable-ish locally convex residuals;
-//! * [`gradient_descent`] — numeric-gradient descent with backtracking line
-//!   search (the paper's method, minus the stochasticity of mini-batches);
-//! * [`multi_start`] — wraps any local optimiser with random restarts to
-//!   escape the side-lobe local minima of the residual surface.
+//! descend by per-coordinate line searches instead, which converge fast on
+//! separable-ish locally convex residuals: [`golden_section`] is the exact
+//! 1-D line search on a unimodal interval, and the coordinate sweep that
+//! drives it lives with the residual it minimises, in
+//! `choir_core::estimator`.
 
 /// Result of an optimisation run.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,143 +60,6 @@ pub fn golden_section<F: FnMut(f64) -> f64>(
     }
 }
 
-/// Cyclic coordinate descent: repeatedly performs a golden-section line
-/// search along each coordinate within `±radius` of the current point,
-/// shrinking the radius each sweep. Terminates after `max_sweeps` or when a
-/// full sweep improves the objective by less than `tol`.
-pub fn cyclic_coordinate_descent<F: FnMut(&[f64]) -> f64>(
-    mut f: F,
-    x0: &[f64],
-    radius: f64,
-    tol: f64,
-    max_sweeps: usize,
-) -> Optimum {
-    let mut x = x0.to_vec();
-    let mut evals = 0usize;
-    let mut best = f(&x);
-    evals += 1;
-    let mut r = radius;
-    for _ in 0..max_sweeps {
-        let before = best;
-        for i in 0..x.len() {
-            let xi = x[i];
-            let (xmin, fmin) = golden_section(
-                |v| {
-                    x[i] = v;
-                    let fv = f(&x);
-                    x[i] = xi;
-                    fv
-                },
-                xi - r,
-                xi + r,
-                tol.max(r * 1e-4),
-            );
-            // golden_section spends ~2 + log_φ(range/tol) evals.
-            evals += 2 + ((r * 2.0 / tol.max(r * 1e-4)).ln() / 0.481).ceil() as usize;
-            if fmin < best {
-                best = fmin;
-                x[i] = xmin;
-            }
-        }
-        r *= 0.5;
-        // Absolute-plus-relative improvement test: objectives here are
-        // residual energies whose scale varies by orders of magnitude.
-        if before - best < tol * tol + 1e-9 * before.abs() {
-            break;
-        }
-    }
-    Optimum {
-        x,
-        value: best,
-        evals,
-    }
-}
-
-/// Numeric-gradient descent with backtracking (Armijo) line search.
-///
-/// `step0` is the initial step length; the gradient is estimated by central
-/// differences with spacing `h`. Stops when the gradient norm falls below
-/// `tol` or after `max_iters`.
-pub fn gradient_descent<F: FnMut(&[f64]) -> f64>(
-    mut f: F,
-    x0: &[f64],
-    step0: f64,
-    h: f64,
-    tol: f64,
-    max_iters: usize,
-) -> Optimum {
-    let n = x0.len();
-    let mut x = x0.to_vec();
-    let mut fx = f(&x);
-    let mut evals = 1usize;
-    for _ in 0..max_iters {
-        // Central-difference gradient.
-        let mut g = vec![0.0; n];
-        for i in 0..n {
-            let xi = x[i];
-            x[i] = xi + h;
-            let fp = f(&x);
-            x[i] = xi - h;
-            let fm = f(&x);
-            x[i] = xi;
-            g[i] = (fp - fm) / (2.0 * h);
-            evals += 2;
-        }
-        let gnorm = g.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if gnorm < tol {
-            break;
-        }
-        // Backtracking line search along -g.
-        let mut step = step0;
-        let mut improved = false;
-        for _ in 0..30 {
-            let xt: Vec<f64> = x.iter().zip(&g).map(|(xi, gi)| xi - step * gi).collect();
-            let ft = f(&xt);
-            evals += 1;
-            if ft < fx - 1e-4 * step * gnorm * gnorm {
-                x = xt;
-                fx = ft;
-                improved = true;
-                break;
-            }
-            step *= 0.5;
-        }
-        if !improved {
-            break;
-        }
-    }
-    Optimum {
-        x,
-        value: fx,
-        evals,
-    }
-}
-
-/// Runs `local` from `starts.len()` starting points and returns the best
-/// optimum found. This is the paper's "randomly chosen initial points that
-/// are likely to converge to the global minimum" strategy; the caller
-/// supplies the (possibly random) starts so results stay reproducible.
-pub fn multi_start<F, L>(mut local: L, starts: &[Vec<f64>]) -> Option<Optimum>
-where
-    F: FnMut(&[f64]) -> f64,
-    L: FnMut(&[f64]) -> Optimum,
-{
-    let mut best: Option<Optimum> = None;
-    let mut total_evals = 0usize;
-    for s in starts {
-        let opt = local(s);
-        total_evals += opt.evals;
-        match &best {
-            Some(b) if b.value <= opt.value => {}
-            _ => best = Some(opt),
-        }
-    }
-    best.map(|mut b| {
-        b.evals = total_evals;
-        b
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,73 +76,5 @@ mod tests {
         // Monotone decreasing: minimum at the right edge.
         let (x, _) = golden_section(|x| -x, 0.0, 1.0, 1e-8);
         assert!(x > 1.0 - 1e-6);
-    }
-
-    #[test]
-    fn coordinate_descent_quadratic_bowl() {
-        let f = |x: &[f64]| (x[0] - 1.0).powi(2) + 3.0 * (x[1] + 2.0).powi(2) + 0.5;
-        let opt = cyclic_coordinate_descent(f, &[0.0, 0.0], 4.0, 1e-9, 50);
-        assert!((opt.x[0] - 1.0).abs() < 1e-4, "x0 {}", opt.x[0]);
-        assert!((opt.x[1] + 2.0).abs() < 1e-4, "x1 {}", opt.x[1]);
-        assert!((opt.value - 0.5).abs() < 1e-7);
-    }
-
-    #[test]
-    fn coordinate_descent_correlated_quadratic() {
-        // Rotated bowl — coordinates are coupled; CCD still converges.
-        let f = |x: &[f64]| {
-            let (u, v) = (x[0] + 0.5 * x[1], x[1] - 0.3 * x[0]);
-            (u - 1.0).powi(2) + 2.0 * (v - 2.0).powi(2)
-        };
-        let opt = cyclic_coordinate_descent(f, &[0.0, 0.0], 5.0, 1e-10, 200);
-        assert!(opt.value < 1e-5, "value {}", opt.value);
-    }
-
-    #[test]
-    fn gradient_descent_quadratic() {
-        let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-        let opt = gradient_descent(f, &[0.0, 0.0], 0.4, 1e-6, 1e-8, 500);
-        assert!((opt.x[0] - 3.0).abs() < 1e-3);
-        assert!((opt.x[1] + 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn gradient_descent_rosenbrock_progress() {
-        // Rosenbrock is hard for plain GD; we only require a large decrease.
-        let f = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-        let f0 = f(&[-1.2, 1.0]);
-        let opt = gradient_descent(f, &[-1.2, 1.0], 1e-3, 1e-7, 1e-10, 2000);
-        assert!(opt.value < 0.05 * f0, "value {}", opt.value);
-    }
-
-    #[test]
-    fn multi_start_escapes_local_minimum() {
-        // Double well: minima at ±1 with f(-1) = 0 (global), f(1) = 0.5.
-        let f = |x: &[f64]| {
-            let w = (x[0] * x[0] - 1.0).powi(2);
-            w + 0.25 * (x[0] + 1.0).powi(2) * 0.5 + if x[0] > 0.0 { 0.5 } else { 0.0 }
-        };
-        let starts = vec![vec![0.9], vec![-0.9]];
-        let best = multi_start::<fn(&[f64]) -> f64, _>(
-            |s| cyclic_coordinate_descent(f, s, 0.5, 1e-9, 60),
-            &starts,
-        )
-        .unwrap();
-        assert!(best.x[0] < 0.0, "stuck in local minimum at {}", best.x[0]);
-    }
-
-    #[test]
-    fn multi_start_empty_returns_none() {
-        let best = multi_start::<fn(&[f64]) -> f64, _>(
-            |s| cyclic_coordinate_descent(|x: &[f64]| x[0] * x[0], s, 1.0, 1e-6, 10),
-            &[],
-        );
-        assert!(best.is_none());
-    }
-
-    #[test]
-    fn optimum_reports_evals() {
-        let opt = cyclic_coordinate_descent(|x: &[f64]| x[0] * x[0], &[2.0], 3.0, 1e-8, 20);
-        assert!(opt.evals > 0);
     }
 }

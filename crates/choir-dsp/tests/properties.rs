@@ -3,7 +3,7 @@
 use choir_dsp::complex::{c64, energy, C64};
 use choir_dsp::fft::{dft_naive, fft, ifft, FftPlan};
 use choir_dsp::linalg::{least_squares, residual_energy};
-use choir_dsp::optim::{cyclic_coordinate_descent, golden_section};
+use choir_dsp::optim::golden_section;
 use choir_dsp::peaks::{find_peaks, PeakConfig};
 use choir_dsp::stats;
 use proptest::prelude::*;
@@ -92,14 +92,6 @@ proptest! {
     fn golden_section_finds_shifted_quadratic(c in -5.0f64..5.0) {
         let (x, _) = golden_section(|x| (x - c).powi(2), -10.0, 10.0, 1e-9);
         prop_assert!((x - c).abs() < 1e-6);
-    }
-
-    #[test]
-    fn coordinate_descent_never_increases(x0 in prop::collection::vec(-3.0f64..3.0, 1..4)) {
-        let f = |x: &[f64]| x.iter().map(|v| (v - 0.7).powi(2)).sum::<f64>() + 1.0;
-        let start = f(&x0);
-        let opt = cyclic_coordinate_descent(f, &x0, 2.0, 1e-8, 30);
-        prop_assert!(opt.value <= start + 1e-12);
     }
 
     #[test]

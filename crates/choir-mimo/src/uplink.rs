@@ -46,8 +46,9 @@ pub fn choir_multi_antenna(
     let decoder = choir_core::decoder::ChoirDecoder::new(*params);
     let mut merged: Vec<choir_core::decoder::DecodedUser> = Vec::new();
     for stream in antenna_streams {
-        let decoded = decoder.decode_known_len(stream, slot_start, payload_len);
-        for d in decoded {
+        let slot =
+            choir_core::decoder::SlotView::known_len(params, stream, slot_start, payload_len);
+        for d in decoder.try_decode_view(slot).unwrap_or_default() {
             // Same transmitter ⇒ same payload; merge by decoded payload.
             let dup = merged
                 .iter_mut()

@@ -5,13 +5,13 @@
 //! continuous IQ stream with random inter-slot silence, fed to the
 //! station in random chunks of 1..4096 samples, and the decoded output is
 //! required to be **bit-identical** — every float compared via `to_bits`
-//! — to `decode_slots_with_pool` over the pre-cut captures, at 1 and at 4
-//! worker threads. This holds because scheduled-mode capture cutting is
-//! sample-exact and `try_decode` is a pure function of the capture.
+//! — to `decode_slot_views_with_pool` over the pre-cut captures, at 1 and
+//! at 4 worker threads. This holds because scheduled-mode capture cutting
+//! is sample-exact and `try_decode_view` is a pure function of the capture.
 
 use choir_channel::impairments::HardwareProfile;
 use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
-use choir_core::{ChoirDecoder, DecodedUser, SlotCapture};
+use choir_core::{ChoirDecoder, DecodedUser, SlotView};
 use choir_dsp::complex::C64;
 use choir_pool::ThreadPool;
 use choir_station::{SlotSchedule, Station, StationConfig};
@@ -151,15 +151,15 @@ fn assert_users_identical(a: &[DecodedUser], b: &[DecodedUser], ctx: &str) {
 #[test]
 fn streaming_matches_batch_bit_identically() {
     let scenarios = seeded_scenarios();
-    let batch_slots: Vec<SlotCapture> = scenarios
+    let batch_slots: Vec<SlotView<'_>> = scenarios
         .iter()
-        .map(|s| SlotCapture::known_len(&s.params, s.samples.clone(), s.slot_start, PAYLOAD_LEN))
+        .map(|s| SlotView::known_len(&s.params, &s.samples, s.slot_start, PAYLOAD_LEN))
         .collect();
     let dec = ChoirDecoder::new(params());
 
     for (threads, chunk_seed) in [(1usize, 0xA11CEu64), (4, 0xB0B5)] {
         let pool = ThreadPool::with_threads(threads);
-        let batch = dec.decode_slots_with_pool(&batch_slots, pool);
+        let batch = dec.decode_slot_views_with_pool(&batch_slots, pool);
         assert!(
             batch.iter().any(|r| r.ok_users().count() >= 2),
             "workload too easy to be a meaningful equivalence probe"

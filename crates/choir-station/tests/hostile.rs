@@ -6,7 +6,7 @@
 use choir_channel::impairments::HardwareProfile;
 use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
 use choir_core::error::DecodeError;
-use choir_core::ChoirDecoder;
+use choir_core::{ChoirDecoder, SlotView};
 use choir_dsp::complex::{c64, C64};
 use choir_pool::ThreadPool;
 use choir_station::{SlotSchedule, Station, StationConfig};
@@ -215,9 +215,13 @@ fn preamble_split_across_three_chunk_boundaries() {
     assert!(report.shed.is_empty());
 
     let dec = ChoirDecoder::new(s.params);
-    let nds = lora_phy::frame::frame_symbol_count(&s.params, PAYLOAD_LEN);
     let batch = dec
-        .try_decode(&s.samples, s.slot_start, nds)
+        .try_decode_view(SlotView::known_len(
+            &s.params,
+            &s.samples,
+            s.slot_start,
+            PAYLOAD_LEN,
+        ))
         .expect("batch decode of the clean scenario");
     let streamed = &report.slots[0].result.users;
     assert_eq!(streamed.len(), batch.len());

@@ -4,15 +4,15 @@
 
 use crate::report::{FigureReport, Series};
 use choir_channel::impairments::HardwareProfile;
-use choir_channel::scenario::ScenarioBuilder;
-use choir_core::decoder::{ChoirConfig, ChoirDecoder, SlotCapture};
+use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
+use choir_core::decoder::{ChoirConfig, ChoirDecoder};
 use choir_core::estimator::{EstimatorConfig, OffsetEstimator};
 use choir_core::lowsnr::{TeamConfig, TeamDecoder};
 use choir_dsp::peaks::PeakConfig;
 use choir_dsp::stats;
 use lora_phy::params::PhyParams;
 
-use crate::experiments::Scale;
+use crate::experiments::{decode_scenarios, Scale};
 
 fn profile(cfo_bins: f64, toff_symbols: f64, params: &PhyParams) -> HardwareProfile {
     HardwareProfile {
@@ -117,9 +117,9 @@ pub fn ablate_steps(scale: Scale) -> FigureReport {
         // term the strong user's reconstruction is poor and its residue
         // buries the weak user. Trials batch-decode through the shared
         // worker pool.
-        let slots: Vec<SlotCapture> = (0..trials)
+        let slots: Vec<CollisionScenario> = (0..trials)
             .map(|t| {
-                let s = ScenarioBuilder::new(params)
+                ScenarioBuilder::new(params)
                     .snrs_db(&[25.0, 17.0])
                     .payload_len(8)
                     .profiles(vec![
@@ -127,12 +127,10 @@ pub fn ablate_steps(scale: Scale) -> FigureReport {
                         profile(-11.7, 0.43, &params),
                     ])
                     .seed(4100 + t as u64)
-                    .build();
-                SlotCapture::known_len(&params, s.samples, s.slot_start, 8)
+                    .build()
             })
             .collect();
-        let ok: usize = dec
-            .decode_slots_parallel(&slots)
+        let ok: usize = decode_scenarios(&dec, &slots, 8)
             .iter()
             .map(|res| res.ok_users().filter(|d| d.payload_ok()).count())
             .sum();
@@ -159,19 +157,17 @@ pub fn ablate_sic_passes(scale: Scale) -> FigureReport {
             ..ChoirConfig::default()
         };
         let dec = ChoirDecoder::with_config(params, cfg);
-        let slots: Vec<SlotCapture> = (0..trials)
+        let slots: Vec<CollisionScenario> = (0..trials)
             .map(|t| {
                 let snrs: Vec<f64> = (0..k).map(|i| 22.0 - i as f64 * 2.2).collect();
-                let s = ScenarioBuilder::new(params)
+                ScenarioBuilder::new(params)
                     .snrs_db(&snrs)
                     .payload_len(8)
                     .seed(4200 + t as u64)
-                    .build();
-                SlotCapture::known_len(&params, s.samples, s.slot_start, 8)
+                    .build()
             })
             .collect();
-        let ok: usize = dec
-            .decode_slots_parallel(&slots)
+        let ok: usize = decode_scenarios(&dec, &slots, 8)
             .iter()
             .map(|res| res.ok_users().filter(|d| d.payload_ok()).count())
             .sum();
@@ -270,10 +266,9 @@ pub fn ablate_adc(scale: Scale) -> FigureReport {
                     .fold(0.0f64, f64::max);
                 Adc::with_agc(bits, peak).convert_buffer(&mut s.samples);
                 weak_payloads.push(s.users[1].payload.clone());
-                slots.push(SlotCapture::known_len(&params, s.samples, s.slot_start, 6));
+                slots.push(s);
             }
-            let ok = dec
-                .decode_slots_parallel(&slots)
+            let ok = decode_scenarios(&dec, &slots, 6)
                 .iter()
                 .zip(&weak_payloads)
                 .filter(|(res, weak_payload)| {

@@ -14,7 +14,7 @@
 
 use choir_channel::scenario::ScenarioBuilder;
 use choir_core::cluster::circular_dist;
-use choir_core::decoder::ChoirDecoder;
+use choir_core::decoder::{ChoirDecoder, SlotView};
 use choir_core::estimator::{EstimatorConfig, OffsetEstimator};
 use choir_core::hmrf::{self, Obs, Weights};
 use choir_core::sic::{phased_sic, SicConfig};
@@ -75,7 +75,8 @@ fn main() {
 
     // --- The pipeline under observation --------------------------------
     let decoder = ChoirDecoder::new(params);
-    let decoded = decoder.decode_known_len(&scenario.samples, scenario.slot_start, PAYLOAD_LEN);
+    let slot = SlotView::known_len(&params, &scenario.samples, scenario.slot_start, PAYLOAD_LEN);
+    let decoded = decoder.try_decode_view(slot).unwrap_or_default();
 
     // --- HMRF symbol→user attribution (Sec. 6.2) over the preamble ------
     // The streaming decoder maps symbols to users via preamble tracks;

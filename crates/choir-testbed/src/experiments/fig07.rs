@@ -9,14 +9,14 @@
 
 use crate::report::{FigureReport, Series};
 use choir_channel::impairments::OscillatorModel;
-use choir_channel::scenario::ScenarioBuilder;
-use choir_core::decoder::{ChoirDecoder, SlotCapture};
+use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
+use choir_core::decoder::ChoirDecoder;
 use choir_core::estimator::{EstimatorConfig, OffsetEstimator};
 use choir_dsp::complex::C64;
 use choir_dsp::stats;
 use lora_phy::params::PhyParams;
 
-use super::Scale;
+use super::{decode_scenarios, Scale};
 
 /// Downsamples an empirical CDF to ~`k` points for reporting.
 fn cdf_series(label: &str, values: &[f64], k: usize) -> Series {
@@ -126,19 +126,18 @@ pub fn run(scale: Scale) -> FigureReport {
     let boards = 30usize;
     let mut agg_frac_hz = Vec::new();
     let mut cfo_frac_hz = Vec::new();
-    let slots: Vec<SlotCapture> = (0..(boards / 2))
+    let slots: Vec<CollisionScenario> = (0..(boards / 2))
         .map(|pair| {
-            let s = ScenarioBuilder::new(params)
+            ScenarioBuilder::new(params)
                 .snrs_db(&[20.0, 17.0])
                 .oscillator(osc)
                 .payload_len(6)
                 .seed(700 + pair as u64)
-                .build();
-            SlotCapture::known_len(&params, s.samples, s.slot_start, 6)
+                .build()
         })
         .collect();
     let dec = ChoirDecoder::new(params);
-    for res in dec.decode_slots_parallel(&slots) {
+    for res in decode_scenarios(&dec, &slots, 6) {
         for d in res.users {
             agg_frac_hz.push(d.user.frac * bin);
             if let Some(slope) = d.user.phase_slope {

@@ -14,6 +14,9 @@ pub mod fig11;
 pub mod fig12;
 pub mod station;
 
+use choir_channel::scenario::CollisionScenario;
+use choir_core::decoder::{ChoirDecoder, SlotResult, SlotView};
+
 /// Experiment effort.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -31,6 +34,20 @@ impl Scale {
             Scale::Full => full,
         }
     }
+}
+
+/// Batch-decodes one known-length slot per scenario on the shared worker
+/// pool.
+pub(crate) fn decode_scenarios(
+    dec: &ChoirDecoder,
+    scenarios: &[CollisionScenario],
+    payload_len: usize,
+) -> Vec<SlotResult> {
+    let views: Vec<SlotView<'_>> = scenarios
+        .iter()
+        .map(|s| SlotView::known_len(&s.params, &s.samples, s.slot_start, payload_len))
+        .collect();
+    dec.decode_slot_views_with_pool(&views, *choir_pool::global())
 }
 
 /// Runs every figure at the given scale, in paper order.

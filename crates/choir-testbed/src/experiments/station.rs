@@ -14,7 +14,7 @@
 use crate::report::{FigureReport, Series};
 use choir_channel::impairments::HardwareProfile;
 use choir_channel::scenario::ScenarioBuilder;
-use choir_core::ChoirDecoder;
+use choir_core::{ChoirDecoder, SlotView};
 use choir_dsp::complex::C64;
 use choir_station::{SlotSchedule, Station, StationConfig};
 use lora_phy::params::PhyParams;
@@ -68,7 +68,10 @@ pub fn run(scale: Scale) -> FigureReport {
     let dec = ChoirDecoder::new(params);
     let batch: Vec<_> = scenarios
         .iter()
-        .map(|s| dec.decode_known_len(&s.samples, s.slot_start, PAYLOAD_LEN))
+        .map(|s| {
+            let slot = SlotView::known_len(&params, &s.samples, s.slot_start, PAYLOAD_LEN);
+            dec.try_decode_view(slot).unwrap_or_default()
+        })
         .collect();
 
     // Streaming path: same samples, chunked ingest through the station.

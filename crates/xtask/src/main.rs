@@ -195,6 +195,13 @@ fn selftest() -> ExitCode {
             "// hot:noalloc — per-candidate refine kernel\npub fn eval(x: &mut [u8]) { x[0] = 1; }\npub fn setup(x: &[u8]) -> Vec<u8> { x.to_vec() }\n",
             &[],
         ),
+        // The decoder's stage files live one directory down; the
+        // directory-scoped rules must still reach them.
+        (
+            "crates/choir-core/src/decoder/planted.rs",
+            "// hot:noalloc — hypothesis sweep\nfn comb_demod_inner(x: &[u8]) -> Vec<u8> { x.to_vec() }\n",
+            &["hot_noalloc"],
+        ),
         (
             "crates/choir-dsp/src/planted.rs",
             "pub fn f(x: Option<u8>) -> u8 {\n    // lint:allow(unwrap) — caller guarantees Some\n    x.unwrap()\n}\n",

@@ -71,7 +71,8 @@ fn main() {
         );
     }
 
-    let decoded = decoder.decode_known_len(&scenario.samples, scenario.slot_start, 10);
+    let slot = SlotView::known_len(&params, &scenario.samples, scenario.slot_start, 10);
+    let decoded = decoder.try_decode_view(slot).unwrap_or_default();
     println!("\n=== decoded packets ===");
     let mut ok = 0;
     for d in &decoded {

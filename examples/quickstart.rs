@@ -36,7 +36,8 @@ fn main() {
     // The standard LoRaWAN gateway treats this collision as a loss
     // (footnote 1 of the paper). Choir disentangles it:
     let decoder = ChoirDecoder::new(params);
-    let decoded = decoder.decode_known_len(&scenario.samples, scenario.slot_start, 16);
+    let slot = SlotView::known_len(&params, &scenario.samples, scenario.slot_start, 16);
+    let decoded = decoder.try_decode_view(slot).expect("slot decodes");
 
     println!("\ndecoded ({} users):", decoded.len());
     for d in &decoded {

@@ -23,8 +23,15 @@
 //!     .build();
 //! // …and disentangle it at the (single-antenna) base station.
 //! let decoder = ChoirDecoder::new(scenario.params);
-//! for user in decoder.decode_known_len(&scenario.samples, scenario.slot_start, 12) {
-//!     println!("offset {:6.2} bins → {:?}", user.user.offset_bins, user.frame);
+//! let slot = SlotView::known_len(&scenario.params, &scenario.samples, scenario.slot_start, 12);
+//! match decoder.try_decode_view(slot) {
+//!     Ok(users) => {
+//!         for user in users {
+//!             println!("offset {:6.2} bins → {:?}", user.user.offset_bins, user.frame);
+//!         }
+//!     }
+//!     // A truncated capture or a silent preamble is a typed error.
+//!     Err(why) => eprintln!("slot not decoded: {why}"),
 //! }
 //! ```
 
@@ -45,7 +52,7 @@ pub use lora_phy as phy;
 pub mod prelude {
     pub use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
     pub use choir_channel::{HardwareProfile, LinkBudget, OscillatorModel};
-    pub use choir_core::{ChoirConfig, ChoirDecoder, TeamConfig, TeamDecoder};
+    pub use choir_core::{ChoirConfig, ChoirDecoder, SlotView, TeamConfig, TeamDecoder};
     pub use choir_mac::{run_sim, MacScheme, SimConfig};
     pub use choir_sensors::{Building, EnvField, Quantizer, Strategy};
     pub use choir_station::{Station, StationConfig};

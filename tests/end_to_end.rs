@@ -3,7 +3,20 @@
 
 // Integration tests: failing fast on a missing frame IS the assertion.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+use choir::core::DecodedUser;
 use choir::prelude::*;
+
+/// Decodes a scenario's slot for a known payload length.
+fn decode(scenario: &CollisionScenario, payload_len: usize) -> Vec<DecodedUser> {
+    ChoirDecoder::new(scenario.params)
+        .try_decode_view(SlotView::known_len(
+            &scenario.params,
+            &scenario.samples,
+            scenario.slot_start,
+            payload_len,
+        ))
+        .unwrap()
+}
 
 #[test]
 fn collision_pipeline_across_spreading_factors() {
@@ -23,8 +36,7 @@ fn collision_pipeline_across_spreading_factors() {
             .payload_len(8)
             .seed(17)
             .build();
-        let decoder = ChoirDecoder::new(params);
-        let out = decoder.decode_known_len(&scenario.samples, scenario.slot_start, 8);
+        let out = decode(&scenario, 8);
         let ok = out.iter().filter(|d| d.payload_ok()).count();
         assert_eq!(ok, 2, "{sf:?}: {ok}/2 decoded");
         // Payloads must match ground truth exactly.
@@ -62,9 +74,7 @@ fn topology_drives_realistic_snrs() {
         .payload_len(10)
         .seed(23)
         .build();
-    let decoder = ChoirDecoder::new(params);
-    let ok = decoder
-        .decode_known_len(&scenario.samples, scenario.slot_start, 10)
+    let ok = decode(&scenario, 10)
         .iter()
         .filter(|d| d.payload_ok())
         .count();
@@ -81,9 +91,7 @@ fn near_far_with_fading_channel() {
         .fading(Fading::Rician { k: 8.0 })
         .seed(31)
         .build();
-    let decoder = ChoirDecoder::new(params);
-    let ok = decoder
-        .decode_known_len(&scenario.samples, scenario.slot_start, 6)
+    let ok = decode(&scenario, 6)
         .iter()
         .filter(|d| d.payload_ok())
         .count();
@@ -109,9 +117,7 @@ fn standard_lora_receiver_fails_where_choir_succeeds() {
     let standard_ok = standard
         .map(|f| f.crc_ok && scenario.users.iter().any(|u| u.payload == f.payload))
         .unwrap_or(false);
-    let decoder = ChoirDecoder::new(params);
-    let choir_ok = decoder
-        .decode_known_len(&scenario.samples, scenario.slot_start, 8)
+    let choir_ok = decode(&scenario, 8)
         .iter()
         .filter(|d| d.payload_ok())
         .count();
