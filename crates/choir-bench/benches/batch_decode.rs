@@ -22,10 +22,10 @@
 //! A third sweep re-decodes the batch at every candidate-block width
 //! (`W = 1, 2, 4, 8` in the refine prefilter), verifying the decoded
 //! streams are bit-identical at every width and recording the per-width
-//! throughput. `BENCH_kernel.json` gains `refine_s` (single-thread
-//! refine-stage seconds), `block_width` (the default width) and
-//! `blocked_slots_per_sec` (throughput at that width), all gated by
-//! `cargo xtask ci bench-smoke`.
+//! throughput. `BENCH_kernel.json` gains `refine_s` and `demod_s`
+//! (single-thread refine- and demod-stage seconds), `block_width` (the
+//! default width) and `blocked_slots_per_sec` (throughput at that
+//! width), all gated by `cargo xtask ci bench-smoke`.
 //!
 //! Stage accounting: workers accumulate stage time per thread, so the
 //! multi-thread rows of `BENCH_parallel.json` report both the raw
@@ -33,8 +33,8 @@
 //! can exceed the elapsed wall time) and the per-worker average
 //! (`stages_s = stages_cpu_s / threads`, comparable to wall time). The
 //! CI gate floors neither: it gates the single-thread `stages_s` of
-//! `BENCH_kernel.json` (via `refine_s`), where the two accountings
-//! coincide.
+//! `BENCH_kernel.json` (via `refine_s` and `demod_s`), where the two
+//! accountings coincide.
 //!
 //! Speedup is bounded by the host's core count: on a single-core
 //! container every thread count measures the same throughput (plus a few
@@ -242,11 +242,15 @@ fn main() {
         vector_backend.name(),
         vector_sps / scalar_sps.max(1e-12)
     );
-    let refine_s = profile::STAGE_NAMES
-        .iter()
-        .position(|n| *n == "refine")
-        .map_or(0.0, |i| single_thread_stages[i]);
+    let stage_s = |name: &str| {
+        profile::STAGE_NAMES
+            .iter()
+            .position(|n| *n == name)
+            .map_or(0.0, |i| single_thread_stages[i])
+    };
+    let (refine_s, demod_s) = (stage_s("refine"), stage_s("demod"));
     println!("single-thread refine stage: {refine_s:.4} s (block width {default_width}, {blocked_sps:.4} slots/s)");
+    println!("single-thread demod stage: {demod_s:.4} s");
     // Merge (rather than rewrite) so the blocked per-width kernel
     // timings `dsp_micro` owns survive a batch_decode refresh.
     let kpath = std::path::Path::new(concat!(
@@ -275,6 +279,7 @@ fn main() {
             ("block_width", default_width.to_string()),
             ("blocked_slots_per_sec", format!("{blocked_sps:.4}")),
             ("refine_s", format!("{refine_s:.4}")),
+            ("demod_s", format!("{demod_s:.4}")),
             (
                 "width_slots_per_sec",
                 format!("{{{}}}", width_sps.join(", ")),

@@ -5,10 +5,12 @@
 //! cancellation over every user.
 
 use choir_dsp::complex::C64;
+use choir_dsp::workspace;
 use lora_phy::chirp::symbol_sample;
 
 use super::demod::CombDecision;
 use super::{ChoirDecoder, DecodedUser, UserEstimate};
+use crate::estimator::ComponentEstimate;
 use crate::profile::{scope, Stage};
 
 /// One user's state across the SIC passes.
@@ -27,6 +29,41 @@ pub(super) struct UserPass {
     contrib: Vec<C64>,
 }
 
+/// Where one symbol of a user sits in the working signal.
+#[derive(Clone, Copy)]
+struct SymbolSpan {
+    /// Fractional sample the symbol starts at.
+    start: f64,
+    /// First whole sample it covers.
+    first: usize,
+    /// One past the last, clipped to the signal; `≤ first` when none is.
+    last: usize,
+}
+
+impl SymbolSpan {
+    fn new(len: usize, slot_start: usize, sym_idx: usize, n: usize, timing_chips: f64) -> Self {
+        let n_f = n as f64;
+        let start = slot_start as f64 + sym_idx as f64 * n_f + timing_chips;
+        SymbolSpan {
+            start,
+            first: start.ceil().max(0.0) as usize,
+            last: ((start + n_f).ceil().max(0.0) as usize).min(len),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.last.saturating_sub(self.first)
+    }
+
+    /// The symbol's chirp over the span (`out` holds [`Self::len`]
+    /// samples), before the CFO rotation.
+    fn chirp_into(&self, n: usize, value: u16, out: &mut [C64]) {
+        for (i, o) in (self.first..self.last).zip(out) {
+            *o = symbol_sample(n, value, i as f64 - self.start);
+        }
+    }
+}
+
 impl ChoirDecoder {
     /// Reconstructs and subtracts one user's symbol from the capture:
     /// fits a single complex gain of the analytically generated symbol
@@ -38,7 +75,7 @@ impl ChoirDecoder {
     fn subtract_symbol(
         &self,
         work: &mut [C64],
-        mut contrib: Option<&mut [C64]>,
+        contrib: Option<&mut [C64]>,
         slot_start: usize,
         sym_idx: usize,
         value: u16,
@@ -47,55 +84,72 @@ impl ChoirDecoder {
     ) {
         scope(Stage::Sic, || {
             let n = self.est.n();
-            let n_f = n as f64;
-            let start = slot_start as f64 + sym_idx as f64 * n_f + timing_chips;
-            let first = start.ceil().max(0.0) as usize;
-            let last = ((start + n_f).ceil().max(0.0) as usize).min(work.len());
-            if first >= last {
-                return;
-            }
-            let w_cfo = 2.0 * std::f64::consts::PI * cfo_bins / n_f;
-            // Template over the span.
-            let mut template = Vec::with_capacity(last - first);
-            for i in first..last {
-                let tau = i as f64 - start;
-                let s = symbol_sample(n, value, tau);
-                template.push(s * C64::cis(w_cfo * (i as f64 - slot_start as f64)));
-            }
-            // Fit one complex gain per constant-phase segment: the chirp wraps
-            // from +B/2 to −B/2 at `N − value` chips into the symbol, and any
-            // sub-chip timing error turns that wrap into a phase step.
-            // Independent per-segment gains absorb it exactly.
-            let wrap_global = start + (n - value as usize) as f64;
-            let wrap = (wrap_global.ceil().max(first as f64) as usize).min(last);
-            let subtract_segment =
-                |lo: usize, hi: usize, work: &mut [C64], contrib: &mut Option<&mut [C64]>| {
-                    if hi <= lo {
-                        return;
-                    }
-                    let num: C64 = work[lo..hi]
-                        .iter()
-                        .zip(&template[lo - first..hi - first])
-                        .map(|(y, t)| y * t.conj())
-                        .sum();
-                    let den: f64 = template[lo - first..hi - first]
-                        .iter()
-                        .map(|t| t.norm_sqr())
-                        .sum();
-                    if den <= 1e-12 {
-                        return;
-                    }
-                    let g = num / den;
-                    for (i, t) in (lo..hi).zip(&template[lo - first..hi - first]) {
-                        work[i] -= g * t;
-                        if let Some(c) = contrib.as_deref_mut() {
-                            c[i] += g * t;
-                        }
-                    }
-                };
-            subtract_segment(first, wrap, work, &mut contrib);
-            subtract_segment(wrap, last, work, &mut contrib);
+            let span = SymbolSpan::new(work.len(), slot_start, sym_idx, n, timing_chips);
+            let mut chirp = workspace::take(span.len());
+            span.chirp_into(n, value, &mut chirp);
+            self.subtract_chirp(work, contrib, slot_start, span, &chirp, value, cfo_bins);
+            workspace::put(chirp);
         })
+    }
+
+    /// [`Self::subtract_symbol`] given the symbol's span and its chirp
+    /// over it, which depend on neither the signal nor the CFO.
+    #[allow(clippy::too_many_arguments)]
+    fn subtract_chirp(
+        &self,
+        work: &mut [C64],
+        mut contrib: Option<&mut [C64]>,
+        slot_start: usize,
+        span: SymbolSpan,
+        chirp: &[C64],
+        value: u16,
+        cfo_bins: f64,
+    ) {
+        let n = self.est.n();
+        let SymbolSpan { start, first, last } = span;
+        if first >= last {
+            return;
+        }
+        let w_cfo = 2.0 * std::f64::consts::PI * cfo_bins / n as f64;
+        // Template over the span.
+        let mut template = workspace::take(last - first);
+        for ((i, t), s) in (first..last).zip(template.iter_mut()).zip(chirp) {
+            *t = s * C64::cis(w_cfo * (i as f64 - slot_start as f64));
+        }
+        // Fit one complex gain per constant-phase segment: the chirp wraps
+        // from +B/2 to −B/2 at `N − value` chips into the symbol, and any
+        // sub-chip timing error turns that wrap into a phase step.
+        // Independent per-segment gains absorb it exactly.
+        let wrap_global = start + (n - value as usize) as f64;
+        let wrap = (wrap_global.ceil().max(first as f64) as usize).min(last);
+        let subtract_segment =
+            |lo: usize, hi: usize, work: &mut [C64], contrib: &mut Option<&mut [C64]>| {
+                if hi <= lo {
+                    return;
+                }
+                let num: C64 = work[lo..hi]
+                    .iter()
+                    .zip(&template[lo - first..hi - first])
+                    .map(|(y, t)| y * t.conj())
+                    .sum();
+                let den: f64 = template[lo - first..hi - first]
+                    .iter()
+                    .map(|t| t.norm_sqr())
+                    .sum();
+                if den <= 1e-12 {
+                    return;
+                }
+                let g = num / den;
+                for (i, t) in (lo..hi).zip(&template[lo - first..hi - first]) {
+                    work[i] -= g * t;
+                    if let Some(c) = contrib.as_deref_mut() {
+                        c[i] += g * t;
+                    }
+                }
+            };
+        subtract_segment(first, wrap, work, &mut contrib);
+        subtract_segment(wrap, last, work, &mut contrib);
+        workspace::put(template);
     }
 
     /// Golden-refines a user's CFO (bins) by minimising the energy left
@@ -111,25 +165,36 @@ impl ChoirDecoder {
         cfo_init: f64,
     ) -> f64 {
         scope(Stage::Refine, || {
-            let probes: Vec<usize> = [1usize, 3, 5]
+            let n = self.est.n();
+            // Each probe's two-symbol stretch of the signal, rebased to
+            // index 0 (the subtraction indexes globally), with the span
+            // and chirp of its symbol there: none depends on the probed
+            // CFO, so the search only redoes the rotation, fit and sum.
+            let probes: Vec<(&[C64], u16, SymbolSpan, Vec<C64>)> = [1usize, 3, 5]
                 .into_iter()
                 .filter(|&i| i < symbols.len())
+                .map(|sym_idx| {
+                    let lo = slot_start + sym_idx * n;
+                    let stretch = &work[lo..(lo + 2 * n).min(work.len())];
+                    let span = SymbolSpan::new(stretch.len(), 0, 0, n, timing_chips);
+                    let value = symbols[sym_idx];
+                    let mut chirp = vec![C64::ZERO; span.len()];
+                    span.chirp_into(n, value, &mut chirp);
+                    (stretch, value, span, chirp)
+                })
                 .collect();
             if probes.is_empty() {
                 return cfo_init;
             }
-            let n = self.est.n();
+            let mut probe_buf = Vec::with_capacity(2 * n);
             let score = |cfo: f64| -> f64 {
                 let mut total = 0.0;
-                for &sym_idx in &probes {
-                    let mut probe_buf: Vec<C64> = {
-                        let lo = slot_start + sym_idx * n;
-                        let hi = (lo + 2 * n).min(work.len());
-                        work[lo..hi].to_vec()
-                    };
-                    // subtract_symbol indexes globally; rebase to the slice.
-                    let value = symbols[sym_idx];
-                    self.subtract_symbol(&mut probe_buf, None, 0, 0, value, timing_chips, cfo);
+                for (stretch, value, span, chirp) in &probes {
+                    probe_buf.clear();
+                    probe_buf.extend_from_slice(stretch);
+                    scope(Stage::Sic, || {
+                        self.subtract_chirp(&mut probe_buf, None, 0, *span, chirp, *value, cfo);
+                    });
                     total += probe_buf
                         .iter()
                         .take(n + timing_chips.ceil() as usize)
@@ -146,16 +211,18 @@ impl ChoirDecoder {
 
     /// One user's turn in a SIC pass: acquire and demodulate it against
     /// the current signal, then subtract its reconstructed packet so the
-    /// users after it see it removed (packet-level SIC).
+    /// users after it see it removed (packet-level SIC). `transition` is
+    /// [`Self::acquire_and_demod`]'s.
     fn decode_user_pass(
         &self,
         work: &mut [C64],
         slot_start: usize,
         total_syms: usize,
         st: &mut UserPass,
+        transition: Option<Vec<ComponentEstimate>>,
     ) {
         let (decisions, erasures) =
-            self.acquire_and_demod(work, slot_start, &mut st.user, total_syms);
+            self.acquire_and_demod(work, slot_start, &mut st.user, total_syms, transition);
         st.symbols = decisions.iter().map(|d| d.value()).collect();
         st.decisions = decisions;
         st.erasures = erasures;
@@ -186,13 +253,15 @@ impl ChoirDecoder {
     /// number of data symbols (sync symbols are consumed internally).
     /// Returns one entry per validated user, strongest first. `users` must
     /// be non-empty and the capture must hold the whole slot — both are
-    /// established by [`Self::try_decode_view`].
+    /// established by [`Self::try_decode_view`]. `transition` is the
+    /// transition-window solve discovery made on `samples`.
     pub(super) fn decode_with_users(
         &self,
         samples: &[C64],
         slot_start: usize,
         num_data_symbols: usize,
         users: Vec<UserEstimate>,
+        transition: Vec<ComponentEstimate>,
     ) -> Vec<DecodedUser> {
         let total_syms = self.params.preamble_len + 2 + num_data_symbols;
         let mut work = samples.to_vec();
@@ -213,6 +282,10 @@ impl ChoirDecoder {
         // later passes re-decode each user with *every other* user's
         // contribution removed, and re-acquisition against the cleaned
         // signal breaks the cascade.
+        //
+        // Discovery's transition solve is still exact for the first turn
+        // of the first pass, the only one to see `work` as captured.
+        let mut solved = Some(transition);
         for pass in 0..self.cfg.sic_passes.max(1) {
             for st in states.iter_mut() {
                 if pass > 0 {
@@ -222,7 +295,7 @@ impl ChoirDecoder {
                         *c = C64::ZERO;
                     }
                 }
-                self.decode_user_pass(&mut work, slot_start, total_syms, st);
+                self.decode_user_pass(&mut work, slot_start, total_syms, st, solved.take());
             }
         }
         self.frame_users(slot_start, states)

@@ -3,11 +3,13 @@
 //! reads a user's windows through.
 
 use choir_dsp::complex::C64;
-use choir_dsp::resample::fractional_delay;
+use choir_dsp::resample::fractional_delay_into;
+use choir_dsp::workspace;
 use lora_phy::frame::SYNC_SYMBOLS;
 
 use super::{ChoirConfig, ChoirDecoder, UserEstimate};
 use crate::cluster::circular_dist;
+use crate::estimator::ComponentEstimate;
 use crate::profile::{scope, Stage};
 use crate::sic::phased_sic;
 
@@ -22,10 +24,28 @@ fn tone_energy(dechirped: &[C64], w: f64) -> f64 {
     acc.norm_sqr()
 }
 
+/// The whole chip a timing search is seeded at — all
+/// [`ChoirDecoder::refine_timing`] reads of its seed, so seeds on one chip
+/// are one search.
+pub(super) fn seed_chip(seed: f64) -> f64 {
+    seed.max(0.0).round()
+}
+
 impl ChoirDecoder {
     /// Stage 1+2: discovers colliding users from the preamble (Sec. 5) and
     /// splits each user's aggregate offset into timing and CFO (Sec. 6).
     pub fn discover_users(&self, samples: &[C64], slot_start: usize) -> Vec<UserEstimate> {
+        self.discover_with_transition(samples, slot_start).0
+    }
+
+    /// [`Self::discover_users`], also returning the preamble→sync
+    /// transition window's components it fitted on the way, so the decode
+    /// that follows on the same samples does not solve that window again.
+    pub(super) fn discover_with_transition(
+        &self,
+        samples: &[C64],
+        slot_start: usize,
+    ) -> (Vec<UserEstimate>, Vec<ComponentEstimate>) {
         // Debug sanitizer at the pipeline mouth: corrupt IQ in means every
         // later stage fails confusingly; fail here with the right label.
         choir_dsp::checks::assert_finite("decoder::discover_users input", samples);
@@ -45,7 +65,7 @@ impl ChoirDecoder {
             per_window.push(phased_sic(&self.est, win, &self.cfg.sic).components);
         }
         if per_window.is_empty() {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
         let min_support = (per_window.len() / 2).max(2).min(per_window.len());
         let tracks = scope(Stage::Cluster, || {
@@ -69,10 +89,7 @@ impl ChoirDecoder {
         // (a chirp's time shift and the matching frequency shift cancel in
         // both the comb demodulator and the subtraction template).
         choir_trace::set_window(p as u64);
-        let transition = self
-            .window(samples, slot_start, p)
-            .map(|win| phased_sic(&self.est, win, &self.cfg.sic).components)
-            .unwrap_or_default();
+        let transition = self.transition_components(samples, slot_start);
         for u in users.iter_mut() {
             let coarse = self.timing_from_transition(&transition, u, n);
             // Alternate timing and offset refinement: each conditions the
@@ -98,7 +115,22 @@ impl ChoirDecoder {
                 });
             }
         }
-        users
+        (users, transition)
+    }
+
+    /// Phased SIC over the preamble→sync transition window (empty when the
+    /// window runs past the capture): what
+    /// [`Self::timing_from_transition`] reads a user's chip delay from.
+    pub(super) fn transition_components(
+        &self,
+        samples: &[C64],
+        slot_start: usize,
+    ) -> Vec<ComponentEstimate> {
+        #[cfg(test)]
+        super::TRANSITION_SOLVES.with(|c| c.set(c.get() + 1));
+        self.window(samples, slot_start, self.params.preamble_len)
+            .map(|win| phased_sic(&self.est, win, &self.cfg.sic).components)
+            .unwrap_or_default()
     }
 
     /// Re-reads a user's aggregate offset from *aligned* preamble windows:
@@ -119,22 +151,28 @@ impl ChoirDecoder {
             // The timing is fixed for the whole search, so align and
             // dechirp the probe windows once instead of per probe (the
             // windowed-sinc resample is as expensive as the correlation).
-            let probes: Vec<Vec<C64>> = [2usize, 4, 6]
-                .iter()
-                .filter_map(|&sym_idx| {
-                    self.aligned_window(samples, slot_start, sym_idx, delta)
-                        .map(|al| self.est.dechirp(&al))
-                })
-                .collect();
+            let len = self.est.n();
+            let mut aligned = workspace::take(len);
+            let mut probes = workspace::take(3 * len);
+            let mut held = 0;
+            for sym_idx in [2usize, 4, 6] {
+                if self.aligned_window_into(samples, slot_start, sym_idx, delta, &mut aligned) {
+                    self.est
+                        .dechirp_into(&aligned, &mut probes[held * len..(held + 1) * len]);
+                    held += 1;
+                }
+            }
             let score = |pos: f64| -> f64 {
                 let w = -2.0 * std::f64::consts::PI * pos / n;
                 let mut s = 0.0;
-                for de in &probes {
+                for de in probes[..held * len].chunks_exact(len) {
                     s += tone_energy(de, w);
                 }
                 -s
             };
             let (pos, _) = choir_dsp::optim::golden_section(score, init - 0.6, init + 0.6, 1e-3);
+            workspace::put(aligned);
+            workspace::put(probes);
             (pos - delta).rem_euclid(n)
         })
     }
@@ -148,12 +186,12 @@ impl ChoirDecoder {
     /// (sub-chip delays — exactly the case where 0 is correct to a chip).
     pub(super) fn timing_from_transition(
         &self,
-        transition: &[crate::estimator::ComponentEstimate],
+        transition: &[ComponentEstimate],
         user: &UserEstimate,
         n: usize,
     ) -> f64 {
         let m = n as f64;
-        let find = |target: f64| -> Option<&crate::estimator::ComponentEstimate> {
+        let find = |target: f64| -> Option<&ComponentEstimate> {
             transition
                 .iter()
                 .filter(|c| circular_dist(c.freq_bins, target, m) < 0.6)
@@ -175,6 +213,8 @@ impl ChoirDecoder {
     }
 
     /// Energy of the user's expected comb tone in one aligned window.
+    // hot:noalloc — the timing searches call this per probe; the aligned
+    // and dechirped windows are workspace buffers.
     pub(super) fn comb_energy(
         &self,
         samples: &[C64],
@@ -186,13 +226,18 @@ impl ChoirDecoder {
     ) -> f64 {
         let n = self.est.n() as f64;
         let pos = (expected_value as f64 + offset_bins + delta).rem_euclid(n);
-        let Some(al) = self.aligned_window(samples, slot_start, sym_idx, delta) else {
-            return 0.0;
+        let mut aligned = workspace::take(self.est.n());
+        let mut de = workspace::take(self.est.n());
+        let energy = if self.aligned_window_into(samples, slot_start, sym_idx, delta, &mut aligned)
+        {
+            self.est.dechirp_into(&aligned, &mut de);
+            tone_energy(&de, -2.0 * std::f64::consts::PI * pos / n)
+        } else {
+            0.0
         };
-        tone_energy(
-            &self.est.dechirp(&al),
-            -2.0 * std::f64::consts::PI * pos / n,
-        )
+        workspace::put(aligned);
+        workspace::put(de);
+        energy
     }
 
     /// Timing refinement (Sec. 6): the preamble is periodic in whole chips,
@@ -224,7 +269,7 @@ impl ChoirDecoder {
                 }
                 s
             };
-            let mut ints: Vec<f64> = vec![coarse.max(0.0).round(), 0.0];
+            let mut ints: Vec<f64> = vec![seed_chip(coarse), 0.0];
             ints.dedup();
             let mut best = (0.0f64, -1.0f64);
             for &base in &ints {
@@ -247,15 +292,19 @@ impl ChoirDecoder {
     }
 
     /// Extracts the user-aligned window for symbol index `sym_idx` (global
-    /// over preamble+sync+data): integer shift by `floor(Δ)` plus
-    /// windowed-sinc resampling by `frac(Δ)`.
-    pub(super) fn aligned_window(
+    /// over preamble+sync+data) into `out` (`n` samples): integer shift by
+    /// `floor(Δ)` plus windowed-sinc resampling by `frac(Δ)`. Returns
+    /// false, leaving `out` unspecified, when the window and its resampler
+    /// margins run past the capture.
+    // hot:noalloc — the output is caller-provided.
+    pub(super) fn aligned_window_into(
         &self,
         samples: &[C64],
         slot_start: usize,
         sym_idx: usize,
         timing_chips: f64,
-    ) -> Option<Vec<C64>> {
+        out: &mut [C64],
+    ) -> bool {
         let n = self.est.n();
         let taps = self.cfg.resample_taps;
         let m = timing_chips.floor();
@@ -264,16 +313,17 @@ impl ChoirDecoder {
         let lo = a - taps as i64;
         let hi = a + (n + taps) as i64;
         if lo < 0 || hi as usize > samples.len() {
-            return None;
+            return false;
         }
         let slice = &samples[lo as usize..hi as usize];
         if delta < 1e-9 {
-            return Some(slice[taps..taps + n].to_vec());
+            out.copy_from_slice(&slice[taps..taps + n]);
+        } else {
+            // The signal is delayed by `delta`; advance it by resampling
+            // with a negative delay, keeping the window between the margins.
+            fractional_delay_into(slice, -delta, taps, taps, out);
         }
-        // The signal is delayed by `delta`; advance it by resampling with
-        // a negative delay.
-        let shifted = fractional_delay(slice, -delta, taps);
-        Some(shifted[taps..taps + n].to_vec())
+        true
     }
 }
 

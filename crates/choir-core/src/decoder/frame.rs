@@ -45,6 +45,14 @@ impl ChoirDecoder {
                     ),
                 ),
             };
+            // An unsynchronised candidate is dropped whatever its frame
+            // says, so it is dropped before the list decoder's odometer
+            // (up to 3⁸ frame decodes) is spent on it. The first decode
+            // above stays ahead of the gate: its error event is part of
+            // the slot's trace.
+            if self.cfg.require_sync && (sync_errors > 0 || preamble_errors > p / 2) {
+                continue;
+            }
             let crc_ok = frame.as_ref().map(|f| f.crc_ok).unwrap_or(false);
             if !crc_ok {
                 // CRC-guided list decoding: in dense collisions, residual
@@ -58,9 +66,6 @@ impl ChoirDecoder {
                     frame = Some(fixed_frame);
                     frame_error = None;
                 }
-            }
-            if self.cfg.require_sync && (sync_errors > 0 || preamble_errors > p / 2) {
-                continue;
             }
             decoded.push(DecodedUser {
                 user,

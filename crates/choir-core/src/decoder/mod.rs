@@ -189,12 +189,15 @@ pub struct ChoirDecoder {
     params: PhyParams,
     cfg: ChoirConfig,
     est: OffsetEstimator,
-    /// Unit-root table `twiddle[m] = e^{−j2πm/n}`, shared across clones.
-    /// The comb demodulator factors each hypothesis tone as
-    /// `twiddle[(s·t) mod n] · e^{−j2π·off·t/n}`, so the whole n-hypothesis
-    /// sweep costs one fractional mix plus table lookups instead of n²
-    /// `cis` evaluations.
-    comb_twiddle: std::sync::Arc<Vec<C64>>,
+    /// The comb demodulator's chirp-z tables and FFT plans, shared across
+    /// clones.
+    comb: std::sync::Arc<demod::CombPlan>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test probe: transition-window solves run on this thread.
+    static TRANSITION_SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl ChoirDecoder {
@@ -206,17 +209,12 @@ impl ChoirDecoder {
     /// Builds a decoder with explicit configuration.
     pub fn with_config(params: PhyParams, cfg: ChoirConfig) -> Self {
         let est = OffsetEstimator::new(params.samples_per_symbol(), cfg.estimator);
-        let n = params.samples_per_symbol();
-        let comb_twiddle = std::sync::Arc::new(
-            (0..n)
-                .map(|m| C64::cis(-2.0 * std::f64::consts::PI * m as f64 / n as f64))
-                .collect::<Vec<C64>>(),
-        );
+        let comb = std::sync::Arc::new(demod::CombPlan::new(params.samples_per_symbol()));
         ChoirDecoder {
             params,
             cfg,
             est,
-            comb_twiddle,
+            comb,
         }
     }
 
@@ -267,11 +265,11 @@ impl ChoirDecoder {
             }
             .traced());
         }
-        let users = self.discover_users(samples, slot_start);
+        let (users, transition) = self.discover_with_transition(samples, slot_start);
         if users.is_empty() {
             return Err(DecodeError::NoUsersFound.traced());
         }
-        Ok(self.decode_with_users(samples, slot_start, num_data_symbols, users))
+        Ok(self.decode_with_users(samples, slot_start, num_data_symbols, users, transition))
     }
 
     /// Decodes a batch of independent slots on `pool`
@@ -452,6 +450,39 @@ mod tests {
         // `discover_users` is public too and reads its windows off the
         // same caller-set start.
         assert!(dec.discover_users(&s.samples, usize::MAX - 100).is_empty());
+    }
+
+    #[test]
+    fn transition_window_is_solved_once_per_user_turn() {
+        // Discovery solves the preamble→sync transition window and the
+        // first turn of the first SIC pass reads the same samples, so a
+        // slot costs one solve per user turn, not one more.
+        let two = vec![profile(2.3, 0.1), profile(-7.6, 0.32)];
+        let three = vec![profile(2.3, 0.1), profile(-7.6, 0.32), profile(12.4, 0.18)];
+        for (snrs, profiles, sic_passes) in [
+            (&[20.0, 17.0][..], two.clone(), 2),
+            (&[20.0, 17.0][..], two, 1),
+            (&[20.0, 17.0, 14.0][..], three, 2),
+        ] {
+            let s = ScenarioBuilder::new(params())
+                .snrs_db(snrs)
+                .payload_len(6)
+                .profiles(profiles)
+                .seed(35)
+                .build();
+            let cfg = ChoirConfig {
+                sic_passes,
+                ..ChoirConfig::default()
+            };
+            let dec = ChoirDecoder::with_config(s.params, cfg);
+            let view = SlotView::known_len(&s.params, &s.samples, s.slot_start, 6);
+            TRANSITION_SOLVES.with(|c| c.set(0));
+            let decoded = dec.try_decode_view(view).expect("slot decodes");
+            let solves = TRANSITION_SOLVES.with(|c| c.get());
+            let users = dec.discover_users(&s.samples, s.slot_start).len();
+            assert!(users >= decoded.len() && users >= snrs.len());
+            assert_eq!(solves, users * sic_passes);
+        }
     }
 
     #[test]

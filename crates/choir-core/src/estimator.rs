@@ -446,13 +446,21 @@ impl OffsetEstimator {
 
     /// Dechirps a window (must be exactly `n` samples).
     pub fn dechirp(&self, window: &[C64]) -> Vec<C64> {
-        assert_eq!(window.len(), self.n, "dechirp: wrong window length");
         let mut out = vec![C64::ZERO; self.n];
-        choir_dsp::backend::cmul_into(window, &self.downchirp, &mut out);
+        self.dechirp_into(window, &mut out);
+        out
+    }
+
+    /// Allocation-free [`Self::dechirp`]: writes the dechirped window into
+    /// `out` (both exactly `n` samples).
+    // hot:noalloc — the output is caller-provided.
+    pub fn dechirp_into(&self, window: &[C64], out: &mut [C64]) {
+        assert_eq!(window.len(), self.n, "dechirp: wrong window length");
+        assert_eq!(out.len(), self.n, "dechirp: wrong output length");
+        choir_dsp::backend::cmul_into(window, &self.downchirp, out);
         // Debug sanitizer: the dechirped window feeds every later stage;
         // a NaN here means corrupt input samples, not a pipeline bug.
-        checks::assert_finite("estimator::dechirp", &out);
-        out
+        checks::assert_finite("estimator::dechirp", out);
     }
 
     /// Zero-padded spectrum of a dechirped window.

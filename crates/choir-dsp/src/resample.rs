@@ -12,33 +12,47 @@ use crate::complex::C64;
 /// windowed-sinc interpolation with `taps` taps per side (Hann-windowed).
 /// Samples that would come from outside the signal are treated as zero.
 pub fn fractional_delay(x: &[C64], delay: f64, taps: usize) -> Vec<C64> {
+    let mut out = vec![C64::ZERO; x.len()];
+    fractional_delay_into(x, delay, taps, 0, &mut out);
+    out
+}
+
+/// Allocation-free [`fractional_delay`] over the output positions
+/// `first..first + out.len()` only: `out[j]` is exactly the value
+/// `fractional_delay(x, delay, taps)[first + j]`. A caller that keeps an
+/// interior span of the delayed signal (the decoder's aligned windows)
+/// skips both the full-length buffer and the edge outputs it would drop.
+// hot:noalloc — the kernel scratch comes from the workspace arena.
+pub fn fractional_delay_into(x: &[C64], delay: f64, taps: usize, first: usize, out: &mut [C64]) {
     assert!(taps >= 1, "fractional_delay: need at least one tap");
-    let n = x.len();
+    let n = x.len() as i64;
     let int_part = delay.floor();
     let frac = delay - int_part;
     let int_shift = int_part as i64;
     if frac.abs() < 1e-12 {
-        return integer_shift(x, int_shift);
+        for (j, o) in out.iter_mut().enumerate() {
+            *o = sample_or_zero(x, (first + j) as i64 - int_shift);
+        }
+        return;
     }
-    let mut out = vec![C64::ZERO; n];
     let t = taps as i64;
     // The windowed-sinc kernel depends only on the tap index and `frac`,
     // never on the output position — build it once per call instead of
     // paying (2·taps+1) sin/cos evaluations per output sample.
-    let kernel: Vec<f64> = (-t..=t)
-        .map(|k| {
-            let u = k as f64 - frac;
-            let s = sinc(u);
-            // Hann window over the tap span.
-            let w = 0.5 + 0.5 * (std::f64::consts::PI * u / (t as f64 + 1.0)).cos();
-            s * w.max(0.0)
-        })
-        .collect();
-    for (i, o) in out.iter_mut().enumerate() {
+    let mut kernel = crate::workspace::take_f64(2 * taps + 1);
+    for (kv, k) in kernel.iter_mut().zip(-t..=t) {
+        let u = k as f64 - frac;
+        let s = sinc(u);
+        // Hann window over the tap span.
+        let w = 0.5 + 0.5 * (std::f64::consts::PI * u / (t as f64 + 1.0)).cos();
+        *kv = s * w.max(0.0);
+    }
+    for (j, o) in out.iter_mut().enumerate() {
+        let i = (first + j) as i64;
         // out[i] = Σ_k x[i - int_shift - k] · sinc(k - frac) · w(k)
-        let lo = i as i64 - int_shift - t;
-        let hi = i as i64 - int_shift + t;
-        if lo >= 0 && hi < n as i64 {
+        let lo = i - int_shift - t;
+        let hi = i - int_shift + t;
+        if lo >= 0 && hi < n {
             // Interior output: every tap's source is in range, and the
             // source index walks backwards as the tap index walks
             // forwards — exactly the backend's reversed MAC, which is
@@ -48,30 +62,31 @@ pub fn fractional_delay(x: &[C64], delay: f64, taps: usize) -> Vec<C64> {
         }
         let mut acc = C64::ZERO;
         for (ki, k) in (-t..=t).enumerate() {
-            let src = i as i64 - int_shift - k;
-            if src < 0 || src >= n as i64 {
+            let src = i - int_shift - k;
+            if src < 0 || src >= n {
                 continue;
             }
             acc += x[src as usize].scale(kernel[ki]);
         }
         *o = acc;
     }
-    out
+    crate::workspace::put_f64(kernel);
 }
 
 /// Integer sample shift with zero fill (positive = delay).
 pub fn integer_shift(x: &[C64], shift: i64) -> Vec<C64> {
-    let n = x.len() as i64;
-    (0..n)
-        .map(|i| {
-            let src = i - shift;
-            if src < 0 || src >= n {
-                C64::ZERO
-            } else {
-                x[src as usize]
-            }
-        })
+    (0..x.len() as i64)
+        .map(|i| sample_or_zero(x, i - shift))
         .collect()
+}
+
+/// `x[src]`, or zero outside the signal.
+fn sample_or_zero(x: &[C64], src: i64) -> C64 {
+    usize::try_from(src)
+        .ok()
+        .and_then(|i| x.get(i))
+        .copied()
+        .unwrap_or(C64::ZERO)
 }
 
 /// Normalised sinc `sin(πx)/(πx)`.
@@ -138,6 +153,19 @@ mod tests {
         let y = fractional_delay(&x, 0.0, 8);
         for (a, b) in x.iter().zip(&y) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn ranged_delay_is_a_slice_of_the_full_one() {
+        let x: Vec<C64> = (0..64).map(|i| C64::cis(0.3 * i as f64)).collect();
+        for delay in [-0.37, 0.0, 0.62, 3.0, -2.25] {
+            let full = fractional_delay(&x, delay, 6);
+            for (first, len) in [(0usize, 64usize), (6, 52), (0, 5), (60, 4)] {
+                let mut part = vec![C64::ZERO; len];
+                fractional_delay_into(&x, delay, 6, first, &mut part);
+                assert_eq!(part, full[first..first + len], "delay {delay} from {first}");
+            }
         }
     }
 

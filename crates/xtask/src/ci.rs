@@ -9,9 +9,10 @@
 //!   `BENCH_kernel.json` reference, run the `batch_decode` bench (which
 //!   overwrites the file), then enforce the slots/sec floors (≥ 80 % of
 //!   reference, for both the default and the scalar-forced DSP backend),
-//!   cross-thread bit-identity, and cross-backend bit-identity. The
-//!   measured vector-backend throughput is recorded but not floored —
-//!   the speed-up depends on the host ISA.
+//!   the single-thread stage-time ceilings (`refine_s` and `demod_s`,
+//!   ≤ reference ÷ 0.8), cross-thread bit-identity, and cross-backend
+//!   bit-identity. The measured vector-backend throughput is recorded
+//!   but not floored — the speed-up depends on the host ISA.
 //! * `cargo xtask ci station-soak` — same dance with
 //!   `BENCH_station.json` and the `station_soak` bench, plus the
 //!   shed-free nominal profile, the < 5 % tracing-overhead budget, and
@@ -210,8 +211,8 @@ fn ceiling_check(label: &str, key: &str, committed: &str, fresh: &str, out: &mut
 
 /// Gate predicates for `BENCH_kernel.json` (the batch-decode kernel
 /// bench): throughput floors for the default, scalar-forced and
-/// blocked-width decode paths, a stage-time ceiling on the single-thread
-/// refine stage, cross-thread bit-identity, cross-backend bit-identity,
+/// blocked-width decode paths, stage-time ceilings on the single-thread
+/// refine and demod stages, cross-thread bit-identity, cross-backend bit-identity,
 /// and cross-block-width bit-identity. The per-backend vector slots/sec
 /// is recorded (for the committed artifact) but not floored — vector
 /// speed-ups vary by host ISA.
@@ -239,6 +240,7 @@ fn check_kernel(committed: &str, fresh: &str) -> Vec<String> {
         fresh,
         &mut out,
     );
+    ceiling_check("kernel demod stage", "demod_s", committed, fresh, &mut out);
     if let (Some(name), Some(sps)) = (
         json_value(fresh, "vector_backend"),
         json_f64(fresh, "vector_slots_per_sec"),
@@ -448,6 +450,7 @@ mod tests {
                 "  \"block_width\": 4,\n",
                 "  \"blocked_slots_per_sec\": {blocked:.4},\n",
                 "  \"refine_s\": {refine_s:.4},\n",
+                "  \"demod_s\": 0.1000,\n",
                 "  \"width_slots_per_sec\": {{\"w1\": {blocked:.4}, \"w4\": {blocked:.4}}},\n",
                 "  \"widths_bit_identical\": {widths},\n",
                 "  \"outputs_bit_identical\": {identical},\n",
@@ -648,15 +651,15 @@ mod tests {
 
     #[test]
     fn kernel_gate_fails_on_missing_keys() {
-        // Fresh JSON missing everything: three floors, the refine
-        // ceiling, and the three identity flags fail.
+        // Fresh JSON missing everything: three floors, the refine and
+        // demod ceilings, and the three identity flags fail.
         let reference = kernel_fixture(1.0, 1.0, true, true);
         let fails = check_kernel(&reference, "{}");
-        assert_eq!(fails.len(), 7, "{fails:?}");
+        assert_eq!(fails.len(), 8, "{fails:?}");
         // A committed reference missing the gated throughput keys is
         // itself a failure (the gate must never silently skip a floor).
         let fails = check_kernel("{}", &reference);
-        assert_eq!(fails.len(), 4, "{fails:?}");
+        assert_eq!(fails.len(), 5, "{fails:?}");
     }
 
     #[test]
@@ -685,6 +688,31 @@ mod tests {
             &reference,
             &kernel_fixture_blocked(1.0, 1.0, 1.0, 0.49, true, true, true),
         );
+        assert!(fails.is_empty(), "{fails:?}");
+    }
+
+    /// The kernel fixture with its `demod_s` reading replaced.
+    fn kernel_fixture_demod(demod_s: f64) -> String {
+        kernel_fixture(1.0, 1.0, true, true)
+            .replace("\"demod_s\": 0.1000", &format!("\"demod_s\": {demod_s:.4}"))
+    }
+
+    #[test]
+    fn kernel_gate_fails_on_demod_stage_regression() {
+        // Reference 0.1 s allows up to 0.125 s.
+        let reference = kernel_fixture(1.0, 1.0, true, true);
+        let fails = check_kernel(&reference, &kernel_fixture_demod(0.126));
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("demod"), "{fails:?}");
+    }
+
+    #[test]
+    fn kernel_gate_passes_within_the_demod_stage_ceiling() {
+        let reference = kernel_fixture(1.0, 1.0, true, true);
+        let fails = check_kernel(&reference, &kernel_fixture_demod(0.124));
+        assert!(fails.is_empty(), "{fails:?}");
+        // A faster demod stage than the reference is never a failure.
+        let fails = check_kernel(&reference, &kernel_fixture_demod(0.02));
         assert!(fails.is_empty(), "{fails:?}");
     }
 

@@ -199,7 +199,7 @@ fn selftest() -> ExitCode {
         // directory-scoped rules must still reach them.
         (
             "crates/choir-core/src/decoder/planted.rs",
-            "// hot:noalloc — hypothesis sweep\nfn comb_demod_inner(x: &[u8]) -> Vec<u8> { x.to_vec() }\n",
+            "// hot:noalloc — comb demodulation\nfn comb_demod(x: &[u8]) -> Vec<u8> { x.to_vec() }\n",
             &["hot_noalloc"],
         ),
         (
