@@ -12,7 +12,7 @@
 //! `crates/choir-core/tests/parallel.rs`.
 //!
 //! A second sweep forces each DSP backend `choir_dsp::backend` offers
-//! (scalar oracle, portable, and the host's vector ISA) on a fresh
+//! (the scalar oracle, plus AVX2 where the host has it) on a fresh
 //! thread and re-measures single-thread throughput, verifying the
 //! decoded streams stay bit-identical across backends (the 0-ULP
 //! dispatch contract). `BENCH_kernel.json` records the scalar and
@@ -165,7 +165,10 @@ fn main() {
     // auto-dispatched digest from the sweep above.
     let mut backends_identical = true;
     let mut scalar_sps = 0.0f64;
-    let mut vector_backend = BackendKind::Portable;
+    // The "vector" row is the backend the sweeps above dispatched to
+    // (`active()`: AVX2 where detected), so a scalar-only host records
+    // its scalar run there, not a placeholder.
+    let vector_backend = backend::active();
     let mut vector_sps = 0.0f64;
     for kind in backend::available() {
         let (sps, d) = run_backend(kind, &slots);
@@ -179,10 +182,8 @@ fn main() {
         );
         if kind == BackendKind::Scalar {
             scalar_sps = sps;
-        } else {
-            // `available()` lists backends narrowest-first, so the last
-            // non-scalar entry is the widest vector ISA the host offers.
-            vector_backend = kind;
+        }
+        if kind == vector_backend {
             vector_sps = sps;
         }
     }

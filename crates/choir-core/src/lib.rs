@@ -11,8 +11,7 @@
 //!   joint cohorts instead of one-at-a-time subtraction, with a final
 //!   joint polish;
 //! * [`cluster`] — tracking users across symbols by the fractional part of
-//!   their peak positions, channel magnitude and phase (Sec. 6.2), with
-//!   the HMRF-KMeans constrained-clustering formulation in [`hmrf`];
+//!   their peak positions, channel magnitude and phase (Sec. 6.2);
 //! * [`decoder`] — the full base-station pipeline: preamble user
 //!   discovery, timing/CFO disambiguation via phase slopes and step
 //!   boundaries (Sec. 6), per-user realigned demodulation with
@@ -20,10 +19,7 @@
 //! * [`lowsnr`] — beyond-range team detection and joint decoding
 //!   (Sec. 7 / Eqn. 6);
 //! * [`multisf`] — parallel decoding lanes across spreading factors
-//!   (Sec. 5.2, point 4: chirps of different SFs are near-orthogonal);
-//! * [`unb`] — offset-based separation for ultra-narrowband PHYs
-//!   (Sec. 5.2, point 2: SigFox/NB-IoT-class collisions separate by
-//!   filtering alone).
+//!   (Sec. 5.2, point 4: chirps of different SFs are near-orthogonal).
 //!
 //! ```no_run
 //! use choir_core::decoder::{ChoirDecoder, SlotView};
@@ -54,12 +50,10 @@ pub mod decoder;
 pub mod dedup;
 pub mod error;
 pub mod estimator;
-pub mod hmrf;
 pub mod lowsnr;
 pub mod multisf;
 pub mod profile;
 pub mod sic;
-pub mod unb;
 
 pub use decoder::{ChoirConfig, ChoirDecoder, DecodedUser, SlotResult, SlotView, UserEstimate};
 pub use dedup::StartDedup;

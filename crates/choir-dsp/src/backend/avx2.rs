@@ -1,8 +1,8 @@
 //! AVX2 backend: x86_64 `std::arch` intrinsics, f64 lanes only.
 //!
-//! This file (with `neon.rs`) is the workspace's sole sanctioned
-//! `unsafe` surface — see the module-level docs. Every kernel here is
-//! bit-identical to the scalar oracle by construction:
+//! This file is the workspace's sole sanctioned `unsafe` surface — see
+//! the module-level docs. Every kernel here is bit-identical to the
+//! scalar oracle by construction:
 //!
 //! * **No FMA.** `_mm256_fmadd_pd` rounds once where the oracle rounds
 //!   twice; only separate `mul`/`add`/`sub`/`addsub` are used.
@@ -20,10 +20,11 @@
 //!
 //! # Soundness
 //!
-//! The dispatcher only routes here after
-//! `is_x86_feature_detected!("avx2")` reported true, so the
-//! `#[target_feature(enable = "avx2")]` inner functions are reachable
-//! only on hosts that execute them correctly. Loads and stores use
+//! The dispatcher only routes here when `active()` is `Avx2`, and both
+//! writers of that cell — the environment lookup and `force` — store
+//! `Avx2` only after `is_x86_feature_detected!("avx2")` reported true,
+//! so the `#[target_feature(enable = "avx2")]` inner functions are
+//! reachable only on hosts that execute them correctly. Loads and stores use
 //! unaligned `loadu`/`storeu` through pointers derived from slices
 //! whose bounds the loop conditions respect; `C64` is `#[repr(C)]`
 //! (`re` then `im`), so a `[C64]` is layout-compatible with pairs of
@@ -342,8 +343,8 @@ unsafe fn dot_impl(a: &[C64], b: &[C64]) -> C64 {
 
 /// AVX2 [`super::conj_dot`]; bit-identical to the oracle.
 pub fn conj_dot(a: &[C64], b: &[C64]) -> C64 {
-    // SAFETY: the dispatcher (or a test over `available()`) only calls
-    // this after runtime AVX2 detection.
+    // SAFETY: this module is private to the dispatcher, which only
+    // calls it after runtime AVX2 detection (module docs, Soundness).
     unsafe { conj_dot_impl(a, b) }
 }
 

@@ -9,11 +9,8 @@
 //!
 //! * **scalar** — the reference oracle. Element-for-element the same
 //!   loops the rest of the workspace used before this module existed;
-//!   every other backend is defined as "bit-identical to this".
-//! * **portable** — safe Rust structured so LLVM can auto-vectorize the
-//!   element-wise kernels. No `unsafe`, no `std::arch`.
+//!   the vector backend is defined as "bit-identical to this".
 //! * **avx2** — x86_64 `std::arch` intrinsics (f64 lanes only, no FMA).
-//! * **neon** — aarch64 `std::arch` intrinsics (f64 lanes only, no FMA).
 //!
 //! # ULP policy
 //!
@@ -59,46 +56,41 @@
 //! # Dispatch
 //!
 //! The active backend is chosen on first use from `CHOIR_DSP_BACKEND`
-//! (`scalar|portable|avx2|neon|auto`, default `auto`) intersected with
-//! what the host supports, and cached in an atomic. `auto` picks the
-//! widest available vector backend; requesting an unavailable backend
-//! falls back to `scalar` (the one implementation every host has);
-//! unknown values behave like `auto`. [`force`] and [`reset`] exist so
-//! tests and benches can pin or re-derive the choice.
+//! (`scalar|avx2|auto`, default `auto`) intersected with what the host
+//! supports, and cached in an atomic. `auto` picks AVX2 when the host
+//! has it; requesting `avx2` on a host without it falls back to
+//! `scalar` (the one implementation every host has); unknown values
+//! behave like `auto`. Every kernel entry point then has one dispatch
+//! form: scalar unless AVX2 was detected. [`force`] and [`reset`] exist
+//! so tests and benches can pin or re-derive the choice.
 //!
 //! # Why `unsafe` lives here and only here
 //!
 //! The workspace denies `unsafe_code`; this directory is the single
-//! sanctioned exception (`avx2.rs`/`neon.rs` re-allow it with an inner
+//! sanctioned exception (`avx2.rs` re-allows it with an inner
 //! attribute) and the `cargo xtask lint` rule `simd_boundary` bans the
 //! `unsafe` and `std::arch` tokens everywhere else. Keeping the
-//! trusted surface to two leaf files makes the soundness argument
-//! reviewable: intrinsics are only reached after the matching CPU
-//! feature was detected at dispatch time.
+//! trusted surface to one leaf file makes the soundness argument
+//! reviewable: intrinsics are only reached after the CPU feature was
+//! detected, because [`active`] never reports `Avx2` — from the
+//! environment or from a [`force`] — on a host without it.
 
 use crate::complex::C64;
 use choir_sync::atomic::{AtomicU8, Ordering};
 
 pub mod scalar;
 pub mod sincos;
-mod vector;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 /// Which kernel implementation the dispatcher routes to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
     /// The scalar reference oracle — defines correct bits.
     Scalar,
-    /// Safe auto-vectorizable loops; the fallback "vector" tier.
-    Portable,
     /// x86_64 AVX2 intrinsics (requires runtime `avx2` detection).
     Avx2,
-    /// aarch64 NEON intrinsics (baseline on aarch64).
-    Neon,
 }
 
 impl BackendKind {
@@ -106,9 +98,7 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
-            BackendKind::Portable => "portable",
             BackendKind::Avx2 => "avx2",
-            BackendKind::Neon => "neon",
         }
     }
 }
@@ -124,18 +114,14 @@ static ACTIVE: AtomicU8 = AtomicU8::new(UNINIT);
 fn encode(kind: BackendKind) -> u8 {
     match kind {
         BackendKind::Scalar => 0,
-        BackendKind::Portable => 1,
-        BackendKind::Avx2 => 2,
-        BackendKind::Neon => 3,
+        BackendKind::Avx2 => 1,
     }
 }
 
 fn decode(v: u8) -> BackendKind {
     match v {
-        0 => BackendKind::Scalar,
-        1 => BackendKind::Portable,
-        2 => BackendKind::Avx2,
-        _ => BackendKind::Neon,
+        1 => BackendKind::Avx2,
+        _ => BackendKind::Scalar,
     }
 }
 
@@ -151,50 +137,24 @@ fn avx2_usable() -> bool {
     }
 }
 
-/// True when the NEON code path can be soundly called on this host.
-/// NEON (AdvSIMD) is baseline for aarch64, so compilation target is
-/// the whole test.
-fn neon_usable() -> bool {
-    cfg!(target_arch = "aarch64")
-}
-
 /// Backends that can run on this host, scalar first.
 pub fn available() -> Vec<BackendKind> {
-    let mut kinds = vec![BackendKind::Scalar, BackendKind::Portable];
+    let mut kinds = vec![BackendKind::Scalar];
     if avx2_usable() {
         kinds.push(BackendKind::Avx2);
-    }
-    if neon_usable() {
-        kinds.push(BackendKind::Neon);
     }
     kinds
 }
 
-/// The backend `auto` resolves to on this host: the widest available
-/// vector implementation, or portable when the host has none.
-fn auto_kind() -> BackendKind {
-    if avx2_usable() {
-        BackendKind::Avx2
-    } else if neon_usable() {
-        BackendKind::Neon
-    } else {
-        BackendKind::Portable
-    }
-}
-
-/// Derives the backend from `CHOIR_DSP_BACKEND` and host capability.
-fn select_from_env() -> BackendKind {
-    let want = std::env::var("CHOIR_DSP_BACKEND").unwrap_or_default();
+/// Resolves a `CHOIR_DSP_BACKEND` value against host capability.
+fn select(want: &str, avx2_usable: bool) -> BackendKind {
     match want.trim().to_ascii_lowercase().as_str() {
         "scalar" => BackendKind::Scalar,
-        "portable" => BackendKind::Portable,
-        "avx2" if avx2_usable() => BackendKind::Avx2,
-        "neon" if neon_usable() => BackendKind::Neon,
-        // An explicitly requested backend the host cannot run falls
-        // back to the oracle rather than guessing at a vector tier.
-        "avx2" | "neon" => BackendKind::Scalar,
-        // Empty, "auto", and anything unrecognised: pick for the host.
-        _ => auto_kind(),
+        // "avx2", "auto", empty and anything unrecognised: the vector
+        // backend when the host has it. An explicit "avx2" the host
+        // cannot run therefore falls back to the oracle.
+        _ if avx2_usable => BackendKind::Avx2,
+        _ => BackendKind::Scalar,
     }
 }
 
@@ -208,18 +168,26 @@ pub fn active() -> BackendKind {
     if v != UNINIT {
         return decode(v);
     }
-    let kind = select_from_env();
+    let want = std::env::var("CHOIR_DSP_BACKEND").unwrap_or_default();
+    let kind = select(&want, avx2_usable());
     ACTIVE.store(encode(kind), Ordering::Relaxed); // ordering: idempotent init; racers store the same value
     kind
 }
 
-/// Pins the dispatcher to `kind` process-wide.
+/// Pins the dispatcher to `kind` process-wide, or to `Scalar` when the
+/// host cannot run `kind` — the fallback an unavailable
+/// `CHOIR_DSP_BACKEND` request gets, so [`active`] only ever names a
+/// backend in [`available`] and no safe call can reach intrinsics the
+/// CPU lacks.
 ///
-/// Test/bench hook — callers are responsible for only forcing backends
-/// reported by [`available`], and for serialising against concurrent
-/// kernel users; all backends produce identical bits, so a mid-flight
+/// Test/bench hook — callers serialise against concurrent kernel users
+/// themselves; all backends produce identical bits, so a mid-flight
 /// switch is still correct, just not a meaningful measurement.
 pub fn force(kind: BackendKind) {
+    let kind = match kind {
+        BackendKind::Avx2 if !avx2_usable() => BackendKind::Scalar,
+        usable => usable,
+    };
     ACTIVE.store(encode(kind), Ordering::Relaxed); // ordering: single cell, no data published through it
 }
 
@@ -229,34 +197,28 @@ pub fn reset() {
     ACTIVE.store(UNINIT, Ordering::Relaxed); // ordering: single cell, no data published through it
 }
 
+/// The one dispatch form: the AVX2 leaf when [`active`] reports it
+/// (detected, or forced on a host that has it), the oracle otherwise.
+macro_rules! dispatch {
+    ($kernel:ident($($arg:expr),*)) => {{
+        #[cfg(target_arch = "x86_64")]
+        if active() == BackendKind::Avx2 {
+            return avx2::$kernel($($arg),*);
+        }
+        scalar::$kernel($($arg),*)
+    }};
+}
+
 /// Conjugated dot product `Σ conj(a[i])·b[i]` over `zip(a, b)`,
 /// accumulated in index order from `C64::ZERO`.
 pub fn conj_dot(a: &[C64], b: &[C64]) -> C64 {
-    match active() {
-        BackendKind::Scalar => scalar::conj_dot(a, b),
-        BackendKind::Portable => vector::conj_dot(a, b),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::conj_dot(a, b),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::conj_dot(a, b),
-        #[allow(unreachable_patterns)]
-        _ => scalar::conj_dot(a, b),
-    }
+    dispatch!(conj_dot(a, b))
 }
 
 /// Element-wise complex multiply `out[i] = a[i]·b[i]` over
 /// `zip(out, a, b)` (the dechirp / Hadamard kernel).
 pub fn cmul_into(a: &[C64], b: &[C64], out: &mut [C64]) {
-    match active() {
-        BackendKind::Scalar => scalar::cmul_into(a, b, out),
-        BackendKind::Portable => vector::cmul_into(a, b, out),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::cmul_into(a, b, out),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::cmul_into(a, b, out),
-        #[allow(unreachable_patterns)]
-        _ => scalar::cmul_into(a, b, out),
-    }
+    dispatch!(cmul_into(a, b, out))
 }
 
 /// Gram residual update `out[i] -= amp·xs[i]` (`subtract == true`) or
@@ -264,16 +226,7 @@ pub fn cmul_into(a: &[C64], b: &[C64], out: &mut [C64]) {
 /// piecewise-constant amplitude (step components) split the slice at
 /// the step boundary and issue one call per segment.
 pub fn axpy(out: &mut [C64], xs: &[C64], amp: C64, subtract: bool) {
-    match active() {
-        BackendKind::Scalar => scalar::axpy(out, xs, amp, subtract),
-        BackendKind::Portable => vector::axpy(out, xs, amp, subtract),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::axpy(out, xs, amp, subtract),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::axpy(out, xs, amp, subtract),
-        #[allow(unreachable_patterns)]
-        _ => scalar::axpy(out, xs, amp, subtract),
-    }
+    dispatch!(axpy(out, xs, amp, subtract))
 }
 
 /// Maximum candidate-block width the blocked kernels accept. Wide
@@ -285,16 +238,7 @@ pub const MAX_BLOCK_WIDTH: usize = 8;
 /// in index order from `C64::ZERO` — the reduction inside the Cholesky
 /// forward/back substitution.
 pub fn dot(a: &[C64], b: &[C64]) -> C64 {
-    match active() {
-        BackendKind::Scalar => scalar::dot(a, b),
-        BackendKind::Portable => vector::dot(a, b),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::dot(a, b),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::dot(a, b),
-        #[allow(unreachable_patterns)]
-        _ => scalar::dot(a, b),
-    }
+    dispatch!(dot(a, b))
 }
 
 /// Tone-basis synthesis `buf[t] = cis(2π·freq_bins·t / n)`.
@@ -307,16 +251,7 @@ pub fn dot(a: &[C64], b: &[C64]) -> C64 {
 /// synthesis now dispatches — and it is the dominant per-probe cost of
 /// the Algorithm-1 refine loop, so this is where batching pays.
 pub fn tone_into(buf: &mut [C64], n: usize, freq_bins: f64) {
-    match active() {
-        BackendKind::Scalar => scalar::tone_into(buf, n, freq_bins),
-        BackendKind::Portable => vector::tone_into(buf, n, freq_bins),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::tone_into(buf, n, freq_bins),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::tone_into(buf, n, freq_bins),
-        #[allow(unreachable_patterns)]
-        _ => scalar::tone_into(buf, n, freq_bins),
-    }
+    dispatch!(tone_into(buf, n, freq_bins))
 }
 
 /// AoSoA tone fill for a candidate block: `block[t·W + j] =
@@ -329,16 +264,7 @@ pub fn tone_block_into(block: &mut [C64], n: usize, freqs: &[f64]) {
         !freqs.is_empty() && freqs.len() <= MAX_BLOCK_WIDTH,
         "tone_block_into: width out of range"
     );
-    match active() {
-        BackendKind::Scalar => scalar::tone_block_into(block, n, freqs),
-        BackendKind::Portable => vector::tone_block_into(block, n, freqs),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::tone_block_into(block, n, freqs),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::tone_block_into(block, n, freqs),
-        #[allow(unreachable_patterns)]
-        _ => scalar::tone_block_into(block, n, freqs),
-    }
+    dispatch!(tone_block_into(block, n, freqs))
 }
 
 /// Blocked conjugated projection: `out[j] = Σ_t conj(block[t·W + j])·
@@ -350,16 +276,7 @@ pub fn conj_dot_block(block: &[C64], y: &[C64], out: &mut [C64]) {
         !out.is_empty() && out.len() <= MAX_BLOCK_WIDTH,
         "conj_dot_block: width out of range"
     );
-    match active() {
-        BackendKind::Scalar => scalar::conj_dot_block(block, y, out),
-        BackendKind::Portable => vector::conj_dot_block(block, y, out),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::conj_dot_block(block, y, out),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::conj_dot_block(block, y, out),
-        #[allow(unreachable_patterns)]
-        _ => scalar::conj_dot_block(block, y, out),
-    }
+    dispatch!(conj_dot_block(block, y, out))
 }
 
 /// Blocked residual energies: `out[j] = ‖y − coeffs[j]·b_j‖²` against
@@ -368,16 +285,7 @@ pub fn conj_dot_block(block: &[C64], y: &[C64], out: &mut [C64]) {
 /// definition — see `scalar::residual_block`). Per-candidate results
 /// are independent of the block width.
 pub fn residual_block(block: &[C64], y: &[C64], coeffs: &[C64], out: &mut [f64]) {
-    match active() {
-        BackendKind::Scalar => scalar::residual_block(block, y, coeffs, out),
-        BackendKind::Portable => vector::residual_block(block, y, coeffs, out),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::residual_block(block, y, coeffs, out),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::residual_block(block, y, coeffs, out),
-        #[allow(unreachable_patterns)]
-        _ => scalar::residual_block(block, y, coeffs, out),
-    }
+    dispatch!(residual_block(block, y, coeffs, out))
 }
 
 /// All radix-2 butterfly passes over an already bit-reversed buffer.
@@ -385,16 +293,7 @@ pub fn residual_block(block: &[C64], y: &[C64], coeffs: &[C64], out: &mut [f64])
 /// transform (`forward == false`) conjugates each twiddle as it is
 /// consumed, exactly as the oracle does.
 pub fn butterflies(x: &mut [C64], twiddles: &[C64], forward: bool) {
-    match active() {
-        BackendKind::Scalar => scalar::butterflies(x, twiddles, forward),
-        BackendKind::Portable => vector::butterflies(x, twiddles, forward),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::butterflies(x, twiddles, forward),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::butterflies(x, twiddles, forward),
-        #[allow(unreachable_patterns)]
-        _ => scalar::butterflies(x, twiddles, forward),
-    }
+    dispatch!(butterflies(x, twiddles, forward))
 }
 
 /// Reversed real-kernel MAC `Σ_j xs[L-1-j]·kernel[j]` (`L = xs.len()`,
@@ -402,49 +301,50 @@ pub fn butterflies(x: &mut [C64], twiddles: &[C64], forward: bool) {
 /// sinc fractional-delay filter, where the source index walks backwards
 /// as the kernel index walks forwards.
 pub fn dot_rev(xs: &[C64], kernel: &[f64]) -> C64 {
-    match active() {
-        BackendKind::Scalar => scalar::dot_rev(xs, kernel),
-        BackendKind::Portable => vector::dot_rev(xs, kernel),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::dot_rev(xs, kernel),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::dot_rev(xs, kernel),
-        #[allow(unreachable_patterns)]
-        _ => scalar::dot_rev(xs, kernel),
-    }
+    dispatch!(dot_rev(xs, kernel))
 }
 
 /// Element-wise conjugate `out[i] = conj(src[i])` over
 /// `zip(out, src)` (downchirp construction).
 pub fn conj_into(src: &[C64], out: &mut [C64]) {
-    match active() {
-        BackendKind::Scalar => scalar::conj_into(src, out),
-        BackendKind::Portable => vector::conj_into(src, out),
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => avx2::conj_into(src, out),
-        #[cfg(target_arch = "aarch64")]
-        BackendKind::Neon => neon::conj_into(src, out),
-        #[allow(unreachable_patterns)]
-        _ => scalar::conj_into(src, out),
-    }
+    dispatch!(conj_into(src, out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const KINDS: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Avx2];
+
     #[test]
     fn names_round_trip_env_values() {
-        for kind in available() {
+        for kind in KINDS {
             assert_eq!(decode(encode(kind)), kind);
-            assert!(!kind.name().is_empty());
+            // A backend's own name selects it wherever it can run.
+            assert_eq!(select(kind.name(), true), kind);
         }
     }
 
     #[test]
+    fn select_resolves_every_value_against_the_host() {
+        use BackendKind::{Avx2, Scalar};
+        // Empty, `auto`, garbage and the two removed names all mean
+        // "pick for the host"; only `scalar` pins the oracle.
+        for want in ["", "auto", " AUTO ", "sse9", "portable", "neon"] {
+            assert_eq!(select(want, true), Avx2, "{want:?} with AVX2");
+            assert_eq!(select(want, false), Scalar, "{want:?} without AVX2");
+        }
+        for usable in [true, false] {
+            assert_eq!(select("scalar", usable), Scalar);
+            assert_eq!(select(" Scalar\n", usable), Scalar);
+        }
+        assert_eq!(select("avx2", true), Avx2);
+        assert_eq!(select("avx2", false), Scalar, "unavailable request");
+    }
+
+    #[test]
     fn scalar_is_always_available() {
-        assert!(available().contains(&BackendKind::Scalar));
-        assert!(available().contains(&BackendKind::Portable));
+        assert_eq!(available()[0], BackendKind::Scalar);
     }
 
     #[test]
@@ -452,13 +352,16 @@ mod tests {
         // Serialised implicitly: this is the only test in the crate
         // that mutates the dispatcher.
         let before = active();
-        force(BackendKind::Scalar);
-        assert_eq!(active(), BackendKind::Scalar);
-        force(BackendKind::Portable);
-        assert_eq!(active(), BackendKind::Portable);
+        for kind in KINDS {
+            force(kind);
+            // Forcing what the host lacks lands on the oracle, never on
+            // intrinsics the CPU cannot execute.
+            let listed = available().contains(&kind);
+            let expect = if listed { kind } else { BackendKind::Scalar };
+            assert_eq!(active(), expect, "force({kind:?})");
+        }
         reset();
-        let rederived = active();
-        assert!(available().contains(&rederived));
+        assert!(available().contains(&active()));
         force(before);
     }
 }

@@ -117,15 +117,6 @@ impl C64 {
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
     }
-
-    /// Fused multiply-add `self * b + c`, used in inner loops.
-    #[inline]
-    pub fn mul_add(self, b: C64, c: C64) -> Self {
-        c64(
-            self.re.mul_add(b.re, -(self.im * b.im)) + c.re,
-            self.re.mul_add(b.im, self.im * b.re) + c.im,
-        )
-    }
 }
 
 impl fmt::Debug for C64 {
@@ -284,17 +275,6 @@ pub fn power(x: &[C64]) -> f64 {
     }
 }
 
-/// Element-wise product `a[n]·b[n]` into a new vector.
-///
-/// Panics when lengths differ — mixing two signals of different lengths is
-/// always a bug upstream.
-pub fn hadamard(a: &[C64], b: &[C64]) -> Vec<C64> {
-    assert_eq!(a.len(), b.len(), "hadamard: length mismatch");
-    let mut out = vec![C64::ZERO; a.len()];
-    crate::backend::cmul_into(a, b, &mut out);
-    out
-}
-
 /// Inner product `Σ a[n]·conj(b[n])` (correlation of `a` against `b`).
 ///
 /// Dispatches as `conj_dot(b, a)`: complex multiplication is
@@ -433,19 +413,5 @@ mod tests {
         // Inner product with itself equals energy.
         assert!((inner(&a, &a).re - energy(&a)).abs() < EPS);
         assert!(inner(&a, &a).im.abs() < EPS);
-    }
-
-    #[test]
-    fn mul_add_matches_separate_ops() {
-        let a = c64(1.5, -0.5);
-        let b = c64(-2.0, 3.0);
-        let c = c64(0.25, 0.75);
-        assert!(close(a.mul_add(b, c), a * b + c));
-    }
-
-    #[test]
-    #[should_panic(expected = "hadamard: length mismatch")]
-    fn hadamard_length_mismatch_panics() {
-        let _ = hadamard(&[C64::ONE], &[C64::ONE, C64::ZERO]);
     }
 }

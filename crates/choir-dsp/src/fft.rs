@@ -272,10 +272,10 @@ fn radix2(x: &mut [C64], twiddles: &[C64], dir: Direction) {
 /// The cache holds at most [`MAX_CACHED_PLANS`] distinct sizes; asking for
 /// more evicts the least-recently-used size (its `Arc` stays valid for
 /// holders, only the cache entry is dropped). The Choir pipeline touches a
-/// handful of sizes (`2^SF`, `pad·2^SF`, UNB channeliser lengths), so
-/// steady-state decoding never evicts — the cap exists so long-lived
-/// daemons sweeping many sizes (city-sim, channel surveys) cannot leak an
-/// unbounded plan set.
+/// handful of sizes (`2^SF`, `2·2^SF`, `pad·2^SF`), so steady-state
+/// decoding never evicts — the cap exists so long-lived daemons sweeping
+/// many sizes (city-sim, channel surveys) cannot leak an unbounded plan
+/// set.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     state: Mutex<CacheState>,

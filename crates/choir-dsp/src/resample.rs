@@ -1,4 +1,4 @@
-//! Fractional delays, decimation and spectrograms.
+//! Fractional delays and spectrograms.
 //!
 //! The channel simulator generates each transmitter's waveform analytically
 //! at its own (offset) clock, but receiver-side processing sometimes needs
@@ -99,13 +99,6 @@ pub fn sinc(x: f64) -> f64 {
     }
 }
 
-/// Keeps every `factor`-th sample (no anti-alias filter; callers decimate
-/// signals that are already band-limited by construction).
-pub fn decimate(x: &[C64], factor: usize) -> Vec<C64> {
-    assert!(factor >= 1, "decimate: zero factor");
-    x.iter().step_by(factor).copied().collect()
-}
-
 /// Short-time Fourier transform magnitude (spectrogram), used to render the
 /// chirp figures (Fig. 2/3). Returns `frames × fft_size` magnitudes.
 pub fn spectrogram(x: &[C64], fft_size: usize, hop: usize) -> Vec<Vec<f64>> {
@@ -200,14 +193,6 @@ mod tests {
         let ex = crate::complex::energy(&x[20..108]);
         let ey = crate::complex::energy(&y[20..108]);
         assert!((ex - ey).abs() / ex < 0.02, "energy {ex} vs {ey}");
-    }
-
-    #[test]
-    fn decimate_keeps_every_kth() {
-        let x: Vec<C64> = (0..10).map(|i| C64::from_re(i as f64)).collect();
-        let y = decimate(&x, 3);
-        assert_eq!(y.len(), 4);
-        assert_eq!(y[1], C64::from_re(3.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Scalar statistics used across the experiment harness: means, deviations,
-//! percentiles, empirical CDFs (Fig. 7 of the paper plots CDFs of hardware
-//! offsets) and histograms.
+//! percentiles and empirical CDFs (Fig. 7 of the paper plots CDFs of
+//! hardware offsets).
 
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(x: &[f64]) -> f64 {
@@ -68,29 +68,6 @@ pub fn empirical_cdf(x: &[f64]) -> Vec<(f64, f64)> {
         .enumerate()
         .map(|(i, v)| (v, (i + 1) as f64 / n))
         .collect()
-}
-
-/// Fixed-width histogram over `[lo, hi)` with `bins` buckets. Values outside
-/// the range are clamped into the edge buckets.
-pub fn histogram(x: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<usize> {
-    assert!(bins > 0, "histogram: zero bins");
-    assert!(hi > lo, "histogram: empty range");
-    let mut h = vec![0usize; bins];
-    let w = (hi - lo) / bins as f64;
-    for &v in x {
-        let idx = (((v - lo) / w).floor() as isize).clamp(0, bins as isize - 1) as usize;
-        h[idx] += 1;
-    }
-    h
-}
-
-/// Two-sided geometric mean of positive ratios — used when averaging gain
-/// factors across runs (so 2× and 0.5× average to 1×).
-pub fn geometric_mean(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    (x.iter().map(|v| v.ln()).sum::<f64>() / x.len() as f64).exp()
 }
 
 /// Kolmogorov–Smirnov distance between an empirical sample and the uniform
@@ -163,19 +140,6 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 < w[1].1);
         }
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let h = histogram(&[0.1, 0.2, 0.6, 1.5, -3.0], 0.0, 1.0, 2);
-        // -3.0 clamps to bucket 0; 1.5 clamps to bucket 1.
-        assert_eq!(h, vec![3, 2]);
-    }
-
-    #[test]
-    fn geometric_mean_of_reciprocal_pair_is_one() {
-        assert!((geometric_mean(&[2.0, 0.5]) - 1.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[]), 0.0);
     }
 
     #[test]

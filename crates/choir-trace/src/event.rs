@@ -5,7 +5,7 @@
 ///
 /// Variants are grouped by the level at which emission sites record them:
 /// `Full`-level events describe *how* a decode proceeded (per window, per
-/// SIC pass, per cluster assignment), `Outcome`-level events describe
+/// SIC pass, per user track), `Outcome`-level events describe
 /// *what happened* (slot results, typed errors, station transitions).
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
@@ -49,20 +49,6 @@ pub enum TraceEvent {
         dropped_bins: f64,
         /// Fraction of symbol positions on which the two agreed.
         identical_frac: f64,
-    },
-    /// One HMRF-KMeans assignment decision: which cluster an observation
-    /// landed in and how many cannot-link constraints the final labelling
-    /// violates at that observation. (`Full`)
-    ClusterAssign {
-        /// Observation index in the clustering input.
-        obs: u64,
-        /// Window the observation came from.
-        window: u64,
-        /// Assigned cluster id.
-        cluster: u32,
-        /// Cannot-link constraints involving `obs` that the final
-        /// assignment violates (0 for a clean labelling).
-        violations: u32,
     },
     /// One merged user track surviving preamble discovery — the decoder's
     /// working definition of "a user" entering demodulation. (`Full`)
@@ -313,7 +299,6 @@ impl TraceEvent {
             TraceEvent::OffsetSearch { .. } => "offset_search",
             TraceEvent::SicPass { .. } => "sic_pass",
             TraceEvent::PeakDedup { .. } => "peak_dedup",
-            TraceEvent::ClusterAssign { .. } => "cluster_assign",
             TraceEvent::UserTrack { .. } => "user_track",
             TraceEvent::SpanEnter { .. } => "span_enter",
             TraceEvent::SpanExit { .. } => "span_exit",
@@ -369,17 +354,6 @@ impl TraceEvent {
                 jnum(out, "kept_bins", *kept_bins);
                 jnum(out, "dropped_bins", *dropped_bins);
                 jnum(out, "identical_frac", *identical_frac);
-            }
-            TraceEvent::ClusterAssign {
-                obs,
-                window,
-                cluster,
-                violations,
-            } => {
-                jint(out, "obs", *obs);
-                jint(out, "window", *window);
-                jint(out, "cluster", u64::from(*cluster));
-                jint(out, "violations", u64::from(*violations));
             }
             TraceEvent::UserTrack {
                 track,

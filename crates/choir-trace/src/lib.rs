@@ -2,8 +2,8 @@
 //!
 //! `StationMetrics` counts outcomes and `choir_core::profile` times them;
 //! this crate records *why* a slot decoded the way it did. Every stage of
-//! the pipeline (offset search, SIC passes, peak de-duplication, cluster
-//! assignment, station ingest/shed/degrade) emits typed [`TraceEvent`]s
+//! the pipeline (offset search, SIC passes, peak de-duplication, user
+//! tracks, station ingest/shed/degrade) emits typed [`TraceEvent`]s
 //! into a bounded per-thread flight recorder, so the provenance of any
 //! decode is replayable after the fact without re-running it.
 //!
@@ -62,7 +62,7 @@ pub enum TraceLevel {
     /// overhead gate).
     Outcome = 1,
     /// Everything: per-window offset-search refinements, SIC passes,
-    /// dedup decisions, cluster assignments and profile-stage spans.
+    /// dedup decisions, user tracks and profile-stage spans.
     Full = 2,
 }
 

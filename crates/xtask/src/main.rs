@@ -21,7 +21,8 @@
 //! * **lock_scope** — no `.lock()` while another `let`-bound guard is
 //!   still in scope, unless the nesting carries a lock-order argument;
 //! * **simd_boundary** — `unsafe` and `std::arch` / `core::arch`
-//!   intrinsics are confined to `crates/choir-dsp/src/backend/`; the
+//!   intrinsics are confined to `crates/choir-dsp/src/backend/`
+//!   (`avx2.rs` is the single file there that contains `unsafe`); the
 //!   rest of the workspace stays safe Rust dispatching through the
 //!   backend facade.
 //!

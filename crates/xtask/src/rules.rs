@@ -726,10 +726,11 @@ fn lock_scope(f: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// The one directory where `unsafe` and CPU intrinsics are sanctioned:
-/// the SIMD backend leaves, whose safety argument (runtime feature
-/// detection before dispatch, slice-bounded pointer arithmetic) lives in
-/// `choir_dsp::backend`'s module docs.
+/// The one directory where `unsafe` and CPU intrinsics are sanctioned.
+/// `avx2.rs` is the single file in it that contains `unsafe`; `mod.rs`
+/// keeps only the `is_x86_feature_detected!` probe. The safety argument
+/// (runtime feature detection before dispatch, slice-bounded pointer
+/// arithmetic) lives in `choir_dsp::backend`'s module docs.
 const SIMD_BOUNDARY: &str = "crates/choir-dsp/src/backend/";
 
 /// Rule `simd_boundary`: the `unsafe`, `std::arch` and `core::arch`
@@ -737,7 +738,7 @@ const SIMD_BOUNDARY: &str = "crates/choir-dsp/src/backend/";
 /// workspace already denies `unsafe_code` via rustc, but that lint can
 /// be re-allowed by any inner attribute; this rule pins *where* such an
 /// attribute may appear, so the trusted surface cannot quietly spread
-/// beyond the two backend leaf files reviewers audit.
+/// beyond the one backend leaf file reviewers audit.
 fn simd_boundary(f: &SourceFile, out: &mut Vec<Violation>) {
     if !is_library_source(&f.path) || f.path.starts_with(SIMD_BOUNDARY) {
         return;
@@ -755,7 +756,7 @@ fn simd_boundary(f: &SourceFile, out: &mut Vec<Violation>) {
             at,
             "simd_boundary",
             format!(
-                "`unsafe` outside the sanctioned SIMD boundary ({SIMD_BOUNDARY}) — keep the trusted surface in the backend leaves"
+                "`unsafe` outside the sanctioned SIMD boundary ({SIMD_BOUNDARY}) — keep the trusted surface in the backend leaf"
             ),
         );
     }
@@ -770,7 +771,7 @@ fn simd_boundary(f: &SourceFile, out: &mut Vec<Violation>) {
                 at,
                 "simd_boundary",
                 format!(
-                    "`{needle}` outside the sanctioned SIMD boundary ({SIMD_BOUNDARY}) — intrinsics belong in the backend leaves"
+                    "`{needle}` outside the sanctioned SIMD boundary ({SIMD_BOUNDARY}) — intrinsics belong in the backend leaf"
                 ),
             );
         }
