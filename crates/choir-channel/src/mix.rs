@@ -241,7 +241,7 @@ mod tests {
         let down = base_downchirp(N);
         let de: Vec<C64> = out[..N].iter().zip(&down).map(|(a, b)| a * b).collect();
         let spec = choir_dsp::fft::FftPlan::new(10 * N).forward_padded(&de);
-        let peaks = choir_dsp::peaks::find_peaks(&spec, &choir_dsp::peaks::PeakConfig::default());
+        let peaks = choir_dsp::peaks::find_peaks(&spec, 10);
         assert!((peaks[0].pos - 20.4).abs() < 0.05, "pos {}", peaks[0].pos);
     }
 
@@ -259,7 +259,7 @@ mod tests {
         let down = base_downchirp(N);
         let de: Vec<C64> = out.iter().zip(&down).map(|(a, b)| a * b).collect();
         let spec = choir_dsp::fft::FftPlan::new(10 * N).forward_padded(&de);
-        let peaks = choir_dsp::peaks::find_peaks(&spec, &choir_dsp::peaks::PeakConfig::default());
+        let peaks = choir_dsp::peaks::find_peaks(&spec, 10);
         assert_eq!(peaks.len(), 2);
         assert!((peaks[0].pos - 0.2).abs() < 0.1);
         assert!((peaks[1].pos - 50.6).abs() < 0.1);
@@ -318,8 +318,7 @@ mod tests {
                 .map(|(a, b)| a * b)
                 .collect();
             let spec = pad.forward_padded(&de);
-            let peaks =
-                choir_dsp::peaks::find_peaks(&spec, &choir_dsp::peaks::PeakConfig::default());
+            let peaks = choir_dsp::peaks::find_peaks(&spec, 10);
             positions.push(peaks[0].pos);
         }
         let spread = positions.iter().cloned().fold(f64::MIN, f64::max)

@@ -27,6 +27,14 @@ pub fn fnv1a(h: u64, v: u64) -> u64 {
 /// The FNV-1a offset basis (digest seed).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Uniform client SNR range, quarter-dB (inclusive): −14 dB … +10 dB
+/// around the SF8 floor.
+const SNR_RANGE_QDB: (i16, i16) = (-56, 40);
+
+/// Largest collision order worth escalating to the IQ tier (IQ synthesis
+/// cost grows with order; beyond this the closed-form verdict stands).
+const IQ_MAX_ORDER: u32 = 3;
+
 /// Per-gateway tallies and the gateway's transcript digest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GatewayStats {
@@ -72,21 +80,20 @@ impl GatewayStats {
     }
 }
 
-/// Builds the gateway's dense client array: SNRs drawn uniformly in the
-/// configured quarter-dB range, first arrivals staggered across the
+/// Builds the gateway's dense client array: SNRs drawn uniformly in
+/// `SNR_RANGE_QDB`, first arrivals staggered across the
 /// reporting period, and — for Choir — beacon teams scheduled so
 /// beyond-range clients transmit with their team's combining boost.
 fn build_clients(cfg: &CityConfig, scheme: Scheme, rng: &mut StdRng) -> Vec<Client> {
     let n = cfg.clients_per_gw as usize;
-    let (lo, hi) = cfg.snr_range_qdb;
+    let (lo, hi) = SNR_RANGE_QDB;
     let span = i32::from(hi) - i32::from(lo);
-    debug_assert!(span >= 0, "empty SNR range");
     let mut clients: Vec<Client> = (0..n)
         .map(|i| {
             let off = rng.gen_range(0..=(span as u32));
             let snr = (i32::from(lo) + off as i32) as i16;
             // Stagger first arrivals across the period (integer math —
-            // the same uniform phase spread `choir_mac::Traffic` uses).
+            // a uniform phase spread: sensors are not phase-locked).
             let born = (u64::from(cfg.client.period_slots) * i as u64 / n.max(1) as u64) as u32;
             Client::new(snr, born)
         })
@@ -314,7 +321,7 @@ pub fn run_gateway(cfg: &CityConfig, scheme: Scheme, gw: u32) -> GatewayStats {
             model::resolve_closed_form(&cfg.model, scheme, &snrs, 0, &mut ok);
             let order = cur.len() as u32;
             if let Some(iq) = iq.as_mut() {
-                if iq_left > 0 && order >= 2 && order <= cfg.iq_max_order {
+                if iq_left > 0 && (2..=IQ_MAX_ORDER).contains(&order) {
                     iq_left -= 1;
                     escalate_iq(iq, cfg, &clients, &cur, &mut ok, &mut stats);
                 }

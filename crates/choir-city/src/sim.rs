@@ -18,6 +18,9 @@ const TX_POWER_W: f64 = 0.025;
 /// Radio power draw while listening for the coordination beacon, watts.
 const LISTEN_POWER_W: f64 = 0.010;
 
+/// Seconds of beacon listening charged per coordinated transmission.
+const BEACON_OVERHEAD_S: f64 = 0.010;
+
 /// Everything a city run needs. `Clone` + cheap; shared read-only across
 /// shard workers.
 #[derive(Clone, Copy, Debug)]
@@ -37,18 +40,11 @@ pub struct CityConfig {
     pub model: CityModel,
     /// PHY parameters (airtime, and the IQ escalation tier).
     pub params: PhyParams,
-    /// Uniform client SNR range, quarter-dB (inclusive).
-    pub snr_range_qdb: (i16, i16),
     /// Payload bytes per frame (airtime + IQ synthesis length).
     pub payload_len: usize,
     /// Per-gateway budget of collision slots escalated to the real IQ
     /// decode path (0 = pure closed-form; keep 0 at city scale).
     pub iq_slots_per_gw: u32,
-    /// Largest collision order worth escalating (IQ synthesis cost grows
-    /// with order; beyond this the closed-form verdict stands).
-    pub iq_max_order: u32,
-    /// Seconds of beacon listening charged per coordinated transmission.
-    pub beacon_overhead_s: f64,
     /// Shards the gateway set is split into (work units; results are
     /// shard-count invariant).
     pub shards: u32,
@@ -66,11 +62,8 @@ impl CityConfig {
             client: ClientCfg::default(),
             model: CityModel::from_params(&params),
             params,
-            snr_range_qdb: (-56, 40), // −14 dB … +10 dB around the SF8 floor
             payload_len: 8,
             iq_slots_per_gw: 0,
-            iq_max_order: 3,
-            beacon_overhead_s: 0.010,
             shards: 8,
         }
     }
@@ -84,7 +77,7 @@ impl CityConfig {
     /// schemes pay the beacon overhead on top of the airtime).
     pub fn slot_s(&self, scheme: Scheme) -> f64 {
         if scheme.coordinated() {
-            self.airtime_s() + self.beacon_overhead_s
+            self.airtime_s() + BEACON_OVERHEAD_S
         } else {
             self.airtime_s()
         }
@@ -98,7 +91,7 @@ impl CityConfig {
 
     /// Energy of one beacon listen, nanojoules.
     pub fn listen_nj(&self) -> u64 {
-        (self.beacon_overhead_s * LISTEN_POWER_W * 1e9).round() as u64
+        (BEACON_OVERHEAD_S * LISTEN_POWER_W * 1e9).round() as u64
     }
 }
 

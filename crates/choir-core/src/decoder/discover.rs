@@ -13,6 +13,9 @@ use crate::estimator::ComponentEstimate;
 use crate::profile::{scope, Stage};
 use crate::sic::phased_sic;
 
+/// Taps per side of the windowed-sinc fractional resampler.
+const RESAMPLE_TAPS: usize = 10;
+
 /// Correlation energy of a dechirped window against the tone `e^{jwt}`
 /// conjugated (direct evaluation — no FFT, one fractional frequency).
 fn tone_energy(dechirped: &[C64], w: f64) -> f64 {
@@ -306,7 +309,7 @@ impl ChoirDecoder {
         out: &mut [C64],
     ) -> bool {
         let n = self.est.n();
-        let taps = self.cfg.resample_taps;
+        let taps = RESAMPLE_TAPS;
         let m = timing_chips.floor();
         let delta = timing_chips - m; // in [0,1): signal delayed by delta
         let a = slot_start as i64 + (sym_idx * n) as i64 + m as i64;

@@ -45,12 +45,14 @@ impl ChoirDecoder {
                     ),
                 ),
             };
-            // An unsynchronised candidate is dropped whatever its frame
-            // says, so it is dropped before the list decoder's odometer
-            // (up to 3⁸ frame decodes) is spent on it. The first decode
-            // above stays ahead of the gate: its error event is part of
-            // the slot's trace.
-            if self.cfg.require_sync && (sync_errors > 0 || preamble_errors > p / 2) {
+            // Preamble-stage tracking occasionally promotes residual skirt
+            // or noise into a user candidate; a real transmitter always
+            // lands the known sync symbols. An unsynchronised candidate is
+            // dropped whatever its frame says, so it is dropped before the
+            // list decoder's odometer (up to 3⁸ frame decodes) is spent on
+            // it. The first decode above stays ahead of the gate: its
+            // error event is part of the slot's trace.
+            if sync_errors > 0 || preamble_errors > p / 2 {
                 continue;
             }
             let crc_ok = frame.as_ref().map(|f| f.crc_ok).unwrap_or(false);

@@ -46,12 +46,6 @@ pub struct ChoirConfig {
     pub estimator: EstimatorConfig,
     /// Phased-SIC settings (used on the preamble windows).
     pub sic: SicConfig,
-    /// Drop decoded "users" whose sync word did not match. Preamble-stage
-    /// tracking occasionally promotes residual skirt or noise into a user
-    /// candidate; a real transmitter always lands the known sync symbols.
-    pub require_sync: bool,
-    /// Taps per side of the windowed-sinc fractional resampler.
-    pub resample_taps: usize,
     /// Packet-level SIC passes: pass 1 decodes strongest-first under
     /// residual interference; later passes re-decode each user with every
     /// other user's reconstruction removed. Two passes handle dense
@@ -64,8 +58,6 @@ impl Default for ChoirConfig {
         ChoirConfig {
             estimator: EstimatorConfig::default(),
             sic: SicConfig::default(),
-            require_sync: true,
-            resample_taps: 10,
             sic_passes: 2,
         }
     }

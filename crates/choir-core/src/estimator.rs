@@ -26,7 +26,7 @@ use choir_dsp::linalg::{
     conj_dot, gram_residual, least_squares_refs, residual_energy_refs, CholeskyFactor,
 };
 use choir_dsp::optim::{golden_section, Optimum};
-use choir_dsp::peaks::{find_peaks, Peak, PeakConfig};
+use choir_dsp::peaks::{find_peaks, Peak};
 use choir_dsp::workspace;
 use lora_phy::chirp::base_downchirp_cached;
 use std::cell::RefCell;
@@ -80,22 +80,10 @@ impl ComponentEstimate {
 pub struct EstimatorConfig {
     /// Zero-padding factor for the coarse FFT (the paper uses 10).
     pub pad: usize,
-    /// Peak-detection settings.
-    pub peaks: PeakConfig,
-    /// Residual-search bracket around each coarse position, in bins.
-    /// Coarse positions are accurate to ~1/pad bins, so ±0.5/pad plus
-    /// margin is enough.
-    pub search_radius_bins: f64,
-    /// Convergence tolerance of the offset search, in bins.
-    pub tol_bins: f64,
-    /// Maximum coordinate-descent sweeps.
-    pub max_sweeps: usize,
     /// Whether to fit the boundary-split (ISI step) term per component.
     /// Required for accurate reconstruction when transmitters carry
     /// multi-chip fractional timing offsets.
     pub fit_steps: bool,
-    /// Minimum relative residual improvement for a step term to be kept.
-    pub step_gain_threshold: f64,
     /// Candidate-block width of the line-search grid prefilter: how many
     /// offset hypotheses each blocked kernel invocation evaluates at
     /// once (AoSoA layout, see [`CandidateBlock`]). Must be in
@@ -108,22 +96,31 @@ pub struct EstimatorConfig {
 
 impl Default for EstimatorConfig {
     fn default() -> Self {
-        let pad = 10;
         EstimatorConfig {
-            pad,
-            peaks: PeakConfig {
-                pad,
-                ..PeakConfig::default()
-            },
-            search_radius_bins: 0.15,
-            tol_bins: 1e-4,
-            max_sweeps: 12,
+            pad: 10,
             fit_steps: true,
-            step_gain_threshold: 0.02,
             block_width: 4,
         }
     }
 }
+
+/// Residual-search bracket around each coarse position, in bins. Coarse
+/// positions are accurate to ~1/pad bins, so ±0.5/pad plus margin is
+/// enough.
+const SEARCH_RADIUS_BINS: f64 = 0.15;
+
+/// Bracket of the first step-corrected refinement pass, in bins: a
+/// boundary-split tone's coarse peak can sit half a bin off.
+const WIDE_RADIUS_BINS: f64 = 0.6;
+
+/// Convergence tolerance of the offset search, in bins.
+const TOL_BINS: f64 = 1e-4;
+
+/// Maximum coordinate-descent sweeps.
+const MAX_SWEEPS: usize = 12;
+
+/// Minimum relative residual improvement for a step term to be kept.
+const STEP_GAIN_THRESHOLD: f64 = 0.02;
 
 /// Number of surrogate grid points the first-sweep prefilter of
 /// [`OffsetEstimator::refine`] evaluates per coordinate before handing a
@@ -480,7 +477,7 @@ impl OffsetEstimator {
             workspace::with(|ws| {
                 let mut spec = ws.take(self.n * self.cfg.pad);
                 self.fft_padded.forward_padded_into(&de, &mut spec, ws);
-                let peaks = find_peaks(&spec, &self.cfg.peaks);
+                let peaks = find_peaks(&spec, self.cfg.pad);
                 ws.put(spec);
                 peaks
             })
@@ -533,7 +530,7 @@ impl OffsetEstimator {
     /// Cyclic coordinate descent over the joint residual: each sweep runs
     /// a golden-section line search along every coordinate within
     /// `±radius` of the current point, the radius halves per sweep, and
-    /// the descent stops after `max_sweeps` or once a full sweep improves
+    /// the descent stops after `MAX_SWEEPS` or once a full sweep improves
     /// the residual by less than the tolerance. The first sweep's line
     /// searches first score a fixed [`PREFILTER_GRID`]-point grid of candidate
     /// offsets against the coordinate's deflated window through the
@@ -555,18 +552,17 @@ impl OffsetEstimator {
     // (`CandidateBlock::fill` / `score`, `GramFit::deflate_into`) and
     // the workspace-arena deflation buffer.
     fn ccd_refine(&self, gfit: &mut GramFit<'_>, x0: &[f64], radius: f64) -> Optimum {
-        let tol = self.cfg.tol_bins;
         let mut x = x0.to_vec();
         let mut best = gfit.eval(&x);
         let mut evals = 1usize;
         let mut r = radius;
         let mut deflated = workspace::take(self.n);
         let mut cand = CandidateBlock::new(self.n, self.cfg.block_width);
-        for sweep in 0..self.cfg.max_sweeps {
+        for sweep in 0..MAX_SWEEPS {
             let before = best;
             for i in 0..x.len() {
                 let xi = x[i];
-                let gtol = tol.max(r * 1e-4);
+                let gtol = TOL_BINS.max(r * 1e-4);
                 let (mut lo, mut hi) = (xi - r, xi + r);
                 if sweep == 0 && gfit.solved() {
                     gfit.deflate_into(i, &mut deflated);
@@ -615,7 +611,7 @@ impl OffsetEstimator {
             r *= 0.5;
             // Absolute-plus-relative improvement test: residual energies
             // vary in scale by orders of magnitude.
-            if before - best < tol * tol + 1e-9 * before.abs() {
+            if before - best < TOL_BINS * TOL_BINS + 1e-9 * before.abs() {
                 break;
             }
         }
@@ -640,7 +636,7 @@ impl OffsetEstimator {
         scope(Stage::Refine, || {
             let de = self.dechirp(window);
             let mut gfit = GramFit::new(self.n, &de, coarse_bins.len());
-            let opt = self.ccd_refine(&mut gfit, coarse_bins, self.cfg.search_radius_bins);
+            let opt = self.ccd_refine(&mut gfit, coarse_bins, SEARCH_RADIUS_BINS);
             let (channels, _) = self.fit(&de, &opt.x);
             // Provenance: the coarse candidates entering the Algorithm-1
             // search, where they converged, and the joint residual there.
@@ -702,7 +698,7 @@ impl OffsetEstimator {
     /// Fits the boundary-split term of each component (Sec. 6.1): scans the
     /// boundary over a coarse chip grid (then a fine scan) and keeps the
     /// split that best explains the residual, provided it improves it by at
-    /// least `step_gain_threshold`. Runs `passes` greedy rounds so coupled
+    /// least `STEP_GAIN_THRESHOLD`. Runs `passes` greedy rounds so coupled
     /// components (e.g. a user's head and tail peaks) converge jointly.
     /// Operates in the dechirped domain.
     fn fit_steps(&self, dechirped: &[C64], comps: &mut [ComponentEstimate], passes: usize) {
@@ -838,7 +834,7 @@ impl OffsetEstimator {
                     Self::scan_boundaries(single, &try_boundary, &mut best_step);
                 }
                 if let Some((g1, st, r)) = best_step {
-                    if r < best.2 * (1.0 - self.cfg.step_gain_threshold) {
+                    if r < best.2 * (1.0 - STEP_GAIN_THRESHOLD) {
                         best = (g1, Some(st), r);
                     }
                 }
@@ -899,13 +895,11 @@ impl OffsetEstimator {
             self.fit_steps(&de, comps, 2);
             // Alternate frequency refinement (against the step-corrected
             // signal — the step term absorbs the skirt that biases the
-            // tone-only fit) with step re-fitting. A boundary-split tone's
-            // coarse peak can sit half a bin off, so the first corrected
-            // pass searches a wider bracket.
+            // tone-only fit) with step re-fitting; the first corrected
+            // pass searches the wider bracket.
             let narrow = comps.clone();
             let narrow_residual = self.full_residual(&de, &narrow);
-            for (pass, radius) in [(0usize, 0.6f64), (1, self.cfg.search_radius_bins)] {
-                let _ = pass;
+            for radius in [WIDE_RADIUS_BINS, SEARCH_RADIUS_BINS] {
                 let steps_model = {
                     let mut m = vec![C64::ZERO; self.n];
                     // A step term is constant over `[0, boundary)`, so
@@ -987,6 +981,29 @@ mod tests {
     fn add(a: &mut [C64], b: &[C64]) {
         for (x, y) in a.iter_mut().zip(b) {
             *x += *y;
+        }
+    }
+
+    /// Regression: `pad` used to be stored twice (`EstimatorConfig.pad`
+    /// sized the spectrum, `EstimatorConfig.peaks.pad` scaled positions),
+    /// so setting only the first reported 25.2 bins at `pad = 5` and
+    /// panicked inside `find_peaks` at `pad = 4`.
+    #[test]
+    fn coarse_position_is_in_unpadded_bins_for_every_pad() {
+        let truth = 50.4;
+        let window = chirp_with_offset(truth, c64(1.0, 0.0));
+        for pad in [1usize, 2, 4, 5, 10, 16] {
+            let cfg = EstimatorConfig {
+                pad,
+                ..EstimatorConfig::default()
+            };
+            let peaks = OffsetEstimator::new(N, cfg).coarse(&window);
+            assert_eq!(peaks.len(), 1, "pad {pad}: {peaks:?}");
+            assert!(
+                (peaks[0].pos - truth).abs() <= 1.0 / pad as f64,
+                "pad {pad}: coarse position {} for a tone at {truth}",
+                peaks[0].pos
+            );
         }
     }
 

@@ -59,6 +59,6 @@ pub use decoder::{ChoirConfig, ChoirDecoder, DecodedUser, SlotResult, SlotView, 
 pub use dedup::StartDedup;
 pub use error::DecodeError;
 pub use estimator::{ComponentEstimate, EstimatorConfig, OffsetEstimator};
-pub use lowsnr::{TeamConfig, TeamDecoder, TeamDetection};
+pub use lowsnr::{TeamDecoder, TeamDetection};
 pub use multisf::{decode_multi_sf, LaneResult, SfLane};
 pub use sic::{phased_sic, SicConfig, SicResult};

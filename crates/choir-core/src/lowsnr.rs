@@ -29,39 +29,28 @@ use lora_phy::params::PhyParams;
 
 use crate::estimator::OffsetEstimator;
 
-/// Configuration for team detection and decoding.
-#[derive(Clone, Copy, Debug)]
-pub struct TeamConfig {
-    /// Zero-padding factor for the accumulated spectra.
-    pub pad: usize,
-    /// Detection threshold: accumulated peak power over median power.
-    pub detect_threshold: f64,
-    /// Peak threshold for counting team members in the accumulated
-    /// spectrum, relative to the accumulated median.
-    pub member_threshold: f64,
-    /// Maximum number of member offsets to extract.
-    pub max_members: usize,
-    /// Sliding-search step in samples (fraction of a symbol keeps the
-    /// accumulation near-coherent).
-    pub search_step: usize,
-}
+/// Zero-padding factor for the accumulated spectra.
+const PAD: usize = 4;
 
-impl Default for TeamConfig {
-    fn default() -> Self {
-        TeamConfig {
-            pad: 4,
-            detect_threshold: 4.0,
-            member_threshold: 3.0,
-            max_members: 40,
-            search_step: 64,
-        }
-    }
-}
+/// Detection threshold: accumulated peak power over median power.
+const DETECT_THRESHOLD: f64 = 4.0;
+
+/// Peak threshold for counting team members in the accumulated spectrum,
+/// relative to the accumulated median.
+const MEMBER_THRESHOLD: f64 = 3.0;
+
+/// Maximum number of member offsets to extract.
+const MAX_MEMBERS: usize = 40;
+
+/// Sliding-search step in samples (a fraction of a symbol keeps the
+/// accumulation near-coherent).
+const SEARCH_STEP: usize = 64;
 
 /// A detected team transmission.
 #[derive(Clone, Debug)]
 pub struct TeamDetection {
-    /// Estimated slot start (sample index), accurate to `search_step`.
+    /// Estimated slot start (sample index), accurate to `SEARCH_STEP`
+    /// (64) samples.
     pub start: usize,
     /// Per-member aggregate offsets in bins (one entry per discernible
     /// member; members with overlapping offsets merge into one entry).
@@ -74,34 +63,27 @@ pub struct TeamDetection {
 #[derive(Clone, Debug)]
 pub struct TeamDecoder {
     params: PhyParams,
-    cfg: TeamConfig,
     est: OffsetEstimator,
     fft: FftPlan,
 }
 
 impl TeamDecoder {
     /// Builds a team decoder.
-    pub fn new(params: PhyParams, cfg: TeamConfig) -> Self {
+    pub fn new(params: PhyParams) -> Self {
         let n = params.samples_per_symbol();
         let est = OffsetEstimator::new(n, crate::estimator::EstimatorConfig::default());
         TeamDecoder {
             params,
-            cfg,
             est,
-            fft: FftPlan::new(n * cfg.pad),
+            fft: FftPlan::new(n * PAD),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TeamConfig {
-        &self.cfg
     }
 
     /// Accumulated dechirped power spectrum over `count` consecutive
     /// symbol windows starting at `start`.
     fn accumulate(&self, samples: &[C64], start: usize, count: usize) -> Option<Vec<f64>> {
         let n = self.params.samples_per_symbol();
-        let np = n * self.cfg.pad;
+        let np = n * PAD;
         let mut acc = vec![0.0f64; np];
         let complete = choir_dsp::workspace::with(|ws| {
             let mut spec = ws.take(np);
@@ -135,11 +117,10 @@ impl TeamDecoder {
     }
 
     /// Extracts member offsets (bins) from an accumulated spectrum:
-    /// local maxima above `member_threshold ×` median, at least one bin
+    /// local maxima above `MEMBER_THRESHOLD ×` median, at least one bin
     /// apart.
     fn member_offsets(&self, acc: &[f64]) -> Vec<f64> {
         let n = self.params.samples_per_symbol();
-        let pad = self.cfg.pad;
         let med = noise_floor(acc);
         let max_pow = acc.iter().cloned().fold(0.0f64, f64::max);
         // Two guards: a noise-relative threshold for the deep-SNR regime,
@@ -148,20 +129,20 @@ impl TeamDecoder {
         // skirt of strong members (side lobes ≤ ~4.7 % of the main lobe in
         // power; the ISI skirt reaches ~18 %). Genuine co-located team
         // members sit within a few dB of each other and survive the cut.
-        let thresh = (med * self.cfg.member_threshold).max(max_pow * 0.2);
+        let thresh = (med * MEMBER_THRESHOLD).max(max_pow * 0.2);
         let np = acc.len();
         let mut cands: Vec<(f64, f64)> = Vec::new(); // (power, pos_bins)
         for i in 0..np {
             let prev = acc[(i + np - 1) % np];
             let next = acc[(i + 1) % np];
             if acc[i] > thresh && acc[i] >= prev && acc[i] > next {
-                cands.push((acc[i], i as f64 / pad as f64));
+                cands.push((acc[i], i as f64 / PAD as f64));
             }
         }
         cands.sort_by(|a, b| b.0.total_cmp(&a.0));
         let mut offsets: Vec<f64> = Vec::new();
         for (_, pos) in cands {
-            if offsets.len() >= self.cfg.max_members {
+            if offsets.len() >= MAX_MEMBERS {
                 break;
             }
             let clash = offsets.iter().any(|&o| {
@@ -196,10 +177,10 @@ impl TeamDecoder {
                     best = Some((t, m));
                 }
             }
-            t += self.cfg.search_step.max(1);
+            t += SEARCH_STEP;
         }
         let (start, metric) = best?;
-        if metric < self.cfg.detect_threshold {
+        if metric < DETECT_THRESHOLD {
             return None;
         }
         let acc = self.accumulate(samples, start, p)?;
@@ -224,12 +205,11 @@ impl TeamDecoder {
         num_data_symbols: usize,
     ) -> Vec<u16> {
         let n = self.params.samples_per_symbol();
-        let pad = self.cfg.pad;
         let p = self.params.preamble_len;
         let data_start = detection.start + (p + 2) * n;
         let mut out = Vec::with_capacity(num_data_symbols);
         choir_dsp::workspace::with(|ws| {
-            let mut spec = ws.take(n * pad);
+            let mut spec = ws.take(n * PAD);
             for k in 0..num_data_symbols {
                 let lo = data_start + k * n;
                 let hi = lo + n;
@@ -244,7 +224,7 @@ impl TeamDecoder {
                     let mut score = 0.0;
                     for &mu in &detection.offsets {
                         let pos = (d as f64 + mu).rem_euclid(n as f64);
-                        let idx = ((pos * pad as f64).round() as usize) % np;
+                        let idx = ((pos * PAD as f64).round() as usize) % np;
                         score += spec[idx].norm_sqr();
                     }
                     if score > best.1 {
@@ -308,7 +288,7 @@ mod tests {
         // −17 dB per member: the standard detector's per-window metric is
         // marginal, but 10 members accumulated over the preamble stand out.
         let s = team_scenario(10, -17.0, 1);
-        let dec = TeamDecoder::new(s.params, TeamConfig::default());
+        let dec = TeamDecoder::new(s.params);
         let det = dec
             .detect(&s.samples, 0, s.slot_start + 512)
             .expect("team not detected");
@@ -327,7 +307,7 @@ mod tests {
     fn pure_noise_not_detected() {
         let mut rng = StdRng::seed_from_u64(2);
         let noise = choir_channel::noise::awgn(&mut rng, 256 * 60, 1.0);
-        let dec = TeamDecoder::new(params(), TeamConfig::default());
+        let dec = TeamDecoder::new(params());
         assert!(dec.detect(&noise, 0, 256 * 20).is_none());
     }
 
@@ -335,7 +315,7 @@ mod tests {
     fn detection_metric_grows_with_team_size() {
         let metric_for = |m: usize| {
             let s = team_scenario(m, -17.0, 7);
-            let dec = TeamDecoder::new(s.params, TeamConfig::default());
+            let dec = TeamDecoder::new(s.params);
             dec.detect(&s.samples, s.slot_start, s.slot_start + 1)
                 .map(|d| d.metric)
                 .unwrap_or(0.0)
@@ -350,7 +330,7 @@ mod tests {
         // 15 members at −15 dB each: individually hopeless for data, but
         // the combined score recovers the shared packet.
         let s = team_scenario(15, -15.0, 3);
-        let dec = TeamDecoder::new(s.params, TeamConfig::default());
+        let dec = TeamDecoder::new(s.params);
         let (det, frame) = dec
             .decode(&s.samples, s.slot_start, s.slot_start + 1, 6)
             .expect("not detected");
@@ -370,7 +350,7 @@ mod tests {
         // grows — the Fig. 9(a) mechanism.
         let ser_for = |m: usize, seed: u64| -> f64 {
             let s = team_scenario(m, -19.0, seed);
-            let dec = TeamDecoder::new(s.params, TeamConfig::default());
+            let dec = TeamDecoder::new(s.params);
             let det = TeamDetection {
                 start: s.slot_start,
                 offsets: s
@@ -400,7 +380,7 @@ mod tests {
     #[test]
     fn decode_symbols_respects_capture_length() {
         let s = team_scenario(5, -10.0, 4);
-        let dec = TeamDecoder::new(s.params, TeamConfig::default());
+        let dec = TeamDecoder::new(s.params);
         let det = TeamDetection {
             start: s.slot_start,
             offsets: vec![10.0],

@@ -21,7 +21,7 @@
 //!     .collect();
 //! // …resolved at 10× zero-padding as the paper does.
 //! let spec = FftPlan::new(10 * n).forward_padded(&x);
-//! let peaks = choir_dsp::peaks::find_peaks(&spec, &choir_dsp::peaks::PeakConfig::default());
+//! let peaks = choir_dsp::peaks::find_peaks(&spec, 10);
 //! assert!((peaks[0].pos - 50.4).abs() < 0.05);
 //! ```
 
@@ -40,5 +40,5 @@ pub mod workspace;
 
 pub use complex::{c64, C64};
 pub use fft::{FftPlan, PlanCache};
-pub use peaks::{Peak, PeakConfig};
+pub use peaks::Peak;
 pub use workspace::Workspace;

@@ -62,83 +62,71 @@ pub fn noise_floor(mags: &[f64]) -> f64 {
     floor
 }
 
-/// Configuration for [`find_peaks`].
-#[derive(Clone, Copy, Debug)]
-pub struct PeakConfig {
-    /// Zero-padding factor of the spectrum (1 = no padding).
-    pub pad: usize,
-    /// Detection threshold as a multiple of the spectrum's median magnitude.
-    /// Peaks below `threshold · median` are ignored.
-    pub threshold: f64,
-    /// Exclusion radius around an accepted peak, in unpadded bins. Bins
-    /// within this radius are masked before searching for the next peak, so
-    /// the main lobe of a tone is only reported once.
-    pub min_separation: f64,
-    /// Upper bound on the number of peaks to return.
-    pub max_peaks: usize,
-    /// Leakage-rejection margin: a candidate is only accepted when its
-    /// magnitude exceeds `leak_margin ×` the total leakage predicted at
-    /// its position from the already-accepted (stronger) peaks. This is
-    /// what keeps side-lobes of strong transmitters from being reported as
-    /// users (Sec. 5.1).
-    pub leak_margin: f64,
-    /// Coefficient of the inter-symbol-interference skirt envelope. A tone
-    /// whose transmitter is delayed by a fractional number of chips
-    /// carries a phase step at the symbol boundary inside the window; its
-    /// skirt decays like `coeff/x` (no Dirichlet nulls). The leakage
-    /// prediction uses `max(dirichlet, isi_coeff/x)`. Set to 0 to model
-    /// pure tones only.
-    pub isi_coeff: f64,
-}
+/// Detection threshold as a multiple of the spectrum's median magnitude.
+/// Peaks below `THRESHOLD · median` are ignored.
+const THRESHOLD: f64 = 4.0;
 
-impl Default for PeakConfig {
-    fn default() -> Self {
-        PeakConfig {
-            pad: 10,
-            threshold: 4.0,
-            min_separation: 0.8,
-            max_peaks: 24,
-            leak_margin: 2.0,
-            isi_coeff: 0.9,
-        }
-    }
-}
+/// Exclusion radius around an accepted peak, in unpadded bins. Bins within
+/// this radius are masked before searching for the next peak, so the main
+/// lobe of a tone is only reported once.
+const MIN_SEPARATION: f64 = 0.8;
 
-/// Finds up to `cfg.max_peaks` strongest peaks in a complex spectrum,
-/// greedily, masking `cfg.min_separation` unpadded bins around each accepted
-/// peak. Positions are returned in unpadded-bin units and refined by
-/// parabolic interpolation. The spectrum is treated as circular (it is a
-/// DFT).
-pub fn find_peaks(spectrum: &[C64], cfg: &PeakConfig) -> Vec<Peak> {
+/// Upper bound on the number of peaks returned.
+const MAX_PEAKS: usize = 24;
+
+/// Leakage-rejection margin: a candidate is only accepted when its
+/// magnitude exceeds `LEAK_MARGIN ×` the total leakage predicted at its
+/// position from the already-accepted (stronger) peaks. This is what keeps
+/// side-lobes of strong transmitters from being reported as users
+/// (Sec. 5.1).
+const LEAK_MARGIN: f64 = 2.0;
+
+/// Coefficient of the inter-symbol-interference skirt envelope. A tone
+/// whose transmitter is delayed by a fractional number of chips carries a
+/// phase step at the symbol boundary inside the window; its skirt decays
+/// like `ISI_COEFF/x` (no Dirichlet nulls). The leakage prediction uses
+/// `max(dirichlet, ISI_COEFF/x)`.
+const ISI_COEFF: f64 = 0.9;
+
+/// Finds up to `MAX_PEAKS` (24) strongest peaks in a complex spectrum
+/// zero-padded by `pad` (1 = no padding), greedily, masking
+/// `MIN_SEPARATION` (0.8) unpadded bins around each accepted peak. Positions
+/// are returned in unpadded-bin units and refined by parabolic
+/// interpolation. The spectrum is treated as circular (it is a DFT).
+///
+/// # Panics
+/// Panics if `pad` is zero or does not divide the spectrum length.
+pub fn find_peaks(spectrum: &[C64], pad: usize) -> Vec<Peak> {
     let np = spectrum.len();
     if np == 0 {
         return Vec::new();
     }
-    assert!(cfg.pad >= 1, "find_peaks: pad must be >= 1");
+    assert!(pad >= 1, "find_peaks: pad must be >= 1");
     assert_eq!(
-        np % cfg.pad,
+        np % pad,
         0,
         "find_peaks: spectrum length not a multiple of pad"
     );
-    let n_sym = np / cfg.pad; // unpadded symbol length, sets the leakage kernel
-                              // Magnitude and masking scratch are per-call temporaries of spectrum
-                              // length — recycled through the thread arena like the rest of the
-                              // refine loop's buffers.
+    // Unpadded symbol length, sets the leakage kernel.
+    let n_sym = np / pad;
+    // Magnitude and masking scratch are per-call temporaries of spectrum
+    // length — recycled through the thread arena like the rest of the
+    // refine loop's buffers.
     let mut mags = crate::workspace::take_f64(np);
     for (m, z) in mags.iter_mut().zip(spectrum) {
         *m = z.abs();
     }
     let floor = noise_floor(&mags);
-    let thresh = floor * cfg.threshold;
-    let excl = ((cfg.min_separation * cfg.pad as f64).round() as usize).max(1);
+    let thresh = floor * THRESHOLD;
+    let excl = ((MIN_SEPARATION * pad as f64).round() as usize).max(1);
 
     let mut masked = crate::workspace::take_f64(np);
     masked.copy_from_slice(&mags);
     let mut peaks: Vec<Peak> = Vec::new();
     // Bound the scan: each iteration masks at least one bin, but cap the
     // number of rejected candidates we are willing to examine.
-    let mut rejections_left = 8 * cfg.max_peaks;
-    while peaks.len() < cfg.max_peaks {
+    let mut rejections_left = 8 * MAX_PEAKS;
+    while peaks.len() < MAX_PEAKS {
         let (imax, &hmax) = match masked.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)) {
             Some(p) => p,
             None => break,
@@ -152,7 +140,7 @@ pub fn find_peaks(spectrum: &[C64], cfg: &PeakConfig) -> Vec<Peak> {
         let next = mags[(imax + 1) % np];
         let refined = parabolic_refine(prev, mags[imax], next);
         let pos_padded = imax as f64 + refined;
-        let pos = (pos_padded.rem_euclid(np as f64)) / cfg.pad as f64;
+        let pos = (pos_padded.rem_euclid(np as f64)) / pad as f64;
         // Leakage test: predicted magnitude at `pos` from the accepted
         // (stronger) peaks' Dirichlet kernels. A genuine extra transmitter
         // must rise above that prediction; a side-lobe will match it.
@@ -163,15 +151,11 @@ pub fn find_peaks(spectrum: &[C64], cfg: &PeakConfig) -> Vec<Peak> {
                 if d > n_sym as f64 / 2.0 {
                     d = n_sym as f64 - d;
                 }
-                let skirt = if cfg.isi_coeff > 0.0 {
-                    cfg.isi_coeff / d.max(0.7)
-                } else {
-                    0.0
-                };
+                let skirt = ISI_COEFF / d.max(0.7);
                 p.height * dirichlet_mag(n_sym, d).max(skirt)
             })
             .sum();
-        if hmax > cfg.leak_margin * predicted {
+        if hmax > LEAK_MARGIN * predicted {
             peaks.push(Peak {
                 pos,
                 height: mags[imax],
@@ -322,9 +306,9 @@ mod tests {
             *a += b;
         }
         let spec = spectrum_of(&x, 10);
-        let first = find_peaks(&spec, &PeakConfig::default());
+        let first = find_peaks(&spec, 10);
         for _ in 0..3 {
-            let again = find_peaks(&spec, &PeakConfig::default());
+            let again = find_peaks(&spec, 10);
             assert_eq!(first.len(), again.len());
             for (p, q) in first.iter().zip(&again) {
                 assert_eq!(p.pos.to_bits(), q.pos.to_bits());
@@ -340,7 +324,7 @@ mod tests {
         let n = 128;
         let x = tone(n, 37.0, 1.0);
         let spec = spectrum_of(&x, 10);
-        let peaks = find_peaks(&spec, &PeakConfig::default());
+        let peaks = find_peaks(&spec, 10);
         assert_eq!(peaks.len(), 1);
         assert!((peaks[0].pos - 37.0).abs() < 0.05, "pos {}", peaks[0].pos);
         assert!((peaks[0].height - n as f64).abs() / (n as f64) < 0.01);
@@ -352,7 +336,7 @@ mod tests {
         let f0 = 50.43;
         let x = tone(n, f0, 1.0);
         let spec = spectrum_of(&x, 10);
-        let peaks = find_peaks(&spec, &PeakConfig::default());
+        let peaks = find_peaks(&spec, 10);
         assert_eq!(peaks.len(), 1);
         assert!((peaks[0].pos - f0).abs() < 0.05, "pos {}", peaks[0].pos);
     }
@@ -365,7 +349,7 @@ mod tests {
             *a += b;
         }
         let spec = spectrum_of(&x, 10);
-        let peaks = find_peaks(&spec, &PeakConfig::default());
+        let peaks = find_peaks(&spec, 10);
         assert_eq!(peaks.len(), 2);
         assert!((peaks[0].pos - 20.3).abs() < 0.1);
         assert!((peaks[1].pos - 70.7).abs() < 0.1);
@@ -379,11 +363,7 @@ mod tests {
         let n = 128;
         let x = tone(n, 64.5, 1.0); // worst case: half-bin offset, max leakage
         let spec = spectrum_of(&x, 10);
-        let cfg = PeakConfig {
-            max_peaks: 8,
-            ..PeakConfig::default()
-        };
-        let peaks = find_peaks(&spec, &cfg);
+        let peaks = find_peaks(&spec, 10);
         // All detected peaks beyond the first must be far from the tone or
         // absent entirely; with a clean tone only sidelobes exist, and the
         // strongest sidelobe of a Dirichlet kernel is ~13 dB down but decays;
@@ -406,38 +386,16 @@ mod tests {
             *a += b;
         }
         let spec = spectrum_of(&x, 10);
-        let cfg = PeakConfig {
-            threshold: 3.0,
-            ..PeakConfig::default()
-        };
-        let peaks = find_peaks(&spec, &cfg);
+        let peaks = find_peaks(&spec, 10);
         assert!(peaks.len() >= 2);
         assert!((peaks[1].pos - 90.6).abs() < 0.15, "pos {}", peaks[1].pos);
     }
 
     #[test]
-    fn max_peaks_respected() {
-        let n = 128;
-        let mut x = vec![C64::ZERO; n];
-        for f in [10.0, 30.0, 50.0, 70.0, 90.0, 110.0] {
-            for (a, b) in x.iter_mut().zip(tone(n, f, 1.0)) {
-                *a += b;
-            }
-        }
-        let spec = spectrum_of(&x, 4);
-        let cfg = PeakConfig {
-            pad: 4,
-            max_peaks: 3,
-            ..PeakConfig::default()
-        };
-        assert_eq!(find_peaks(&spec, &cfg).len(), 3);
-    }
-
-    #[test]
     fn empty_spectrum_no_peaks() {
-        assert!(find_peaks(&[], &PeakConfig::default()).is_empty());
+        assert!(find_peaks(&[], 10).is_empty());
         let zeros = vec![C64::ZERO; 640];
-        assert!(find_peaks(&zeros, &PeakConfig::default()).is_empty());
+        assert!(find_peaks(&zeros, 10).is_empty());
     }
 
     #[test]

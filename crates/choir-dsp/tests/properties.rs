@@ -4,7 +4,7 @@ use choir_dsp::complex::{c64, energy, C64};
 use choir_dsp::fft::{dft_naive, fft, ifft, FftPlan};
 use choir_dsp::linalg::{least_squares, residual_energy};
 use choir_dsp::optim::golden_section;
-use choir_dsp::peaks::{find_peaks, PeakConfig};
+use choir_dsp::peaks::find_peaks;
 use choir_dsp::stats;
 use proptest::prelude::*;
 
@@ -62,7 +62,7 @@ proptest! {
             .map(|t| C64::cis(2.0 * std::f64::consts::PI * fbin * t as f64 / n as f64))
             .collect();
         let spec = FftPlan::new(10 * n).forward_padded(&x);
-        let peaks = find_peaks(&spec, &PeakConfig::default());
+        let peaks = find_peaks(&spec, 10);
         prop_assert!(!peaks.is_empty());
         prop_assert!((peaks[0].pos - fbin).abs() < 0.06, "pos {} vs {}", peaks[0].pos, fbin);
     }

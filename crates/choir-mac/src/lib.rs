@@ -28,6 +28,6 @@ pub use beacon::{schedule_teams, ScheduleEntry};
 pub use metrics::{MetricsCollector, RunMetrics};
 pub use phy::{
     calibrate_choir_phy, calibrate_choir_phy_with_pool, CollisionFatalPhy, IdealPhy, IqChoirPhy,
-    SlotPhy, SlotTx, StationPhy, TabulatedChoirPhy,
+    SlotPhy, SlotTx, TabulatedChoirPhy,
 };
-pub use sim::{run_sim, run_sims_parallel, MacScheme, SimConfig, Traffic};
+pub use sim::{run_sim, run_sims_parallel, MacScheme, SimConfig};

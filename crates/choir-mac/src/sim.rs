@@ -25,45 +25,8 @@ pub enum MacScheme {
     Choir,
 }
 
-/// Uplink traffic model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Traffic {
-    /// Every node always has a packet pending (the density experiments).
-    Saturated,
-    /// Each node generates one packet every `period_s` seconds (the
-    /// paper's sensors report at fixed intervals, e.g. 500 ms or
-    /// 1/minute); slots where a node has no pending packet are idle for
-    /// it.
-    Periodic {
-        /// Generation period in seconds.
-        period_s: f64,
-    },
-}
-
-impl Traffic {
-    /// When node `node` of `num_nodes` has its first packet ready.
-    /// Periodic traffic staggers first arrivals uniformly across the
-    /// period (sensors are not phase-locked); saturated traffic starts
-    /// everyone backlogged at t = 0.
-    pub fn first_ready_s(&self, node: usize, num_nodes: usize) -> f64 {
-        match *self {
-            Traffic::Saturated => 0.0,
-            Traffic::Periodic { period_s } => period_s * node as f64 / num_nodes.max(1) as f64,
-        }
-    }
-
-    /// When the *next* packet is ready after delivering one that was
-    /// generated at `generated_at_s`, for a slot ending at
-    /// `end_of_slot_s`. Saturated queues refill immediately; periodic
-    /// sensors generate one period after the delivered reading (queue
-    /// depth one — a sensor overwrites stale readings).
-    pub fn next_ready_s(&self, generated_at_s: f64, end_of_slot_s: f64) -> f64 {
-        match *self {
-            Traffic::Saturated => end_of_slot_s,
-            Traffic::Periodic { period_s } => generated_at_s + period_s,
-        }
-    }
-}
+/// Maximum ALOHA backoff exponent (window `2^be` slots).
+const MAX_BACKOFF_EXP: u32 = 6;
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -81,10 +44,6 @@ pub struct SimConfig {
     /// Beacon/coordination overhead added to each Choir/Oracle slot
     /// (seconds). ALOHA nodes transmit unsolicited and pay none.
     pub beacon_overhead_s: f64,
-    /// Maximum ALOHA backoff exponent (window `2^be` slots).
-    pub max_backoff_exp: u32,
-    /// Traffic model.
-    pub traffic: Traffic,
     /// RNG seed.
     pub seed: u64,
 }
@@ -99,8 +58,6 @@ impl SimConfig {
             slots,
             snr_range_db: (10.0, 25.0),
             beacon_overhead_s: 0.01,
-            max_backoff_exp: 6,
-            traffic: Traffic::Saturated,
             seed: 0,
         }
     }
@@ -118,9 +75,9 @@ impl SimConfig {
 
 struct NodeState {
     snr_db: f64,
-    /// Time the current pending packet became ready (None = queue empty,
-    /// periodic traffic only).
-    ready_at_s: Option<f64>,
+    /// Time the current pending packet became ready: queues are saturated,
+    /// so the next packet is ready the moment the last one is delivered.
+    ready_at_s: f64,
     /// Remaining backoff slots (ALOHA only).
     backoff: usize,
     /// Current backoff exponent (ALOHA only).
@@ -138,9 +95,9 @@ pub fn run_sim<P: SlotPhy + ?Sized>(scheme: MacScheme, cfg: &SimConfig, phy: &mu
             cfg.beacon_overhead_s
         };
     let mut nodes: Vec<NodeState> = (0..cfg.num_nodes)
-        .map(|i| NodeState {
+        .map(|_| NodeState {
             snr_db: rng.gen_range(cfg.snr_range_db.0..=cfg.snr_range_db.1),
-            ready_at_s: Some(cfg.traffic.first_ready_s(i, cfg.num_nodes)),
+            ready_at_s: 0.0,
             backoff: 0,
             be: 0,
         })
@@ -149,16 +106,11 @@ pub fn run_sim<P: SlotPhy + ?Sized>(scheme: MacScheme, cfg: &SimConfig, phy: &mu
     let mut oracle_turn = 0usize;
     for _ in 0..cfg.slots {
         let now = metrics.sim_time_s();
-        // Who has a pending packet this slot?
-        let pending = |n: &NodeState| n.ready_at_s.map(|r| r <= now).unwrap_or(false);
         let txs: Vec<SlotTx> = match scheme {
             MacScheme::Aloha => nodes
                 .iter_mut()
                 .enumerate()
                 .filter_map(|(i, n)| {
-                    if !pending(n) {
-                        return None;
-                    }
                     if n.backoff > 0 {
                         n.backoff -= 1;
                         None
@@ -171,29 +123,21 @@ pub fn run_sim<P: SlotPhy + ?Sized>(scheme: MacScheme, cfg: &SimConfig, phy: &mu
                 })
                 .collect(),
             MacScheme::Oracle => {
-                // The oracle serves the next node with a pending packet.
-                let mut chosen = None;
-                for _ in 0..cfg.num_nodes {
-                    let i = oracle_turn % cfg.num_nodes;
-                    oracle_turn += 1;
-                    if pending(&nodes[i]) {
-                        chosen = Some(i);
-                        break;
-                    }
-                }
+                // The oracle serves the nodes round-robin (none when
+                // there are no nodes).
+                let chosen = oracle_turn.checked_rem(cfg.num_nodes);
+                oracle_turn += 1;
                 chosen
-                    .map(|i| {
-                        vec![SlotTx {
-                            node: i,
-                            snr_db: nodes[i].snr_db,
-                        }]
+                    .map(|i| SlotTx {
+                        node: i,
+                        snr_db: nodes[i].snr_db,
                     })
-                    .unwrap_or_default()
+                    .into_iter()
+                    .collect()
             }
             MacScheme::Choir => nodes
                 .iter()
                 .enumerate()
-                .filter(|(_, n)| pending(n))
                 .map(|(i, n)| SlotTx {
                     node: i,
                     snr_db: n.snr_db,
@@ -208,13 +152,12 @@ pub fn run_sim<P: SlotPhy + ?Sized>(scheme: MacScheme, cfg: &SimConfig, phy: &mu
             metrics.record_tx();
             let node = &mut nodes[tx.node];
             if ok {
-                let ready = node.ready_at_s.unwrap_or(now);
-                metrics.record_delivery(cfg.payload_bits(), end_of_slot - ready);
-                node.ready_at_s = Some(cfg.traffic.next_ready_s(ready, end_of_slot));
+                metrics.record_delivery(cfg.payload_bits(), end_of_slot - node.ready_at_s);
+                node.ready_at_s = end_of_slot;
                 node.be = 0;
                 node.backoff = 0;
             } else if scheme == MacScheme::Aloha {
-                node.be = (node.be + 1).min(cfg.max_backoff_exp);
+                node.be = (node.be + 1).min(MAX_BACKOFF_EXP);
                 node.backoff = rng.gen_range(0..(1usize << node.be));
             }
         }
@@ -330,52 +273,6 @@ mod tests {
             &mut TabulatedChoirPhy::new(vec![0.7; 6], 5),
         );
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn periodic_traffic_caps_throughput_at_offered_load() {
-        // 4 nodes, one 8-byte packet per second each → offered load is
-        // 256 bps; even the ideal PHY cannot deliver more, and latency is
-        // short because the channel is mostly idle.
-        let mut c = cfg(4);
-        c.traffic = Traffic::Periodic { period_s: 1.0 };
-        c.slots = 2000;
-        let m = run_sim(MacScheme::Choir, &c, &mut IdealPhy);
-        let offered = 4.0 * 8.0 * 8.0 / 1.0;
-        assert!(
-            m.throughput_bps <= offered * 1.05,
-            "tput {}",
-            m.throughput_bps
-        );
-        assert!(
-            m.throughput_bps > offered * 0.8,
-            "tput {}",
-            m.throughput_bps
-        );
-        assert!(m.avg_latency_s < 0.5, "latency {}", m.avg_latency_s);
-        // Saturated traffic delivers far more on the same channel.
-        let mut cs = cfg(4);
-        cs.slots = 2000;
-        let sat = run_sim(MacScheme::Choir, &cs, &mut IdealPhy);
-        assert!(sat.throughput_bps > 3.0 * m.throughput_bps);
-    }
-
-    #[test]
-    fn periodic_oracle_serves_pending_only() {
-        let mut c = cfg(3);
-        c.traffic = Traffic::Periodic { period_s: 5.0 };
-        c.slots = 1000;
-        let mut phy = CollisionFatalPhy { params: c.params };
-        let m = run_sim(MacScheme::Oracle, &c, &mut phy);
-        // Deliveries bounded by generation: ≤ nodes · sim_time / period.
-        let bound = (3.0 * m.sim_time_s / 5.0).ceil() as u64 + 3;
-        assert!(
-            m.delivered <= bound,
-            "delivered {} bound {bound}",
-            m.delivered
-        );
-        assert!(m.delivered > 0);
-        assert!((m.tx_per_packet - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -34,7 +34,6 @@ use choir_core::decoder::{ChoirConfig, ChoirDecoder, SlotResult, SlotView};
 use choir_core::dedup::StartDedup;
 use choir_core::error::DecodeError;
 use choir_core::profile::{scope, Stage};
-use choir_dsp::checks;
 use choir_dsp::complex::C64;
 use choir_pool::ThreadPool;
 use choir_trace::HypothesisTransition;
@@ -134,33 +133,21 @@ pub struct StationConfig {
     pub ring_capacity: usize,
     /// Max captures queued for decode before drop-oldest shedding.
     pub max_in_flight: usize,
-    /// Captures decoded per [`Station::service`] call.
-    pub service_batch: usize,
     /// Peak-to-average detection threshold (≈ `2^SF` for clean signal,
     /// O(1) for noise; 40 suits SF7–8 at the SNRs of interest). Also the
     /// scheduled-mode occupancy gate; set to 0.0 to decode every
     /// scheduled slot unconditionally.
     pub detect_threshold: f64,
-    /// Free-running start-dedup separation, in symbols (default: one
-    /// preamble length). Confirmed starts closer than this are the same
-    /// frame seen by duplicate hypotheses (CFO straddle, near-far
-    /// adjacency) and fold into one capture; genuinely distinct frames —
-    /// even zero-gap back-to-back ones — are at least a frame apart and
-    /// always cut. 0 disables dedup.
-    pub detect_dedup_symbols: usize,
     /// Queue depth beyond which decodes run degraded.
     pub pressure_watermark: usize,
-    /// Packet-level SIC passes under pressure (nominal decodes use
-    /// `decoder.sic_passes`).
-    pub pressure_sic_passes: usize,
-    /// Reject captures containing NaN/Inf with a typed
-    /// [`DecodeError::NonFiniteInput`] in *every* build profile. When
-    /// false (default), debug builds instead let the capture reach the
-    /// decoder's `choir_dsp::checks` sanitizer — loud, by design — while
-    /// release builds still reject (the sanitizer is compiled out there,
-    /// and garbage must not decode silently).
-    pub reject_non_finite: bool,
 }
+
+/// Captures decoded per [`Station::service`] call.
+const SERVICE_BATCH: usize = 4;
+
+/// Packet-level SIC passes under pressure (nominal decodes use
+/// `decoder.sic_passes`).
+const PRESSURE_SIC_PASSES: usize = 1;
 
 impl StationConfig {
     /// Defaults for a given symbol count: guard geometry matching the
@@ -174,12 +161,8 @@ impl StationConfig {
             tail_symbols: 4,
             ring_capacity: 0,
             max_in_flight: 8,
-            service_batch: 4,
             detect_threshold: 40.0,
-            detect_dedup_symbols: params.preamble_len,
             pressure_watermark: 6,
-            pressure_sic_passes: 1,
-            reject_non_finite: false,
         };
         cfg.ring_capacity = 4 * cfg.capture_len();
         cfg
@@ -196,6 +179,15 @@ impl StationConfig {
         self.params.preamble_len + 2 + self.num_data_symbols
     }
 
+    /// Free-running start-dedup separation in samples: one preamble
+    /// length. Confirmed starts closer than this are the same frame seen
+    /// by duplicate hypotheses (CFO straddle, near-far adjacency) and fold
+    /// into one capture; genuinely distinct frames — even zero-gap
+    /// back-to-back ones — are at least a frame apart and always cut.
+    fn dedup_separation(&self) -> u64 {
+        (self.params.preamble_len * self.params.samples_per_symbol()) as u64
+    }
+
     /// Samples in one cut capture (lead + slot + tail).
     pub fn capture_len(&self) -> usize {
         let n = self.params.samples_per_symbol();
@@ -210,14 +202,14 @@ struct PendingCapture {
     rel_slot_start: usize,
     samples: Vec<C64>,
     /// `(nan, inf)` component counts when the ingest sanitizer zeroed
-    /// hostile samples inside this capture's span (policy mode only).
+    /// hostile samples inside this capture's span.
     non_finite: Option<(usize, usize)>,
 }
 
 /// Components above this magnitude square to values that overflow the
 /// pipeline's energy accumulators (FFT Parseval checks, detection
-/// metrics), so under the rejection policy they are treated exactly like
-/// an explicit Inf: a capture is as undecodable either way.
+/// metrics), so they are treated exactly like an explicit Inf: a capture
+/// is as undecodable either way.
 const MAX_COMPONENT: f64 = 1e150;
 
 /// Classifies one component: `Some(true)` = NaN, `Some(false)` = Inf or
@@ -282,7 +274,7 @@ impl Station {
         let modem = Modem::new(cfg.params);
         let decoder = ChoirDecoder::with_config(cfg.params, cfg.decoder);
         let mut degraded_cfg = cfg.decoder;
-        degraded_cfg.sic_passes = cfg.pressure_sic_passes.max(1);
+        degraded_cfg.sic_passes = PRESSURE_SIC_PASSES;
         let degraded_decoder = ChoirDecoder::with_config(cfg.params, degraded_cfg);
         let ring = SampleRing::with_capacity(cfg.ring_capacity.max(cfg.capture_len()));
         let (scanner, explicit, periodic) = match schedule {
@@ -299,8 +291,7 @@ impl Station {
                 (None, VecDeque::new(), Some((first, period.max(1))))
             }
         };
-        let n = cfg.params.samples_per_symbol() as u64;
-        let dedup = StartDedup::new(cfg.detect_dedup_symbols as u64 * n);
+        let dedup = StartDedup::new(cfg.dedup_separation());
         Station {
             cfg,
             modem,
@@ -351,15 +342,11 @@ impl Station {
         scope(Stage::Ingest, || {
             self.metrics.chunks_ingested += 1;
             self.metrics.samples_ingested += chunk.len() as u64;
-            // Under the rejection policy hostile components are zeroed
-            // *before* the ring and detector see them — detection runs
-            // FFTs whose debug sanitizers would otherwise fire on garbage
-            // the station has promised to absorb as a typed error.
-            let sanitized = if self.cfg.reject_non_finite {
-                self.sanitize(chunk)
-            } else {
-                None
-            };
+            // Hostile components are zeroed *before* the ring and detector
+            // see them — detection runs FFTs whose debug sanitizers would
+            // otherwise fire on garbage the station has promised to absorb
+            // as a typed error.
+            let sanitized = self.sanitize(chunk);
             let data: &[C64] = sanitized.as_deref().unwrap_or(chunk);
             let overwritten = self.ring.push(data);
             self.metrics.samples_dropped += overwritten;
@@ -392,7 +379,7 @@ impl Station {
             });
             self.was_degraded = degraded;
         }
-        let take = self.cfg.service_batch.max(1).min(self.queue.len());
+        let take = SERVICE_BATCH.min(self.queue.len());
         let batch: Vec<PendingCapture> = self.queue.drain(..take).collect();
         self.metrics.queue_depth = self.queue.len() as u64;
         self.decode_batch(batch, degraded);
@@ -435,7 +422,7 @@ impl Station {
         self.finish()
     }
 
-    /// Policy-mode ingest sanitizer: returns a copy of `chunk` with every
+    /// Ingest sanitizer: returns a copy of `chunk` with every
     /// hostile component's sample zeroed (`None` when the chunk is clean),
     /// recording each zeroed component's absolute position for typed
     /// rejection at cut time.
@@ -759,9 +746,8 @@ impl Station {
             let horizon = scanner
                 .earliest_live_start()
                 .unwrap_or_else(|| scanner.position());
-            let n = self.cfg.params.samples_per_symbol() as u64;
-            let sep = self.cfg.detect_dedup_symbols as u64 * n;
-            self.dedup.prune_below(horizon.saturating_sub(sep));
+            self.dedup
+                .prune_below(horizon.saturating_sub(self.cfg.dedup_separation()));
         }
         self.ring.discard_until(keep_from);
         let tail = self.ring.tail();
@@ -770,54 +756,35 @@ impl Station {
         }
     }
 
-    /// Decodes one drained batch, recording results and counters.
+    /// Decodes one drained batch, recording results and counters. A
+    /// capture the ingest sanitizer marked is a typed
+    /// [`DecodeError::NonFiniteInput`] in every build profile and never
+    /// reaches the decoder.
     fn decode_batch(&mut self, batch: Vec<PendingCapture>, degraded: bool) {
-        // Non-finite policy (see `StationConfig::reject_non_finite`):
-        // corrupt captures either become a typed error here or — debug
-        // builds, policy off — deliberately reach the decoder's sanitizer.
-        let mut out: Vec<Option<SlotResult>> = batch.iter().map(|_| None).collect();
-        let mut decode_idx: Vec<usize> = Vec::with_capacity(batch.len());
-        for (i, cap) in batch.iter().enumerate() {
-            // Policy mode: the ingest sanitizer already zeroed and counted
-            // the corruption — the capture carries its counts. Otherwise,
-            // release builds scan here (the debug sanitizer is compiled
-            // out, and garbage must not decode silently); debug builds
-            // without the policy let the decoder's own sanitizer fire.
-            let counts = if let Some((nan, inf)) = cap.non_finite {
-                Some((nan, inf))
-            } else if !checks::enabled() {
-                let report = checks::scan(&cap.samples);
-                (!report.is_finite()).then_some((report.nan, report.inf))
-            } else {
-                None
-            };
-            if let Some((nan, inf)) = counts {
-                out[i] = Some(SlotResult {
-                    users: Vec::new(),
-                    error: Some(DecodeError::NonFiniteInput { nan, inf }.traced()),
-                });
-            } else {
-                decode_idx.push(i);
-            }
-        }
         let dec = if degraded {
             &self.degraded_decoder
         } else {
             &self.decoder
         };
-        let views: Vec<SlotView<'_>> = decode_idx
+        let views: Vec<SlotView<'_>> = batch
             .iter()
-            .filter_map(|&i| batch.get(i))
+            .filter(|cap| cap.non_finite.is_none())
             .map(|cap| SlotView::new(&cap.samples, cap.rel_slot_start, self.cfg.num_data_symbols))
             .collect();
-        let results = dec.decode_slot_views_with_pool(&views, self.pool);
-        for (&i, r) in decode_idx.iter().zip(results) {
-            if let Some(slot) = out.get_mut(i) {
-                *slot = Some(r);
-            }
-        }
-        for (cap, slot) in batch.into_iter().zip(out) {
-            let Some(result) = slot else { continue };
+        let mut decoded = dec
+            .decode_slot_views_with_pool(&views, self.pool)
+            .into_iter();
+        for cap in &batch {
+            let result = match cap.non_finite {
+                Some((nan, inf)) => SlotResult {
+                    users: Vec::new(),
+                    error: Some(DecodeError::NonFiniteInput { nan, inf }.traced()),
+                },
+                None => match decoded.next() {
+                    Some(r) => r,
+                    None => continue,
+                },
+            };
             self.metrics.slots_decoded += 1;
             if degraded {
                 self.metrics.degraded_decodes += 1;

@@ -57,8 +57,8 @@ fn base_stream() -> (Vec<C64>, Vec<u64>) {
 }
 
 /// Applies 1..=6 random mangling operations: f64 bit-flips (which can
-/// produce NaN/Inf — the station's `reject_non_finite` policy must absorb
-/// them), zeroed ranges, truncation, and duplicated spans.
+/// produce NaN/Inf — the station's ingest sanitizer must absorb them),
+/// zeroed ranges, truncation, and duplicated spans.
 fn mangle(stream: &mut Vec<C64>, rng: &mut StdRng) {
     let ops = rng.gen_range(1..=6u32);
     for _ in 0..ops {
@@ -110,10 +110,6 @@ fn station_survives_mangled_streams() {
         mangle(&mut stream, rng);
 
         let mut cfg = StationConfig::known_len(params(), PAYLOAD_LEN);
-        // Mangling injects NaN/Inf; the typed-rejection policy must hold
-        // the line in every build profile (debug would otherwise trip the
-        // decoder's sanitizer by design).
-        cfg.reject_non_finite = true;
         // Shrink the runtime's budgets sometimes so overload and ring
         // overrun paths get fuzzed too, not just the happy path.
         cfg.max_in_flight = rng.gen_range(1..=8usize);

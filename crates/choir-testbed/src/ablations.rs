@@ -7,8 +7,7 @@ use choir_channel::impairments::HardwareProfile;
 use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
 use choir_core::decoder::{ChoirConfig, ChoirDecoder};
 use choir_core::estimator::{EstimatorConfig, OffsetEstimator};
-use choir_core::lowsnr::{TeamConfig, TeamDecoder};
-use choir_dsp::peaks::PeakConfig;
+use choir_core::lowsnr::TeamDecoder;
 use choir_dsp::stats;
 use lora_phy::params::PhyParams;
 
@@ -38,10 +37,6 @@ pub fn ablate_zeropad(scale: Scale) -> FigureReport {
     for pad in [1usize, 2, 4, 10, 16] {
         let cfg = EstimatorConfig {
             pad,
-            peaks: PeakConfig {
-                pad,
-                ..PeakConfig::default()
-            },
             ..EstimatorConfig::default()
         };
         let est = OffsetEstimator::new(n, cfg);
@@ -199,7 +194,7 @@ pub fn ablate_preamble_accumulation(scale: Scale) -> FigureReport {
                 .build();
             // Use a custom preamble accumulation length by shortening the
             // detector's view: accumulate `window` symbols only.
-            let dec = TeamDecoder::new(params, TeamConfig::default());
+            let dec = TeamDecoder::new(params);
             // Detection metric at the true start with the configured
             // window: emulate by probing a params clone with a shorter
             // preamble for accumulation purposes.
@@ -207,7 +202,7 @@ pub fn ablate_preamble_accumulation(scale: Scale) -> FigureReport {
                 preamble_len: window,
                 ..params
             };
-            let dec_short = TeamDecoder::new(short, TeamConfig::default());
+            let dec_short = TeamDecoder::new(short);
             let m = dec_short
                 .detect(&s.samples, s.slot_start, s.slot_start + 1)
                 .map(|d| d.metric)

@@ -35,8 +35,6 @@ pub fn sim_config(params: PhyParams, num_nodes: usize, slots: usize, snr: (f64, 
         slots,
         snr_range_db: snr,
         beacon_overhead_s: 0.01,
-        max_backoff_exp: 6,
-        traffic: choir_mac::Traffic::Saturated,
         seed: 8,
     }
 }

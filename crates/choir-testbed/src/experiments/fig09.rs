@@ -7,7 +7,7 @@ use crate::report::{FigureReport, Series};
 use crate::topology::Topology;
 use choir_channel::impairments::OscillatorModel;
 use choir_channel::scenario::ScenarioBuilder;
-use choir_core::lowsnr::{TeamConfig, TeamDecoder};
+use choir_core::lowsnr::TeamDecoder;
 use lora_phy::params::{PhyParams, SpreadingFactor};
 
 use super::Scale;
@@ -57,7 +57,7 @@ fn team_trial(
         .oscillator(OscillatorModel::default())
         .seed(seed)
         .build();
-    let dec = TeamDecoder::new(params, TeamConfig::default());
+    let dec = TeamDecoder::new(params);
     let (_, frame) = dec.decode(
         &s.samples,
         s.slot_start,

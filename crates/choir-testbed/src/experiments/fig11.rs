@@ -86,8 +86,6 @@ pub fn run_end_to_end_with_table(table: &[f64], scale: Scale) -> FigureReport {
         slots,
         snr_range_db: (8.0, 22.0),
         beacon_overhead_s: 0.01,
-        max_backoff_exp: 6,
-        traffic: choir_mac::Traffic::Saturated,
         seed: 11,
     };
     let mut fatal = CollisionFatalPhy { params };

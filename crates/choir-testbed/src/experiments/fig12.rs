@@ -135,8 +135,6 @@ pub fn run_with_probs(
         slots,
         snr_range_db: (8.0, 14.0),
         beacon_overhead_s: 0.01,
-        max_backoff_exp: 6,
-        traffic: choir_mac::Traffic::Saturated,
         seed: 12,
     };
     let mut fatal = CollisionFatalPhy { params };

@@ -90,63 +90,27 @@ pub fn scan_for_packets(samples: &[C64], modem: &Modem, threshold: f64) -> Vec<u
     starts
 }
 
-/// Tuning knobs for the multi-hypothesis preamble tracker
-/// ([`StreamScanner`]). Built from a detection threshold via
-/// [`TrackerConfig::new`]; the defaults suit SF7–8 at the SNRs of
-/// interest.
-#[derive(Clone, Copy, Debug)]
-pub struct TrackerConfig {
-    /// Confirmation level: a hypothesis confirms once its accumulated
-    /// deflated-peak score reaches `threshold × min_run` with at least
-    /// `min_run` supporting windows. This is LZn-style accumulation:
-    /// `min_run` windows at the threshold confirm, and so do more windows
-    /// each individually *below* it — sub-threshold preambles integrate
-    /// up instead of being missed outright.
-    pub threshold: f64,
-    /// Minimum deflated score for a peak to birth or support a
-    /// hypothesis, as a fraction of `threshold` (default 0.5). Below the
-    /// floor a peak is noise; at or above it, it is worth tracking even
-    /// when a one-shot scan would reject the window.
-    pub birth_floor_frac: f64,
-    /// Dechirped peaks examined per window (default 4). CoRa-style
-    /// deflated scoring rates peak `j` against the spectrum *minus* the
-    /// stronger peaks, so a weak preamble stays detectable under a much
-    /// stronger frame's payload.
-    pub top_k: usize,
-    /// Live-hypothesis cap (default 16). When full, the weakest live
-    /// hypothesis is evicted only for a stronger newcomer.
-    pub max_hypotheses: usize,
-    /// Consecutive unsupported windows before a live hypothesis expires
-    /// (default 2).
-    pub expire_misses: u32,
-    /// Dechirped-bin match tolerance, circular (default 1 bin — absorbs
-    /// fractional-CFO straddle between adjacent bins).
-    pub bin_tolerance: u16,
-    /// Cheap first pass: windows whose total energy is at or below
-    /// `energy_gate × 2^SF` skip the dechirp/FFT entirely (default 0.0 —
-    /// gates exact silence only, so idle air costs a sum, not an FFT).
-    pub energy_gate: f64,
-}
+/// Minimum deflated score for a peak to birth or support a hypothesis,
+/// as a fraction of the confirmation threshold. Below the floor a peak is
+/// noise; at or above it, it is worth tracking even when a one-shot scan
+/// would reject the window.
+const BIRTH_FLOOR_FRAC: f64 = 0.5;
 
-impl TrackerConfig {
-    /// Defaults for a given confirmation threshold (as for
-    /// [`scan_for_packets`]).
-    pub fn new(threshold: f64) -> Self {
-        TrackerConfig {
-            threshold,
-            birth_floor_frac: 0.5,
-            top_k: 4,
-            max_hypotheses: 16,
-            expire_misses: 2,
-            bin_tolerance: 1,
-            energy_gate: 0.0,
-        }
-    }
+/// Dechirped peaks examined per window. CoRa-style deflated scoring rates
+/// peak `j` against the spectrum *minus* the stronger peaks, so a weak
+/// preamble stays detectable under a much stronger frame's payload.
+const TOP_K: usize = 4;
 
-    fn birth_floor(&self) -> f64 {
-        self.threshold * self.birth_floor_frac
-    }
-}
+/// Live-hypothesis cap. When full, the weakest live hypothesis is evicted
+/// only for a stronger newcomer.
+const MAX_HYPOTHESES: usize = 16;
+
+/// Consecutive unsupported windows before a live hypothesis expires.
+const EXPIRE_MISSES: u32 = 2;
+
+/// Dechirped-bin match tolerance, circular — absorbs fractional-CFO
+/// straddle between adjacent bins.
+const BIN_TOLERANCE: u16 = 1;
 
 /// One lifecycle transition of a tracker hypothesis, in stream order.
 /// Every hypothesis ends in exactly one terminal transition, so the
@@ -293,8 +257,7 @@ const EVENT_CAP: usize = 4096;
 /// detection — the confirmed starts are invariant to segmentation.
 ///
 /// Unlike a single-run scanner, the tracker maintains up to
-/// [`TrackerConfig::max_hypotheses`] candidate frame alignments
-/// concurrently. The physics: every symbol-aligned window inside a
+/// `MAX_HYPOTHESES` (16) candidate frame alignments concurrently. The physics: every symbol-aligned window inside a
 /// preamble dechirps to the *same* bin (timing and CFO combine into one
 /// constant shift — Sec. 6.1), while payload windows hop bins per
 /// symbol. Each window contributes its top-K deflated peaks; peaks that
@@ -309,7 +272,13 @@ const EVENT_CAP: usize = 4096;
 #[derive(Clone, Debug)]
 pub struct StreamScanner {
     modem: Modem,
-    cfg: TrackerConfig,
+    /// Confirmation level: a hypothesis confirms once its accumulated
+    /// deflated-peak score reaches `threshold × min_run` with at least
+    /// `min_run` supporting windows. This is LZn-style accumulation:
+    /// `min_run` windows at the threshold confirm, and so do more windows
+    /// each individually *below* it — sub-threshold preambles integrate
+    /// up instead of being missed outright.
+    threshold: f64,
     min_run: usize,
     /// Carry of `< 2^SF` samples: the tail of the pushed stream that does
     /// not yet fill a whole symbol window. `carry_start` stays a multiple
@@ -333,20 +302,12 @@ pub struct StreamScanner {
 }
 
 impl StreamScanner {
-    /// Builds a tracker with default tuning; `threshold` as for
-    /// [`scan_for_packets`].
+    /// Builds a tracker; `threshold` as for [`scan_for_packets`].
     pub fn new(modem: Modem, threshold: f64) -> Self {
-        StreamScanner::with_config(modem, TrackerConfig::new(threshold))
-    }
-
-    /// Builds a tracker with explicit tuning.
-    pub fn with_config(modem: Modem, mut cfg: TrackerConfig) -> Self {
-        // The per-window support mask is a fixed 64-wide array.
-        cfg.max_hypotheses = cfg.max_hypotheses.clamp(1, 64);
         let min_run = modem.params().preamble_len.saturating_sub(2).max(2);
         StreamScanner {
             modem,
-            cfg,
+            threshold,
             min_run,
             carry: Vec::new(),
             carry_start: 0,
@@ -409,7 +370,9 @@ impl StreamScanner {
             self.windows += 1;
             let window = &self.carry[idx..idx + n];
             let energy: f64 = window.iter().map(|z| z.norm_sqr()).sum();
-            if energy <= self.cfg.energy_gate * n as f64 {
+            // Cheap first pass: exact silence skips the dechirp/FFT, so
+            // idle air costs a sum, not a transform.
+            if energy <= 0.0 {
                 self.gated += 1;
                 self.peak_scratch.clear();
                 self.spec_power.clear();
@@ -464,11 +427,10 @@ impl StreamScanner {
         if alphabet == 0 {
             return (0.0, 0.0);
         }
-        let tol = self.cfg.bin_tolerance;
         let mut ev = [0.0f64; 2];
         for (slot, sync) in ev.iter_mut().zip(crate::frame::SYNC_SYMBOLS) {
             let target = (bin + sync % alphabet) % alphabet;
-            for d in 0..=tol {
+            for d in 0..=BIN_TOLERANCE {
                 for b in [(target + d) % alphabet, (target + alphabet - d) % alphabet] {
                     *slot = slot.max(self.spec_power[b as usize]);
                 }
@@ -572,11 +534,10 @@ impl StreamScanner {
         self.peak_scratch.clear();
         self.spec_power.clear();
         self.spec_power.extend(spec.iter().map(|z| z.norm_sqr()));
-        let mut tops: [(usize, f64); 8] = [(usize::MAX, f64::NEG_INFINITY); 8];
-        let k = self.cfg.top_k.clamp(1, tops.len());
+        let mut tops = [(usize::MAX, f64::NEG_INFINITY); TOP_K];
         for (b, &p) in self.spec_power.iter().enumerate() {
-            if p > tops[k - 1].1 {
-                let mut j = k - 1;
+            if p > tops[TOP_K - 1].1 {
+                let mut j = TOP_K - 1;
                 tops[j] = (b, p);
                 while j > 0 && tops[j].1 > tops[j - 1].1 {
                     tops.swap(j, j - 1);
@@ -592,7 +553,7 @@ impl StreamScanner {
         // signal: stop before cancellation inflates a junk score.
         let residual_floor = total * 1e-9;
         let mut residual = total;
-        for &(b, p) in tops.iter().take(k) {
+        for &(b, p) in &tops {
             if b == usize::MAX || p <= 0.0 || residual <= residual_floor {
                 break;
             }
@@ -614,13 +575,12 @@ impl StreamScanner {
     /// to chunk segmentation.
     fn window_tick(&mut self, w: u64, hits: &mut Vec<u64>) {
         let n = self.modem.n() as u64;
-        let floor = self.cfg.birth_floor();
-        let tol = self.cfg.bin_tolerance;
+        let floor = self.threshold * BIRTH_FLOOR_FRAC;
         let alphabet = self.modem.n() as u16;
 
         // 1. Support: each peak (strongest first) claims at most one live
         //    hypothesis, each hypothesis takes at most one peak.
-        let mut supported = [false; 64];
+        let mut supported = [false; MAX_HYPOTHESES];
         for pi in 0..self.peak_scratch.len() {
             let peak = self.peak_scratch[pi];
             if peak.score < floor {
@@ -628,11 +588,11 @@ impl StreamScanner {
             }
             let mut best: Option<(u16, usize)> = None;
             for (hi, h) in self.live.iter().enumerate() {
-                if *supported.get(hi).unwrap_or(&true) {
+                if supported[hi] {
                     continue;
                 }
                 let d = circ_dist(h.bin, peak.bin, alphabet);
-                if d <= tol && best.is_none_or(|(bd, _)| d < bd) {
+                if d <= BIN_TOLERANCE && best.is_none_or(|(bd, _)| d < bd) {
                     best = Some((d, hi));
                 }
             }
@@ -644,9 +604,7 @@ impl StreamScanner {
                 h.last_window = w;
                 h.prev_mag = h.last_mag;
                 h.last_mag = peak.mag;
-                if let Some(s) = supported.get_mut(hi) {
-                    *s = true;
-                }
+                supported[hi] = true;
                 self.peak_scratch[pi].claimed = true;
             }
         }
@@ -664,10 +622,10 @@ impl StreamScanner {
         //    sync word, ~payload-length before the frame does), which is
         //    what lets overlapping frames both surface. Unsupported
         //    unconfirmed hypotheses age out instead.
-        let confirm_acc = self.cfg.threshold * self.min_run as f64;
+        let confirm_acc = self.threshold * self.min_run as f64;
         let mut hi = 0usize;
         while hi < self.live.len() {
-            let supported_now = supported.get(hi).copied().unwrap_or(false);
+            let supported_now = supported[hi];
             {
                 let h = &mut self.live[hi];
                 if supported_now
@@ -689,7 +647,7 @@ impl StreamScanner {
             if !supported_now {
                 let h = &mut self.live[hi];
                 h.misses += 1;
-                if h.misses > self.cfg.expire_misses {
+                if h.misses > EXPIRE_MISSES {
                     let dead = self.live.remove(hi);
                     supported.copy_within(hi + 1.., hi);
                     self.counts.expired += 1;
@@ -716,21 +674,20 @@ impl StreamScanner {
             if peak.claimed || peak.score < floor {
                 continue;
             }
-            let guarded = self
-                .guards
-                .iter()
-                .any(|g| w <= g.until_window && circ_dist(g.bin, peak.bin, alphabet) <= tol);
+            let guarded = self.guards.iter().any(|g| {
+                w <= g.until_window && circ_dist(g.bin, peak.bin, alphabet) <= BIN_TOLERANCE
+            });
             if guarded {
                 continue;
             }
             let tracked = self
                 .live
                 .iter()
-                .any(|h| circ_dist(h.bin, peak.bin, alphabet) <= tol);
+                .any(|h| circ_dist(h.bin, peak.bin, alphabet) <= BIN_TOLERANCE);
             if tracked {
                 continue;
             }
-            if self.live.len() >= self.cfg.max_hypotheses.max(1) {
+            if self.live.len() >= MAX_HYPOTHESES {
                 // Evict the weakest (lowest accumulated score; ties to the
                 // earliest index) only if the newcomer outscores it.
                 // Pending hypotheses are confirmations-in-waiting — never
@@ -795,7 +752,8 @@ impl StreamScanner {
             let mut j = i + 1;
             let mut merged_any = false;
             while j < self.live.len() {
-                let close = circ_dist(self.live[i].bin, self.live[j].bin, alphabet) <= tol;
+                let close =
+                    circ_dist(self.live[i].bin, self.live[j].bin, alphabet) <= BIN_TOLERANCE;
                 if close && !(self.live[i].pending && self.live[j].pending) {
                     let j_wins = self.live[j].pending
                         || (!self.live[i].pending
@@ -845,8 +803,8 @@ fn circ_dist(a: u16, b: u16, alphabet: u16) -> u16 {
 /// and returns every confirmed packet start. The incremental
 /// [`StreamScanner`] reports exactly these starts for *any* chunking of
 /// the same stream (the invariance the proptest suite pins).
-pub fn track_packets(samples: &[C64], modem: &Modem, cfg: TrackerConfig) -> Vec<u64> {
-    let mut scanner = StreamScanner::with_config(modem.clone(), cfg);
+pub fn track_packets(samples: &[C64], modem: &Modem, threshold: f64) -> Vec<u64> {
+    let mut scanner = StreamScanner::new(modem.clone(), threshold);
     let mut hits = Vec::new();
     scanner.push(samples, &mut hits);
     scanner.flush(&mut hits);
@@ -1203,7 +1161,7 @@ mod tests {
             scan_for_packets(&stream, &modem, 200.0).is_empty(),
             "one-shot scan at this threshold must miss the faint preamble"
         );
-        let hits = track_packets(&stream, &modem, TrackerConfig::new(200.0));
+        let hits = track_packets(&stream, &modem, 200.0);
         assert_eq!(hits, vec![4 * 256], "accumulation must confirm it");
     }
 
@@ -1225,7 +1183,7 @@ mod tests {
         for (i, v) in b.iter().enumerate() {
             stream[b_at + i] += *v;
         }
-        let hits = track_packets(&stream, &modem, TrackerConfig::new(40.0));
+        let hits = track_packets(&stream, &modem, 40.0);
         assert!(
             hits.contains(&(2 * 256)) && hits.contains(&(b_at as u64)),
             "both overlapping frames must confirm, got {hits:?}"

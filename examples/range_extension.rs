@@ -38,7 +38,7 @@ fn main() {
             .oscillator(OscillatorModel::default())
             .seed(99 + team as u64)
             .build();
-        let dec = TeamDecoder::new(params, TeamConfig::default());
+        let dec = TeamDecoder::new(params);
         match dec.decode(
             &scenario.samples,
             scenario.slot_start,

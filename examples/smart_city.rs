@@ -40,8 +40,6 @@ fn main() {
         slots: 300,
         snr_range_db: (8.0, 22.0),
         beacon_overhead_s: 0.01,
-        max_backoff_exp: 6,
-        traffic: choir::mac::Traffic::Saturated,
         seed: 30,
     };
     // Decode probabilities calibrated from the IQ decoder (see

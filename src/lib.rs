@@ -52,7 +52,7 @@ pub use lora_phy as phy;
 pub mod prelude {
     pub use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
     pub use choir_channel::{HardwareProfile, LinkBudget, OscillatorModel};
-    pub use choir_core::{ChoirConfig, ChoirDecoder, SlotView, TeamConfig, TeamDecoder};
+    pub use choir_core::{ChoirConfig, ChoirDecoder, SlotView, TeamDecoder};
     pub use choir_mac::{run_sim, MacScheme, SimConfig};
     pub use choir_sensors::{Building, EnvField, Quantizer, Strategy};
     pub use choir_station::{Station, StationConfig};

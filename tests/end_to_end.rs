@@ -145,7 +145,7 @@ fn team_beyond_range_full_chain() {
         // Seed tied to choir-rand's xoshiro stream (noise draws at −14 dB).
         .seed(55)
         .build();
-    let team = TeamDecoder::new(params, TeamConfig::default());
+    let team = TeamDecoder::new(params);
     let (_, frame) = team
         .decode(
             &scenario.samples,
@@ -179,8 +179,6 @@ fn mac_simulation_over_iq_phy() {
         slots: 4,
         snr_range_db: (14.0, 22.0),
         beacon_overhead_s: 0.01,
-        max_backoff_exp: 6,
-        traffic: choir::mac::Traffic::Saturated,
         seed: 61,
     };
     let mut phy = IqChoirPhy::new(params, 61);
