@@ -152,7 +152,7 @@ pub fn mix_array<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use choir_dsp::fft::fft;
+    use choir_dsp::fft::plan;
     use lora_phy::chirp::base_downchirp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -178,8 +178,8 @@ mod tests {
 
     fn peak_bin(window: &[C64]) -> (usize, f64) {
         let down = base_downchirp(N);
-        let de: Vec<C64> = window.iter().zip(&down).map(|(a, b)| a * b).collect();
-        let spec = fft(&de);
+        let mut spec: Vec<C64> = window.iter().zip(&down).map(|(a, b)| a * b).collect();
+        plan(N).forward(&mut spec);
         spec.iter()
             .enumerate()
             .map(|(k, z)| (k, z.abs()))

@@ -37,8 +37,9 @@
 //! combining at the cost of channel-busy resolution slots.
 //!
 //! The delivered-frame transcript of every run is folded into a 64-bit
-//! FNV digest ([`CityStats::digest`]); `BENCH_city.json` and the
-//! `cargo xtask ci city-capacity` gate refuse 1-vs-N-thread divergence.
+//! FNV digest ([`CityStats::digest`]); `tests/golden.rs` pins the digests
+//! and refuses 1-vs-N-thread divergence, at a small city and at 10⁶
+//! clients.
 
 #![deny(missing_docs)]
 

@@ -60,15 +60,15 @@ pub fn decode_multi_sf(
 /// in an SF-`target` dechirped bin, relative to a matched chirp's peak —
 /// quantifies the orthogonality claim (≈ `1/2^SF_target`).
 pub fn cross_sf_leakage(target: SpreadingFactor, other: SpreadingFactor) -> f64 {
-    use choir_dsp::fft::fft;
     use lora_phy::chirp::{base_downchirp, base_upchirp};
     let nt = target.chips();
     let no = other.chips();
     let down = base_downchirp(nt);
     let up_other = base_upchirp(no);
-    // One target-length window of the other SF's chirp.
-    let de: Vec<C64> = (0..nt).map(|i| up_other[i % no] * down[i]).collect();
-    let spec = fft(&de);
+    // One target-length window of the other SF's chirp, dechirped, then
+    // transformed in place.
+    let mut spec: Vec<C64> = (0..nt).map(|i| up_other[i % no] * down[i]).collect();
+    choir_dsp::workspace::with(|ws| choir_dsp::fft::plan(nt).forward_into(&mut spec, ws));
     let peak = spec.iter().map(|z| z.norm_sqr()).fold(0.0, f64::max);
     // Matched peak power would be nt².
     peak / (nt as f64 * nt as f64)

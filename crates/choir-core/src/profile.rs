@@ -1,10 +1,10 @@
 //! Lightweight per-stage wall-clock accounting for the decode pipeline.
 //!
-//! The `batch_decode` bench reports where slot-decode time goes
-//! (dechirp / refine / demod / SIC / cluster). Accounting is *exclusive*:
-//! a refine scope nested inside a SIC scope bills its time to refine
-//! only, so the stage totals sum to (at most) the instrumented wall
-//! clock and "other" falls out as the remainder.
+//! A traced `spine` run reports where slot-decode time goes
+//! (`core.profile.*`: dechirp / refine / demod / SIC / cluster).
+//! Accounting is *exclusive*: a refine scope nested inside a SIC scope
+//! bills its time to refine only, so the stage totals sum to (at most)
+//! the instrumented wall clock and "other" falls out as the remainder.
 //!
 //! Costs are deliberately negligible: scopes sit at coarse call sites
 //! (per window / per symbol, never per candidate offset), each scope is

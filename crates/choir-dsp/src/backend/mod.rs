@@ -1,11 +1,11 @@
 //! Runtime-dispatched SIMD kernels with a scalar reference oracle.
 //!
-//! Stage profiles (BENCH_kernel.json) show the Algorithm-1 refine loop
-//! spending its time in a handful of dense complex kernels: dechirp
-//! multiplies, conjugated dot products for the Gram system, tone-basis
-//! synthesis, the sinc interpolation MAC, and the radix-2 FFT
-//! butterflies. This module gives each of those a narrow kernel entry
-//! point and selects an implementation once per process:
+//! Stage profiles (`core.profile.*` of a traced spine run) show the
+//! Algorithm-1 refine loop spending its time in a handful of dense
+//! complex kernels: dechirp multiplies, conjugated dot products for the
+//! Gram system, tone-basis synthesis, the sinc interpolation MAC, and the
+//! radix-2 FFT butterflies. This module gives each of those a narrow
+//! kernel entry point and selects an implementation once per process:
 //!
 //! * **scalar** — the reference oracle. Element-for-element the same
 //!   loops the rest of the workspace used before this module existed;
@@ -39,8 +39,9 @@
 //! Within those rules the SIMD win comes from vectorizing the
 //! multiplies and the element-wise passes, which is where the cycles
 //! are. `crates/choir-dsp/tests/backend_props.rs` enforces the 0-ULP
-//! budget per kernel on adversarial inputs; the bench-smoke CI gate
-//! enforces it end-to-end across backends on decoded slots.
+//! budget per kernel on adversarial inputs;
+//! `crates/choir-core/tests/backend_dispatch.rs` enforces it end-to-end
+//! across backends on decoded slots.
 //!
 //! **NaN results are outside the budget.** IEEE-754 leaves the sign and
 //! payload of a NaN produced by an invalid operation (or propagated

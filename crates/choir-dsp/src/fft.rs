@@ -385,24 +385,6 @@ pub fn plan(n: usize) -> Arc<FftPlan> {
     GLOBAL.get_or_init(PlanCache::new).get(n)
 }
 
-/// One-shot forward FFT (via the process-wide [`PlanCache`]). Prefer a
-/// hoisted [`FftPlan`] in loops over a single known size.
-pub fn fft(x: &[C64]) -> Vec<C64> {
-    let plan = plan(x.len());
-    let mut buf = x.to_vec();
-    plan.forward(&mut buf);
-    buf
-}
-
-/// One-shot inverse FFT (normalised; via the process-wide [`PlanCache`]).
-/// Prefer a hoisted [`FftPlan`] in loops over a single known size.
-pub fn ifft(x: &[C64]) -> Vec<C64> {
-    let plan = plan(x.len());
-    let mut buf = x.to_vec();
-    plan.inverse(&mut buf);
-    buf
-}
-
 /// Reference O(n²) DFT, used by tests and available for tiny sizes.
 pub fn dft_naive(x: &[C64]) -> Vec<C64> {
     let n = x.len();
@@ -431,9 +413,9 @@ mod tests {
 
     #[test]
     fn impulse_gives_flat_spectrum() {
-        let mut x = vec![C64::ZERO; 8];
-        x[0] = C64::ONE;
-        let y = fft(&x);
+        let mut y = vec![C64::ZERO; 8];
+        y[0] = C64::ONE;
+        plan(8).forward(&mut y);
         for v in &y {
             assert!((v - C64::ONE).abs() < 1e-12);
         }
@@ -443,10 +425,10 @@ mod tests {
     fn single_tone_hits_single_bin() {
         let n = 64;
         let k0 = 5;
-        let x: Vec<C64> = (0..n)
+        let mut y: Vec<C64> = (0..n)
             .map(|t| C64::cis(2.0 * std::f64::consts::PI * k0 as f64 * t as f64 / n as f64))
             .collect();
-        let y = fft(&x);
+        plan(n).forward(&mut y);
         for (k, v) in y.iter().enumerate() {
             if k == k0 {
                 assert!((v.abs() - n as f64).abs() < 1e-9);
@@ -461,7 +443,9 @@ mod tests {
         let x: Vec<C64> = (0..32)
             .map(|i| c64((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
             .collect();
-        assert_close(&fft(&x), &dft_naive(&x), 1e-9);
+        let mut y = x.clone();
+        plan(32).forward(&mut y);
+        assert_close(&y, &dft_naive(&x), 1e-9);
     }
 
     #[test]
@@ -473,14 +457,19 @@ mod tests {
                 .map(|i| c64((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos() * 0.5))
                 .collect();
             let tol = 1e-7 * (n as f64).max(1.0);
-            assert_close(&fft(&x), &dft_naive(&x), tol);
+            let mut y = x.clone();
+            plan(n).forward(&mut y);
+            assert_close(&y, &dft_naive(&x), tol);
         }
     }
 
     #[test]
     fn roundtrip_pow2() {
         let x: Vec<C64> = (0..128).map(|i| c64(i as f64, -(i as f64) * 0.5)).collect();
-        assert_close(&ifft(&fft(&x)), &x, 1e-9);
+        let mut y = x.clone();
+        plan(128).forward(&mut y);
+        plan(128).inverse(&mut y);
+        assert_close(&y, &x, 1e-9);
     }
 
     #[test]
@@ -488,18 +477,21 @@ mod tests {
         let x: Vec<C64> = (0..1280)
             .map(|i| c64((i as f64 * 0.123).sin(), (i as f64 * 0.456).cos()))
             .collect();
-        assert_close(&ifft(&fft(&x)), &x, 1e-7);
+        let mut y = x.clone();
+        plan(1280).forward(&mut y);
+        plan(1280).inverse(&mut y);
+        assert_close(&y, &x, 1e-7);
     }
 
     #[test]
     fn linearity() {
         let n = 40;
-        let a: Vec<C64> = (0..n).map(|i| c64(i as f64, 0.0)).collect();
-        let b: Vec<C64> = (0..n).map(|i| c64(0.0, (i as f64).sqrt())).collect();
-        let sum: Vec<C64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        let fa = fft(&a);
-        let fb = fft(&b);
-        let fsum = fft(&sum);
+        let mut fa: Vec<C64> = (0..n).map(|i| c64(i as f64, 0.0)).collect();
+        let mut fb: Vec<C64> = (0..n).map(|i| c64(0.0, (i as f64).sqrt())).collect();
+        let mut fsum: Vec<C64> = fa.iter().zip(&fb).map(|(x, y)| x + y).collect();
+        for v in [&mut fa, &mut fb, &mut fsum] {
+            plan(n).forward(v);
+        }
         let manual: Vec<C64> = fa.iter().zip(&fb).map(|(x, y)| x + y).collect();
         assert_close(&fsum, &manual, 1e-8);
     }
@@ -509,7 +501,8 @@ mod tests {
         let x: Vec<C64> = (0..256)
             .map(|i| c64((i as f64 * 0.05).sin(), (i as f64 * 0.02).cos()))
             .collect();
-        let y = fft(&x);
+        let mut y = x.clone();
+        plan(256).forward(&mut y);
         let ex = crate::complex::energy(&x);
         let ey = crate::complex::energy(&y) / x.len() as f64;
         assert!((ex - ey).abs() / ex < 1e-10);

@@ -6,12 +6,12 @@
 //! resolution, over a sharded multi-gateway city.
 //!
 //! `Scale::Quick` runs a small city (CI-sized); `Scale::Full` runs 100
-//! gateways × 10⁴ clients — the same population as the committed
-//! `BENCH_city.json`. Both also re-run the heaviest Choir point on a
-//! 1-worker and a 4-worker pool and report transcript identity, and a
-//! small Choir configuration with an IQ escalation budget so the
-//! closed-form model is exercised against the real `choir-core` decode
-//! path inside the experiment itself.
+//! gateways × 10⁴ clients — the population whose 4×-load rows
+//! `choir-city/tests/golden.rs` pins. Both also re-run the heaviest
+//! Choir point on a 1-worker and a 4-worker pool and report transcript
+//! identity, and a small Choir configuration with an IQ escalation
+//! budget so the closed-form model is exercised against the real
+//! `choir-core` decode path inside the experiment itself.
 
 use crate::report::{FigureReport, Series};
 use choir_city::model::Scheme;

@@ -44,8 +44,8 @@ pub fn run(_scale: Scale) -> FigureReport {
     );
 
     // Unpadded 2^n-point transform: two coarse peaks.
-    let de = est.dechirp(win);
-    let spec = choir_dsp::fft::fft(&de);
+    let mut spec = est.dechirp(win);
+    choir_dsp::workspace::with(|ws| choir_dsp::fft::plan(n).forward_into(&mut spec, ws));
     let mut coarse: Vec<(usize, f64)> =
         spec.iter().enumerate().map(|(i, z)| (i, z.abs())).collect();
     coarse.sort_by(|a, b| b.1.total_cmp(&a.1));

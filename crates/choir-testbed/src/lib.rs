@@ -4,7 +4,7 @@
 //! (Sec. 9) on the simulated urban testbed: one module per figure under
 //! [`experiments`], each returning a [`report::FigureReport`] with the
 //! same rows/series the paper plots. The `figures` binary runs them from
-//! the command line; `choir-bench` wraps them in Criterion benches.
+//! the command line.
 
 #![deny(missing_docs)]
 

@@ -58,8 +58,8 @@ pub enum TraceLevel {
     Off = 0,
     /// Per-slot outcomes and state transitions: decode results, typed
     /// decode errors, station shed/degrade events, metrics snapshots.
-    /// Cheap enough to leave on in production (see `station_soak`'s <5 %
-    /// overhead gate).
+    /// Cheap enough to leave on in production (`cargo xtask ci perf`
+    /// holds it under 5 % of busy time).
     Outcome = 1,
     /// Everything: per-window offset-search refinements, SIC passes,
     /// dedup decisions, user tracks and profile-stage spans.

@@ -13,9 +13,12 @@
 //! *next* drain after the thread exits — [`drain`] prunes rings whose
 //! owner is gone (detected via the registry holding the last `Arc`),
 //! carrying their overwrite counts into an orphan total so [`dropped`]
-//! stays accurate. Long-lived processes that churn worker threads
-//! therefore hold rings only for live threads plus not-yet-drained
-//! corpses, not one per thread ever created.
+//! stays accurate. "Gone" means the owner's thread-local was destroyed:
+//! joining the thread's handle waits for that, the implicit join at the
+//! end of a `thread::scope` does not, so a drain right after a scope may
+//! leave a ring to the drain after it. Long-lived processes that churn
+//! worker threads therefore hold rings only for live threads plus
+//! not-yet-drained corpses, not one per thread ever created.
 //!
 //! Synchronisation goes through the [`choir_sync`] facade; the recorder's
 //! invariants (sequence monotonicity, drain-vs-emit, churn pruning) are

@@ -150,6 +150,13 @@ fn drain_racing_emitter_never_loses_or_duplicates() {
 /// Ring pruning under the model: once the emitting thread exits, the
 /// next drain removes its ring — and a drain racing the thread's *exit*
 /// never removes a ring that could still receive records.
+///
+/// "Exited" means the emitter's thread-local was destroyed, which is what
+/// `drain` detects. Only an explicit `join` waits for that: a scope's
+/// implicit join (std's, which the facade mirrors) returns once the
+/// child's closure has, possibly before its thread-local destructors run
+/// — outside the explorer's schedule, so relying on it made this test
+/// fail under load.
 #[test]
 fn exited_emitters_ring_is_pruned_by_next_drain() {
     let _s = serial();
@@ -159,9 +166,9 @@ fn exited_emitters_ring_is_pruned_by_next_drain() {
         let _ = choir_trace::drain();
         let before = choir_trace::active_rings();
         thread::scope(|s| {
-            s.spawn(|| emit("model_churn"));
+            assert!(s.spawn(|| emit("model_churn")).join().is_ok());
         });
-        // The worker has fully exited (scope joined it); its record must
+        // The worker has fully exited (joined by handle); its record must
         // still be visible to this drain, after which its ring is gone.
         let log = choir_trace::drain();
         assert_eq!(count(&log, "model_churn"), 1, "record lost before prune");

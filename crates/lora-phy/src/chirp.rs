@@ -180,7 +180,7 @@ impl PacketWaveform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use choir_dsp::fft::fft;
+    use choir_dsp::fft::plan;
 
     #[test]
     fn base_chirps_are_unit_modulus() {
@@ -214,8 +214,8 @@ mod tests {
         let down = base_downchirp(n);
         for s in [0u16, 1, 17, 64, 127] {
             let sym = modulated_chirp(n, s);
-            let dechirped: Vec<C64> = sym.iter().zip(&down).map(|(a, b)| a * b).collect();
-            let spec = fft(&dechirped);
+            let mut spec: Vec<C64> = sym.iter().zip(&down).map(|(a, b)| a * b).collect();
+            plan(n).forward(&mut spec);
             let (kmax, _) = spec
                 .iter()
                 .enumerate()
@@ -272,10 +272,10 @@ mod tests {
         let s = 40u16;
         let delta = 3.0;
         let down = base_downchirp(n);
-        let rx: Vec<C64> = (0..n)
+        let mut spec: Vec<C64> = (0..n)
             .map(|i| symbol_sample(n, s, i as f64 - delta) * down[i])
             .collect();
-        let spec = fft(&rx);
+        plan(n).forward(&mut spec);
         let (kmax, _) = spec
             .iter()
             .enumerate()
@@ -320,8 +320,8 @@ mod tests {
         let n = 64;
         let down = base_downchirp(n);
         let a = modulated_chirp(n, 10);
-        let de: Vec<C64> = a.iter().zip(&down).map(|(x, d)| x * d).collect();
-        let spec = fft(&de);
+        let mut spec: Vec<C64> = a.iter().zip(&down).map(|(x, d)| x * d).collect();
+        plan(n).forward(&mut spec);
         assert!(spec[10].abs() > 1e3 * spec[20].abs());
     }
 }

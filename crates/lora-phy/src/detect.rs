@@ -55,41 +55,6 @@ impl std::fmt::Display for RxError {
 
 impl std::error::Error for RxError {}
 
-/// Scans a sample stream for preambles: returns the approximate start
-/// sample of each detected packet. Windows step by one symbol, so starts
-/// are accurate to within one symbol; [`synchronize`] refines from there.
-///
-/// `threshold` is the minimum peak-to-average ratio of the dechirped
-/// window spectrum (≈ `2^SF` for clean signal, O(1) for noise; 30–50 works
-/// for SF7–8 at the SNRs of interest).
-pub fn scan_for_packets(samples: &[C64], modem: &Modem, threshold: f64) -> Vec<usize> {
-    let n = modem.n();
-    let min_run = modem.params().preamble_len.saturating_sub(2).max(2);
-    let mut starts = Vec::new();
-    let mut run = 0usize;
-    let mut run_start = 0usize;
-    let mut w = 0usize;
-    while (w + 1) * n <= samples.len() {
-        let window = &samples[w * n..(w + 1) * n];
-        if modem.detection_metric(window) >= threshold {
-            if run == 0 {
-                run_start = w * n;
-            }
-            run += 1;
-        } else {
-            if run >= min_run {
-                starts.push(run_start);
-            }
-            run = 0;
-        }
-        w += 1;
-    }
-    if run >= min_run {
-        starts.push(run_start);
-    }
-    starts
-}
-
 /// Minimum deflated score for a peak to birth or support a hypothesis,
 /// as a fraction of the confirmation threshold. Below the floor a peak is
 /// noise; at or above it, it is worth tracking even when a one-shot scan
@@ -302,7 +267,9 @@ pub struct StreamScanner {
 }
 
 impl StreamScanner {
-    /// Builds a tracker; `threshold` as for [`scan_for_packets`].
+    /// Builds a tracker. `threshold` is the minimum peak-to-average ratio
+    /// of the dechirped window spectrum (≈ `2^SF` for clean signal, O(1)
+    /// for noise; 30–50 works for SF7–8 at the SNRs of interest).
     pub fn new(modem: Modem, threshold: f64) -> Self {
         let min_run = modem.params().preamble_len.saturating_sub(2).max(2);
         StreamScanner {
@@ -799,21 +766,9 @@ fn circ_dist(a: u16, b: u16, alphabet: u16) -> u16 {
     d.min(alphabet - d)
 }
 
-/// One-shot reference for the tracker: scans `samples` in a single push
-/// and returns every confirmed packet start. The incremental
-/// [`StreamScanner`] reports exactly these starts for *any* chunking of
-/// the same stream (the invariance the proptest suite pins).
-pub fn track_packets(samples: &[C64], modem: &Modem, threshold: f64) -> Vec<u64> {
-    let mut scanner = StreamScanner::new(modem.clone(), threshold);
-    let mut hits = Vec::new();
-    scanner.push(samples, &mut hits);
-    scanner.flush(&mut hits);
-    hits
-}
-
 /// Synchronises to a packet whose preamble begins within one symbol after
-/// `approx_start` (e.g. a hit from [`scan_for_packets`], or the scheduled
-/// slot time in the MAC simulator).
+/// `approx_start` (e.g. a start a [`StreamScanner`] confirmed, or the
+/// scheduled slot time in the MAC simulator).
 ///
 /// Uses the sync-word symbols to measure the combined integer shift `c`.
 pub fn synchronize(
@@ -903,6 +858,38 @@ mod tests {
             preamble_len: 8,
             explicit_crc: true,
         }
+    }
+
+    /// The single-run scan the tracker replaced, kept as the reference
+    /// `stream_scanner_matches_one_shot_scan` compares against: a run of
+    /// at least `preamble_len − 2` symbol-aligned windows at or above
+    /// `threshold` marks a packet start, accurate to within one symbol.
+    fn scan_for_packets(samples: &[C64], modem: &Modem, threshold: f64) -> Vec<usize> {
+        let n = modem.n();
+        let min_run = modem.params().preamble_len.saturating_sub(2).max(2);
+        let mut starts = Vec::new();
+        let mut run = 0usize;
+        let mut run_start = 0usize;
+        let mut w = 0usize;
+        while (w + 1) * n <= samples.len() {
+            let window = &samples[w * n..(w + 1) * n];
+            if modem.detection_metric(window) >= threshold {
+                if run == 0 {
+                    run_start = w * n;
+                }
+                run += 1;
+            } else {
+                if run >= min_run {
+                    starts.push(run_start);
+                }
+                run = 0;
+            }
+            w += 1;
+        }
+        if run >= min_run {
+            starts.push(run_start);
+        }
+        starts
     }
 
     #[test]
@@ -1161,7 +1148,10 @@ mod tests {
             scan_for_packets(&stream, &modem, 200.0).is_empty(),
             "one-shot scan at this threshold must miss the faint preamble"
         );
-        let hits = track_packets(&stream, &modem, 200.0);
+        let mut scanner = StreamScanner::new(modem, 200.0);
+        let mut hits = Vec::new();
+        scanner.push(&stream, &mut hits);
+        scanner.flush(&mut hits);
         assert_eq!(hits, vec![4 * 256], "accumulation must confirm it");
     }
 
@@ -1183,7 +1173,10 @@ mod tests {
         for (i, v) in b.iter().enumerate() {
             stream[b_at + i] += *v;
         }
-        let hits = track_packets(&stream, &modem, 40.0);
+        let mut scanner = StreamScanner::new(modem.clone(), 40.0);
+        let mut hits = Vec::new();
+        scanner.push(&stream, &mut hits);
+        scanner.flush(&mut hits);
         assert!(
             hits.contains(&(2 * 256)) && hits.contains(&(b_at as u64)),
             "both overlapping frames must confirm, got {hits:?}"

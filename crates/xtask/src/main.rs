@@ -33,9 +33,10 @@
 //! `cargo xtask selftest` feeds deliberately planted violations through
 //! the engine and fails if any escape — the lint linting itself.
 //!
-//! `cargo xtask ci <gate>` runs one of the repository's merge gates
-//! (bench floors, bit-identity, shed-free soak, tracing overhead) as a
-//! single tested command — see the [`ci`] module.
+//! `cargo xtask ci <model-check | perf <base-rev>>` runs one of the
+//! repository's two merge gates (the schedule-explored concurrency
+//! suites; spine same-seed pairs against a base revision) as a single
+//! tested command — see the [`ci`] module.
 
 mod ci;
 mod rules;
@@ -54,7 +55,7 @@ fn main() -> ExitCode {
             eprintln!("usage: cargo xtask <lint|selftest|ci>");
             eprintln!("  lint      run the Choir static-analysis pass over the workspace");
             eprintln!("  selftest  verify the lint engine catches planted violations");
-            eprintln!("  ci        run a merge gate (bench-smoke, station-soak, model-check)");
+            eprintln!("  ci        run a merge gate (model-check, perf <base-rev>)");
             ExitCode::from(2)
         }
     }
