@@ -32,14 +32,6 @@ pub struct Transmission {
     pub start_sample: f64,
 }
 
-impl Transmission {
-    /// Actual (offset) start of the packet in receiver samples.
-    pub fn actual_start(&self) -> f64 {
-        self.start_sample
-            + self.profile.timing_offset_symbols * self.waveform.chips_per_symbol() as f64
-    }
-}
-
 /// Mixer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct MixConfig {
@@ -240,7 +232,10 @@ mod tests {
         let out = mix(&[t], 2 * N, &quiet(), &mut rng);
         let down = base_downchirp(N);
         let de: Vec<C64> = out[..N].iter().zip(&down).map(|(a, b)| a * b).collect();
-        let spec = choir_dsp::fft::FftPlan::new(10 * N).forward_padded(&de);
+        let mut spec = vec![C64::ZERO; 10 * N];
+        choir_dsp::workspace::with(|ws| {
+            choir_dsp::fft::FftPlan::new(10 * N).forward_padded_into(&de, &mut spec, ws);
+        });
         let peaks = choir_dsp::peaks::find_peaks(&spec, 10);
         assert!((peaks[0].pos - 20.4).abs() < 0.05, "pos {}", peaks[0].pos);
     }
@@ -258,7 +253,10 @@ mod tests {
         let out = mix(&[t1, t2], N, &quiet(), &mut rng);
         let down = base_downchirp(N);
         let de: Vec<C64> = out.iter().zip(&down).map(|(a, b)| a * b).collect();
-        let spec = choir_dsp::fft::FftPlan::new(10 * N).forward_padded(&de);
+        let mut spec = vec![C64::ZERO; 10 * N];
+        choir_dsp::workspace::with(|ws| {
+            choir_dsp::fft::FftPlan::new(10 * N).forward_padded_into(&de, &mut spec, ws);
+        });
         let peaks = choir_dsp::peaks::find_peaks(&spec, 10);
         assert_eq!(peaks.len(), 2);
         assert!((peaks[0].pos - 0.2).abs() < 0.1);
@@ -317,7 +315,8 @@ mod tests {
                 .zip(&down)
                 .map(|(a, b)| a * b)
                 .collect();
-            let spec = pad.forward_padded(&de);
+            let mut spec = vec![C64::ZERO; 10 * N];
+            choir_dsp::workspace::with(|ws| pad.forward_padded_into(&de, &mut spec, ws));
             let peaks = choir_dsp::peaks::find_peaks(&spec, 10);
             positions.push(peaks[0].pos);
         }

@@ -309,8 +309,12 @@ pub fn run_gateway(cfg: &CityConfig, scheme: Scheme, gw: u32) -> GatewayStats {
                     &mut stats,
                 );
                 let offered = prev.len() as u32;
-                choir_trace::full(|| {
-                    TraceEvent::city_slot(scheme.trace(), gw, u64::from(slot), offered, delivered)
+                choir_trace::full(|| TraceEvent::CitySlot {
+                    scheme: scheme.trace(),
+                    gateway: gw,
+                    slot: u64::from(slot),
+                    offered,
+                    delivered,
                 });
             }
             prev_prev_n = prev.len() as u32;
@@ -344,8 +348,12 @@ pub fn run_gateway(cfg: &CityConfig, scheme: Scheme, gw: u32) -> GatewayStats {
                 // the channel for k−1 further slots.
                 busy_until = s + order;
             }
-            choir_trace::full(|| {
-                TraceEvent::city_slot(scheme.trace(), gw, u64::from(s), order, delivered)
+            choir_trace::full(|| TraceEvent::CitySlot {
+                scheme: scheme.trace(),
+                gateway: gw,
+                slot: u64::from(s),
+                offered: order,
+                delivered,
             });
         }
     }

@@ -284,7 +284,7 @@ fn cached_basis(n: usize, freq_bins: f64) -> Rc<Vec<C64>> {
 ///
 /// Gram entries are produced by the same [`conj_dot`] kernel and
 /// `(i≤j, mirror-conjugate)` orientation as a from-scratch
-/// [`least_squares`](choir_dsp::linalg::least_squares) build, so an
+/// [`least_squares_refs`] build, so an
 /// incrementally maintained matrix is bit-identical to a rebuilt one.
 pub struct GramFit<'a> {
     n: usize,

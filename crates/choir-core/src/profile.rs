@@ -69,7 +69,8 @@ thread_local! {
 /// drained log shows which stage produced each interleaved event; the
 /// exit span carries the same exclusive nanoseconds billed here.
 pub fn scope<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
-    choir_trace::span_enter(STAGE_NAMES[stage as usize]);
+    let name = STAGE_NAMES[stage as usize];
+    choir_trace::full(|| choir_trace::TraceEvent::SpanEnter { stage: name });
     let start = Instant::now();
     SCOPES.with(|s| s.borrow_mut().push((stage as usize, 0)));
     let out = f();
@@ -82,7 +83,10 @@ pub fn scope<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
             top.1 = top.1.saturating_add(elapsed);
         }
     });
-    choir_trace::span_exit(STAGE_NAMES[stage as usize], exclusive);
+    choir_trace::full(|| choir_trace::TraceEvent::SpanExit {
+        stage: name,
+        exclusive_ns: exclusive,
+    });
     out
 }
 

@@ -206,20 +206,10 @@ impl FftPlan {
         );
     }
 
-    /// Out-of-place forward transform of `x`, zero-padded (or truncated) to
-    /// the plan length. This is the common "dechirp then pad by 10×" call in
-    /// the Choir pipeline.
-    pub fn forward_padded(&self, x: &[C64]) -> Vec<C64> {
-        let mut buf = vec![C64::ZERO; self.n];
-        let k = x.len().min(self.n);
-        buf[..k].copy_from_slice(&x[..k]);
-        self.forward(&mut buf);
-        buf
-    }
-
-    /// Allocation-free [`Self::forward_padded`]: writes the zero-padded
-    /// (or truncated) forward transform of `x` into `out`, which must be
-    /// exactly the plan length. Scratch comes from `ws`.
+    /// Writes the forward transform of `x`, zero-padded (or truncated) to
+    /// the plan length, into `out`, which must be exactly that length —
+    /// the "dechirp then pad by 10×" call of the Choir pipeline. Scratch
+    /// comes from `ws`.
     // hot:noalloc — output and scratch are caller-provided.
     pub fn forward_padded_into(&self, x: &[C64], out: &mut [C64], ws: &mut Workspace) {
         assert_eq!(
@@ -512,8 +502,8 @@ mod tests {
     fn forward_padded_zero_pads() {
         let plan = FftPlan::new(16);
         let x = [C64::ONE; 4];
-        let y = plan.forward_padded(&x);
-        assert_eq!(y.len(), 16);
+        let mut y = vec![C64::ZERO; 16];
+        workspace::with(|ws| plan.forward_padded_into(&x, &mut y, ws));
         // DC bin equals the sum of the input samples.
         assert!((y[0] - c64(4.0, 0.0)).abs() < 1e-12);
     }
@@ -522,8 +512,8 @@ mod tests {
     fn forward_padded_truncates() {
         let plan = FftPlan::new(4);
         let x = [C64::ONE; 8];
-        let y = plan.forward_padded(&x);
-        assert_eq!(y.len(), 4);
+        let mut y = vec![C64::ZERO; 4];
+        workspace::with(|ws| plan.forward_padded_into(&x, &mut y, ws));
         assert!((y[0] - c64(4.0, 0.0)).abs() < 1e-12);
     }
 
@@ -539,7 +529,8 @@ mod tests {
             .map(|t| C64::cis(2.0 * std::f64::consts::PI * f0 * t as f64 / n as f64))
             .collect();
         let plan = FftPlan::new(n * pad);
-        let y = plan.forward_padded(&x);
+        let mut y = vec![C64::ZERO; n * pad];
+        workspace::with(|ws| plan.forward_padded_into(&x, &mut y, ws));
         let (kmax, _) = y
             .iter()
             .enumerate()
@@ -585,8 +576,9 @@ mod tests {
         let x: Vec<C64> = (0..96)
             .map(|i| c64((i as f64 * 0.21).sin(), (i as f64 * 0.83).cos()))
             .collect();
-        let via_cache = plan(96).forward_padded(&x);
-        let fresh = FftPlan::new(96).forward_padded(&x);
+        let (mut via_cache, mut fresh) = (x.clone(), x);
+        plan(96).forward(&mut via_cache);
+        FftPlan::new(96).forward(&mut fresh);
         assert_close(&via_cache, &fresh, 1e-12);
     }
 

@@ -20,7 +20,8 @@
 //!     .map(|t| C64::cis(2.0 * std::f64::consts::PI * 50.4 * t as f64 / n as f64))
 //!     .collect();
 //! // …resolved at 10× zero-padding as the paper does.
-//! let spec = FftPlan::new(10 * n).forward_padded(&x);
+//! let mut spec = vec![C64::ZERO; 10 * n];
+//! choir_dsp::workspace::with(|ws| FftPlan::new(10 * n).forward_padded_into(&x, &mut spec, ws));
 //! let peaks = choir_dsp::peaks::find_peaks(&spec, 10);
 //! assert!((peaks[0].pos - 50.4).abs() < 0.05);
 //! ```

@@ -201,16 +201,9 @@ impl std::ops::IndexMut<(usize, usize)> for CMat {
 /// the normal equations `(EᴴE)x = Eᴴy`, where `E`'s columns are `basis` and
 /// `y = rhs`. This is Eqn. 2 of the paper with `basis[k][t] = e^{j2π f_k t}`.
 ///
-/// Returns `None` when the basis is rank-deficient (e.g. two identical
-/// frequency hypotheses).
-pub fn least_squares(basis: &[Vec<C64>], rhs: &[C64]) -> Option<Vec<C64>> {
-    let refs: Vec<&[C64]> = basis.iter().map(Vec::as_slice).collect();
-    least_squares_refs(&refs, rhs)
-}
-
-/// Borrowing form of [`least_squares`]: identical arithmetic (and hence
-/// bit-identical results), but columns are borrowed slices so callers
-/// holding shared/cached basis vectors need not copy them first.
+/// Columns are borrowed slices, so callers holding shared or cached basis
+/// vectors need not copy them first. Returns `None` when the basis is
+/// rank-deficient (e.g. two identical frequency hypotheses).
 pub fn least_squares_refs(basis: &[&[C64]], rhs: &[C64]) -> Option<Vec<C64>> {
     let k = basis.len();
     assert!(k > 0, "least_squares: empty basis");
@@ -236,12 +229,6 @@ pub fn least_squares_refs(basis: &[&[C64]], rhs: &[C64]) -> Option<Vec<C64>> {
 }
 
 /// Residual energy `‖y − Σ_k x_k · basis_k‖²` of a least-squares fit.
-pub fn residual_energy(basis: &[Vec<C64>], coeffs: &[C64], rhs: &[C64]) -> f64 {
-    let refs: Vec<&[C64]> = basis.iter().map(Vec::as_slice).collect();
-    residual_energy_refs(&refs, coeffs, rhs)
-}
-
-/// Borrowing form of [`residual_energy`] (see [`least_squares_refs`]).
 pub fn residual_energy_refs(basis: &[&[C64]], coeffs: &[C64], rhs: &[C64]) -> f64 {
     assert_eq!(basis.len(), coeffs.len());
     let mut acc = 0.0;
@@ -256,7 +243,7 @@ pub fn residual_energy_refs(basis: &[&[C64]], coeffs: &[C64], rhs: &[C64]) -> f6
 }
 
 /// Conjugate inner product `Σ_t a[t]ᴴ · b[t]` — the exact kernel
-/// [`least_squares`] uses for Gram entries and projections, exposed so
+/// [`least_squares_refs`] uses for Gram entries and projections, exposed so
 /// incremental callers (updating one row/column of `AᴴA` at a time)
 /// produce bit-identical entries to a from-scratch Gram build.
 // hot:noalloc — pure streaming reduction over borrowed slices.
@@ -267,7 +254,7 @@ pub fn conj_dot(a: &[C64], b: &[C64]) -> C64 {
 /// Residual energy of a least-squares fit evaluated through the Gram
 /// identity `‖y − Bc‖² = ‖y‖² − 2·Re(cᴴp) + cᴴGc`, where `G = BᴴB` and
 /// `p = Bᴴy`. Given cached `G` and `p` this is O(k²) instead of the
-/// O(k·n) time-domain sweep of [`residual_energy`] — the identity holds
+/// O(k·n) time-domain sweep of [`residual_energy_refs`] — the identity holds
 /// for *any* coefficient vector, not just the least-squares optimum, so
 /// it is a drop-in objective for the offset search. Clamped at zero
 /// (cancellation can push an essentially-perfect fit a few ulp negative).
@@ -559,9 +546,9 @@ mod tests {
         let y: Vec<C64> = (0..n)
             .map(|t| e1[t] * 2.0 + e2[t] * c64(1.0, -1.0))
             .collect();
-        let coeffs = least_squares(&[e1.clone(), e2.clone()], &y).unwrap();
+        let coeffs = least_squares_refs(&[&e1, &e2], &y).unwrap();
         vec_close(&coeffs, &[c64(2.0, 0.0), c64(1.0, -1.0)], 1e-9);
-        assert!(residual_energy(&[e1, e2], &coeffs, &y) < 1e-18);
+        assert!(residual_energy_refs(&[&e1, &e2], &coeffs, &y) < 1e-18);
     }
 
     #[test]
@@ -578,7 +565,7 @@ mod tests {
         let b2 = make(21.1);
         let (c1, c2) = (c64(0.7, 0.2), c64(-0.4, 0.9));
         let y: Vec<C64> = (0..n).map(|t| b1[t] * c1 + b2[t] * c2).collect();
-        let coeffs = least_squares(&[b1, b2], &y).unwrap();
+        let coeffs = least_squares_refs(&[&b1, &b2], &y).unwrap();
         vec_close(&coeffs, &[c1, c2], 1e-8);
     }
 
@@ -586,14 +573,14 @@ mod tests {
     fn least_squares_duplicate_basis_is_singular() {
         let b: Vec<C64> = (0..16).map(|t| C64::cis(0.3 * t as f64)).collect();
         let y = b.clone();
-        assert!(least_squares(&[b.clone(), b], &y).is_none());
+        assert!(least_squares_refs(&[&b, &b], &y).is_none());
     }
 
     #[test]
     fn residual_energy_of_perfect_fit_is_zero() {
         let b: Vec<C64> = (0..8).map(|t| C64::cis(0.5 * t as f64)).collect();
         let y: Vec<C64> = b.iter().map(|v| v * c64(3.0, 1.0)).collect();
-        let r = residual_energy(&[b], &[c64(3.0, 1.0)], &y);
+        let r = residual_energy_refs(&[&b], &[c64(3.0, 1.0)], &y);
         assert!(r < 1e-20);
     }
 
@@ -648,7 +635,7 @@ mod tests {
     #[test]
     fn conj_dot_matches_least_squares_gram_entries() {
         let (bases, y, g, p) = gram_fixture(2, 32);
-        // Rebuild the Gram/projection the way least_squares does and
+        // Rebuild the Gram/projection the way least_squares_refs does and
         // compare bit-for-bit: incremental row/column updates rely on it.
         for i in 0..2 {
             for j in 0..2 {
@@ -735,8 +722,9 @@ mod tests {
     #[test]
     fn gram_residual_matches_time_domain_residual() {
         let (bases, y, g, p) = gram_fixture(2, 64);
-        let coeffs = least_squares(&bases, &y).unwrap();
-        let direct = residual_energy(&bases, &coeffs, &y);
+        let refs: Vec<&[C64]> = bases.iter().map(Vec::as_slice).collect();
+        let coeffs = least_squares_refs(&refs, &y).unwrap();
+        let direct = residual_energy_refs(&refs, &coeffs, &y);
         let y_energy: f64 = y.iter().map(|v| v.norm_sqr()).sum();
         let via_gram = gram_residual(2, &g, &p, &coeffs, y_energy);
         assert!(
@@ -745,7 +733,7 @@ mod tests {
         );
         // The identity holds away from the optimum too.
         let off = vec![c64(0.3, 0.1), c64(-1.0, 0.4)];
-        let d2 = residual_energy(&bases, &off, &y);
+        let d2 = residual_energy_refs(&refs, &off, &y);
         let g2 = gram_residual(2, &g, &p, &off, y_energy);
         assert!(
             (d2 - g2).abs() <= 1e-9 * d2.max(1.0),

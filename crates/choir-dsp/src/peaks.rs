@@ -241,7 +241,11 @@ mod tests {
     }
 
     fn spectrum_of(x: &[C64], pad: usize) -> Vec<C64> {
-        FftPlan::new(x.len() * pad).forward_padded(x)
+        let mut spec = vec![C64::ZERO; x.len() * pad];
+        crate::workspace::with(|ws| {
+            FftPlan::new(spec.len()).forward_padded_into(x, &mut spec, ws);
+        });
+        spec
     }
 
     #[test]

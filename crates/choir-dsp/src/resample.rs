@@ -1,4 +1,4 @@
-//! Fractional delays and spectrograms.
+//! Fractional delays.
 //!
 //! The channel simulator generates each transmitter's waveform analytically
 //! at its own (offset) clock, but receiver-side processing sometimes needs
@@ -99,21 +99,6 @@ pub fn sinc(x: f64) -> f64 {
     }
 }
 
-/// Short-time Fourier transform magnitude (spectrogram), used to render the
-/// chirp figures (Fig. 2/3). Returns `frames × fft_size` magnitudes.
-pub fn spectrogram(x: &[C64], fft_size: usize, hop: usize) -> Vec<Vec<f64>> {
-    assert!(fft_size > 0 && hop > 0, "spectrogram: bad geometry");
-    let plan = crate::fft::FftPlan::new(fft_size);
-    let mut frames = Vec::new();
-    let mut start = 0usize;
-    while start + fft_size <= x.len() {
-        let spec = plan.forward_padded(&x[start..start + fft_size]);
-        frames.push(spec.iter().map(|z| z.abs()).collect());
-        start += hop;
-    }
-    frames
-}
-
 // Tests assert on exactly-representable values (0.0, bin centres).
 #[allow(clippy::float_cmp)]
 #[cfg(test)]
@@ -193,24 +178,5 @@ mod tests {
         let ex = crate::complex::energy(&x[20..108]);
         let ey = crate::complex::energy(&y[20..108]);
         assert!((ex - ey).abs() / ex < 0.02, "energy {ex} vs {ey}");
-    }
-
-    #[test]
-    fn spectrogram_geometry_and_tone() {
-        let n = 512;
-        let f = 16.0 / 64.0; // bin 16 of a 64-point frame
-        let x: Vec<C64> = (0..n)
-            .map(|i| C64::cis(2.0 * std::f64::consts::PI * f * i as f64))
-            .collect();
-        let frames = spectrogram(&x, 64, 32);
-        assert_eq!(frames.len(), (n - 64) / 32 + 1);
-        for fr in &frames {
-            let (kmax, _) = fr
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .unwrap();
-            assert_eq!(kmax, 16);
-        }
     }
 }

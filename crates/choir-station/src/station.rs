@@ -22,7 +22,7 @@
 //! Slot boundaries come from a [`SlotSchedule`]: beacon-aligned (periodic
 //! or explicit — the Choir deployment model, where the base station's
 //! beacon defines the slot grid) or free-running preamble detection via
-//! the incremental [`lora_phy::detect::StreamScanner`]. In scheduled
+//! the incremental [`lora_phy::tracker::StreamScanner`]. In scheduled
 //! modes the cut captures are sample-exact, so decoding a streamed slot
 //! is **bit-identical** to batch-decoding the same pre-cut capture; in
 //! free-running mode the detector resolves the start to one symbol
@@ -36,13 +36,14 @@ use choir_core::error::DecodeError;
 use choir_core::profile::{scope, Stage};
 use choir_dsp::complex::C64;
 use choir_pool::ThreadPool;
-use choir_trace::HypothesisTransition;
-use lora_phy::detect::{HypothesisEvent, StreamScanner};
 use lora_phy::modem::Modem;
 use lora_phy::params::PhyParams;
+use lora_phy::tracker::StreamScanner;
 
 use crate::metrics::StationMetrics;
 use crate::ring::SampleRing;
+
+pub use choir_trace::ShedReason;
 
 /// One chunk of IQ samples, of arbitrary length (a USRP recv buffer, a
 /// file block, one sample — the station re-assembles windows internally).
@@ -65,18 +66,6 @@ pub enum SlotSchedule {
     /// resolved to the symbol window containing the detected preamble
     /// edge (±1 symbol, absorbed by the decoder's timing acquisition).
     FreeRunning,
-}
-
-/// Why a slot was load-shed instead of decoded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The capture queue was past `max_in_flight`; the oldest pending
-    /// capture was dropped (drop-oldest keeps the freshest slots — stale
-    /// decodes are worthless to a live MAC).
-    QueueFull,
-    /// The ring overwrote part of the capture's sample range before it
-    /// could be cut: ingest outran the consumer past the ring's capacity.
-    RingOverrun,
 }
 
 /// One counted load-shedding decision.
@@ -258,8 +247,6 @@ pub struct Station {
     metrics: StationMetrics,
     /// Scratch for detector hits (no per-chunk allocation).
     hit_scratch: Vec<u64>,
-    /// Scratch for drained hypothesis lifecycle events.
-    event_scratch: Vec<HypothesisEvent>,
     /// Absolute positions of components zeroed by the ingest sanitizer
     /// (`true` = was NaN), ascending; pruned with the ring tail.
     corrupt: VecDeque<(u64, bool)>,
@@ -310,7 +297,6 @@ impl Station {
             shed: Vec::new(),
             metrics: StationMetrics::default(),
             hit_scratch: Vec::new(),
-            event_scratch: Vec::new(),
             corrupt: VecDeque::new(),
             was_degraded: false,
         }
@@ -454,100 +440,18 @@ impl Station {
         self.ingest_detections();
     }
 
-    /// Registers tracker output after a scanner push or flush: lifecycle
-    /// events into the metrics counters and the trace log, confirmed
-    /// starts (in `hit_scratch`) through the dedup policy into the
-    /// sorted pending-detect queue.
+    /// Registers tracker output after a scanner push or flush: the
+    /// tracker's own counts into the metrics (it writes the lifecycle, the
+    /// station only reads it), confirmed starts (in `hit_scratch`) through
+    /// the dedup policy into the sorted pending-detect queue.
     fn ingest_detections(&mut self) {
-        if let Some(scanner) = self.scanner.as_mut() {
+        if let Some(scanner) = self.scanner.as_ref() {
             self.metrics.windows_scanned = scanner.windows_scanned();
-            self.event_scratch.clear();
-            scanner.drain_events(&mut self.event_scratch);
-        }
-        for e in &self.event_scratch {
-            match *e {
-                HypothesisEvent::Born {
-                    id,
-                    window,
-                    start,
-                    bin,
-                    score,
-                } => {
-                    self.metrics.hyp_born += 1;
-                    choir_trace::full(|| {
-                        choir_trace::TraceEvent::hypothesis(
-                            HypothesisTransition::Born,
-                            id,
-                            window,
-                            start,
-                            bin,
-                            score,
-                            1,
-                        )
-                    });
-                }
-                HypothesisEvent::Confirmed {
-                    id,
-                    window,
-                    start,
-                    bin,
-                    score,
-                    support,
-                } => {
-                    self.metrics.hyp_confirmed += 1;
-                    choir_trace::outcome(|| {
-                        choir_trace::TraceEvent::hypothesis(
-                            HypothesisTransition::Confirmed,
-                            id,
-                            window,
-                            start,
-                            bin,
-                            score,
-                            support,
-                        )
-                    });
-                }
-                HypothesisEvent::Expired {
-                    id,
-                    window,
-                    start,
-                    bin,
-                    support,
-                } => {
-                    self.metrics.hyp_expired += 1;
-                    choir_trace::full(|| {
-                        choir_trace::TraceEvent::hypothesis(
-                            HypothesisTransition::Expired,
-                            id,
-                            window,
-                            start,
-                            bin,
-                            0.0,
-                            support,
-                        )
-                    });
-                }
-                HypothesisEvent::Merged {
-                    id,
-                    window,
-                    start,
-                    bin,
-                    ..
-                } => {
-                    self.metrics.hyp_merged += 1;
-                    choir_trace::full(|| {
-                        choir_trace::TraceEvent::hypothesis(
-                            HypothesisTransition::Merged,
-                            id,
-                            window,
-                            start,
-                            bin,
-                            0.0,
-                            0,
-                        )
-                    });
-                }
-            }
+            let counts = scanner.counts();
+            self.metrics.hyp_born = counts.born;
+            self.metrics.hyp_confirmed = counts.confirmed;
+            self.metrics.hyp_expired = counts.expired;
+            self.metrics.hyp_merged = counts.merged;
         }
         for i in 0..self.hit_scratch.len() {
             let start = self.hit_scratch[i];
@@ -634,15 +538,7 @@ impl Station {
         if self.ring.copy_range(a, b, &mut samples).is_err() {
             // Part of the capture was overwritten before we got here:
             // ingest outran the decode side past the ring's capacity.
-            self.metrics.slots_shed += 1;
-            choir_trace::outcome(|| choir_trace::TraceEvent::StationShed {
-                slot_start,
-                reason: "ring_overrun",
-            });
-            self.shed.push(SheddingEvent {
-                slot_start,
-                reason: ShedReason::RingOverrun,
-            });
+            self.shed(slot_start, ShedReason::RingOverrun);
             return;
         }
         // Components the ingest sanitizer zeroed inside this span make
@@ -682,19 +578,18 @@ impl Station {
         });
         while self.queue.len() > self.cfg.max_in_flight.max(1) {
             if let Some(victim) = self.queue.pop_front() {
-                self.metrics.slots_shed += 1;
-                choir_trace::outcome(|| choir_trace::TraceEvent::StationShed {
-                    slot_start: victim.slot_start,
-                    reason: "queue_full",
-                });
-                self.shed.push(SheddingEvent {
-                    slot_start: victim.slot_start,
-                    reason: ShedReason::QueueFull,
-                });
+                self.shed(victim.slot_start, ShedReason::QueueFull);
             }
         }
         self.metrics.queue_depth = self.queue.len() as u64;
         self.metrics.max_queue_depth = self.metrics.max_queue_depth.max(self.metrics.queue_depth);
+    }
+
+    /// Counts, traces and lists one load-shedding decision.
+    fn shed(&mut self, slot_start: u64, reason: ShedReason) {
+        self.metrics.slots_shed += 1;
+        choir_trace::outcome(|| choir_trace::TraceEvent::StationShed { slot_start, reason });
+        self.shed.push(SheddingEvent { slot_start, reason });
     }
 
     /// Occupancy gate: any interior preamble window above the detection

@@ -29,10 +29,13 @@
 use choir_channel::AsyncScenarioBuilder;
 use choir_core::DecodedUser;
 use choir_dsp::backend;
+use choir_dsp::complex::C64;
 use choir_pool::ThreadPool;
 use choir_station::{SlotSchedule, Station, StationConfig, StationReport};
+use choir_trace::{TraceEvent, TraceLevel};
 use lora_phy::frame::frame_symbol_count;
 use lora_phy::params::PhyParams;
+use lora_phy::tracker::HypothesisCounts;
 use std::fmt::Write as _;
 
 /// On-air length of one battery frame: 9-byte payload at SF8 CR4/8 is
@@ -145,9 +148,8 @@ const SPECS: &[Spec] = &[
     },
 ];
 
-/// Runs one scenario through a free-running station and returns the
-/// report.
-fn run_spec(spec: &Spec, pool: ThreadPool) -> StationReport {
+/// One scenario's free-running station and the stream to feed it.
+fn station_for(spec: &Spec, pool: ThreadPool) -> (Station, Vec<C64>) {
     let p = params();
     let mut b = AsyncScenarioBuilder::new(p).seed(spec.seed).tail_symbols(6);
     for &(start, snr, payload) in spec.arrivals {
@@ -169,7 +171,14 @@ fn run_spec(spec: &Spec, pool: ThreadPool) -> StationReport {
     let mut cfg = StationConfig::new(p, frame_symbol_count(&p, PAYLOAD_LEN));
     cfg.detect_threshold = spec.threshold;
     let station = Station::new(cfg, SlotSchedule::FreeRunning).with_pool(pool);
-    station.run(s.samples.chunks(spec.chunk).map(|c| c.to_vec()))
+    (station, s.samples)
+}
+
+/// Runs one scenario through a free-running station and returns the
+/// report.
+fn run_spec(spec: &Spec, pool: ThreadPool) -> StationReport {
+    let (station, samples) = station_for(spec, pool);
+    station.run(samples.chunks(spec.chunk).map(|c| c.to_vec()))
 }
 
 /// Renders a scenario report in the golden-capture format. Every float
@@ -296,6 +305,69 @@ fn sub_threshold_confirms_by_accumulation_only() {
     assert_eq!(report.metrics.hyp_confirmed, 1, "accumulated confirmation");
     assert_eq!(report.slots.len(), 1);
     assert!(report.slots[0].result.users.iter().any(|u| u.payload_ok()));
+}
+
+/// ROADMAP 5's "metrics-from-events ≡ counters" gate for the hypothesis
+/// lifecycle: on every scenario the `Hypothesis` records in the flight
+/// recorder fold to the station's `hyp_*` metrics (themselves a copy of
+/// the tracker's counts).
+#[test]
+fn lifecycle_records_fold_to_station_metrics() {
+    const MARKER: TraceEvent = TraceEvent::MacSlot {
+        slot: u64::MAX,
+        offered: 0,
+        delivered: 0,
+    };
+    // The recorder is process-wide and the tests beside this one emit
+    // into it while the level is up: keep this thread's records only
+    // (the pool is sequential, so the whole station runs here), its id
+    // read off a marker emitted first.
+    let level = choir_trace::level();
+    choir_trace::set_level(TraceLevel::Full);
+    for spec in SPECS {
+        let (mut station, samples) = station_for(spec, ThreadPool::sequential());
+        choir_trace::full(|| MARKER);
+        // One decode at `Full` overwrites a whole per-thread ring, so the
+        // lifecycle records are collected right after the push that
+        // emitted them, before `service` buries them.
+        let mut log = Vec::new();
+        let mut collect = || {
+            log.extend(
+                choir_trace::drain()
+                    .into_iter()
+                    .filter(|r| matches!(r.event, TraceEvent::Hypothesis(_)) || r.event == MARKER),
+            );
+        };
+        for chunk in samples.chunks(spec.chunk) {
+            station.push_chunk(chunk);
+            collect();
+            station.service();
+        }
+        // Empty the queue first, so `finish` has nothing to decode on top
+        // of the records its tracker flush emits.
+        while station.pending() > 0 {
+            station.service();
+        }
+        let report = station.finish();
+        collect();
+        let me = log.iter().find(|r| r.event == MARKER).map(|r| r.thread);
+        let mut folded = HypothesisCounts::default();
+        for r in log.iter().filter(|r| Some(r.thread) == me) {
+            if let TraceEvent::Hypothesis(h) = r.event {
+                folded.apply(h.transition);
+            }
+        }
+        let m = &report.metrics;
+        assert_eq!(
+            (folded.born, folded.confirmed, folded.expired, folded.merged),
+            (m.hyp_born, m.hyp_confirmed, m.hyp_expired, m.hyp_merged),
+            "{}: the drained lifecycle does not fold to the metrics",
+            spec.name
+        );
+        assert_eq!(folded.live, 0, "{}: finish flushes the tracker", spec.name);
+        assert!(m.hyp_confirmed >= 1, "{}: nothing confirmed", spec.name);
+    }
+    choir_trace::set_level(level);
 }
 
 /// The battery reproduces `tests/async_golden.txt` byte for byte.

@@ -296,3 +296,35 @@ fn overload_sheds_oldest_with_counted_events() {
     assert_eq!(report.slots.len(), 2);
     assert!(report.metrics.slots_accounted());
 }
+
+/// Regression: one huge `push_chunk` of a tone that hops bins every
+/// window births and expires a hypothesis per window — more lifecycle
+/// transitions inside one call than the tracker's bounded event queue
+/// used to keep, so the station's own `hyp_*` tallies (fed from that
+/// queue) lost `Born`s the tracker's counts still held: `born 2048,
+/// expired 2051`, unaccounted. The station copies the tracker's counts
+/// now; there is no queue to overflow.
+#[test]
+fn one_giant_chunk_keeps_hypothesis_accounting() {
+    let symbols: Vec<u16> = (0..3000u32).map(|w| (w * 7 % 256) as u16).collect();
+    let stream = lora_phy::modem::Modem::new(params()).modulate(&symbols);
+    assert_eq!(stream.len(), 768_000);
+    let cfg = StationConfig::known_len(params(), PAYLOAD_LEN);
+    let mut st = Station::new(cfg, SlotSchedule::FreeRunning).with_pool(ThreadPool::sequential());
+    st.push_chunk(&stream);
+    st.service();
+    let report = st.finish();
+    let m = &report.metrics;
+    assert!(
+        m.hypotheses_accounted(),
+        "born {} != confirmed {} + expired {} + merged {}",
+        m.hyp_born,
+        m.hyp_confirmed,
+        m.hyp_expired,
+        m.hyp_merged
+    );
+    assert!(
+        m.hyp_expired > 2048,
+        "the tone must churn hypotheses: {m:?}"
+    );
+}

@@ -121,9 +121,8 @@ pub enum TraceEvent {
     StationShed {
         /// Absolute stream position of the shed slot.
         slot_start: u64,
-        /// Why: `queue_full` (dispatch backlog) or `ring_overrun`
-        /// (samples overwritten before capture).
-        reason: &'static str,
+        /// What overflowed.
+        reason: ShedReason,
     },
     /// The station crossed its pressure watermark and switched decode
     /// configurations. (`Outcome`)
@@ -139,30 +138,10 @@ pub enum TraceEvent {
         /// `StationMetrics::to_json()` output (a valid JSON object).
         json: String,
     },
-    /// One lifecycle transition of a multi-hypothesis tracker candidate
-    /// (born / confirmed / expired / merged) inside the station's
-    /// unslotted detection path. Construct via [`TraceEvent::hypothesis`]
-    /// only — the `trace_event` lint rule rejects literal construction
-    /// outside this crate, which keeps the transition vocabulary closed
-    /// to [`HypothesisTransition`]. (`Full` for births/expiries/merges;
-    /// stations emit confirmations at `Outcome`.)
-    Hypothesis {
-        /// Transition tag — always one of [`HypothesisTransition::tag`].
-        transition: &'static str,
-        /// Tracker-unique hypothesis id.
-        id: u64,
-        /// Symbol-window index of the transition.
-        window: u64,
-        /// Absolute sample index of the candidate packet start.
-        start: u64,
-        /// Dechirped bin the candidate persisted at.
-        bin: u16,
-        /// Deflated peak score (single-window at birth, accumulated at
-        /// confirmation; 0 where not meaningful).
-        score: f64,
-        /// Supporting windows accumulated at the transition.
-        support: u32,
-    },
+    /// One lifecycle transition of a tracker hypothesis, emitted by the
+    /// tracker at the transition itself. (`Outcome` for confirmations,
+    /// `Full` for births, expiries and merges.)
+    Hypothesis(Hypothesis),
     /// One MAC-simulation slot outcome from a Choir-backed PHY. (`Full`)
     MacSlot {
         /// Slot number within the simulation.
@@ -174,13 +153,10 @@ pub enum TraceEvent {
     },
     /// One city-simulator slot outcome at a gateway shard — the
     /// `mac_slot` analogue for `choir-city`, with the gateway and MAC
-    /// scheme identifying the shard the slot belongs to. Construct via
-    /// [`TraceEvent::city_slot`] only — the `trace_event` lint rule
-    /// rejects literal construction outside this crate, which keeps the
-    /// scheme vocabulary closed to [`CityScheme`]. (`Full`)
+    /// scheme identifying the shard the slot belongs to. (`Full`)
     CitySlot {
-        /// Scheme tag — always one of [`CityScheme::tag`].
-        scheme: &'static str,
+        /// MAC scheme the shard simulates.
+        scheme: CityScheme,
         /// Gateway (shard) index within the city.
         gateway: u32,
         /// Slot number within the gateway's simulation.
@@ -192,10 +168,7 @@ pub enum TraceEvent {
     },
 }
 
-/// The closed set of MAC schemes the city simulator traces. The typed
-/// enum (rather than a free string) is what makes
-/// [`TraceEvent::city_slot`] the blessed constructor: emission sites
-/// cannot invent new scheme names.
+/// The closed set of MAC schemes the city simulator traces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CityScheme {
     /// Unslotted ALOHA (adjacent-slot vulnerability, no coordination).
@@ -220,10 +193,7 @@ impl CityScheme {
     }
 }
 
-/// The closed set of tracker-hypothesis lifecycle transitions. The typed
-/// enum (rather than a free string) is what makes
-/// [`TraceEvent::hypothesis`] the blessed constructor: emission sites
-/// cannot invent new transition names.
+/// The closed set of tracker-hypothesis lifecycle transitions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HypothesisTransition {
     /// A peak no live hypothesis claimed started a new candidate.
@@ -248,51 +218,52 @@ impl HypothesisTransition {
     }
 }
 
+/// One lifecycle transition of a multi-hypothesis tracker candidate: the
+/// single record of the born → confirmed / expired / merged lifecycle.
+/// The tracker (`lora_phy::tracker::StreamScanner`) writes one per
+/// transition as it bumps its own counts; logs and tests read these.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Hypothesis {
+    /// Which transition this record marks.
+    pub transition: HypothesisTransition,
+    /// Tracker-unique hypothesis id.
+    pub id: u64,
+    /// Symbol-window index of the transition.
+    pub window: u64,
+    /// Absolute sample index of the candidate packet start.
+    pub start: u64,
+    /// Dechirped bin the candidate persisted at.
+    pub bin: u16,
+    /// Deflated peak score (single-window at birth, accumulated at
+    /// confirmation; 0 where not meaningful).
+    pub score: f64,
+    /// Supporting windows accumulated at the transition.
+    pub support: u32,
+}
+
+/// Why a station slot was load-shed instead of decoded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShedReason {
+    /// The capture queue was past `max_in_flight`; the oldest pending
+    /// capture was dropped (drop-oldest keeps the freshest slots — stale
+    /// decodes are worthless to a live MAC).
+    QueueFull,
+    /// The ring overwrote part of the capture's sample range before it
+    /// could be cut: ingest outran the consumer past the ring's capacity.
+    RingOverrun,
+}
+
+impl ShedReason {
+    /// Stable snake_case tag used in exported logs.
+    pub fn tag(self) -> &'static str {
+        match self {
+            ShedReason::QueueFull => "queue_full",
+            ShedReason::RingOverrun => "ring_overrun",
+        }
+    }
+}
+
 impl TraceEvent {
-    /// The blessed constructor for [`TraceEvent::Hypothesis`]: lifecycle
-    /// transitions may only be emitted through here (lint-enforced), so
-    /// the transition tags stay closed to [`HypothesisTransition`].
-    pub fn hypothesis(
-        transition: HypothesisTransition,
-        id: u64,
-        window: u64,
-        start: u64,
-        bin: u16,
-        score: f64,
-        support: u32,
-    ) -> TraceEvent {
-        // lint:allow(trace_event) — this *is* the blessed constructor.
-        TraceEvent::Hypothesis {
-            transition: transition.tag(),
-            id,
-            window,
-            start,
-            bin,
-            score,
-            support,
-        }
-    }
-
-    /// The blessed constructor for [`TraceEvent::CitySlot`]: city slot
-    /// provenance may only be emitted through here (lint-enforced), so
-    /// the scheme tags stay closed to [`CityScheme`].
-    pub fn city_slot(
-        scheme: CityScheme,
-        gateway: u32,
-        slot: u64,
-        offered: u32,
-        delivered: u32,
-    ) -> TraceEvent {
-        // lint:allow(trace_event) — this *is* the blessed constructor.
-        TraceEvent::CitySlot {
-            scheme: scheme.tag(),
-            gateway,
-            slot,
-            offered,
-            delivered,
-        }
-    }
-
     /// Stable snake_case tag identifying the variant in exported logs.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -309,7 +280,7 @@ impl TraceEvent {
             TraceEvent::StationShed { .. } => "station_shed",
             TraceEvent::StationDegrade { .. } => "station_degrade",
             TraceEvent::MetricsSnapshot { .. } => "metrics_snapshot",
-            TraceEvent::Hypothesis { .. } => "hypothesis",
+            TraceEvent::Hypothesis(_) => "hypothesis",
             TraceEvent::MacSlot { .. } => "mac_slot",
             TraceEvent::CitySlot { .. } => "city_slot",
         }
@@ -407,7 +378,7 @@ impl TraceEvent {
             }
             TraceEvent::StationShed { slot_start, reason } => {
                 jint(out, "slot_start", *slot_start);
-                jstr(out, "reason", reason);
+                jstr(out, "reason", reason.tag());
             }
             TraceEvent::StationDegrade {
                 active,
@@ -421,22 +392,14 @@ impl TraceEvent {
                 out.push_str(", \"metrics\": ");
                 out.push_str(json);
             }
-            TraceEvent::Hypothesis {
-                transition,
-                id,
-                window,
-                start,
-                bin,
-                score,
-                support,
-            } => {
-                jstr(out, "transition", transition);
-                jint(out, "id", *id);
-                jint(out, "window", *window);
-                jint(out, "start", *start);
-                jint(out, "bin", u64::from(*bin));
-                jnum(out, "score", *score);
-                jint(out, "support", u64::from(*support));
+            TraceEvent::Hypothesis(h) => {
+                jstr(out, "transition", h.transition.tag());
+                jint(out, "id", h.id);
+                jint(out, "window", h.window);
+                jint(out, "start", h.start);
+                jint(out, "bin", u64::from(h.bin));
+                jnum(out, "score", h.score);
+                jint(out, "support", u64::from(h.support));
             }
             TraceEvent::MacSlot {
                 slot,
@@ -454,7 +417,7 @@ impl TraceEvent {
                 offered,
                 delivered,
             } => {
-                jstr(out, "scheme", scheme);
+                jstr(out, "scheme", scheme.tag());
                 jint(out, "gateway", u64::from(*gateway));
                 jint(out, "slot", *slot);
                 jint(out, "offered", u64::from(*offered));
@@ -579,34 +542,46 @@ mod tests {
         assert!(out.contains("\"pos_bins\": 17.0"), "got: {out}");
     }
 
+    /// The enum-typed vocabularies serialise to the tags the string-typed
+    /// fields used to carry: each line is PR 16's output, byte for byte.
     #[test]
-    fn hypothesis_constructor_serialises_transition_tag() {
-        let e = TraceEvent::hypothesis(
-            HypothesisTransition::Confirmed,
-            7,
-            42,
-            10752,
-            219,
-            1290.5,
-            8,
-        );
-        assert_eq!(e.kind(), "hypothesis");
-        let mut out = String::new();
-        e.write_json_fields(&mut out);
-        assert!(out.contains("\"transition\": \"confirmed\""), "got: {out}");
-        assert!(out.contains("\"start\": 10752"), "got: {out}");
-        assert!(out.contains("\"score\": 1290.5"), "got: {out}");
-    }
-
-    #[test]
-    fn city_slot_constructor_serialises_scheme_tag() {
-        let e = TraceEvent::city_slot(CityScheme::Ss5g, 12, 480, 3, 3);
-        assert_eq!(e.kind(), "city_slot");
-        let mut out = String::new();
-        e.write_json_fields(&mut out);
-        assert!(out.contains("\"scheme\": \"ss5g\""), "got: {out}");
-        assert!(out.contains("\"gateway\": 12"), "got: {out}");
-        assert!(out.contains("\"offered\": 3"), "got: {out}");
+    fn typed_vocabularies_serialise_to_their_tags() {
+        let cases = [
+            (
+                TraceEvent::Hypothesis(Hypothesis {
+                    transition: HypothesisTransition::Confirmed,
+                    id: 7,
+                    window: 42,
+                    start: 10752,
+                    bin: 219,
+                    score: 1290.5,
+                    support: 8,
+                }),
+                r#""kind": "hypothesis", "transition": "confirmed", "id": 7, "window": 42, "start": 10752, "bin": 219, "score": 1290.5, "support": 8"#,
+            ),
+            (
+                TraceEvent::CitySlot {
+                    scheme: CityScheme::Ss5g,
+                    gateway: 12,
+                    slot: 480,
+                    offered: 3,
+                    delivered: 3,
+                },
+                r#""kind": "city_slot", "scheme": "ss5g", "gateway": 12, "slot": 480, "offered": 3, "delivered": 3"#,
+            ),
+            (
+                TraceEvent::StationShed {
+                    slot_start: 4096,
+                    reason: ShedReason::QueueFull,
+                },
+                r#""kind": "station_shed", "slot_start": 4096, "reason": "queue_full""#,
+            ),
+        ];
+        for (event, want) in cases {
+            let mut out = String::new();
+            event.write_json_fields(&mut out);
+            assert_eq!(out, want);
+        }
     }
 
     #[test]

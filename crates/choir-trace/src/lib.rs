@@ -44,7 +44,7 @@
 mod event;
 mod recorder;
 
-pub use event::{CityScheme, HypothesisTransition, TraceEvent};
+pub use event::{CityScheme, Hypothesis, HypothesisTransition, ShedReason, TraceEvent};
 pub use recorder::{active_rings, clear, drain, dropped, set_capacity, CapacityFrozen, Record};
 
 use choir_sync::atomic::{AtomicU8, Ordering};
@@ -133,24 +133,6 @@ pub fn outcome(f: impl FnOnce() -> TraceEvent) {
 /// Records a [`TraceLevel::Full`]-level event (lazily built).
 pub fn full(f: impl FnOnce() -> TraceEvent) {
     emit(TraceLevel::Full, f);
-}
-
-/// Marks entry into a named pipeline stage (recorded at `Full`).
-///
-/// `choir_core::profile::scope` calls this with its stage name, so the
-/// flight recorder interleaves stage spans with the events emitted inside
-/// them — a drained log shows *which stage* produced each record.
-pub fn span_enter(stage: &'static str) {
-    full(|| TraceEvent::SpanEnter { stage });
-}
-
-/// Marks exit from a named pipeline stage (recorded at `Full`), with the
-/// stage's exclusive nanoseconds as accounted by the profiler.
-pub fn span_exit(stage: &'static str, exclusive_ns: u64) {
-    full(|| TraceEvent::SpanExit {
-        stage,
-        exclusive_ns,
-    });
 }
 
 thread_local! {

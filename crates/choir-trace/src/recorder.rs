@@ -326,7 +326,7 @@ mod tests {
             thread: 1,
             event: TraceEvent::StationShed {
                 slot_start: 4096,
-                reason: "queue_full",
+                reason: crate::ShedReason::QueueFull,
             },
         };
         let j = r.to_json();

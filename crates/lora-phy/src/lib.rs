@@ -33,6 +33,7 @@ pub mod hamming;
 pub mod interleave;
 pub mod modem;
 pub mod params;
+pub mod tracker;
 pub mod whiten;
 
 pub use frame::{DecodedFrame, FrameError};

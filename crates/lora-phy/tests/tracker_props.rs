@@ -6,18 +6,26 @@
 //! unobservable. For random two-packet scenes — arbitrary sub-symbol
 //! starts, possible overlap, power imbalance, uniform noise — the
 //! tracker fed random chunkings of 1..4096 samples must report exactly
-//! the same confirmed starts, the same lifecycle event stream, and the
-//! same terminal counts as one monolithic push, and the lifecycle
-//! accounting identity (born = confirmed + expired + merged + live)
-//! must hold at every intermediate snapshot.
+//! the same confirmed starts, the same lifecycle log (the
+//! `choir_trace::Hypothesis` records drained from the flight recorder at
+//! `Full`), and the same terminal counts as one monolithic push; the log
+//! must fold to those counts, and the lifecycle accounting identity
+//! (born = confirmed + expired + merged + live) must hold at every
+//! intermediate snapshot.
 
 use choir_dsp::complex::{c64, C64};
-use lora_phy::detect::{HypothesisEvent, StreamScanner};
+use choir_trace::{Hypothesis, TraceEvent, TraceLevel};
 use lora_phy::modem::Modem;
 use lora_phy::params::PhyParams;
+use lora_phy::tracker::{HypothesisCounts, StreamScanner};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
+
+/// The flight recorder is process-wide: whoever sets its level, clears or
+/// drains it holds this for the whole scan.
+static RECORDER: Mutex<()> = Mutex::new(());
 
 fn params() -> PhyParams {
     PhyParams::default() // SF8, 125 kHz, CR4/8
@@ -46,21 +54,33 @@ fn scene(start_a: usize, gap: usize, amp_a: f64, amp_b: f64, noise: f64, seed: u
     stream
 }
 
+/// Moves the lifecycle records buffered so far from the recorder to `log`.
+fn drain_lifecycle(log: &mut Vec<Hypothesis>) {
+    log.extend(
+        choir_trace::drain()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Hypothesis(h) => Some(h),
+                _ => None,
+            }),
+    );
+}
+
 /// Runs the tracker over `stream` delivered in the given chunk sizes,
 /// checking the lifecycle accounting identity after every chunk.
-/// Returns (confirmed starts, drained events, terminal counts).
+/// Returns (confirmed starts, lifecycle log, terminal counts).
 fn run_chunked(
     stream: &[C64],
     chunks: impl Iterator<Item = usize>,
     threshold: f64,
-) -> (
-    Vec<u64>,
-    Vec<HypothesisEvent>,
-    lora_phy::detect::HypothesisCounts,
-) {
+) -> (Vec<u64>, Vec<Hypothesis>, HypothesisCounts) {
+    let _recorder = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let level = choir_trace::level();
+    choir_trace::set_level(TraceLevel::Full);
+    choir_trace::clear();
+    let mut log = Vec::new();
     let mut scanner = StreamScanner::new(Modem::new(params()), threshold);
     let mut hits = Vec::new();
-    let mut events = Vec::new();
     let mut at = 0;
     for len in chunks {
         if at >= stream.len() {
@@ -74,22 +94,28 @@ fn run_chunked(
             "lifecycle accounting broke mid-stream: {:?}",
             scanner.counts()
         );
-        scanner.drain_events(&mut events);
+        drain_lifecycle(&mut log);
     }
     if at < stream.len() {
         scanner.push(&stream[at..], &mut hits);
     }
     scanner.flush(&mut hits);
-    scanner.drain_events(&mut events);
+    drain_lifecycle(&mut log);
+    choir_trace::set_level(level);
     let counts = scanner.counts();
     assert!(counts.balanced(), "unbalanced after flush: {counts:?}");
-    (hits, events, counts)
+    let mut folded = HypothesisCounts::default();
+    for h in &log {
+        folded.apply(h.transition);
+    }
+    assert_eq!(folded, counts, "the log does not fold to the counts");
+    (hits, log, counts)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Confirmed starts, the full event stream, and the terminal counts
+    // Confirmed starts, the full lifecycle log, and the terminal counts
     // are invariant to how the stream is sliced into chunks.
     #[test]
     fn confirmations_invariant_to_chunk_segmentation(
@@ -105,7 +131,7 @@ proptest! {
         let stream = scene(start_a, gap, amp_a, amp_b, noise, scene_seed);
         let threshold = 40.0;
 
-        let (ref_hits, ref_events, ref_counts) =
+        let (ref_hits, ref_log, ref_counts) =
             run_chunked(&stream, std::iter::once(stream.len()), threshold);
         // Amplitudes ≥ 2 over ≤ 0.25 uniform noise always clear the
         // threshold: at least one packet confirms, or the property is
@@ -126,10 +152,10 @@ proptest! {
             sizes.push(len);
             covered += len;
         }
-        let (hits, events, counts) = run_chunked(&stream, sizes.into_iter(), threshold);
+        let (hits, log, counts) = run_chunked(&stream, sizes.into_iter(), threshold);
 
         prop_assert_eq!(&hits, &ref_hits, "confirmed starts diverged");
-        prop_assert_eq!(&events, &ref_events, "event stream diverged");
+        prop_assert_eq!(&log, &ref_log, "lifecycle log diverged");
         prop_assert_eq!(counts, ref_counts, "terminal counts diverged");
     }
 }

@@ -211,27 +211,12 @@ fn selftest() -> ExitCode {
         ),
         (
             "crates/choir-core/src/planted.rs",
-            "pub fn f() -> Result<(), DecodeError> {\n    Err(DecodeError::NoUsersFound { window_hits: 2 })\n}\n",
+            "pub fn f() -> Result<(), DecodeError> {\n    Err(DecodeError::NoUsersFound)\n}\n",
             &["trace_event"],
         ),
         (
             "crates/choir-core/src/planted.rs",
-            "pub fn f() -> Result<(), DecodeError> {\n    Err(DecodeError::NoUsersFound { window_hits: 2 }.traced())\n}\n",
-            &[],
-        ),
-        (
-            "crates/choir-station/src/planted.rs",
-            "pub fn f() -> TraceEvent {\n    TraceEvent::Hypothesis { transition: \"born\", id: 1, window: 2, start: 3, bin: 4, score: 5.0, support: 6 }\n}\n",
-            &["trace_event"],
-        ),
-        (
-            "crates/choir-city/src/planted.rs",
-            "pub fn f() -> TraceEvent {\n    TraceEvent::CitySlot { scheme: \"aloha\", gateway: 1, slot: 2, offered: 3, delivered: 4 }\n}\n",
-            &["trace_event"],
-        ),
-        (
-            "crates/choir-city/src/planted.rs",
-            "pub fn f() -> TraceEvent {\n    TraceEvent::city_slot(CityScheme::Aloha, 1, 2, 3, 4)\n}\n",
+            "pub fn f() -> Result<(), DecodeError> {\n    Err(DecodeError::NoUsersFound.traced())\n}\n",
             &[],
         ),
         (

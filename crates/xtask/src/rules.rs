@@ -409,13 +409,6 @@ fn no_hot_allocs(f: &SourceFile, out: &mut Vec<Violation>) {
 /// arms (`=>` after the variant), rest patterns (`..` inside the field
 /// braces, as in `DecodeError::Frame { .. }`), and `==`/`!=` comparisons
 /// against an error that already exists.
-///
-/// The rule's second contract guards the tracker lifecycle log the same
-/// way: `TraceEvent::Hypothesis { .. }` may only be built literally
-/// inside `crates/choir-trace/` — everyone else goes through the blessed
-/// `TraceEvent::hypothesis(...)` constructor, whose typed
-/// `HypothesisTransition` argument keeps the transition-tag vocabulary
-/// closed. Match arms and rest patterns are skipped as above.
 fn trace_event(f: &SourceFile, out: &mut Vec<Violation>) {
     if !is_library_source(&f.path) {
         return;
@@ -482,80 +475,6 @@ fn trace_event(f: &SourceFile, out: &mut Vec<Violation>) {
                 at,
                 "trace_event",
                 "`DecodeError` constructed without `.traced()` — emit the decode_failed trace event at the origination site".to_string(),
-            );
-        }
-    }
-
-    // Second contract: guarded trace variants only emit through their
-    // blessed constructors, which keep their tag vocabularies closed to
-    // typed enums. choir-trace itself is the one place the literal is
-    // the implementation.
-    if f.path.starts_with("crates/choir-trace/") {
-        return;
-    }
-    // (variant needle, constructor to use, vocabulary enum it closes)
-    const GUARDED: [(&str, &str, &str); 2] = [
-        (
-            "TraceEvent::Hypothesis",
-            "TraceEvent::hypothesis(...)",
-            "HypothesisTransition",
-        ),
-        (
-            "TraceEvent::CitySlot",
-            "TraceEvent::city_slot(...)",
-            "CityScheme",
-        ),
-    ];
-    for (needle, constructor, vocabulary) in GUARDED {
-        let mut search = 0usize;
-        while let Some(rel) = f.code[search..].find(needle) {
-            let at = search + rel;
-            search = at + needle.len();
-            // Identifier boundaries on both sides (`MyTraceEvent::` is not
-            // ours; the lowercase constructor never matches the needle).
-            if at > 0 {
-                let p = bytes[at - 1];
-                if p.is_ascii_alphanumeric() || p == b'_' {
-                    continue;
-                }
-            }
-            let mut rest = at + needle.len();
-            if bytes
-                .get(rest)
-                .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
-            {
-                continue;
-            }
-            while rest < bytes.len() && bytes[rest].is_ascii_whitespace() {
-                rest += 1;
-            }
-            // Only a `{ ... }` field block can construct the variant; a bare
-            // path mention (imports, docs) cannot.
-            if bytes.get(rest) != Some(&b'{') {
-                continue;
-            }
-            let Some(close) = brace_close(&f.code, rest) else {
-                continue;
-            };
-            // Rest patterns and match arms are destructuring, not emission.
-            if f.code[rest..close].contains("..") {
-                continue;
-            }
-            rest = close;
-            while rest < bytes.len() && bytes[rest].is_ascii_whitespace() {
-                rest += 1;
-            }
-            if f.code[rest..].starts_with("=>") {
-                continue;
-            }
-            push(
-                f,
-                out,
-                at,
-                "trace_event",
-                format!(
-                    "`{needle}` built literally — emit via `{constructor}` so the tag vocabulary stays closed to `{vocabulary}`"
-                ),
             );
         }
     }
@@ -825,11 +744,6 @@ mod tests {
         check_file(&f).iter().map(|v| v.rule.to_string()).collect()
     }
 
-    fn violations_full(path: &str, src: &str) -> Vec<Violation> {
-        let f = SourceFile::new(path, src);
-        check_file(&f)
-    }
-
     #[test]
     fn planted_unwrap_is_caught() {
         // The acceptance-criteria self-test: a deliberately planted
@@ -989,73 +903,13 @@ mod tests {
         // An allowlisted site with a reason is exempt.
         assert!(violations(
             "crates/choir-core/src/planted.rs",
-            "pub fn f() -> DecodeError {\n    // lint:allow(trace_event) — probe error, never surfaced to callers\n    DecodeError::NoUsersFound { window_hits: 0 }\n}\n",
+            "pub fn f() -> DecodeError {\n    // lint:allow(trace_event) — probe error, never surfaced to callers\n    DecodeError::NoUsersFound\n}\n",
         )
         .is_empty());
         // Test code is exempt wholesale.
         assert!(violations(
             "crates/choir-core/src/planted.rs",
-            "#[cfg(test)]\nmod tests { fn f() -> DecodeError { DecodeError::NoUsersFound { window_hits: 0 } } }\n",
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn hypothesis_literals_need_blessed_constructor() {
-        // Literal construction outside choir-trace: flagged.
-        let v = violations(
-            "crates/choir-station/src/planted.rs",
-            "pub fn f() -> TraceEvent {\n    TraceEvent::Hypothesis { transition: \"born\", id: 1, window: 2, start: 3, bin: 4, score: 5.0, support: 6 }\n}\n",
-        );
-        assert_eq!(v, ["trace_event"]);
-        // The blessed constructor is the sanctioned path.
-        assert!(violations(
-            "crates/choir-station/src/planted.rs",
-            "pub fn f() -> TraceEvent {\n    TraceEvent::hypothesis(HypothesisTransition::Born, 1, 2, 3, 4, 5.0, 6)\n}\n",
-        )
-        .is_empty());
-        // Match arms and rest patterns destructure, they don't emit.
-        assert!(violations(
-            "crates/choir-station/src/planted.rs",
-            "pub fn kind(e: &TraceEvent) -> &'static str {\n    match e {\n        TraceEvent::Hypothesis { .. } => \"hypothesis\",\n        TraceEvent::Hypothesis { transition, id, window, start, bin, score, support } => transition,\n        _ => \"other\",\n    }\n}\n",
-        )
-        .is_empty());
-        // Inside choir-trace the literal *is* the implementation.
-        assert!(violations(
-            "crates/choir-trace/src/planted.rs",
-            "pub fn f() -> TraceEvent {\n    TraceEvent::Hypothesis { transition: \"born\", id: 1, window: 2, start: 3, bin: 4, score: 5.0, support: 6 }\n}\n",
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn city_slot_literals_need_blessed_constructor() {
-        // Literal construction outside choir-trace: flagged, and the
-        // message names the city_slot constructor and CityScheme.
-        let v = violations_full(
-            "crates/choir-city/src/planted.rs",
-            "pub fn f() -> TraceEvent {\n    TraceEvent::CitySlot { scheme: \"aloha\", gateway: 1, slot: 2, offered: 3, delivered: 4 }\n}\n",
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "trace_event");
-        assert!(v[0].message.contains("TraceEvent::city_slot"), "{v:?}");
-        assert!(v[0].message.contains("CityScheme"), "{v:?}");
-        // The blessed constructor is the sanctioned path.
-        assert!(violations(
-            "crates/choir-city/src/planted.rs",
-            "pub fn f() -> TraceEvent {\n    TraceEvent::city_slot(CityScheme::Aloha, 1, 2, 3, 4)\n}\n",
-        )
-        .is_empty());
-        // Destructuring still passes.
-        assert!(violations(
-            "crates/choir-city/src/planted.rs",
-            "pub fn g(e: &TraceEvent) -> bool {\n    matches!(e, TraceEvent::CitySlot { .. })\n}\n",
-        )
-        .is_empty());
-        // Inside choir-trace the literal *is* the implementation.
-        assert!(violations(
-            "crates/choir-trace/src/planted.rs",
-            "pub fn f() -> TraceEvent {\n    TraceEvent::CitySlot { scheme: \"aloha\", gateway: 1, slot: 2, offered: 3, delivered: 4 }\n}\n",
+            "#[cfg(test)]\nmod tests { fn f() -> DecodeError { DecodeError::NoUsersFound } }\n",
         )
         .is_empty());
     }
