@@ -204,7 +204,7 @@ impl ChoirDecoder {
         let p = self.params.preamble_len;
         let mut s = 0.0;
         for (i, &sync) in SYNC_SYMBOLS.iter().enumerate() {
-            s += self.comb_energy(work, slot_start, p + i, delta, sync, user.offset_bins);
+            s += self.comb_energy(work, slot_start, &[p + i], delta, sync, user.offset_bins);
         }
         s
     }

@@ -3,6 +3,7 @@
 //! reads a user's windows through.
 
 use choir_dsp::complex::C64;
+use choir_dsp::linalg::conj_dot;
 use choir_dsp::resample::fractional_delay_into;
 use choir_dsp::workspace;
 use lora_phy::frame::SYNC_SYMBOLS;
@@ -16,15 +17,20 @@ use crate::sic::phased_sic;
 /// Taps per side of the windowed-sinc fractional resampler.
 const RESAMPLE_TAPS: usize = 10;
 
-/// Correlation energy of a dechirped window against the tone `e^{jwt}`
-/// conjugated (direct evaluation — no FFT, one fractional frequency).
-fn tone_energy(dechirped: &[C64], w: f64) -> f64 {
-    let acc: C64 = dechirped
-        .iter()
-        .enumerate()
-        .map(|(t, v)| v * C64::cis(w * t as f64))
-        .sum();
-    acc.norm_sqr()
+/// Summed correlation energy `Σ_w |Σ_t de_w[t]·e^{−j2π·pos·t/n}|²` of the
+/// dechirped windows laid back to back in `windows` against the tone at
+/// `pos_bins` — one DTFT bin per window (no FFT, one fractional
+/// frequency). The tone is synthesised once into `tone`, whose length is
+/// the symbol length, and shared by every window.
+// hot:noalloc — the tone goes into the caller's workspace buffer.
+fn tone_energy(windows: &[C64], pos_bins: f64, tone: &mut [C64]) -> f64 {
+    let n = tone.len();
+    choir_dsp::backend::tone_into(tone, n, pos_bins);
+    let mut s = 0.0;
+    for de in windows.chunks_exact(n) {
+        s += conj_dot(tone, de).norm_sqr();
+    }
+    s
 }
 
 /// The whole chip a timing search is seeded at — all
@@ -155,29 +161,51 @@ impl ChoirDecoder {
             // dechirp the probe windows once instead of per probe (the
             // windowed-sinc resample is as expensive as the correlation).
             let len = self.est.n();
-            let mut aligned = workspace::take(len);
             let mut probes = workspace::take(3 * len);
-            let mut held = 0;
-            for sym_idx in [2usize, 4, 6] {
-                if self.aligned_window_into(samples, slot_start, sym_idx, delta, &mut aligned) {
-                    self.est
-                        .dechirp_into(&aligned, &mut probes[held * len..(held + 1) * len]);
-                    held += 1;
-                }
-            }
-            let score = |pos: f64| -> f64 {
-                let w = -2.0 * std::f64::consts::PI * pos / n;
-                let mut s = 0.0;
-                for de in probes[..held * len].chunks_exact(len) {
-                    s += tone_energy(de, w);
-                }
-                -s
+            let held =
+                self.dechirped_probes_into(samples, slot_start, &[2, 4, 6], delta, &mut probes);
+            // No probe window inside the capture: the score is flat and a
+            // golden search over it walks to the bracket edge, so the
+            // estimate the caller holds is the best there is.
+            let refined = if held == 0 {
+                user.offset_bins
+            } else {
+                let mut tone = workspace::take(len);
+                let score = |pos: f64| -tone_energy(&probes[..held * len], pos, &mut tone);
+                let (pos, _) =
+                    choir_dsp::optim::golden_section(score, init - 0.6, init + 0.6, 1e-3);
+                workspace::put(tone);
+                (pos - delta).rem_euclid(n)
             };
-            let (pos, _) = choir_dsp::optim::golden_section(score, init - 0.6, init + 0.6, 1e-3);
-            workspace::put(aligned);
             workspace::put(probes);
-            (pos - delta).rem_euclid(n)
+            refined
         })
+    }
+
+    /// Aligns the windows `sym_idxs` to the timing `delta` and dechirps
+    /// them back to back into `probes`, skipping any that run past the
+    /// capture. Returns how many windows `probes` now holds.
+    // hot:noalloc — the alignment scratch is a workspace buffer.
+    fn dechirped_probes_into(
+        &self,
+        samples: &[C64],
+        slot_start: usize,
+        sym_idxs: &[usize],
+        delta: f64,
+        probes: &mut [C64],
+    ) -> usize {
+        let len = self.est.n();
+        let mut aligned = workspace::take(len);
+        let mut held = 0;
+        for &sym_idx in sym_idxs {
+            if self.aligned_window_into(samples, slot_start, sym_idx, delta, &mut aligned) {
+                self.est
+                    .dechirp_into(&aligned, &mut probes[held * len..(held + 1) * len]);
+                held += 1;
+            }
+        }
+        workspace::put(aligned);
+        held
     }
 
     /// Coarse integer timing from the preamble→sync transition window: the
@@ -215,31 +243,29 @@ impl ChoirDecoder {
         0.0
     }
 
-    /// Energy of the user's expected comb tone in one aligned window.
-    // hot:noalloc — the timing searches call this per probe; the aligned
-    // and dechirped windows are workspace buffers.
+    /// Energy of the user's expected comb tone summed over the aligned
+    /// windows `sym_idxs`, which all carry `expected_value`: they probe
+    /// one position, so one synthesised tone scores them all. A window
+    /// past the capture contributes nothing.
+    // hot:noalloc — the timing searches call this per probe; the probe
+    // windows and the tone are workspace buffers.
     pub(super) fn comb_energy(
         &self,
         samples: &[C64],
         slot_start: usize,
-        sym_idx: usize,
+        sym_idxs: &[usize],
         delta: f64,
         expected_value: u16,
         offset_bins: f64,
     ) -> f64 {
-        let n = self.est.n() as f64;
-        let pos = (expected_value as f64 + offset_bins + delta).rem_euclid(n);
-        let mut aligned = workspace::take(self.est.n());
-        let mut de = workspace::take(self.est.n());
-        let energy = if self.aligned_window_into(samples, slot_start, sym_idx, delta, &mut aligned)
-        {
-            self.est.dechirp_into(&aligned, &mut de);
-            tone_energy(&de, -2.0 * std::f64::consts::PI * pos / n)
-        } else {
-            0.0
-        };
-        workspace::put(aligned);
-        workspace::put(de);
+        let n = self.est.n();
+        let pos = (expected_value as f64 + offset_bins + delta).rem_euclid(n as f64);
+        let mut probes = workspace::take(sym_idxs.len() * n);
+        let mut tone = workspace::take(n);
+        let held = self.dechirped_probes_into(samples, slot_start, sym_idxs, delta, &mut probes);
+        let energy = tone_energy(&probes[..held * n], pos, &mut tone);
+        workspace::put(tone);
+        workspace::put(probes);
         energy
     }
 
@@ -262,13 +288,10 @@ impl ChoirDecoder {
                 if delta < 0.0 {
                     return -1.0;
                 }
-                let mut s = 0.0;
-                for sym_idx in [2usize, 4, 6] {
-                    s += self.comb_energy(samples, slot_start, sym_idx, delta, 0, user.offset_bins);
-                }
+                let offset = user.offset_bins;
+                let mut s = self.comb_energy(samples, slot_start, &[2, 4, 6], delta, 0, offset);
                 for (i, &sync) in SYNC_SYMBOLS.iter().enumerate() {
-                    s +=
-                        self.comb_energy(samples, slot_start, p + i, delta, sync, user.offset_bins);
+                    s += self.comb_energy(samples, slot_start, &[p + i], delta, sync, offset);
                 }
                 s
             };
@@ -394,6 +417,65 @@ mod tests {
                 best < 0.15,
                 "fractional timing error {best} for truth {truth_chips}"
             );
+        }
+    }
+
+    /// Regression: with the capture cut before any aligned probe window
+    /// fits, `refine_offset_aligned` scored every position `-0.0` and the
+    /// golden search walked to the bracket edge — +0.6 bin per call, two
+    /// calls (249.766 against 248.52 from every longer cut).
+    #[test]
+    fn offset_survives_a_capture_with_no_probe_window() {
+        let s = ScenarioBuilder::new(params())
+            .snrs_db(&[22.0])
+            .profiles(vec![profile(5.37, 0.05)])
+            .seed(3)
+            .build();
+        let dec = ChoirDecoder::new(s.params);
+        let n = dec.est.n();
+        let offset_at = |symbols: usize| {
+            let cut = &s.samples[..s.slot_start + symbols * n];
+            let users = dec.discover_users(cut, s.slot_start);
+            assert_eq!(users.len(), 1, "{symbols}-symbol cut");
+            users[0].offset_bins
+        };
+        let (short, long) = (offset_at(3), offset_at(4));
+        assert!(
+            circular_dist(short, long, n as f64) < 0.1,
+            "3-symbol cut reads {short}, 4-symbol cut {long}"
+        );
+    }
+
+    /// The correlation the timing searches score by, against the direct
+    /// libm evaluation it replaced: same DTFT bin, summed over the
+    /// windows that share the probed position.
+    #[test]
+    fn tone_energy_matches_direct_libm_correlation() {
+        use rand::SeedableRng;
+        let n = 256;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let windows = choir_channel::noise::awgn(&mut rng, 3 * n, 1.0);
+        let mut tone = vec![C64::ZERO; n];
+        for pos in [0.0, 0.37, 17.5, 128.0, 200.123_456, 255.999, 256.4] {
+            let w = -2.0 * std::f64::consts::PI * pos / n as f64;
+            for held in 0..=3 {
+                let direct: f64 = windows[..held * n]
+                    .chunks_exact(n)
+                    .map(|de| {
+                        let acc: C64 = de
+                            .iter()
+                            .enumerate()
+                            .map(|(t, v)| v * C64::cis(w * t as f64))
+                            .sum();
+                        acc.norm_sqr()
+                    })
+                    .sum();
+                let got = tone_energy(&windows[..held * n], pos, &mut tone);
+                assert!(
+                    (got - direct).abs() <= 1e-9 * direct,
+                    "pos {pos}, {held} windows: {got} vs {direct}"
+                );
+            }
         }
     }
 

@@ -26,7 +26,7 @@ use choir_dsp::linalg::{
     conj_dot, gram_residual, least_squares_refs, residual_energy_refs, CholeskyFactor,
 };
 use choir_dsp::optim::{golden_section, Optimum};
-use choir_dsp::peaks::{find_peaks, Peak};
+use choir_dsp::peaks::{dirichlet, find_peaks, Peak};
 use choir_dsp::workspace;
 use lora_phy::chirp::base_downchirp_cached;
 use std::cell::RefCell;
@@ -238,18 +238,12 @@ thread_local! {
     static BORDER_SCRATCH: RefCell<CholeskyFactor> = RefCell::new(CholeskyFactor::new());
 }
 
-/// Writes the tone basis `e^{j2π f t / n}` into `buf` (length `n`).
-// hot:noalloc — in-place resynthesis of one basis column.
-fn synthesize_basis(buf: &mut [C64], n: usize, freq_bins: f64) {
-    choir_dsp::backend::tone_into(buf, n, freq_bins);
-}
-
 /// Returns the tone basis for `(n, freq_bins)`, served from the calling
 /// thread's LRU. The offset search revisits the same grid points
 /// constantly — fitted positions feed `fit`, the boundary scans and model
-/// resynthesis — so steady-state refinement stops paying `n` `cis` calls
-/// per request. A hit is bitwise identical to recomputation: the content
-/// is a pure function of the key.
+/// resynthesis — so steady-state refinement stops paying a synthesis per
+/// request. A hit is bitwise identical to recomputation: the content is
+/// a pure function of the key.
 fn cached_basis(n: usize, freq_bins: f64) -> Rc<Vec<C64>> {
     let key = (n, freq_bins.to_bits());
     BASIS_CACHE.with(|cell| {
@@ -261,7 +255,7 @@ fn cached_basis(n: usize, freq_bins: f64) -> Rc<Vec<C64>> {
             return rc;
         }
         let mut b = vec![C64::ZERO; n];
-        synthesize_basis(&mut b, n, freq_bins);
+        choir_dsp::backend::tone_into(&mut b, n, freq_bins);
         let rc = Rc::new(b);
         if cache.len() >= BASIS_CACHE_CAP {
             cache.remove(0);
@@ -276,16 +270,25 @@ fn cached_basis(n: usize, freq_bins: f64) -> Rc<Vec<C64>> {
 /// Cholesky factor for the current frequency hypothesis, and on each
 /// [`Self::eval`] updates only the rows/columns of coordinates whose
 /// frequency actually changed (cyclic coordinate descent moves exactly
-/// one per probe). The residual is evaluated through the Gram identity
-/// (`O(K²)` per probe after the `O(n)` column update) instead of a full
-/// time-domain reconstruction, and every buffer — including the basis
-/// columns, resynthesized in place — is owned and reused, so steady-state
-/// probes perform zero heap allocations.
+/// one per probe). A probe of the residual at frequency `f` is one DTFT
+/// bin of `y`: the moved coordinate costs one tone synthesis and one
+/// [`conj_dot`] against `y`. The Gram of pure tones needs no samples at
+/// all — its diagonal is `n` and entry `(i, j)` is the Dirichlet kernel
+/// `Σ_t e^{j2π(f_j − f_i)t/n}` in closed form ([`dirichlet`]) — and the
+/// residual follows from the Gram identity (`O(K²)`) instead of a
+/// time-domain reconstruction. Every buffer, the basis columns
+/// (resynthesized in place, kept for [`Self::deflate_into`]) included,
+/// is owned and reused, so steady-state probes perform zero heap
+/// allocations.
 ///
-/// Gram entries are produced by the same [`conj_dot`] kernel and
-/// `(i≤j, mirror-conjugate)` orientation as a from-scratch
-/// [`least_squares_refs`] build, so an
+/// A Gram entry is a pure function of its two frequencies, always
+/// evaluated in the `(i<j, mirror-conjugate)` orientation, so an
 /// incrementally maintained matrix is bit-identical to a rebuilt one.
+/// It is *not* the `conj_dot`-of-bases Gram [`least_squares_refs`]
+/// builds (the two agree to 1e-13·`n` at SF8, 2e-12·`n` at SF12 — the
+/// sampled tones' phase rounding): this type scores hypotheses for the
+/// search, and the channels the estimator reports come from a
+/// time-domain [`OffsetEstimator::fit`] at the converged point.
 pub struct GramFit<'a> {
     n: usize,
     y: &'a [C64],
@@ -308,17 +311,25 @@ impl<'a> GramFit<'a> {
     ///
     /// # Panics
     /// Panics if `k` is zero or above 64 (the changed-coordinate bitmask
-    /// width).
+    /// width), or if `y` is not `n` samples (the closed-form Gram is that
+    /// of whole-symbol tones).
     pub fn new(n: usize, y: &'a [C64], k: usize) -> Self {
         assert!(k > 0 && k <= 64, "GramFit: component count out of range");
+        assert_eq!(y.len(), n, "GramFit: window must be one symbol long");
+        // A whole-symbol tone's energy is `n` wherever it sits: the
+        // diagonal is set once, probes only move off-diagonal entries.
+        let mut gram = vec![C64::ZERO; k * k];
+        for i in 0..k {
+            gram[i * k + i] = C64::from_re(n as f64);
+        }
         GramFit {
             n,
             y,
             y_energy: choir_dsp::complex::energy(y),
             k,
             freqs: vec![0.0; k],
-            bases: (0..k).map(|_| vec![C64::ZERO; y.len()]).collect(),
-            gram: vec![C64::ZERO; k * k],
+            bases: (0..k).map(|_| vec![C64::ZERO; n]).collect(),
+            gram,
             p: vec![C64::ZERO; k],
             chol: CholeskyFactor::new(),
             coeffs: vec![C64::ZERO; k],
@@ -363,26 +374,23 @@ impl<'a> GramFit<'a> {
         let mut changed = 0u64;
         for (i, &xi) in x.iter().enumerate() {
             if !self.primed || xi.to_bits() != self.freqs[i].to_bits() {
-                synthesize_basis(&mut self.bases[i], self.n, xi);
+                choir_dsp::backend::tone_into(&mut self.bases[i], self.n, xi);
+                self.p[i] = conj_dot(&self.bases[i], self.y);
                 self.freqs[i] = xi;
                 changed |= 1 << i;
             }
         }
         self.primed = true;
+        let nn = self.n as f64;
         for i in 0..k {
             if changed & (1 << i) == 0 {
                 continue;
             }
-            self.p[i] = conj_dot(&self.bases[i], self.y);
-            for j in 0..k {
-                if j == i {
-                    self.gram[i * k + i] = conj_dot(&self.bases[i], &self.bases[i]);
-                } else {
-                    let (lo, hi) = (i.min(j), i.max(j));
-                    let v = conj_dot(&self.bases[lo], &self.bases[hi]);
-                    self.gram[lo * k + hi] = v;
-                    self.gram[hi * k + lo] = v.conj();
-                }
+            for j in (0..k).filter(|&j| j != i) {
+                let (lo, hi) = (i.min(j), i.max(j));
+                let v = dirichlet(self.n, self.freqs[hi], self.freqs[lo], 1).scale(nn);
+                self.gram[lo * k + hi] = v;
+                self.gram[hi * k + lo] = v.conj();
             }
         }
         if !self.chol.factor(k, &self.gram) {
@@ -562,7 +570,6 @@ impl OffsetEstimator {
             let before = best;
             for i in 0..x.len() {
                 let xi = x[i];
-                let gtol = TOL_BINS.max(r * 1e-4);
                 let (mut lo, mut hi) = (xi - r, xi + r);
                 if sweep == 0 && gfit.solved() {
                     gfit.deflate_into(i, &mut deflated);
@@ -599,10 +606,10 @@ impl OffsetEstimator {
                     },
                     lo,
                     hi,
-                    gtol,
+                    TOL_BINS,
                 );
                 // golden_section spends ~2 + log_φ(range/tol) evals.
-                evals += 2 + (((hi - lo) / gtol).ln() / 0.481).max(0.0).ceil() as usize;
+                evals += 2 + (((hi - lo) / TOL_BINS).ln() / 0.481).max(0.0).ceil() as usize;
                 if fmin < best {
                     best = fmin;
                     x[i] = xmin;

@@ -6,11 +6,17 @@
 //! *bit* identity, not tolerance: `to_bits` on every float. Windows carry
 //! 1–4 users with near-far amplitude ratios up to 20 dB plus additive
 //! noise, so the kernels are exercised far from the easy orthogonal case.
+//!
+//! The search *objective* is the one thing here held to a tolerance: its
+//! Gram is a closed form, not sampled bases, so `dirichlet_gram_…` and
+//! `gram_fit_eval_…` bound how far it may sit from the time-domain
+//! arithmetic the reported channels still come from.
 
 use choir_core::estimator::{EstimatorConfig, GramFit, OffsetEstimator};
 use choir_dsp::complex::{c64, C64};
 use choir_dsp::fft::FftPlan;
-use choir_dsp::linalg::{least_squares_refs, residual_energy_refs};
+use choir_dsp::linalg::{conj_dot, least_squares_refs, residual_energy_refs};
+use choir_dsp::peaks::dirichlet;
 use choir_dsp::resample::{fractional_delay, integer_shift, sinc};
 use proptest::prelude::*;
 
@@ -50,19 +56,122 @@ fn window(users: &[User], noise: &[(f64, f64)]) -> Vec<C64> {
         .collect()
 }
 
-/// The exact basis formula the estimator synthesises, rebuilt naively.
-/// Tone synthesis owns its deterministic sincos (not libm), so the
-/// naive reference replays that same kernel.
+/// The bases the estimator synthesises, recomputed into fresh vectors
+/// by the scalar oracle of the tone kernel — no LRU, no dispatch.
 fn fresh_bases(freqs: &[f64]) -> Vec<Vec<C64>> {
     freqs
         .iter()
         .map(|&f| {
-            let w = 2.0 * std::f64::consts::PI * f / N as f64;
-            (0..N)
-                .map(|t| choir_dsp::backend::sincos::cis(w * t as f64))
-                .collect()
+            let mut b = vec![C64::ZERO; N];
+            choir_dsp::backend::scalar::tone_into(&mut b, N, f);
+            b
         })
         .collect()
+}
+
+/// A pair of tone positions in the estimator's range `[-1, n+1]`,
+/// `n = 2^sf`, by separation class: anywhere, a whole number of bins
+/// apart, closer than 1e-9 bins, identical, exactly `n` apart, and
+/// wrapped around the band edge (circularly close, `≈ n` apart).
+fn arb_tone_pair() -> impl Strategy<Value = (usize, f64, f64)> {
+    (7u32..13, 0u8..6, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(sf, class, u, v)| {
+        let n = 1usize << sf;
+        let nn = n as f64;
+        let anywhere = |r: f64| -1.0 + r * (nn + 2.0);
+        let (lo, hi) = match class {
+            0 => (anywhere(u), anywhere(v)),
+            1 => (u, u + (v * nn).floor()),
+            2 => (anywhere(u), anywhere(u) + (v - 0.5) * 2e-9),
+            3 => (anywhere(u), anywhere(u)),
+            4 => (u, u + nn),
+            _ => (u, nn - v),
+        };
+        if v < 0.5 {
+            (n, lo, hi)
+        } else {
+            (n, hi, lo)
+        }
+    })
+}
+
+/// Well-separated tones (one per `N/6`-bin sector, at least a bin from
+/// any neighbour) with the near-far amplitudes of [`arb_users`].
+fn arb_separated_users() -> impl Strategy<Value = Vec<User>> {
+    prop::collection::vec(
+        (0.0f64..1.0, 0.1f64..1.0, 0.0f64..std::f64::consts::TAU),
+        1..7,
+    )
+    .prop_map(|users| {
+        let sector = N as f64 / 6.0;
+        users
+            .into_iter()
+            .enumerate()
+            .map(|(i, (u, mag, phase))| (1.0 + i as f64 * sector + u * (sector - 2.0), mag, phase))
+            .collect()
+    })
+}
+
+/// A duplicated hypothesis makes the closed-form Gram exactly singular,
+/// as it made the sampled one: the probe reports the window energy (the
+/// worst fit there is) and says its coefficients are stale.
+#[test]
+fn duplicate_hypotheses_score_the_window_energy() {
+    let y = window(
+        &[(40.3, 1.0, 0.4), (90.7, 0.5, 2.0)],
+        &vec![(0.01, -0.02); N],
+    );
+    let mut gfit = GramFit::new(N, &y, 2);
+    assert!(gfit.eval(&[40.3, 90.7]) < choir_dsp::complex::energy(&y));
+    assert!(gfit.solved());
+    let r = gfit.eval(&[40.3, 40.3]);
+    assert_eq!(r.to_bits(), choir_dsp::complex::energy(&y).to_bits());
+    assert!(!gfit.solved());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // The closed-form Gram entry `n·D(f_j − f_i)` the search objective
+    // uses against the sampled one it replaced — `conj_dot` of the two
+    // synthesised bases — over every separation class of
+    // [`arb_tone_pair`], at every LoRa symbol length.
+    #[test]
+    fn dirichlet_gram_matches_sampled_gram(pair in arb_tone_pair()) {
+        let (n, f_i, f_j) = pair;
+        let mut b_i = vec![C64::ZERO; n];
+        let mut b_j = vec![C64::ZERO; n];
+        choir_dsp::backend::tone_into(&mut b_i, n, f_i);
+        choir_dsp::backend::tone_into(&mut b_j, n, f_j);
+        let sampled = conj_dot(&b_i, &b_j);
+        let closed = dirichlet(n, f_j, f_i, 1).scale(n as f64);
+        prop_assert!(
+            (closed - sampled).abs() <= 1e-10 * n as f64,
+            "n={} f_i={} f_j={}: closed {:?} vs sampled {:?}",
+            n, f_i, f_j, closed, sampled
+        );
+    }
+
+    // The search objective against the time-domain residual it stands
+    // for: at any probe point of a K = 1…6 tone set in noise,
+    // `GramFit::eval` is `OffsetEstimator::fit`'s residual to 1e-9.
+    #[test]
+    fn gram_fit_eval_matches_time_domain_residual(
+        users in arb_separated_users(),
+        noise in arb_noise(),
+        nudge in prop::collection::vec(-0.3f64..0.3, 6..7),
+    ) {
+        let est = OffsetEstimator::new(N, EstimatorConfig::default());
+        let y = window(&users, &noise);
+        let x: Vec<f64> = users.iter().zip(&nudge).map(|(u, d)| u.0 + d).collect();
+        let mut gfit = GramFit::new(N, &y, x.len());
+        let fast = gfit.eval(&x);
+        prop_assert!(gfit.solved());
+        let (_, exact) = est.fit(&y, &x);
+        prop_assert!(
+            (fast - exact).abs() <= 1e-9 * exact,
+            "K={}: eval {} vs fit {}", x.len(), fast, exact
+        );
+    }
 }
 
 proptest! {

@@ -133,8 +133,48 @@ unsafe fn cis4(x: __m256d) -> (__m256d, __m256d) {
     (re, im)
 }
 
-/// AVX2 [`super::tone_into`]; bit-identical to the oracle (each lane
-/// replays the scalar [`sincos::cis`] op sequence).
+/// Table fill of the two-level tone kernel: `out[i] = cis(w·t_i)` at
+/// the integers `t_i = first + i·step`, four lanes at a time. Each lane
+/// (and each tail element) is the scalar `sincos::cis(w * t_i as f64)`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn cis_steps(out: &mut [C64], w: f64, first: usize, step: usize) {
+    let wv = _mm256_set1_pd(w);
+    let at = |i: usize| (first + i * step) as f64;
+    let po = out.as_mut_ptr() as *mut f64;
+    let mut i = 0usize;
+    while i + 4 <= out.len() {
+        let tv = _mm256_setr_pd(at(i), at(i + 1), at(i + 2), at(i + 3));
+        let (re, im) = cis4(_mm256_mul_pd(wv, tv));
+        // Interleave [re0..re3]/[im0..im3] into (re, im) pairs.
+        let lo = _mm256_unpacklo_pd(re, im); // [r0, i0, r2, i2]
+        let hi = _mm256_unpackhi_pd(re, im); // [r1, i1, r3, i3]
+        _mm256_storeu_pd(po.add(2 * i), _mm256_permute2f128_pd::<0x20>(lo, hi));
+        _mm256_storeu_pd(po.add(2 * i + 4), _mm256_permute2f128_pd::<0x31>(lo, hi));
+        i += 4;
+    }
+    while i < out.len() {
+        out[i] = sincos::cis(w * at(i));
+        i += 1;
+    }
+}
+
+/// Rows of the tone kernel whose coarse factors one table fill
+/// evaluates — a whole SF8 symbol's worth, so the fill's independent
+/// sincos chains overlap instead of running one register at a time.
+const COARSE_GROUP: usize = 16;
+
+/// A coarse factor broadcast into both complex slots of a register —
+/// the left operand of [`cmul2`], matching the oracle's `coarse * fine`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn splat(c: C64) -> __m256d {
+    _mm256_setr_pd(c.re, c.im, c.re, c.im)
+}
+
+/// AVX2 [`super::tone_into`]; bit-identical to the oracle: both tables
+/// come from four-lane replays of [`sincos::cis`] and each element is
+/// one [`cmul2`] product of the same two entries the oracle multiplies.
 pub fn tone_into(buf: &mut [C64], n: usize, freq_bins: f64) {
     // SAFETY: see `conj_dot`.
     unsafe { tone_into_impl(buf, n, freq_bins) }
@@ -143,29 +183,34 @@ pub fn tone_into(buf: &mut [C64], n: usize, freq_bins: f64) {
 #[target_feature(enable = "avx2")]
 unsafe fn tone_into_impl(buf: &mut [C64], n: usize, freq_bins: f64) {
     let w = 2.0 * std::f64::consts::PI * freq_bins / n as f64;
-    let len = buf.len();
-    let wv = _mm256_set1_pd(w);
-    let po = buf.as_mut_ptr() as *mut f64;
-    let mut t = 0usize;
-    while t + 4 <= len {
-        let tv = _mm256_setr_pd(t as f64, (t + 1) as f64, (t + 2) as f64, (t + 3) as f64);
-        let (re, im) = cis4(_mm256_mul_pd(wv, tv));
-        // Interleave [re0..re3]/[im0..im3] into (re, im) pairs.
-        let lo = _mm256_unpacklo_pd(re, im); // [r0, i0, r2, i2]
-        let hi = _mm256_unpackhi_pd(re, im); // [r1, i1, r3, i3]
-        _mm256_storeu_pd(po.add(2 * t), _mm256_permute2f128_pd::<0x20>(lo, hi));
-        _mm256_storeu_pd(po.add(2 * t + 4), _mm256_permute2f128_pd::<0x31>(lo, hi));
-        t += 4;
-    }
-    while t < len {
-        buf[t] = sincos::cis(w * t as f64);
-        t += 1;
+    let stride = super::tone_stride(n);
+    let mut fine = [C64::ZERO; super::MAX_TONE_STRIDE];
+    let fine = &mut fine[..stride];
+    cis_steps(fine, w, 0, 1);
+    let pf = fine.as_ptr() as *const f64;
+    let mut coarse = [C64::ZERO; COARSE_GROUP];
+    for (g, rows) in buf.chunks_mut(COARSE_GROUP * stride).enumerate() {
+        let held = rows.len().div_ceil(stride);
+        cis_steps(&mut coarse[..held], w, COARSE_GROUP * g * stride, stride);
+        for (row, &c) in rows.chunks_mut(stride).zip(&coarse) {
+            let cv = splat(c);
+            let po = row.as_mut_ptr() as *mut f64;
+            let mut b = 0usize;
+            while b + 2 <= row.len() {
+                let fv = _mm256_loadu_pd(pf.add(2 * b));
+                _mm256_storeu_pd(po.add(2 * b), cmul2(cv, fv));
+                b += 2;
+            }
+            if b < row.len() {
+                row[b] = c * fine[b];
+            }
+        }
     }
 }
 
 /// AVX2 [`super::tone_block_into`]: per-candidate strided column fill.
-/// Each column reuses the dense four-lane sincos pipeline and scatters
-/// the four `(re, im)` pairs to `block[t·W + j]`; element values are
+/// Each column runs the dense kernel's tables and products and scatters
+/// the `(re, im)` pairs to `block[t·W + j]`; element values are
 /// bit-identical to the dense kernel's at the same `(n, freq, t)`.
 pub fn tone_block_into(block: &mut [C64], n: usize, freqs: &[f64]) {
     // SAFETY: see `conj_dot`.
@@ -180,32 +225,43 @@ unsafe fn tone_block_into_impl(block: &mut [C64], n: usize, freqs: &[f64]) {
         "tone_block_into: ragged block"
     );
     let rows = block.len() / w;
+    let stride = super::tone_stride(n);
+    let mut fine = [C64::ZERO; super::MAX_TONE_STRIDE];
+    let fine = &mut fine[..stride];
+    let mut coarse = [C64::ZERO; COARSE_GROUP];
+    // Every store below lands on sample `t < rows` of column `j < w`,
+    // i.e. inside `block[..rows·w]`.
     let po = block.as_mut_ptr() as *mut f64;
     for (j, &f) in freqs.iter().enumerate() {
         let wj = 2.0 * std::f64::consts::PI * f / n as f64;
-        let wv = _mm256_set1_pd(wj);
-        let mut t = 0usize;
-        while t + 4 <= rows {
-            let tv = _mm256_setr_pd(t as f64, (t + 1) as f64, (t + 2) as f64, (t + 3) as f64);
-            let (re, im) = cis4(_mm256_mul_pd(wv, tv));
-            let lo = _mm256_unpacklo_pd(re, im);
-            let hi = _mm256_unpackhi_pd(re, im);
-            // Scatter the four pairs to strided slots.
-            _mm_storeu_pd(po.add(2 * (t * w + j)), _mm256_castpd256_pd128(lo));
-            _mm_storeu_pd(po.add(2 * ((t + 1) * w + j)), _mm256_castpd256_pd128(hi));
-            _mm_storeu_pd(
-                po.add(2 * ((t + 2) * w + j)),
-                _mm256_extractf128_pd::<1>(lo),
-            );
-            _mm_storeu_pd(
-                po.add(2 * ((t + 3) * w + j)),
-                _mm256_extractf128_pd::<1>(hi),
-            );
-            t += 4;
-        }
-        while t < rows {
-            block[t * w + j] = sincos::cis(wj * t as f64);
-            t += 1;
+        cis_steps(fine, wj, 0, 1);
+        let pf = fine.as_ptr() as *const f64;
+        let mut g0 = 0usize; // first sample of the current group of rows
+        while g0 < rows {
+            let held = (rows - g0).div_ceil(stride).min(COARSE_GROUP);
+            cis_steps(&mut coarse[..held], wj, g0, stride);
+            for (i, &c) in coarse[..held].iter().enumerate() {
+                let t0 = g0 + i * stride;
+                let m = stride.min(rows - t0);
+                let cv = splat(c);
+                let mut b = 0usize;
+                while b + 2 <= m {
+                    let prod = cmul2(cv, _mm256_loadu_pd(pf.add(2 * b)));
+                    _mm_storeu_pd(po.add(2 * ((t0 + b) * w + j)), _mm256_castpd256_pd128(prod));
+                    _mm_storeu_pd(
+                        po.add(2 * ((t0 + b + 1) * w + j)),
+                        _mm256_extractf128_pd::<1>(prod),
+                    );
+                    b += 2;
+                }
+                if b < m {
+                    let v = c * fine[b];
+                    let slot = po.add(2 * ((t0 + b) * w + j));
+                    *slot = v.re;
+                    *slot.add(1) = v.im;
+                }
+            }
+            g0 += COARSE_GROUP * stride;
         }
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Stage profiles (`core.profile.*` of a traced spine run) show the
 //! Algorithm-1 refine loop spending its time in a handful of dense
-//! complex kernels: dechirp multiplies, conjugated dot products for the
-//! Gram system, tone-basis synthesis, the sinc interpolation MAC, and the
-//! radix-2 FFT butterflies. This module gives each of those a narrow
-//! kernel entry point and selects an implementation once per process:
+//! complex kernels: dechirp multiplies, the conjugated dot product that
+//! projects a window onto a tone, tone-basis synthesis, the sinc
+//! interpolation MAC, and the radix-2 FFT butterflies. This module
+//! gives each of those a narrow kernel entry point and selects an
+//! implementation once per process:
 //!
 //! * **scalar** — the reference oracle. Element-for-element the same
 //!   loops the rest of the workspace used before this module existed;
@@ -242,15 +243,38 @@ pub fn dot(a: &[C64], b: &[C64]) -> C64 {
     dispatch!(dot(a, b))
 }
 
-/// Tone-basis synthesis `buf[t] = cis(2π·freq_bins·t / n)`.
+/// Longest fine table of the two-level tone kernel (see
+/// [`tone_stride`]); bounds the kernels' stack scratch.
+pub const MAX_TONE_STRIDE: usize = 64;
+
+/// Fine-table length `B` of the tone kernel for `n`-chip symbols: the
+/// smallest power of two with `B² ≥ n` (16 at SF8), capped at
+/// [`MAX_TONE_STRIDE`]. A function of `n` alone, so every element of a
+/// tone is the same expression whatever the buffer length, the block
+/// width or the backend.
+pub fn tone_stride(n: usize) -> usize {
+    let mut b = 1;
+    while b * b < n && b < MAX_TONE_STRIDE {
+        b *= 2;
+    }
+    b
+}
+
+/// Tone-basis synthesis `buf[t] ≈ e^{j2π·freq_bins·t / n}` by angle
+/// addition: `buf[a·B + b] = cis(w·(a·B)) · cis(w·b)` with `w =
+/// 2π·freq_bins/n` and `B = tone_stride(n)` — `B + ⌈len/B⌉` sincos
+/// evaluations and `len` complex multiplies rather than `len`
+/// evaluations, within `4ε·(|w·t| + 1)` of the exact phasor (no worse
+/// than rounding the phase product `w·t` itself).
 ///
 /// `cis` here is the deterministic [`sincos`] kernel, *not* libm: libm
 /// transcendentals cannot be re-derived lane-exactly by a vector
-/// routine (which is why this kernel used to be pinned to the scalar
-/// oracle), and phasor recurrences drift. Owning the polynomial gives
-/// every backend the same fixed IEEE op sequence per element, so tone
-/// synthesis now dispatches — and it is the dominant per-probe cost of
-/// the Algorithm-1 refine loop, so this is where batching pays.
+/// routine, and a running phasor recurrence drifts with `t`. A fixed
+/// two-factor product does neither: every backend runs the same IEEE
+/// op sequence per element (two table entries, one `C64` multiply in
+/// [`cmul_into`]'s op order), so tone synthesis dispatches like every
+/// other kernel and each element stays a pure function of
+/// `(n, freq_bins, t)`.
 pub fn tone_into(buf: &mut [C64], n: usize, freq_bins: f64) {
     dispatch!(tone_into(buf, n, freq_bins))
 }

@@ -42,14 +42,35 @@ pub fn axpy(out: &mut [C64], xs: &[C64], amp: C64, subtract: bool) {
     }
 }
 
-/// Oracle for [`super::tone_into`]: `buf[t] = cis(2π·freq_bins·t/n)`,
-/// with `cis` being the deterministic [`super::sincos`] kernel (not
-/// libm) so vector backends can replay the exact op sequence per lane.
+/// Oracle for [`super::tone_into`]: the two-level angle-addition tone
+/// `buf[a·B + b] = cis(w·(a·B)) · cis(w·b)` with `w = 2π·freq_bins/n`,
+/// `B = `[`super::tone_stride`]`(n)`, `cis` the deterministic
+/// [`super::sincos`] kernel (not libm) evaluated at the integer-valued
+/// `f64`s `a·B` and `b`, and the product in `C64`'s `Mul` (the
+/// [`cmul_into`] op order, coarse factor on the left, no FMA). That is
+/// `B + ⌈len/B⌉` sincos evaluations and `len` complex multiplies
+/// instead of `len` evaluations; each element is still one pure
+/// function of `(n, freq_bins, t)`, which is what lets vector backends
+/// replay it lane for lane.
 pub fn tone_into(buf: &mut [C64], n: usize, freq_bins: f64) {
     let w = 2.0 * PI * freq_bins / n as f64;
-    for (t, v) in buf.iter_mut().enumerate() {
-        *v = super::sincos::cis(w * t as f64);
+    let stride = super::tone_stride(n);
+    let fine = fine_table(w, stride);
+    for (a, row) in buf.chunks_mut(stride).enumerate() {
+        let coarse = super::sincos::cis(w * (a * stride) as f64);
+        for (v, &fv) in row.iter_mut().zip(&fine[..stride]) {
+            *v = coarse * fv;
+        }
     }
+}
+
+/// The tone kernel's fine table: `cis(w·b)` for `b < stride`.
+fn fine_table(w: f64, stride: usize) -> [C64; super::MAX_TONE_STRIDE] {
+    let mut fine = [C64::ZERO; super::MAX_TONE_STRIDE];
+    for (b, v) in fine[..stride].iter_mut().enumerate() {
+        *v = super::sincos::cis(w * b as f64);
+    }
+    fine
 }
 
 /// Oracle for [`super::tone_block_into`]: strided AoSoA tone fill.
@@ -63,11 +84,15 @@ pub fn tone_block_into(block: &mut [C64], n: usize, freqs: &[f64]) {
         w > 0 && block.len().is_multiple_of(w),
         "tone_block_into: ragged block"
     );
-    let rows = block.len() / w;
+    let stride = super::tone_stride(n);
     for (j, &f) in freqs.iter().enumerate() {
         let wj = 2.0 * PI * f / n as f64;
-        for t in 0..rows {
-            block[t * w + j] = super::sincos::cis(wj * t as f64);
+        let fine = fine_table(wj, stride);
+        for (a, rows) in block.chunks_mut(stride * w).enumerate() {
+            let coarse = super::sincos::cis(wj * (a * stride) as f64);
+            for (row, &fv) in rows.chunks_mut(w).zip(&fine[..stride]) {
+                row[j] = coarse * fv;
+            }
         }
     }
 }

@@ -212,8 +212,8 @@ pub fn least_squares_refs(basis: &[&[C64]], rhs: &[C64]) -> Option<Vec<C64>> {
         assert_eq!(b.len(), n, "least_squares: basis/rhs length mismatch");
     }
     // Gram matrix G = EᴴE (k×k) and projected rhs p = Eᴴy, built through
-    // the same `conj_dot` kernel incremental callers use (bit-identical
-    // entries either way, whichever backend is active).
+    // the `conj_dot` kernel (bit-identical entries whichever backend is
+    // active).
     let mut g = CMat::zeros(k, k);
     for i in 0..k {
         for j in i..k {
@@ -243,9 +243,10 @@ pub fn residual_energy_refs(basis: &[&[C64]], coeffs: &[C64], rhs: &[C64]) -> f6
 }
 
 /// Conjugate inner product `Σ_t a[t]ᴴ · b[t]` — the exact kernel
-/// [`least_squares_refs`] uses for Gram entries and projections, exposed so
-/// incremental callers (updating one row/column of `AᴴA` at a time)
-/// produce bit-identical entries to a from-scratch Gram build.
+/// [`least_squares_refs`] uses for Gram entries and projections, exposed
+/// so callers that keep a projection of their own (the offset search's
+/// `Bᴴy`, one entry per moved tone) get the entry a from-scratch build
+/// would.
 // hot:noalloc — pure streaming reduction over borrowed slices.
 pub fn conj_dot(a: &[C64], b: &[C64]) -> C64 {
     crate::backend::conj_dot(a, b)

@@ -7,6 +7,7 @@
 //! finds peaks in (zero-padded) spectra, refines their fractional position,
 //! and models the leakage pattern used by the residual fit.
 
+use crate::backend::sincos::cis;
 use crate::complex::C64;
 
 /// A detected spectral peak.
@@ -195,23 +196,29 @@ pub fn parabolic_refine(prev: f64, peak: f64, next: f64) -> f64 {
 /// of an `n·pad`-point zero-padded transform.
 ///
 /// `D(x) = sin(πx) / (n · sin(πx/n)) · e^{jπx(n-1)/n}` with `x = f - k/pad`,
-/// normalised so that `|D(0)| = 1`.
+/// normalised so that `|D(0)| = 1`; equivalently `n·D(x) = Σ_t
+/// e^{j2πxt/n}`, which is how the offset search reads the Gram entry of
+/// two tones `x` bins apart. Evaluated on the deterministic
+/// [`sincos`](crate::backend::sincos) kernel (the search objective must
+/// not depend on the host's libm): `x` is first folded into `[−n/2, n/2]`
+/// (`D` has period `n`; the fold is exact for `|x| ≤ 2n`, so a pair
+/// wrapped around the band edge is as accurate as a close one), and the
+/// phase factor is the product of the two phasors whose sines form the
+/// magnitude, `e^{jπx}·e^{−jπx/n}`.
 pub fn dirichlet(n: usize, f: f64, k_padded: f64, pad: usize) -> C64 {
-    let x = f - k_padded / pad as f64;
     let nn = n as f64;
-    let num = (std::f64::consts::PI * x).sin();
-    let den = nn * (std::f64::consts::PI * x / nn).sin();
+    let x = f - k_padded / pad as f64;
+    let x = x - nn * (x / nn).round();
+    let whole = cis(std::f64::consts::PI * x);
+    let part = cis(std::f64::consts::PI * x / nn);
+    let den = nn * part.im;
     let mag = if den.abs() < 1e-300 {
         // x is a multiple of n: the kernel is 1 there (periodic main lobe).
         1.0
     } else {
-        num / den
+        whole.im / den
     };
-    let phase = std::f64::consts::PI * x * (nn - 1.0) / nn;
-    C64::from_polar(
-        mag.abs(),
-        phase + if mag < 0.0 { std::f64::consts::PI } else { 0.0 },
-    )
+    (whole * part.conj()).scale(mag)
 }
 
 /// Magnitude of the Dirichlet kernel at distance `x` bins from the tone

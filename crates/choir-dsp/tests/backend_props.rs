@@ -348,6 +348,102 @@ proptest! {
     }
 }
 
+/// The arithmetic the two-level tone kernel replaced, kept as its
+/// accuracy oracle: one deterministic `cis` per element.
+fn per_element_tone(len: usize, n: usize, freq_bins: f64) -> Vec<C64> {
+    let w = 2.0 * PI * freq_bins / n as f64;
+    (0..len)
+        .map(|t| backend::sincos::cis(w * t as f64))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The angle-addition tone against the per-element kernel it
+    // replaced and against libm, for every LoRa symbol length, buffer
+    // lengths that are and are not multiples of the fine-table length
+    // (and differ from `n`), over the estimator's frequency range
+    // `[-1, n+1]`: no further from either than the rounding of the phase
+    // product `w·t` itself, unit magnitude to rounding, and *bitwise*
+    // the per-element value wherever one of the two factors is `cis(0)`
+    // — row 0 (the fine table verbatim) and column 0 of every row.
+    #[test]
+    fn tone_into_tracks_per_element_cis(
+        sf in 7u32..13,
+        len_rows in 0usize..70,
+        len_tail in 0usize..64,
+        pos in 0.0f64..1.0,
+        width in 1usize..9,
+    ) {
+        let _s = serial();
+        let _r = RestoreBackend;
+        let n = 1usize << sf;
+        let stride = backend::tone_stride(n);
+        prop_assert!(stride * stride >= n && stride.is_power_of_two());
+        let len = (len_rows * stride + len_tail % stride).max(1);
+        let freq_bins = -1.0 + pos * (n as f64 + 2.0);
+        let w = 2.0 * PI * freq_bins / n as f64;
+        let want = per_element_tone(len, n, freq_bins);
+        let mut oracle = vec![C64::ZERO; len];
+        backend::scalar::tone_into(&mut oracle, n, freq_bins);
+        for kind in backend::available() {
+            backend::force(kind);
+            let mut got = vec![C64::ZERO; len];
+            backend::tone_into(&mut got, n, freq_bins);
+            assert_bits_eq(kind, "tone_into (SF lengths)", &got, &oracle);
+            // The same tone as the last column of a width-`width` block.
+            let mut freqs = vec![0.25; width];
+            freqs[width - 1] = freq_bins;
+            let mut block = vec![C64::ZERO; len * width];
+            backend::tone_block_into(&mut block, n, &freqs);
+            let col: Vec<C64> = (0..len).map(|t| block[t * width + width - 1]).collect();
+            assert_bits_eq(kind, "tone_block_into column (SF lengths)", &col, &oracle);
+        }
+        for (t, (&v, &e)) in oracle.iter().zip(&want).enumerate() {
+            let phase = w * t as f64;
+            let tol = 4.0 * f64::EPSILON * (phase.abs() + 1.0);
+            prop_assert!((v - e).abs() <= tol, "t={} vs per-element: {:e}", t, (v - e).abs());
+            let libm = C64::cis(phase);
+            prop_assert!((v - libm).abs() <= tol, "t={} vs libm: {:e}", t, (v - libm).abs());
+            prop_assert!((v.abs() - 1.0).abs() < 1e-15, "t={} |v|-1 = {:e}", t, v.abs() - 1.0);
+            if t < stride || t % stride == 0 {
+                prop_assert!(
+                    v.re.to_bits() == e.re.to_bits() && v.im.to_bits() == e.im.to_bits(),
+                    "t={} (stride {}) is not the per-element value", t, stride
+                );
+            }
+        }
+    }
+}
+
+/// A non-finite frequency poisons both tables, so every element is NaN
+/// on every backend, dense and blocked — never a stale or partial tone.
+#[test]
+fn non_finite_frequency_yields_all_nan_tones() {
+    let _s = serial();
+    let _r = RestoreBackend;
+    for kind in backend::available() {
+        backend::force(kind);
+        for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for len in [1usize, 15, 16, 37, 256] {
+                let mut dense = vec![C64::ONE; len];
+                backend::tone_into(&mut dense, 256, f);
+                let mut block = vec![C64::ONE; len * 3];
+                backend::tone_block_into(&mut block, 256, &[f, f, f]);
+                assert!(
+                    dense
+                        .iter()
+                        .chain(&block)
+                        .all(|v| v.re.is_nan() && v.im.is_nan()),
+                    "{} f={f} len={len}",
+                    kind.name()
+                );
+            }
+        }
+    }
+}
+
 /// Forcing each listed backend steers dispatch (`active()` reports the
 /// forced kind), and the scalar oracle is always listed — so this still
 /// means something on a scalar-only host.
