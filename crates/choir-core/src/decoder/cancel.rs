@@ -55,6 +55,15 @@ impl SymbolSpan {
         self.last.saturating_sub(self.first)
     }
 
+    /// Where the span splits into its two constant-phase segments: the
+    /// chirp wraps from +B/2 to −B/2 `n − value` chips into the symbol,
+    /// and any sub-chip timing error turns that wrap into a phase step.
+    /// Clipped to the span, so either segment may be empty.
+    fn wrap(&self, n: usize, value: u16) -> usize {
+        let wrap_global = self.start + (n - value as usize) as f64;
+        (wrap_global.ceil().max(self.first as f64) as usize).min(self.last)
+    }
+
     /// The symbol's chirp over the span (`out` holds [`Self::len`]
     /// samples), before the CFO rotation.
     fn chirp_into(&self, n: usize, value: u16, out: &mut [C64]) {
@@ -64,18 +73,111 @@ impl SymbolSpan {
     }
 }
 
+/// What a CFO search reads of the signal, built once: the two-symbol
+/// stretches after symbols 1, 3 and 5, each fitted symbol's two
+/// constant-phase segments derotated by its chirp.
+struct CfoProbes {
+    /// Symbol length in chips.
+    n: usize,
+    /// `y·conj(chirp)` of every fitted segment, back to back (a
+    /// workspace buffer).
+    derotated: Vec<C64>,
+    /// Length and chirp energy `‖chirp‖²` of each, in order: at most two
+    /// a stretch.
+    segments: Vec<(usize, f64)>,
+    /// Energy of the probed samples — the objective when nothing fits.
+    energy: f64,
+}
+
+impl CfoProbes {
+    /// `None` when the frame is too short to hold a probe symbol.
+    fn new(
+        n: usize,
+        work: &[C64],
+        slot_start: usize,
+        symbols: &[u16],
+        timing_chips: f64,
+    ) -> Option<Self> {
+        if symbols.len() <= 1 {
+            return None;
+        }
+        // A span never outgrows its two-symbol stretch.
+        let mut probes = CfoProbes {
+            n,
+            derotated: workspace::take(3 * 2 * n),
+            segments: Vec::with_capacity(6),
+            energy: 0.0,
+        };
+        let mut chirp = workspace::take(2 * n);
+        let mut filled = 0;
+        for sym_idx in [1usize, 3, 5].into_iter().filter(|&i| i < symbols.len()) {
+            // The stretch rebased to index 0, with the span of its symbol
+            // there.
+            let lo = slot_start + sym_idx * n;
+            let stretch = &work[lo..(lo + 2 * n).min(work.len())];
+            let span = SymbolSpan::new(stretch.len(), 0, 0, n, timing_chips);
+            let value = symbols[sym_idx];
+            probes.energy += stretch
+                .iter()
+                .take(n + timing_chips.ceil() as usize)
+                .map(|z| z.norm_sqr())
+                .sum::<f64>();
+            let chirp = &mut chirp[..span.len()];
+            span.chirp_into(n, value, chirp);
+            let wrap = span.wrap(n, value);
+            for (a, b) in [(span.first, wrap), (wrap, span.last)] {
+                if b <= a {
+                    continue;
+                }
+                let chirp = &chirp[a - span.first..b - span.first];
+                let chirp_energy: f64 = chirp.iter().map(|c| c.norm_sqr()).sum();
+                if chirp_energy <= 1e-12 {
+                    continue;
+                }
+                let seg = &mut probes.derotated[filled..filled + (b - a)];
+                for ((z, y), c) in seg.iter_mut().zip(&stretch[a..b]).zip(chirp) {
+                    *z = y * c.conj();
+                }
+                probes.segments.push((b - a, chirp_energy));
+                filled += b - a;
+            }
+        }
+        workspace::put(chirp);
+        Some(probes)
+    }
+
+    /// Energy left in the probed samples after the best per-segment fit
+    /// at `cfo_bins`: the search's objective.
+    // hot:noalloc — one fused DTFT bin per segment of the held buffer.
+    fn residual_at(&self, cfo_bins: f64) -> f64 {
+        let mut fitted = 0.0;
+        let mut at = 0;
+        for &(len, chirp_energy) in &self.segments {
+            let segment = &self.derotated[at..at + len];
+            let bin = choir_dsp::backend::tone_conj_dot(self.n, cfo_bins, segment);
+            fitted += bin.norm_sqr() / chirp_energy;
+            at += len;
+        }
+        self.energy - fitted
+    }
+
+    /// Hands the derotated buffer back to the workspace.
+    fn release(self) {
+        workspace::put(self.derotated);
+    }
+}
+
 impl ChoirDecoder {
     /// Reconstructs and subtracts one user's symbol from the capture:
     /// fits a single complex gain of the analytically generated symbol
     /// waveform (chirp shifted by `Δ`, rotated by the CFO comb) over its
-    /// actual sample span. When `contrib` is provided, the subtracted
-    /// contribution is also accumulated there (so a later SIC pass can add
-    /// it back).
+    /// actual sample span. The subtracted contribution is also accumulated
+    /// in `contrib` (so a later SIC pass can add it back).
     #[allow(clippy::too_many_arguments)]
     fn subtract_symbol(
         &self,
         work: &mut [C64],
-        contrib: Option<&mut [C64]>,
+        contrib: &mut [C64],
         slot_start: usize,
         sym_idx: usize,
         value: u16,
@@ -98,7 +200,7 @@ impl ChoirDecoder {
     fn subtract_chirp(
         &self,
         work: &mut [C64],
-        mut contrib: Option<&mut [C64]>,
+        contrib: &mut [C64],
         slot_start: usize,
         span: SymbolSpan,
         chirp: &[C64],
@@ -106,7 +208,7 @@ impl ChoirDecoder {
         cfo_bins: f64,
     ) {
         let n = self.est.n();
-        let SymbolSpan { start, first, last } = span;
+        let SymbolSpan { first, last, .. } = span;
         if first >= last {
             return;
         }
@@ -116,39 +218,34 @@ impl ChoirDecoder {
         for ((i, t), s) in (first..last).zip(template.iter_mut()).zip(chirp) {
             *t = s * C64::cis(w_cfo * (i as f64 - slot_start as f64));
         }
-        // Fit one complex gain per constant-phase segment: the chirp wraps
-        // from +B/2 to −B/2 at `N − value` chips into the symbol, and any
-        // sub-chip timing error turns that wrap into a phase step.
-        // Independent per-segment gains absorb it exactly.
-        let wrap_global = start + (n - value as usize) as f64;
-        let wrap = (wrap_global.ceil().max(first as f64) as usize).min(last);
-        let subtract_segment =
-            |lo: usize, hi: usize, work: &mut [C64], contrib: &mut Option<&mut [C64]>| {
-                if hi <= lo {
-                    return;
-                }
-                let num: C64 = work[lo..hi]
-                    .iter()
-                    .zip(&template[lo - first..hi - first])
-                    .map(|(y, t)| y * t.conj())
-                    .sum();
-                let den: f64 = template[lo - first..hi - first]
-                    .iter()
-                    .map(|t| t.norm_sqr())
-                    .sum();
-                if den <= 1e-12 {
-                    return;
-                }
-                let g = num / den;
-                for (i, t) in (lo..hi).zip(&template[lo - first..hi - first]) {
-                    work[i] -= g * t;
-                    if let Some(c) = contrib.as_deref_mut() {
-                        c[i] += g * t;
-                    }
-                }
-            };
-        subtract_segment(first, wrap, work, &mut contrib);
-        subtract_segment(wrap, last, work, &mut contrib);
+        // Fit one complex gain per constant-phase segment
+        // ([`SymbolSpan::wrap`]): independent gains absorb the phase step
+        // at the wrap exactly.
+        let wrap = span.wrap(n, value);
+        let mut subtract_segment = |lo: usize, hi: usize| {
+            if hi <= lo {
+                return;
+            }
+            let num: C64 = work[lo..hi]
+                .iter()
+                .zip(&template[lo - first..hi - first])
+                .map(|(y, t)| y * t.conj())
+                .sum();
+            let den: f64 = template[lo - first..hi - first]
+                .iter()
+                .map(|t| t.norm_sqr())
+                .sum();
+            if den <= 1e-12 {
+                return;
+            }
+            let g = num / den;
+            for (i, t) in (lo..hi).zip(&template[lo - first..hi - first]) {
+                work[i] -= g * t;
+                contrib[i] += g * t;
+            }
+        };
+        subtract_segment(first, wrap);
+        subtract_segment(wrap, last);
         workspace::put(template);
     }
 
@@ -156,6 +253,14 @@ impl ChoirDecoder {
     /// after subtracting its reconstructed symbols from a few probe
     /// windows. Gain fitting is per segment, so this isolates the pure
     /// frequency error that per-window gains cannot absorb.
+    ///
+    /// No probe subtracts anything. With one least-squares gain per
+    /// constant-phase segment, `‖y − g·t‖² = ‖y‖² − |⟨t, y⟩|²/‖t‖²`, and
+    /// the template is `t[i] = chirp[i]·e^{jwi}`, so `⟨t, y⟩` is one DTFT
+    /// bin of the derotated segment `y·conj(chirp)` at the probed CFO
+    /// (up to a unit phase) and `‖t‖² = ‖chirp‖²`. The derotated segments
+    /// and both energies are built once per search ([`CfoProbes`]); a
+    /// probe is at most six bins.
     fn refine_cfo_for_subtraction(
         &self,
         work: &[C64],
@@ -166,45 +271,16 @@ impl ChoirDecoder {
     ) -> f64 {
         scope(Stage::Refine, || {
             let n = self.est.n();
-            // Each probe's two-symbol stretch of the signal, rebased to
-            // index 0 (the subtraction indexes globally), with the span
-            // and chirp of its symbol there: none depends on the probed
-            // CFO, so the search only redoes the rotation, fit and sum.
-            let probes: Vec<(&[C64], u16, SymbolSpan, Vec<C64>)> = [1usize, 3, 5]
-                .into_iter()
-                .filter(|&i| i < symbols.len())
-                .map(|sym_idx| {
-                    let lo = slot_start + sym_idx * n;
-                    let stretch = &work[lo..(lo + 2 * n).min(work.len())];
-                    let span = SymbolSpan::new(stretch.len(), 0, 0, n, timing_chips);
-                    let value = symbols[sym_idx];
-                    let mut chirp = vec![C64::ZERO; span.len()];
-                    span.chirp_into(n, value, &mut chirp);
-                    (stretch, value, span, chirp)
-                })
-                .collect();
-            if probes.is_empty() {
+            let Some(probes) = CfoProbes::new(n, work, slot_start, symbols, timing_chips) else {
                 return cfo_init;
-            }
-            let mut probe_buf = Vec::with_capacity(2 * n);
-            let score = |cfo: f64| -> f64 {
-                let mut total = 0.0;
-                for (stretch, value, span, chirp) in &probes {
-                    probe_buf.clear();
-                    probe_buf.extend_from_slice(stretch);
-                    scope(Stage::Sic, || {
-                        self.subtract_chirp(&mut probe_buf, None, 0, *span, chirp, *value, cfo);
-                    });
-                    total += probe_buf
-                        .iter()
-                        .take(n + timing_chips.ceil() as usize)
-                        .map(|z| z.norm_sqr())
-                        .sum::<f64>();
-                }
-                total
             };
-            let (best, _) =
-                choir_dsp::optim::golden_section(score, cfo_init - 0.15, cfo_init + 0.15, 1e-4);
+            let (best, _) = choir_dsp::optim::golden_section(
+                |cfo| probes.residual_at(cfo),
+                cfo_init - 0.15,
+                cfo_init + 0.15,
+                1e-4,
+            );
+            probes.release();
             best
         })
     }
@@ -239,7 +315,7 @@ impl ChoirDecoder {
         for (sym_idx, &value) in st.symbols.iter().enumerate() {
             self.subtract_symbol(
                 work,
-                Some(&mut st.contrib),
+                &mut st.contrib,
                 slot_start,
                 sym_idx,
                 value,
@@ -305,7 +381,97 @@ impl ChoirDecoder {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{decode, params, profile};
+    use super::*;
     use choir_channel::scenario::ScenarioBuilder;
+
+    /// The objective `refine_cfo_for_subtraction` minimised before it read
+    /// DTFT bins, kept as their oracle: copy each probe stretch, rotate the
+    /// chirp to `cfo`, fit and subtract it per segment, sum what is left.
+    fn copy_subtract_sum(
+        dec: &ChoirDecoder,
+        work: &[C64],
+        slot_start: usize,
+        symbols: &[u16],
+        timing_chips: f64,
+        cfo: f64,
+    ) -> f64 {
+        let n = dec.est.n();
+        let mut total = 0.0;
+        for sym_idx in [1usize, 3, 5].into_iter().filter(|&i| i < symbols.len()) {
+            let lo = slot_start + sym_idx * n;
+            let stretch = &work[lo..(lo + 2 * n).min(work.len())];
+            let span = SymbolSpan::new(stretch.len(), 0, 0, n, timing_chips);
+            let value = symbols[sym_idx];
+            let mut chirp = vec![C64::ZERO; span.len()];
+            span.chirp_into(n, value, &mut chirp);
+            let mut left = stretch.to_vec();
+            let mut removed = vec![C64::ZERO; left.len()];
+            dec.subtract_chirp(&mut left, &mut removed, 0, span, &chirp, value, cfo);
+            total += left
+                .iter()
+                .take(n + timing_chips.ceil() as usize)
+                .map(|z| z.norm_sqr())
+                .sum::<f64>();
+        }
+        total
+    }
+
+    #[test]
+    fn cfo_objective_matches_the_copy_subtract_sum() {
+        let one = vec![profile(5.37, 0.45)]; // Δ = 115.2 chips
+        let two = vec![profile(2.3, 0.1), profile(-7.6, 0.32)];
+        for (snrs, profiles) in [(&[20.0][..], one), (&[20.0, 14.0][..], two)] {
+            let s = ScenarioBuilder::new(params())
+                .snrs_db(snrs)
+                .payload_len(8)
+                .profiles(profiles)
+                .seed(41)
+                .build();
+            let dec = ChoirDecoder::new(s.params);
+            let n = dec.est.n();
+            let found = dec.discover_users(&s.samples, s.slot_start)[0];
+            let (timing, cfo_init) = (found.timing_chips, found.cfo_bins(n));
+            let symbols = &s.users[0].symbols;
+            // The probes as decode places them (preamble symbols, value 0:
+            // the wrap falls past the span and one segment is empty); moved
+            // nine symbols on, onto data symbols whose wrap splits the
+            // span; and with the capture cut inside the last stretch.
+            let whole = &s.samples[..];
+            let cut = &s.samples[..s.slot_start + 6 * n + n / 3];
+            let moved = s.slot_start + 9 * n;
+            for (what, work, slot_start, symbols, held) in [
+                ("preamble", whole, s.slot_start, &symbols[..], Some(3)),
+                ("data", whole, moved, &symbols[9..], None),
+                ("cut short", cut, s.slot_start, &symbols[..], Some(3)),
+            ] {
+                let probes = CfoProbes::new(n, work, slot_start, symbols, timing)
+                    .expect("six symbols hold three probes");
+                if let Some(held) = held {
+                    assert_eq!(probes.segments.len(), held, "{what}");
+                } else {
+                    assert!(probes.segments.len() > 3, "{what}: no wrap inside a span");
+                }
+                for step in -15..=15 {
+                    let cfo = cfo_init + step as f64 * 0.01;
+                    let fast = probes.residual_at(cfo);
+                    let slow = copy_subtract_sum(&dec, work, slot_start, symbols, timing, cfo);
+                    assert!(
+                        (fast - slow).abs() <= 1e-9 * slow,
+                        "{what}, {} user(s), cfo {cfo}: {fast} vs {slow}",
+                        snrs.len()
+                    );
+                }
+                // The fit is the strong user's: most of the energy goes.
+                assert!(
+                    probes.residual_at(cfo_init) < 0.5 * probes.energy,
+                    "{what}: {} of {}",
+                    probes.residual_at(cfo_init),
+                    probes.energy
+                );
+                probes.release();
+            }
+        }
+    }
 
     #[test]
     fn five_users_all_decoded() {

@@ -9,7 +9,7 @@ use choir_dsp::fft::FftPlan;
 use choir_dsp::workspace;
 use lora_phy::frame::SYNC_SYMBOLS;
 
-use super::discover::seed_chip;
+use super::discover::{seed_chip, Alignment};
 use super::{ChoirDecoder, UserEstimate};
 use crate::estimator::ComponentEstimate;
 use crate::profile::{scope, Stage};
@@ -113,6 +113,12 @@ impl CombPlan {
 
     /// Scores every hypothesis of a dechirped, comb-mixed window and keeps
     /// the best three. `mix` is left holding its own spectrum.
+    ///
+    /// The score is `(√|pre|² + √|post|²)²` on IEEE `sqrt`, not two libm
+    /// `hypot`s: `hypot` buys protection against overflow a unit-scale
+    /// window never approaches, at a third of a `comb_demod` call, and
+    /// scores reach only comparisons — the top-3 ranking here and
+    /// `list_decode`'s median, ordering and threshold — never an output.
     // hot:noalloc — the correlation runs in one workspace buffer against
     // tables and plans built with the decoder.
     fn decide(&self, mix: &mut [C64]) -> CombDecision {
@@ -136,7 +142,7 @@ impl CombPlan {
         {
             let pre = *c * *tw;
             let post = *total - pre;
-            top.offer(s, (pre.abs() + post.abs()).powi(2));
+            top.offer(s, (pre.norm_sqr().sqrt() + post.norm_sqr().sqrt()).powi(2));
         }
         workspace::put(corr);
         top.finish()
@@ -155,20 +161,26 @@ impl ChoirDecoder {
     /// the coherent sum over the unknown step phase) makes the decision
     /// invariant to the step. [`CombPlan`] evaluates all `n` scores in
     /// `O(n log n)`.
-    // hot:noalloc — the mix buffer comes from the workspace arena.
+    // hot:noalloc — the dechirp, mixer and mix buffers come from the
+    // workspace arena.
     fn comb_demod(&self, aligned: &[C64], comb_offset: f64) -> CombDecision {
         scope(Stage::Demod, || {
             // Shift by the fractional comb offset once, so that hypothesis
-            // `s` is the integer tone `W^{st}` (phases agree with direct
-            // evaluation up to exact multiples of 2π).
-            let mut mix = workspace::take(aligned.len());
-            self.est.dechirp_into(aligned, &mut mix);
-            let w_frac = -2.0 * std::f64::consts::PI * comb_offset / self.est.n() as f64;
-            for (t, m) in mix.iter_mut().enumerate() {
-                *m *= C64::cis(w_frac * t as f64);
-            }
+            // `s` is the integer tone `W^{st}`. The mixer `e^{−j2π·c·t/n}`
+            // is the tone kernel's at `n − c` (equal up to whole turns,
+            // and inside the range the kernel is tested on), not `n` libm
+            // `cis`: it feeds scores, which are only ranked.
+            let n = self.est.n();
+            let mut de = workspace::take(n);
+            let mut mixer = workspace::take(n);
+            let mut mix = workspace::take(n);
+            self.est.dechirp_into(aligned, &mut de);
+            choir_dsp::backend::tone_into(&mut mixer, n, n as f64 - comb_offset);
+            choir_dsp::backend::cmul_into(&de, &mixer, &mut mix);
             let decision = self.comb.decide(&mut mix);
             workspace::put(mix);
+            workspace::put(mixer);
+            workspace::put(de);
             decision
         })
     }
@@ -202,9 +214,10 @@ impl ChoirDecoder {
     /// Energy of the user's comb on the two sync windows at timing `delta`.
     fn sync_energy(&self, work: &[C64], slot_start: usize, user: &UserEstimate, delta: f64) -> f64 {
         let p = self.params.preamble_len;
+        let align = Alignment::new(delta);
         let mut s = 0.0;
         for (i, &sync) in SYNC_SYMBOLS.iter().enumerate() {
-            s += self.comb_energy(work, slot_start, &[p + i], delta, sync, user.offset_bins);
+            s += self.comb_energy(work, slot_start, &[p + i], &align, sync, user.offset_bins);
         }
         s
     }
@@ -234,9 +247,9 @@ impl ChoirDecoder {
         let mut erasures = 0usize;
         let mut decisions = Vec::with_capacity(total_syms);
         let mut aligned = workspace::take(n);
-        let timing = user.timing_chips;
+        let align = Alignment::new(user.timing_chips);
         for sym_idx in 0..total_syms {
-            let d = if self.aligned_window_into(work, slot_start, sym_idx, timing, &mut aligned) {
+            let d = if self.aligned_window_into(work, slot_start, sym_idx, &align, &mut aligned) {
                 self.comb_demod(&aligned, cfo_bins)
             } else {
                 erasures += 1;
@@ -380,6 +393,80 @@ mod tests {
                     *a += b;
                 }
                 assert_agrees(&with_noise(w, &noise, 1e-3));
+            }
+        }
+    }
+
+    /// `comb_demod` as it mixed and scored before the tone kernel: one
+    /// libm `cis` per sample, every hypothesis a direct sum scored by
+    /// `hypot`. Kept as the oracle of the mixer and the `sqrt` scorer.
+    fn libm_comb_demod(dec: &ChoirDecoder, aligned: &[C64], comb_offset: f64) -> CombDecision {
+        let mut mix = dec.est.dechirp(aligned);
+        let w_frac = -TAU * comb_offset / dec.est.n() as f64;
+        for (t, m) in mix.iter_mut().enumerate() {
+            *m *= C64::cis(w_frac * t as f64);
+        }
+        direct_sweep(&mix)
+    }
+
+    #[test]
+    fn comb_demod_ranks_as_the_libm_mixer_and_hypot_scorer_did() {
+        use rand::{Rng, SeedableRng};
+        let dec = ChoirDecoder::new(PhyParams::default());
+        let n = dec.est.n();
+        let down = lora_phy::chirp::base_downchirp_cached(n);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        let noise: Vec<(f64, f64)> = (0..n)
+            .map(|_| (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let pair = {
+            let mut w = tone(n, 40, 1.0, 0.0, 0.0);
+            for (a, b) in w
+                .iter_mut()
+                .zip(tone(n, 200, 10f64.powf(-3.0 / 20.0), 1.3, 0.0))
+            {
+                *a += b;
+            }
+            w
+        };
+        // What the comb mixer should leave, by name: a tone in 20 dB noise,
+        // two tones 3 dB apart, a tone over a −60 dB floor, and a phase
+        // step at the chirp's wrap.
+        let cases = [
+            ("clean", with_noise(tone(n, 77, 1.0, 0.4, 0.0), &noise, 0.1)),
+            ("3 dB pair", with_noise(pair, &noise, 0.1)),
+            (
+                "-60 dB floor",
+                with_noise(tone(n, 3, 1.0, 2.0, 0.0), &noise, 1e-3),
+            ),
+            (
+                "phase step",
+                with_noise(tone(n, 150, 1.0, 0.3, 2.0), &noise, 1e-3),
+            ),
+        ];
+        for (name, mixed) in &cases {
+            for comb_offset in [0.0, 0.37, 128.5, 255.999] {
+                // The aligned window that mixes down to `mixed`: turned up
+                // by the comb offset, then chirped.
+                let aligned: Vec<C64> = mixed
+                    .iter()
+                    .zip(down.iter())
+                    .enumerate()
+                    .map(|(t, (m, d))| {
+                        m * C64::cis(TAU * comb_offset * t as f64 / n as f64) * d.conj()
+                    })
+                    .collect();
+                let fast = dec.comb_demod(&aligned, comb_offset);
+                let slow = libm_comb_demod(&dec, &aligned, comb_offset);
+                let values = |d: &CombDecision| d.cands.map(|c| c.0);
+                assert_eq!(values(&fast), values(&slow), "{name} at {comb_offset}");
+                let tol = 1e-9 * slow.winner_score();
+                for (f, s) in fast.cands.iter().zip(&slow.cands) {
+                    assert!(
+                        (f.1 - s.1).abs() <= tol,
+                        "{name} at {comb_offset}: {fast:?} vs {slow:?}"
+                    );
+                }
             }
         }
     }

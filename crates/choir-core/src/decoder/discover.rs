@@ -4,7 +4,7 @@
 
 use choir_dsp::complex::C64;
 use choir_dsp::linalg::conj_dot;
-use choir_dsp::resample::fractional_delay_into;
+use choir_dsp::resample::{fractional_delay_into, DelayKernel};
 use choir_dsp::workspace;
 use lora_phy::frame::SYNC_SYMBOLS;
 
@@ -31,6 +31,43 @@ fn tone_energy(windows: &[C64], pos_bins: f64, tone: &mut [C64]) -> f64 {
         s += conj_dot(tone, de).norm_sqr();
     }
     s
+}
+
+/// A user's timing as the alignment helpers read it: the delay in chips
+/// and the resampler kernel that advances the signal by its fractional
+/// part. Whoever holds the timing fixed builds one and every window
+/// aligned to it shares the kernel — five a probe in
+/// [`ChoirDecoder::refine_timing`], three in
+/// [`ChoirDecoder::refine_offset_aligned`], every symbol of a pass in
+/// `acquire_and_demod` — where each window used to rebuild the same
+/// `2·RESAMPLE_TAPS + 1` windowed-sinc weights.
+pub(super) struct Alignment {
+    timing_chips: f64,
+    kernel: DelayKernel,
+}
+
+impl Alignment {
+    pub(super) fn new(timing_chips: f64) -> Self {
+        Alignment {
+            timing_chips,
+            kernel: DelayKernel::new(Self::advance(timing_chips), RESAMPLE_TAPS),
+        }
+    }
+
+    /// Moves the alignment to another timing, reusing the kernel's
+    /// allocation: a timing search builds one and retimes it per probe.
+    // hot:noalloc — the kernel is retuned in place.
+    fn retime(&mut self, timing_chips: f64) {
+        self.timing_chips = timing_chips;
+        self.kernel.retune(Self::advance(timing_chips));
+    }
+
+    /// The resampler delay for a timing: the signal is delayed by the
+    /// fractional chip, and resampling with the negative delay advances
+    /// it.
+    fn advance(timing_chips: f64) -> f64 {
+        -(timing_chips - timing_chips.floor())
+    }
 }
 
 /// The whole chip a timing search is seeded at — all
@@ -162,8 +199,9 @@ impl ChoirDecoder {
             // windowed-sinc resample is as expensive as the correlation).
             let len = self.est.n();
             let mut probes = workspace::take(3 * len);
+            let align = Alignment::new(delta);
             let held =
-                self.dechirped_probes_into(samples, slot_start, &[2, 4, 6], delta, &mut probes);
+                self.dechirped_probes_into(samples, slot_start, &[2, 4, 6], &align, &mut probes);
             // No probe window inside the capture: the score is flat and a
             // golden search over it walks to the bracket edge, so the
             // estimate the caller holds is the best there is.
@@ -182,23 +220,23 @@ impl ChoirDecoder {
         })
     }
 
-    /// Aligns the windows `sym_idxs` to the timing `delta` and dechirps
-    /// them back to back into `probes`, skipping any that run past the
-    /// capture. Returns how many windows `probes` now holds.
+    /// Aligns the windows `sym_idxs` to `align` and dechirps them back to
+    /// back into `probes`, skipping any that run past the capture.
+    /// Returns how many windows `probes` now holds.
     // hot:noalloc — the alignment scratch is a workspace buffer.
     fn dechirped_probes_into(
         &self,
         samples: &[C64],
         slot_start: usize,
         sym_idxs: &[usize],
-        delta: f64,
+        align: &Alignment,
         probes: &mut [C64],
     ) -> usize {
         let len = self.est.n();
         let mut aligned = workspace::take(len);
         let mut held = 0;
         for &sym_idx in sym_idxs {
-            if self.aligned_window_into(samples, slot_start, sym_idx, delta, &mut aligned) {
+            if self.aligned_window_into(samples, slot_start, sym_idx, align, &mut aligned) {
                 self.est
                     .dechirp_into(&aligned, &mut probes[held * len..(held + 1) * len]);
                 held += 1;
@@ -254,15 +292,15 @@ impl ChoirDecoder {
         samples: &[C64],
         slot_start: usize,
         sym_idxs: &[usize],
-        delta: f64,
+        align: &Alignment,
         expected_value: u16,
         offset_bins: f64,
     ) -> f64 {
         let n = self.est.n();
-        let pos = (expected_value as f64 + offset_bins + delta).rem_euclid(n as f64);
+        let pos = (expected_value as f64 + offset_bins + align.timing_chips).rem_euclid(n as f64);
         let mut probes = workspace::take(sym_idxs.len() * n);
         let mut tone = workspace::take(n);
-        let held = self.dechirped_probes_into(samples, slot_start, sym_idxs, delta, &mut probes);
+        let held = self.dechirped_probes_into(samples, slot_start, sym_idxs, align, &mut probes);
         let energy = tone_energy(&probes[..held * n], pos, &mut tone);
         workspace::put(tone);
         workspace::put(probes);
@@ -284,14 +322,16 @@ impl ChoirDecoder {
     ) -> f64 {
         scope(Stage::Refine, || {
             let p = self.params.preamble_len;
-            let score = |delta: f64| -> f64 {
+            let mut align = Alignment::new(0.0);
+            let mut score = |delta: f64| -> f64 {
                 if delta < 0.0 {
                     return -1.0;
                 }
+                align.retime(delta);
                 let offset = user.offset_bins;
-                let mut s = self.comb_energy(samples, slot_start, &[2, 4, 6], delta, 0, offset);
+                let mut s = self.comb_energy(samples, slot_start, &[2, 4, 6], &align, 0, offset);
                 for (i, &sync) in SYNC_SYMBOLS.iter().enumerate() {
-                    s += self.comb_energy(samples, slot_start, &[p + i], delta, sync, offset);
+                    s += self.comb_energy(samples, slot_start, &[p + i], &align, sync, offset);
                 }
                 s
             };
@@ -319,22 +359,22 @@ impl ChoirDecoder {
 
     /// Extracts the user-aligned window for symbol index `sym_idx` (global
     /// over preamble+sync+data) into `out` (`n` samples): integer shift by
-    /// `floor(Δ)` plus windowed-sinc resampling by `frac(Δ)`. Returns
-    /// false, leaving `out` unspecified, when the window and its resampler
-    /// margins run past the capture.
+    /// `floor(Δ)` plus windowed-sinc resampling by `frac(Δ)`, `Δ` being
+    /// `align`'s timing. Returns false, leaving `out` unspecified, when
+    /// the window and its resampler margins run past the capture.
     // hot:noalloc — the output is caller-provided.
     pub(super) fn aligned_window_into(
         &self,
         samples: &[C64],
         slot_start: usize,
         sym_idx: usize,
-        timing_chips: f64,
+        align: &Alignment,
         out: &mut [C64],
     ) -> bool {
         let n = self.est.n();
         let taps = RESAMPLE_TAPS;
-        let m = timing_chips.floor();
-        let delta = timing_chips - m; // in [0,1): signal delayed by delta
+        let m = align.timing_chips.floor();
+        let delta = align.timing_chips - m; // in [0,1): signal delayed by delta
         let a = slot_start as i64 + (sym_idx * n) as i64 + m as i64;
         let lo = a - taps as i64;
         let hi = a + (n + taps) as i64;
@@ -345,9 +385,8 @@ impl ChoirDecoder {
         if delta < 1e-9 {
             out.copy_from_slice(&slice[taps..taps + n]);
         } else {
-            // The signal is delayed by `delta`; advance it by resampling
-            // with a negative delay, keeping the window between the margins.
-            fractional_delay_into(slice, -delta, taps, taps, out);
+            // Keep the window between the margins.
+            fractional_delay_into(slice, &align.kernel, taps, out);
         }
         true
     }

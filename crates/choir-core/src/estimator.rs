@@ -22,9 +22,7 @@ use choir_dsp::backend::MAX_BLOCK_WIDTH;
 use choir_dsp::checks;
 use choir_dsp::complex::C64;
 use choir_dsp::fft::FftPlan;
-use choir_dsp::linalg::{
-    conj_dot, gram_residual, least_squares_refs, residual_energy_refs, CholeskyFactor,
-};
+use choir_dsp::linalg::{gram_residual, least_squares_refs, residual_energy_refs, CholeskyFactor};
 use choir_dsp::optim::{golden_section, Optimum};
 use choir_dsp::peaks::{dirichlet, find_peaks, Peak};
 use choir_dsp::workspace;
@@ -271,31 +269,32 @@ fn cached_basis(n: usize, freq_bins: f64) -> Rc<Vec<C64>> {
 /// [`Self::eval`] updates only the rows/columns of coordinates whose
 /// frequency actually changed (cyclic coordinate descent moves exactly
 /// one per probe). A probe of the residual at frequency `f` is one DTFT
-/// bin of `y`: the moved coordinate costs one tone synthesis and one
-/// [`conj_dot`] against `y`. The Gram of pure tones needs no samples at
+/// bin of `y`: the moved coordinate costs one fused
+/// [`tone_conj_dot`](choir_dsp::backend::tone_conj_dot) — no tone is
+/// written, none read back. The Gram of pure tones needs no samples at
 /// all — its diagonal is `n` and entry `(i, j)` is the Dirichlet kernel
 /// `Σ_t e^{j2π(f_j − f_i)t/n}` in closed form ([`dirichlet`]) — and the
 /// residual follows from the Gram identity (`O(K²)`) instead of a
-/// time-domain reconstruction. Every buffer, the basis columns
-/// (resynthesized in place, kept for [`Self::deflate_into`]) included,
-/// is owned and reused, so steady-state probes perform zero heap
-/// allocations.
+/// time-domain reconstruction. Every buffer is owned and reused, so
+/// steady-state probes perform zero heap allocations; basis columns
+/// exist only while [`Self::deflate_into`] streams them.
 ///
 /// A Gram entry is a pure function of its two frequencies, always
-/// evaluated in the `(i<j, mirror-conjugate)` orientation, so an
-/// incrementally maintained matrix is bit-identical to a rebuilt one.
-/// It is *not* the `conj_dot`-of-bases Gram [`least_squares_refs`]
-/// builds (the two agree to 1e-13·`n` at SF8, 2e-12·`n` at SF12 — the
-/// sampled tones' phase rounding): this type scores hypotheses for the
-/// search, and the channels the estimator reports come from a
-/// time-domain [`OffsetEstimator::fit`] at the converged point.
+/// evaluated in the `(i<j, mirror-conjugate)` orientation, and a
+/// projection of its one, so an incrementally maintained system is
+/// bit-identical to a rebuilt one. Neither is the arithmetic of
+/// [`least_squares_refs`] on sampled bases (the Grams agree to
+/// 1e-13·`n` at SF8, 2e-12·`n` at SF12 — the sampled tones' phase
+/// rounding — and the fused projection to `4·n·ε·Σ|y|`): this type
+/// scores hypotheses for the search, and the channels the estimator
+/// reports come from a time-domain [`OffsetEstimator::fit`] at the
+/// converged point.
 pub struct GramFit<'a> {
     n: usize,
     y: &'a [C64],
     y_energy: f64,
     k: usize,
     freqs: Vec<f64>,
-    bases: Vec<Vec<C64>>,
     gram: Vec<C64>,
     p: Vec<C64>,
     chol: CholeskyFactor,
@@ -328,7 +327,6 @@ impl<'a> GramFit<'a> {
             y_energy: choir_dsp::complex::energy(y),
             k,
             freqs: vec![0.0; k],
-            bases: (0..k).map(|_| vec![C64::ZERO; n]).collect(),
             gram,
             p: vec![C64::ZERO; k],
             chol: CholeskyFactor::new(),
@@ -339,9 +337,10 @@ impl<'a> GramFit<'a> {
     }
 
     /// Whether the most recent [`Self::eval`] produced a non-singular
-    /// solve, i.e. whether the held coefficients match the held bases.
-    /// After a singular probe the coefficients are stale and
-    /// [`Self::deflate_into`] must not be used.
+    /// solve, i.e. whether the held coefficients match the held
+    /// frequencies. After a singular or non-finite probe the
+    /// coefficients are stale and [`Self::deflate_into`] must not be
+    /// used.
     pub fn solved(&self) -> bool {
         self.solved
     }
@@ -351,31 +350,42 @@ impl<'a> GramFit<'a> {
     /// subtracted, leaving (approximately) coordinate `i`'s lone tone
     /// plus noise — the target the blocked line-search prefilter scores
     /// its candidate grid against. Only meaningful when [`Self::solved`].
-    // hot:noalloc — streams the held bases through one axpy each.
+    /// Each `b_j` is synthesised here, at the frequency the last probe
+    /// held for coordinate `j`: probes project without writing a tone,
+    /// and only the first sweep of a descent deflates.
+    // hot:noalloc — each basis passes through one workspace buffer.
     pub fn deflate_into(&self, i: usize, out: &mut [C64]) {
         debug_assert!(self.solved, "deflate_into with stale coefficients");
         debug_assert_eq!(out.len(), self.y.len());
         out.copy_from_slice(self.y);
-        for j in 0..self.k {
-            if j != i {
-                choir_dsp::backend::axpy(out, &self.bases[j], self.coeffs[j], true);
-            }
+        let mut basis = workspace::take(self.n);
+        for j in (0..self.k).filter(|&j| j != i) {
+            choir_dsp::backend::tone_into(&mut basis, self.n, self.freqs[j]);
+            choir_dsp::backend::axpy(out, &basis, self.coeffs[j], true);
         }
+        workspace::put(basis);
     }
 
     /// Least-squares residual power of the hypothesis `x` (one frequency
     /// per component). A singular Gram (duplicate hypotheses) reports the
     /// full window energy — the worst possible fit — matching
-    /// [`OffsetEstimator::fit`]'s fallback.
+    /// [`OffsetEstimator::fit`]'s fallback, and so does a hypothesis with
+    /// a non-finite frequency, before it reaches a kernel: its NaN
+    /// projection would otherwise pass a one-tone Gram (the constant
+    /// diagonal factors whatever the frequency) and come out of
+    /// [`gram_residual`]'s zero clamp as a perfect fit.
     // hot:noalloc — the per-probe path only rewrites owned buffers.
     pub fn eval(&mut self, x: &[f64]) -> f64 {
         let k = self.k;
         debug_assert_eq!(x.len(), k);
+        if x.iter().any(|xi| !xi.is_finite()) {
+            self.solved = false;
+            return self.y_energy;
+        }
         let mut changed = 0u64;
         for (i, &xi) in x.iter().enumerate() {
             if !self.primed || xi.to_bits() != self.freqs[i].to_bits() {
-                choir_dsp::backend::tone_into(&mut self.bases[i], self.n, xi);
-                self.p[i] = conj_dot(&self.bases[i], self.y);
+                self.p[i] = choir_dsp::backend::tone_conj_dot(self.n, xi, self.y);
                 self.freqs[i] = xi;
                 changed |= 1 << i;
             }
@@ -412,7 +422,7 @@ struct StepScan {
     /// `pbb[c] = Σ_{t<c} base[t]ᴴ·base[t]`: `pbb[n]` is the tone's Gram
     /// diagonal; `pbb[c]` is both `⟨base, rect_c⟩` and `⟨rect_c, rect_c⟩`
     /// (a rect-truncated basis equals the tone over `[0, c)`), by the
-    /// same accumulation order [`conj_dot`] uses.
+    /// same accumulation order [`choir_dsp::linalg::conj_dot`] uses.
     pbb: Vec<C64>,
     chol1: CholeskyFactor,
 }
@@ -1196,6 +1206,63 @@ mod tests {
             let e = OffsetEstimator::new(N, cfg);
             let got = comp_bits(&e.refine_with_steps(&w, &coarse));
             assert_eq!(got, reference, "width {bw} diverged from width 1");
+        }
+    }
+
+    /// Probes project without writing a tone, so `deflate_into`
+    /// synthesises each basis when asked — at the frequency the *last
+    /// probe* held, accepted or not. Reference: bases resynthesised
+    /// eagerly, at every probe that moves a coordinate, as `eval` kept
+    /// them before.
+    #[test]
+    fn deflation_after_probes_matches_eagerly_resynthesised_bases() {
+        let (f, h) = (
+            [10.17, 60.57, 61.9],
+            [c64(0.9, 0.3), c64(-0.2, 0.8), c64(0.4, 0.0)],
+        );
+        let mut w = chirp_with_offset(f[0], h[0]);
+        add(&mut w, &chirp_with_offset(f[1], h[1]));
+        add(&mut w, &chirp_with_offset(f[2], h[2]));
+        let de = est().dechirp(&w);
+        let mut gfit = GramFit::new(N, &de, 3);
+        let mut eager = vec![vec![C64::ZERO; N]; 3];
+        let mut held = [f64::NAN; 3];
+        // A descent's shape: a priming probe, line searches that leave a
+        // coordinate at a rejected point, and a non-finite and a singular
+        // probe on the way, which must leave nothing half-moved.
+        let walk = [
+            [10.2, 60.5, 61.8],
+            [10.1, 60.5, 61.8],
+            [10.13, 60.5, 61.8],
+            [f64::NAN, 60.5, 61.8],
+            [10.13, 60.61, 61.8],
+            [10.13, 61.8, 61.8],
+            [10.13, 60.58, 61.8],
+            [10.13, 60.58, 61.93],
+        ];
+        for x in walk {
+            gfit.eval(&x);
+            if x.iter().all(|v| v.is_finite()) {
+                for (i, &xi) in x.iter().enumerate() {
+                    if xi.to_bits() != held[i].to_bits() {
+                        choir_dsp::backend::tone_into(&mut eager[i], N, xi);
+                        held[i] = xi;
+                    }
+                }
+            }
+        }
+        assert!(gfit.solved());
+        for i in 0..3 {
+            let mut want = de.clone();
+            for j in (0..3).filter(|&j| j != i) {
+                choir_dsp::backend::axpy(&mut want, &eager[j], gfit.coeffs[j], true);
+            }
+            let mut got = vec![C64::ONE; N];
+            gfit.deflate_into(i, &mut got);
+            let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+                v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "coordinate {i}");
         }
     }
 

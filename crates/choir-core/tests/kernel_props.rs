@@ -128,6 +128,31 @@ fn duplicate_hypotheses_score_the_window_energy() {
     assert!(!gfit.solved());
 }
 
+/// Regression: a non-finite frequency at K = 1 read `0.0` — a perfect
+/// fit — with `solved() == true`: the one-tone Gram is its constant
+/// diagonal, so it factored, the NaN projection went through
+/// `gram_residual`, and the zero clamp swallowed the NaN. Any non-finite
+/// hypothesis is the worst fit there is, at every K.
+#[test]
+fn non_finite_hypothesis_is_the_worst_fit() {
+    let y = window(
+        &[(40.3, 1.0, 0.4), (90.7, 0.5, 2.0)],
+        &vec![(0.01, -0.02); N],
+    );
+    let energy = choir_dsp::complex::energy(&y);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for x in [&[bad][..], &[40.3, bad][..], &[bad, 90.7][..]] {
+            let mut gfit = GramFit::new(N, &y, x.len());
+            assert_eq!(gfit.eval(x).to_bits(), energy.to_bits(), "{x:?}");
+            assert!(!gfit.solved(), "{x:?}");
+            // And mid-search, after finite probes primed the evaluator.
+            assert!(gfit.eval(&[40.3, 90.7][..x.len()]) < energy);
+            assert_eq!(gfit.eval(x).to_bits(), energy.to_bits(), "primed {x:?}");
+            assert!(!gfit.solved(), "primed {x:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

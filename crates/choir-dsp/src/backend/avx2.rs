@@ -14,7 +14,10 @@
 //!   accumulator sequentially, in the oracle's index order; each lane
 //!   is an independent IEEE add, so no reassociation occurs. The
 //!   speedup comes from vectorizing the multiplies and element-wise
-//!   passes, not from reordering sums.
+//!   passes, not from reordering sums. Where the oracle defines many
+//!   independent folds (`fir_rev_into`'s outputs, `tone_conj_dot`'s
+//!   rows) each gets its own lanes and they advance side by side —
+//!   still the oracle's order within every one.
 //! * **Sign flips via XOR** with `-0.0` masks — exactly `f64`'s `Neg`,
 //!   NaN-safe.
 //!
@@ -37,8 +40,9 @@ use std::arch::x86_64::{
     _mm256_blendv_pd, _mm256_castpd256_pd128, _mm256_castpd_si256, _mm256_castsi256_pd,
     _mm256_cmpeq_epi64, _mm256_extractf128_pd, _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd,
     _mm256_permute2f128_pd, _mm256_permute_pd, _mm256_set1_epi64x, _mm256_set1_pd,
-    _mm256_set_m128d, _mm256_setr_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd,
-    _mm256_unpacklo_pd, _mm256_xor_pd, _mm_add_pd, _mm_loadu_pd, _mm_setzero_pd, _mm_storeu_pd,
+    _mm256_set_m128d, _mm256_setr_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
+    _mm256_unpackhi_pd, _mm256_unpacklo_pd, _mm256_xor_pd, _mm_add_pd, _mm_loadu_pd,
+    _mm_setzero_pd, _mm_storeu_pd,
 };
 
 use super::sincos;
@@ -566,57 +570,151 @@ unsafe fn butterflies_impl(x: &mut [C64], twiddles: &[C64], forward: bool) {
     }
 }
 
-/// AVX2 [`super::dot_rev`]; bit-identical to the oracle.
+/// Outputs one pass of [`fir_rev_into`] keeps in flight: eight
+/// registers of two, enough independent add chains to cover the add
+/// latency at two a cycle.
+const FIR_BLOCK: usize = 16;
+
+/// AVX2 [`super::fir_rev_into`]; bit-identical to the oracle.
 ///
-/// Four taps per iteration from two contiguous 256-bit source loads and
-/// one contiguous 256-bit kernel load; the kernel's tap order is
-/// reversed *in registers* (duplicate-shuffle + cross-half permute)
-/// instead of rebuilding reversed pairs from scalar loads per
-/// iteration, which is what kept the previous version gather-bound.
-pub fn dot_rev(xs: &[C64], kernel: &[f64]) -> C64 {
+/// *Outputs*, not taps, sit in the lanes: a register holds two adjacent
+/// outputs, tap `k` adds `xs[j + L − 1 − k]·kernel[k]` to output `j` of
+/// every register from one contiguous load and one broadcast, and the
+/// taps run in the oracle's ascending order — so each output's sum is
+/// the oracle's fold term for term, while sixteen of them advance side
+/// by side instead of one `L`-deep dependent chain at a time.
+pub fn fir_rev_into(xs: &[C64], kernel: &[f64], out: &mut [C64]) {
+    // Bounds every load below; checked here, beside the pointer
+    // arithmetic it licenses, whatever the dispatcher checked.
+    assert!(
+        !kernel.is_empty() && xs.len() + 1 >= out.len() + kernel.len(),
+        "fir_rev_into: source shorter than the outputs read"
+    );
     // SAFETY: see `conj_dot`.
-    unsafe { dot_rev_impl(xs, kernel) }
+    unsafe { fir_rev_into_impl(xs, kernel, out) }
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn dot_rev_impl(xs: &[C64], kernel: &[f64]) -> C64 {
-    debug_assert_eq!(xs.len(), kernel.len());
-    let l = xs.len();
+unsafe fn fir_rev_into_impl(xs: &[C64], kernel: &[f64], out: &mut [C64]) {
+    let l = kernel.len();
+    let m = out.len();
     let px = xs.as_ptr() as *const f64;
-    let pk = kernel.as_ptr();
-    let mut acc = _mm_setzero_pd();
-    let mut j = 0;
-    while j + 4 <= l {
-        // Taps j..j+3 hit sources xs[l-1-j]..xs[l-4-j]. Two contiguous
-        // loads cover them in memory order:
-        //   xv_lo = [xs[l-4-j], xs[l-3-j]]  (taps j+3, j+2)
-        //   xv_hi = [xs[l-2-j], xs[l-1-j]]  (taps j+1, j)
-        let xv_lo = _mm256_loadu_pd(px.add(2 * (l - 4 - j)));
-        let xv_hi = _mm256_loadu_pd(px.add(2 * (l - 2 - j)));
-        // One contiguous kernel load [k0, k1, k2, k3], then in-register
-        // reverse + pair-duplicate:
-        //   dup_even = [k0, k0, k2, k2], dup_odd = [k1, k1, k3, k3]
-        //   kv_lo = [k3, k3, k2, k2], kv_hi = [k1, k1, k0, k0]
-        let kvec = _mm256_loadu_pd(pk.add(j));
-        let dup_even = _mm256_movedup_pd(kvec);
-        let dup_odd = _mm256_permute_pd::<0xF>(kvec);
-        let kv_lo = _mm256_permute2f128_pd::<0x31>(dup_odd, dup_even);
-        let kv_hi = _mm256_permute2f128_pd::<0x20>(dup_odd, dup_even);
-        let prod_lo = _mm256_mul_pd(xv_lo, kv_lo); // [tap j+3, tap j+2]
-        let prod_hi = _mm256_mul_pd(xv_hi, kv_hi); // [tap j+1, tap j]
-                                                   // Fold taps j, j+1, j+2, j+3 — the oracle's ascending order.
-        acc = _mm_add_pd(acc, _mm256_extractf128_pd::<1>(prod_hi));
-        acc = _mm_add_pd(acc, _mm256_castpd256_pd128(prod_hi));
-        acc = _mm_add_pd(acc, _mm256_extractf128_pd::<1>(prod_lo));
-        acc = _mm_add_pd(acc, _mm256_castpd256_pd128(prod_lo));
-        j += 4;
+    let po = out.as_mut_ptr() as *mut f64;
+    // Output `j` reads `xs[j..j + l]`, so a register of outputs `j, j+1`
+    // loads `xs[j + l − 1 − k]` and its successor: inside `xs` whenever
+    // `j + 1 < m`, by the wrapper's length check.
+    if m >= FIR_BLOCK {
+        let mut j = 0usize;
+        loop {
+            let mut acc = [_mm256_setzero_pd(); FIR_BLOCK / 2];
+            for (k, &kv) in kernel.iter().enumerate() {
+                let kv = _mm256_set1_pd(kv);
+                let src = px.add(2 * (j + l - 1 - k));
+                for (r, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(_mm256_loadu_pd(src.add(4 * r)), kv));
+                }
+            }
+            for (r, a) in acc.iter().enumerate() {
+                _mm256_storeu_pd(po.add(2 * j + 4 * r), *a);
+            }
+            if j + FIR_BLOCK >= m {
+                return;
+            }
+            // A short last block slides back over outputs already
+            // written: recomputing one is the same fold, the same bits.
+            j = (j + FIR_BLOCK).min(m - FIR_BLOCK);
+        }
     }
-    let mut out = read_acc(acc);
-    while j < l {
-        out += xs[l - 1 - j].scale(kernel[j]);
-        j += 1;
+    let mut j = 0usize;
+    while j + 2 <= m {
+        let mut acc = _mm256_setzero_pd();
+        for (k, &kv) in kernel.iter().enumerate() {
+            let xv = _mm256_loadu_pd(px.add(2 * (j + l - 1 - k)));
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(xv, _mm256_set1_pd(kv)));
+        }
+        _mm256_storeu_pd(po.add(2 * j), acc);
+        j += 2;
     }
-    out
+    // An odd last output is the oracle's own loop.
+    super::scalar::fir_rev_into(&xs[j..], kernel, &mut out[j..]);
+}
+
+/// `2·R` whole rows of [`tone_conj_dot`], two to a register: row `2r`
+/// in the low half of accumulator `r`, row `2r + 1` in the high half,
+/// every row folding `conj(fine[b])·y[b]` in ascending `b` from zero —
+/// the oracle's row sum — while the `R` registers advance side by side.
+/// `rows` points at `2·R·stride` samples; `sums` receives the `2·R` row
+/// sums in row order.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn conj_row_pairs<const R: usize>(fine: &[C64], rows: *const f64, sums: &mut [C64]) {
+    let stride = fine.len();
+    let mut acc = [_mm256_setzero_pd(); R];
+    for (b, f) in fine.iter().enumerate() {
+        // conj(fine)·y with the table entry on the left, as `conj_dot`
+        // forms `conj(a)·b`: broadcast re and negated im.
+        let fre = _mm256_set1_pd(f.re);
+        let fim = _mm256_set1_pd(-f.im);
+        for (r, a) in acc.iter_mut().enumerate() {
+            let lo = _mm_loadu_pd(rows.add(2 * (2 * r * stride + b)));
+            let hi = _mm_loadu_pd(rows.add(2 * ((2 * r + 1) * stride + b)));
+            let yv = _mm256_set_m128d(hi, lo);
+            let t1 = _mm256_mul_pd(fre, yv);
+            let t2 = _mm256_mul_pd(fim, _mm256_permute_pd::<0x5>(yv));
+            *a = _mm256_add_pd(*a, _mm256_addsub_pd(t1, t2));
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        sums[2 * r] = read_acc(_mm256_castpd256_pd128(*a));
+        sums[2 * r + 1] = read_acc(_mm256_extractf128_pd::<1>(*a));
+    }
+}
+
+/// AVX2 [`super::tone_conj_dot`]; bit-identical to the oracle. Both
+/// tables are [`tone_into`]'s (the same four-lane `sincos` replays), a
+/// group's whole rows fold two to a register — all sixteen rows of an
+/// SF8 window at once — and the few that do not pair up (an odd row, a
+/// short last one) and the fold over rows run the oracle's own scalar
+/// expressions.
+pub fn tone_conj_dot(n: usize, freq_bins: f64, y: &[C64]) -> C64 {
+    // SAFETY: see `conj_dot`.
+    unsafe { tone_conj_dot_impl(n, freq_bins, y) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn tone_conj_dot_impl(n: usize, freq_bins: f64, y: &[C64]) -> C64 {
+    let w = 2.0 * std::f64::consts::PI * freq_bins / n as f64;
+    let stride = super::tone_stride(n);
+    let mut fine = [C64::ZERO; super::MAX_TONE_STRIDE];
+    let fine = &mut fine[..stride];
+    cis_steps(fine, w, 0, 1);
+    let mut coarse = [C64::ZERO; COARSE_GROUP];
+    let mut sums = [C64::ZERO; COARSE_GROUP];
+    let mut acc = C64::ZERO;
+    for (g, rows) in y.chunks(COARSE_GROUP * stride).enumerate() {
+        let held = rows.len().div_ceil(stride);
+        cis_steps(&mut coarse[..held], w, COARSE_GROUP * g * stride, stride);
+        // Rows `..paired` are whole and fold in registers; every read of
+        // `conj_row_pairs` lands in `rows[..paired·stride]`.
+        let pr = rows.as_ptr() as *const f64;
+        let whole = rows.len() / stride;
+        let paired = if whole == COARSE_GROUP {
+            conj_row_pairs::<{ COARSE_GROUP / 2 }>(fine, pr, &mut sums);
+            whole
+        } else {
+            for a in (0..whole & !1).step_by(2) {
+                conj_row_pairs::<1>(fine, pr.add(2 * a * stride), &mut sums[a..]);
+            }
+            whole & !1
+        };
+        for (a, row) in rows.chunks(stride).enumerate().skip(paired) {
+            sums[a] = super::scalar::conj_row(fine, row);
+        }
+        for (c, r) in coarse[..held].iter().zip(&sums) {
+            acc += c.conj() * r;
+        }
+    }
+    acc
 }
 
 /// AVX2 [`super::conj_into`]; bit-identical to the oracle.

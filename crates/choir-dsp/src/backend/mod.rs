@@ -4,7 +4,7 @@
 //! Algorithm-1 refine loop spending its time in a handful of dense
 //! complex kernels: dechirp multiplies, the conjugated dot product that
 //! projects a window onto a tone, tone-basis synthesis, the sinc
-//! interpolation MAC, and the radix-2 FFT butterflies. This module
+//! interpolation FIR, and the radix-2 FFT butterflies. This module
 //! gives each of those a narrow kernel entry point and selects an
 //! implementation once per process:
 //!
@@ -27,8 +27,10 @@
 //! * never use FMA (it contracts `a*b+c` into one rounding, changing
 //!   bits relative to the two-rounding scalar expression);
 //! * keep reduction order identical to the scalar fold — lanes may
-//!   compute products in parallel, but sums accumulate sequentially in
-//!   the oracle's order;
+//!   compute products in parallel, and folds the oracle defines as
+//!   independent (the outputs of [`fir_rev_into`], the rows of
+//!   [`tone_conj_dot`]) may run side by side, but each sum accumulates
+//!   sequentially in the oracle's order;
 //! * flip signs by XOR with the IEEE sign bit (exact, matching `Neg`);
 //! * synthesize tones through the repo's own deterministic [`sincos`]
 //!   kernel, never libm. Libm transcendentals cannot be reproduced
@@ -321,12 +323,48 @@ pub fn butterflies(x: &mut [C64], twiddles: &[C64], forward: bool) {
     dispatch!(butterflies(x, twiddles, forward))
 }
 
-/// Reversed real-kernel MAC `Σ_j xs[L-1-j]·kernel[j]` (`L = xs.len()`,
-/// `j` ascending, accumulated from `C64::ZERO`) — the interior of the
-/// sinc fractional-delay filter, where the source index walks backwards
-/// as the kernel index walks forwards.
-pub fn dot_rev(xs: &[C64], kernel: &[f64]) -> C64 {
-    dispatch!(dot_rev(xs, kernel))
+/// Reversed real-kernel FIR `out[j] = Σ_k xs[j + L − 1 − k]·kernel[k]`
+/// (`L = kernel.len()`, `k` ascending, each output accumulated from
+/// `C64::ZERO`) — the interior of the sinc fractional-delay filter, where
+/// the source index walks backwards as the kernel index walks forwards.
+/// The outputs are independent and each one's fold is the oracle's
+/// ([`scalar::fir_rev_into`]), so a leaf may compute many side by side
+/// (that is the whole speed-up: `L` dependent adds per output become one
+/// streaming pass) and stay bit-identical.
+///
+/// # Panics
+/// Panics if `kernel` is empty or `xs` is not exactly the `out.len() +
+/// L − 1` samples the outputs read.
+// hot:noalloc — reads and writes caller-provided slices only.
+pub fn fir_rev_into(xs: &[C64], kernel: &[f64], out: &mut [C64]) {
+    assert!(!kernel.is_empty(), "fir_rev_into: empty kernel");
+    if out.is_empty() {
+        return;
+    }
+    assert_eq!(
+        xs.len() + 1,
+        out.len() + kernel.len(),
+        "fir_rev_into: source length"
+    );
+    dispatch!(fir_rev_into(xs, kernel, out))
+}
+
+/// One DTFT bin of `y` at `freq_bins`: `Σ_t conj(tone[t])·y[t]` with
+/// `tone` what [`tone_into`] writes for `(n, freq_bins)`, evaluated by
+/// rows — `Σ_a conj(coarse_a)·(Σ_b conj(fine_b)·y[a·B + b])`, both folds
+/// ascending from `C64::ZERO` — straight from the tone kernel's two
+/// tables, so no tone is written or read back. `y` may be any length (a
+/// short last row stops where `y` does).
+///
+/// This is **not** the bits of `conj_dot(tone, y)`: the fused form rounds
+/// `conj(coarse)·(Σ conj(fine)·y)` where the two-step form rounds `Σ
+/// conj(coarse·fine)·y` — the same bin to `4·n·ε·Σ|y|`, a different last
+/// digit. It is for search objectives, whose values are only compared;
+/// a value a later stage consumes keeps `tone_into` + `conj_dot`. A
+/// non-finite `freq_bins` yields NaN for any non-empty `y`.
+// hot:noalloc — both tables live on the stack.
+pub fn tone_conj_dot(n: usize, freq_bins: f64, y: &[C64]) -> C64 {
+    dispatch!(tone_conj_dot(n, freq_bins, y))
 }
 
 /// Element-wise conjugate `out[i] = conj(src[i])` over

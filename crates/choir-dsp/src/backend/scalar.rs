@@ -168,8 +168,11 @@ pub fn butterflies(x: &mut [C64], twiddles: &[C64], forward: bool) {
     }
 }
 
-/// Oracle for [`super::dot_rev`]: `Σ_j xs[L-1-j]·kernel[j]` with `j`
-/// ascending, accumulated from `C64::ZERO`.
+/// Reversed real-kernel MAC `Σ_j xs[L-1-j]·kernel[j]` (`L = xs.len()`,
+/// `j` ascending, accumulated from `C64::ZERO`): one output of the sinc
+/// fractional-delay filter, where the source index walks backwards as
+/// the kernel index walks forwards. The fold [`fir_rev_into`] is defined
+/// by; no backend dispatches it on its own.
 pub fn dot_rev(xs: &[C64], kernel: &[f64]) -> C64 {
     debug_assert_eq!(xs.len(), kernel.len());
     let l = xs.len();
@@ -178,6 +181,44 @@ pub fn dot_rev(xs: &[C64], kernel: &[f64]) -> C64 {
         acc += xs[l - 1 - j].scale(k);
     }
     acc
+}
+
+/// Oracle for [`super::fir_rev_into`]: one [`dot_rev`] per output,
+/// `out[j] = dot_rev(xs[j..j + L], kernel)`.
+pub fn fir_rev_into(xs: &[C64], kernel: &[f64], out: &mut [C64]) {
+    for (o, src) in out.iter_mut().zip(xs.windows(kernel.len())) {
+        *o = dot_rev(src, kernel);
+    }
+}
+
+/// Oracle for [`super::tone_conj_dot`]: the DTFT bin `Σ_t
+/// conj(tone[t])·y[t]` folded by the tone kernel's rows. With `w`, `B`
+/// and the two [`super::sincos`] tables exactly as [`tone_into`] builds
+/// them, row `a` folds `r_a = Σ_b conj(fine[b])·y[a·B + b]` ascending in
+/// `b` from `C64::ZERO` (a short last row stops where `y` does), and the
+/// rows fold `Σ_a conj(coarse[a])·r_a` ascending in `a` from
+/// `C64::ZERO`. The order of both folds is the definition: a leaf may
+/// run the rows side by side, never reassociate within one.
+pub fn tone_conj_dot(n: usize, freq_bins: f64, y: &[C64]) -> C64 {
+    let w = 2.0 * PI * freq_bins / n as f64;
+    let stride = super::tone_stride(n);
+    let fine = fine_table(w, stride);
+    let mut acc = C64::ZERO;
+    for (a, row) in y.chunks(stride).enumerate() {
+        let coarse = super::sincos::cis(w * (a * stride) as f64);
+        acc += coarse.conj() * conj_row(&fine, row);
+    }
+    acc
+}
+
+/// One row of [`tone_conj_dot`]: `Σ_b conj(fine[b])·row[b]`, ascending
+/// from `C64::ZERO`.
+pub(super) fn conj_row(fine: &[C64], row: &[C64]) -> C64 {
+    let mut r = C64::ZERO;
+    for (f, y) in fine.iter().zip(row) {
+        r += f.conj() * y;
+    }
+    r
 }
 
 /// Oracle for [`super::conj_into`]: `out[i] = conj(src[i])`.

@@ -110,9 +110,9 @@ pub fn find_peaks(spectrum: &[C64], pad: usize) -> Vec<Peak> {
     );
     // Unpadded symbol length, sets the leakage kernel.
     let n_sym = np / pad;
-    // Magnitude and masking scratch are per-call temporaries of spectrum
-    // length — recycled through the thread arena like the rest of the
-    // refine loop's buffers.
+    // The magnitude scratch is a per-call temporary of spectrum length —
+    // recycled through the thread arena like the rest of the refine
+    // loop's buffers.
     let mut mags = crate::workspace::take_f64(np);
     for (m, z) in mags.iter_mut().zip(spectrum) {
         *m = z.abs();
@@ -121,20 +121,28 @@ pub fn find_peaks(spectrum: &[C64], pad: usize) -> Vec<Peak> {
     let thresh = floor * THRESHOLD;
     let excl = ((MIN_SEPARATION * pad as f64).round() as usize).max(1);
 
-    let mut masked = crate::workspace::take_f64(np);
-    masked.copy_from_slice(&mags);
+    // The greedy scan takes the strongest unmasked bin, round after
+    // round, and ends when that bin is under the threshold. Only a bin
+    // over it can ever be a round's maximum, so those are collected once
+    // and put in the order the rounds reach them — magnitude descending
+    // and, of equal magnitudes, the higher index first — and the rounds
+    // walk that list past masked bins instead of rescanning the spectrum.
+    let ends_scan = |h: f64| h <= thresh || h <= 0.0;
+    let mut order: Vec<usize> = (0..np).filter(|&i| !ends_scan(mags[i])).collect();
+    order.sort_unstable_by(|&a, &b| mags[b].total_cmp(&mags[a]).then(b.cmp(&a)));
+    let mut masked = vec![false; np];
     let mut peaks: Vec<Peak> = Vec::new();
     // Bound the scan: each iteration masks at least one bin, but cap the
     // number of rejected candidates we are willing to examine.
     let mut rejections_left = 8 * MAX_PEAKS;
-    while peaks.len() < MAX_PEAKS {
-        let (imax, &hmax) = match masked.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)) {
-            Some(p) => p,
-            None => break,
-        };
-        if hmax <= thresh || hmax <= 0.0 {
+    for imax in order {
+        if peaks.len() >= MAX_PEAKS {
             break;
         }
+        if masked[imax] {
+            continue;
+        }
+        let hmax = mags[imax];
         // Parabolic refinement on the three neighbouring padded bins
         // (uses the unmasked magnitudes).
         let prev = mags[(imax + np - 1) % np];
@@ -171,11 +179,10 @@ pub fn find_peaks(spectrum: &[C64], pad: usize) -> Vec<Peak> {
         // Mask the exclusion zone (circularly) whether accepted or not, so
         // the scan always makes progress.
         for d in 0..=excl {
-            masked[(imax + d) % np] = f64::NEG_INFINITY;
-            masked[(imax + np - d) % np] = f64::NEG_INFINITY;
+            masked[(imax + d) % np] = true;
+            masked[(imax + np - d) % np] = true;
         }
     }
-    crate::workspace::put_f64(masked);
     crate::workspace::put_f64(mags);
     peaks
 }
@@ -328,6 +335,152 @@ mod tests {
                 assert_eq!(p.value.im.to_bits(), q.value.im.to_bits());
             }
         }
+    }
+
+    /// The scan `find_peaks` ran before the candidate list, kept as its
+    /// oracle: every round rescans the whole masked spectrum for its
+    /// maximum (`max_by` keeps the last of equal maxima).
+    fn find_peaks_by_rescan(spectrum: &[C64], pad: usize) -> Vec<Peak> {
+        let np = spectrum.len();
+        let n_sym = np / pad;
+        let mags: Vec<f64> = spectrum.iter().map(|z| z.abs()).collect();
+        let thresh = noise_floor(&mags) * THRESHOLD;
+        let excl = ((MIN_SEPARATION * pad as f64).round() as usize).max(1);
+        let mut masked = mags.clone();
+        let mut peaks: Vec<Peak> = Vec::new();
+        let mut rejections_left = 8 * MAX_PEAKS;
+        while peaks.len() < MAX_PEAKS {
+            let Some((imax, &hmax)) = masked.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))
+            else {
+                break;
+            };
+            if hmax <= thresh || hmax <= 0.0 {
+                break;
+            }
+            let prev = mags[(imax + np - 1) % np];
+            let next = mags[(imax + 1) % np];
+            let pos_padded = imax as f64 + parabolic_refine(prev, mags[imax], next);
+            let pos = (pos_padded.rem_euclid(np as f64)) / pad as f64;
+            let predicted: f64 = peaks
+                .iter()
+                .map(|p| {
+                    let mut d = (pos - p.pos).rem_euclid(n_sym as f64);
+                    if d > n_sym as f64 / 2.0 {
+                        d = n_sym as f64 - d;
+                    }
+                    let skirt = ISI_COEFF / d.max(0.7);
+                    p.height * dirichlet_mag(n_sym, d).max(skirt)
+                })
+                .sum();
+            if hmax > LEAK_MARGIN * predicted {
+                peaks.push(Peak {
+                    pos,
+                    height: mags[imax],
+                    value: spectrum[imax],
+                });
+            } else {
+                if rejections_left == 0 {
+                    break;
+                }
+                rejections_left -= 1;
+            }
+            for d in 0..=excl {
+                masked[(imax + d) % np] = f64::NEG_INFINITY;
+                masked[(imax + np - d) % np] = f64::NEG_INFINITY;
+            }
+        }
+        peaks
+    }
+
+    fn assert_same_peaks(spectrum: &[C64], pad: usize, what: &str) -> usize {
+        let got = find_peaks(spectrum, pad);
+        let want = find_peaks_by_rescan(spectrum, pad);
+        assert_eq!(got.len(), want.len(), "{what}: {got:?} vs {want:?}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                [g.pos, g.height, g.value.re, g.value.im].map(f64::to_bits),
+                [w.pos, w.height, w.value.re, w.value.im].map(f64::to_bits),
+                "{what}: {g:?} vs {w:?}"
+            );
+        }
+        got.len()
+    }
+
+    #[test]
+    fn candidate_walk_is_bit_identical_to_the_rescanning_scan() {
+        use rand::{Rng, SeedableRng};
+        let n = 128;
+        let mut found = 0;
+        for seed in 0..400u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let pad = [1usize, 4, 10][seed as usize % 3];
+            let mut x = vec![C64::ZERO; n];
+            for _ in 0..rng.gen_range(1usize..=6) {
+                let f = if rng.gen_bool(0.5) {
+                    rng.gen_range(0usize..n) as f64
+                } else {
+                    rng.gen_range(0.0..n as f64)
+                };
+                let amp = 10f64.powf(rng.gen_range(-1.5..0.0));
+                for (a, b) in x.iter_mut().zip(tone(n, f, amp)) {
+                    *a += b;
+                }
+            }
+            if seed % 2 == 0 {
+                for v in x.iter_mut() {
+                    *v += C64 {
+                        re: rng.gen_range(-0.05..0.05),
+                        im: rng.gen_range(-0.05..0.05),
+                    };
+                }
+            }
+            found += assert_same_peaks(&spectrum_of(&x, pad), pad, &format!("seed {seed}"));
+        }
+        assert!(
+            found >= 400,
+            "the corpus must exercise the scan: {found} peaks"
+        );
+    }
+
+    /// Equal magnitudes: every round of the rescanning scan takes the
+    /// *last* of its equal maxima, so the walk must rank the higher index
+    /// first — among isolated bins, inside one exclusion zone, and across
+    /// the circular seam.
+    #[test]
+    fn candidate_walk_breaks_exact_ties_as_the_rescanning_scan_does() {
+        let np = 640;
+        let floor = |i: usize| C64::from_re(1.0 + (i % 7) as f64 * 0.01);
+        let spec_with = |bins: &[(usize, C64)]| {
+            let mut spec: Vec<C64> = (0..np).map(floor).collect();
+            for &(i, v) in bins {
+                spec[i] = v;
+            }
+            spec
+        };
+        let h = C64::from_re(50.0);
+        let cases: [&[(usize, C64)]; 5] = [
+            // Three isolated equal bins, one of them with another phase.
+            &[(100, h), (300, C64::from_polar(50.0, 1.0)), (500, h)],
+            // Equal neighbours inside one exclusion zone.
+            &[(200, h), (201, h), (202, h)],
+            // A plateau across the seam.
+            &[(639, h), (0, h), (1, h)],
+            // Ties below a stronger peak whose skirt rejects some.
+            &[(320, C64::from_re(400.0)), (330, h), (310, h), (420, h)],
+            // Everything equal: no bin is over the threshold.
+            &[],
+        ];
+        for (case, bins) in cases.iter().enumerate() {
+            assert_same_peaks(&spec_with(bins), 10, &format!("tie case {case}"));
+        }
+        let flat = vec![C64::from_re(3.0); np];
+        assert_eq!(assert_same_peaks(&flat, 10, "flat"), 0);
+        // Signed zeros and a NaN bin rank by `total_cmp` in both scans.
+        let mut odd = spec_with(&[(100, h), (400, h)]);
+        odd[5] = C64::ZERO;
+        odd[6] = C64::from_re(-0.0);
+        odd[250] = C64::from_re(f64::NAN);
+        assert_same_peaks(&odd, 10, "nan and zeros");
     }
 
     #[test]

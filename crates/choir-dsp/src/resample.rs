@@ -8,69 +8,113 @@
 
 use crate::complex::C64;
 
+/// A delay as the resampler applies it: whole samples to shift by and
+/// the Hann-windowed sinc weights of the fractional rest. A function of
+/// `(delay, taps)` alone, so a caller that resamples many windows at one
+/// delay builds it once and hands it to every
+/// [`fractional_delay_into`]; [`Self::retune`] moves it to another delay
+/// in place, for a search that probes one delay after another.
+#[derive(Clone, Debug)]
+pub struct DelayKernel {
+    taps: usize,
+    int_shift: i64,
+    /// Weight of tap `k = −taps…taps`, ascending; empty when the delay
+    /// is whole samples (within 1e-12) and the filter is a pure shift.
+    weights: Vec<f64>,
+}
+
+impl DelayKernel {
+    /// The kernel delaying by `delay` samples (fractional and/or
+    /// negative) with `taps` taps per side.
+    ///
+    /// # Panics
+    /// Panics if `taps` is zero.
+    pub fn new(delay: f64, taps: usize) -> Self {
+        assert!(taps >= 1, "fractional_delay: need at least one tap");
+        let mut kernel = DelayKernel {
+            taps,
+            int_shift: 0,
+            weights: Vec::with_capacity(2 * taps + 1),
+        };
+        kernel.retune(delay);
+        kernel
+    }
+
+    /// Moves the kernel to `delay`, keeping its tap count and its
+    /// allocation: the value [`Self::new`] builds for `(delay, taps)`.
+    // hot:noalloc — the weights are rewritten in the capacity `new` reserved.
+    pub fn retune(&mut self, delay: f64) {
+        let int_part = delay.floor();
+        let frac = delay - int_part;
+        self.int_shift = int_part as i64;
+        self.weights.clear();
+        if frac.abs() < 1e-12 {
+            return;
+        }
+        let t = self.taps as i64;
+        self.weights.extend((-t..=t).map(|k| {
+            let u = k as f64 - frac;
+            // Hann window over the tap span.
+            let w = 0.5 + 0.5 * (std::f64::consts::PI * u / (t as f64 + 1.0)).cos();
+            sinc(u) * w.max(0.0)
+        }));
+    }
+}
+
 /// Delays `x` by `delay` samples (may be fractional and/or negative) using
 /// windowed-sinc interpolation with `taps` taps per side (Hann-windowed).
 /// Samples that would come from outside the signal are treated as zero.
 pub fn fractional_delay(x: &[C64], delay: f64, taps: usize) -> Vec<C64> {
     let mut out = vec![C64::ZERO; x.len()];
-    fractional_delay_into(x, delay, taps, 0, &mut out);
+    fractional_delay_into(x, &DelayKernel::new(delay, taps), 0, &mut out);
     out
 }
 
 /// Allocation-free [`fractional_delay`] over the output positions
 /// `first..first + out.len()` only: `out[j]` is exactly the value
-/// `fractional_delay(x, delay, taps)[first + j]`. A caller that keeps an
-/// interior span of the delayed signal (the decoder's aligned windows)
-/// skips both the full-length buffer and the edge outputs it would drop.
-// hot:noalloc — the kernel scratch comes from the workspace arena.
-pub fn fractional_delay_into(x: &[C64], delay: f64, taps: usize, first: usize, out: &mut [C64]) {
-    assert!(taps >= 1, "fractional_delay: need at least one tap");
+/// `fractional_delay(x, delay, taps)[first + j]` for the `(delay, taps)`
+/// `kernel` was built from. A caller that keeps an interior span of the
+/// delayed signal (the decoder's aligned windows) skips both the
+/// full-length buffer and the edge outputs it would drop.
+// hot:noalloc — reads the caller's kernel, writes the caller's buffer.
+pub fn fractional_delay_into(x: &[C64], kernel: &DelayKernel, first: usize, out: &mut [C64]) {
     let n = x.len() as i64;
-    let int_part = delay.floor();
-    let frac = delay - int_part;
-    let int_shift = int_part as i64;
-    if frac.abs() < 1e-12 {
+    let int_shift = kernel.int_shift;
+    if kernel.weights.is_empty() {
         for (j, o) in out.iter_mut().enumerate() {
             *o = sample_or_zero(x, (first + j) as i64 - int_shift);
         }
         return;
     }
-    let t = taps as i64;
-    // The windowed-sinc kernel depends only on the tap index and `frac`,
-    // never on the output position — build it once per call instead of
-    // paying (2·taps+1) sin/cos evaluations per output sample.
-    let mut kernel = crate::workspace::take_f64(2 * taps + 1);
-    for (kv, k) in kernel.iter_mut().zip(-t..=t) {
-        let u = k as f64 - frac;
-        let s = sinc(u);
-        // Hann window over the tap span.
-        let w = 0.5 + 0.5 * (std::f64::consts::PI * u / (t as f64 + 1.0)).cos();
-        *kv = s * w.max(0.0);
+    let t = kernel.taps as i64;
+    let first = first as i64;
+    // out[i] = Σ_k x[i - int_shift - k] · sinc(k - frac) · w(k). Output
+    // `i` is *interior* when every tap's source is in range, `int_shift
+    // + t ≤ i < n + int_shift − t`: there the source index walks
+    // backwards as the tap index walks forwards with no skips — the
+    // backend's reversed FIR, one streaming pass over the whole run.
+    let end = first + out.len() as i64;
+    let lo = (int_shift + t).clamp(first, end);
+    let hi = (n + int_shift - t).clamp(lo, end);
+    if lo < hi {
+        crate::backend::fir_rev_into(
+            &x[(lo - int_shift - t) as usize..(hi - int_shift + t) as usize],
+            &kernel.weights,
+            &mut out[(lo - first) as usize..(hi - first) as usize],
+        );
     }
-    for (j, o) in out.iter_mut().enumerate() {
-        let i = (first + j) as i64;
-        // out[i] = Σ_k x[i - int_shift - k] · sinc(k - frac) · w(k)
-        let lo = i - int_shift - t;
-        let hi = i - int_shift + t;
-        if lo >= 0 && hi < n {
-            // Interior output: every tap's source is in range, and the
-            // source index walks backwards as the tap index walks
-            // forwards — exactly the backend's reversed MAC, which is
-            // bit-identical to the guarded loop below with no skips.
-            *o = crate::backend::dot_rev(&x[lo as usize..=hi as usize], &kernel);
-            continue;
-        }
+    // Edge outputs: taps whose source falls outside the signal read zero.
+    for i in (first..lo).chain(hi..end) {
         let mut acc = C64::ZERO;
-        for (ki, k) in (-t..=t).enumerate() {
+        for (kw, k) in kernel.weights.iter().zip(-t..=t) {
             let src = i - int_shift - k;
             if src < 0 || src >= n {
                 continue;
             }
-            acc += x[src as usize].scale(kernel[ki]);
+            acc += x[src as usize].scale(*kw);
         }
-        *o = acc;
+        out[(i - first) as usize] = acc;
     }
-    crate::workspace::put_f64(kernel);
 }
 
 /// Integer sample shift with zero fill (positive = delay).
@@ -141,7 +185,7 @@ mod tests {
             let full = fractional_delay(&x, delay, 6);
             for (first, len) in [(0usize, 64usize), (6, 52), (0, 5), (60, 4)] {
                 let mut part = vec![C64::ZERO; len];
-                fractional_delay_into(&x, delay, 6, first, &mut part);
+                fractional_delay_into(&x, &DelayKernel::new(delay, 6), first, &mut part);
                 assert_eq!(part, full[first..first + len], "delay {delay} from {first}");
             }
         }

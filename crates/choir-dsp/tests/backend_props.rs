@@ -16,6 +16,7 @@
 
 use choir_dsp::backend::{self, BackendKind};
 use choir_dsp::complex::{c64, C64};
+use choir_dsp::resample::{fractional_delay_into, sinc, DelayKernel};
 use proptest::prelude::*;
 use std::f64::consts::PI;
 
@@ -72,7 +73,7 @@ fn arb_wild_signal(max_len: usize) -> impl Strategy<Value = Vec<C64>> {
         .prop_map(|v| v.into_iter().map(wild_c64).collect())
 }
 
-/// Real vectors of adversarial values (sinc-kernel taps for `dot_rev`).
+/// Real vectors of adversarial values (sinc-kernel taps for `fir_rev_into`).
 fn arb_wild_taps(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec((0u8..6, -1.0f64..1.0), 1..max_len)
         .prop_map(|v| v.into_iter().map(|(c, x)| wild(c, x)).collect())
@@ -173,19 +174,39 @@ proptest! {
         }
     }
 
+    // The reversed FIR at every output count around the leaf's block
+    // sizes (none, one, a pair, a block less one, a block, a block and
+    // one, and the resampler's 255/256) and every kernel length in use
+    // (1 and 3 taps, the decoder's 21, the tests' 49): each backend and
+    // the scalar entry against one `scalar::dot_rev` per output — the
+    // arithmetic the kernel replaced, and its definition.
     #[test]
-    fn dot_rev_matches_oracle_bit_exactly(
-        xs in arb_wild_signal(67),
+    fn fir_rev_matches_one_dot_rev_per_output_bit_exactly(
+        seed in arb_wild_signal(129),
         taps in arb_wild_taps(67),
     ) {
         let _s = serial();
         let _r = RestoreBackend;
-        let k = taps.len().min(xs.len());
-        let want = backend::scalar::dot_rev(&xs[..k], &taps[..k]);
-        for kind in backend::available() {
-            backend::force(kind);
-            let got = backend::dot_rev(&xs[..k], &taps[..k]);
-            assert_scalar_bits_eq(kind, "dot_rev", got, want);
+        for l in [1usize, 3, 21, 49] {
+            let kernel: Vec<f64> = (0..l).map(|k| taps[k % taps.len()]).collect();
+            for m in [0usize, 1, 2, 15, 16, 17, 255, 256] {
+                // Cycle the drawn values out to the samples `m` outputs read.
+                let xs: Vec<C64> = (0..(m + l).saturating_sub(1).max(1))
+                    .map(|i| seed[i % seed.len()])
+                    .collect();
+                let want: Vec<C64> = (0..m)
+                    .map(|j| backend::scalar::dot_rev(&xs[j..j + l], &kernel))
+                    .collect();
+                let mut oracle = vec![C64::ONE; m];
+                backend::scalar::fir_rev_into(&xs, &kernel, &mut oracle);
+                assert_bits_eq(BackendKind::Scalar, "scalar::fir_rev_into", &oracle, &want);
+                for kind in backend::available() {
+                    backend::force(kind);
+                    let mut got = vec![C64::ONE; m];
+                    backend::fir_rev_into(&xs, &kernel, &mut got);
+                    assert_bits_eq(kind, "fir_rev_into", &got, &want);
+                }
+            }
         }
     }
 
@@ -412,6 +433,144 @@ proptest! {
                     v.re.to_bits() == e.re.to_bits() && v.im.to_bits() == e.im.to_bits(),
                     "t={} (stride {}) is not the per-element value", t, stride
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The fused DTFT bin: scalar ≡ AVX2 bitwise at every LoRa symbol
+    // length, on windows whose length is and is not a multiple of the
+    // fine-table length and differs from `n` (the CFO search's segments
+    // are ragged), adversarial and tame — and, on the tame one, within
+    // `4·n·ε·Σ|y|` of the two-step `conj_dot(tone_into(f), y)` whose
+    // rounding it replaces.
+    #[test]
+    fn tone_conj_dot_matches_oracle_and_tracks_the_two_step_bin(
+        sf in 7u32..13,
+        len_rows in 0usize..70,
+        len_tail in 0usize..64,
+        pos in 0.0f64..1.0,
+        wild_seed in arb_wild_signal(129),
+        tame_seed in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 1..129),
+    ) {
+        let _s = serial();
+        let _r = RestoreBackend;
+        let n = 1usize << sf;
+        let stride = backend::tone_stride(n);
+        let len = len_rows * stride + len_tail % stride;
+        let freq_bins = -1.0 + pos * (n as f64 + 2.0);
+        let wild_y: Vec<C64> = (0..len).map(|i| wild_seed[i % wild_seed.len()]).collect();
+        let tame_y: Vec<C64> = (0..len)
+            .map(|i| tame_seed[i % tame_seed.len()])
+            .map(|(re, im)| c64(re, im))
+            .collect();
+        let want_wild = backend::scalar::tone_conj_dot(n, freq_bins, &wild_y);
+        let want_tame = backend::scalar::tone_conj_dot(n, freq_bins, &tame_y);
+        for kind in backend::available() {
+            backend::force(kind);
+            let got = backend::tone_conj_dot(n, freq_bins, &wild_y);
+            assert_scalar_bits_eq(kind, "tone_conj_dot (wild)", got, want_wild);
+            let got = backend::tone_conj_dot(n, freq_bins, &tame_y);
+            assert_scalar_bits_eq(kind, "tone_conj_dot (tame)", got, want_tame);
+        }
+        let mut tone = vec![C64::ZERO; len];
+        backend::scalar::tone_into(&mut tone, n, freq_bins);
+        let two_step = backend::scalar::conj_dot(&tone, &tame_y);
+        let l1: f64 = tame_y.iter().map(|v| v.abs()).sum();
+        let tol = 4.0 * n as f64 * f64::EPSILON * l1;
+        prop_assert!(
+            (want_tame - two_step).abs() <= tol,
+            "n={} len={} f={}: fused {:?} vs two-step {:?} (tol {:e})",
+            n, len, freq_bins, want_tame, two_step, tol
+        );
+    }
+}
+
+/// A non-finite frequency poisons both tables of the fused bin too: NaN
+/// on every backend for any non-empty window, whole or ragged.
+#[test]
+fn non_finite_frequency_yields_a_nan_bin() {
+    let _s = serial();
+    let _r = RestoreBackend;
+    let y = vec![C64::ONE; 256];
+    for kind in backend::available() {
+        backend::force(kind);
+        for f in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for len in [1usize, 15, 16, 37, 256] {
+                let bin = backend::tone_conj_dot(256, f, &y[..len]);
+                assert!(
+                    bin.re.is_nan() && bin.im.is_nan(),
+                    "{} f={f} len={len}",
+                    kind.name()
+                );
+            }
+        }
+    }
+}
+
+/// The resampler before the FIR kernel, kept as its oracle: every output
+/// its own guarded tap loop, the windowed-sinc weights rebuilt per call.
+fn per_output_delay(x: &[C64], delay: f64, taps: usize, first: usize, len: usize) -> Vec<C64> {
+    let int_part = delay.floor();
+    let frac = delay - int_part;
+    let int_shift = int_part as i64;
+    let t = taps as i64;
+    let sample = |src: i64| usize::try_from(src).ok().and_then(|i| x.get(i)).copied();
+    (first as i64..(first + len) as i64)
+        .map(|i| {
+            if frac.abs() < 1e-12 {
+                return sample(i - int_shift).unwrap_or(C64::ZERO);
+            }
+            let mut acc = C64::ZERO;
+            for k in -t..=t {
+                let Some(v) = sample(i - int_shift - k) else {
+                    continue;
+                };
+                let u = k as f64 - frac;
+                let w = 0.5 + 0.5 * (PI * u / (t as f64 + 1.0)).cos();
+                acc += v.scale(sinc(u) * w.max(0.0));
+            }
+            acc
+        })
+        .collect()
+}
+
+/// Interior runs through the backend FIR, edges through the guarded loop,
+/// a kernel shared across windows or retuned from another delay: all the
+/// per-output formulation, bit for bit, on every backend.
+#[test]
+fn fir_resampler_matches_the_per_output_formulation() {
+    let _s = serial();
+    let _r = RestoreBackend;
+    let x: Vec<C64> = (0..300)
+        .map(|i| C64::from_polar(1.0 + 0.3 * (i as f64 * 0.71).sin(), 0.013 * (i * i) as f64))
+        .collect();
+    let spans = [
+        (0usize, 300usize),
+        (10, 256),
+        (0, 1),
+        (299, 1),
+        (40, 17),
+        (150, 0),
+    ];
+    for kind in backend::available() {
+        backend::force(kind);
+        for taps in [1usize, 6, 10, 24] {
+            let mut shared = DelayKernel::new(0.5, taps);
+            for delay in [-0.63, -0.000_001, 0.25, 0.999_999, 3.0, -40.4, 310.2, 7.5] {
+                shared.retune(delay);
+                let rebuilt = DelayKernel::new(delay, taps);
+                for (first, len) in spans {
+                    let want = per_output_delay(&x, delay, taps, first, len);
+                    for (kernel, how) in [(&shared, "retuned"), (&rebuilt, "rebuilt")] {
+                        let mut got = vec![C64::ONE; len];
+                        fractional_delay_into(&x, kernel, first, &mut got);
+                        assert_bits_eq(kind, how, &got, &want);
+                    }
+                }
             }
         }
     }
