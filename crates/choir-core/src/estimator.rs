@@ -22,7 +22,9 @@ use choir_dsp::backend::MAX_BLOCK_WIDTH;
 use choir_dsp::checks;
 use choir_dsp::complex::C64;
 use choir_dsp::fft::FftPlan;
-use choir_dsp::linalg::{gram_residual, least_squares_refs, residual_energy_refs, CholeskyFactor};
+use choir_dsp::linalg::{
+    gram_residual, least_squares_refs, residual_energy_refs, CholeskyFactor, PIVOT_REL_TOL,
+};
 use choir_dsp::optim::{golden_section, Optimum};
 use choir_dsp::peaks::{dirichlet, find_peaks, Peak};
 use choir_dsp::workspace;
@@ -141,17 +143,28 @@ pub struct CandidateBlock {
     w: usize,
     /// Width of the current fill (`≤ w`; short tail chunks shrink it).
     cw: usize,
+    /// `n·w` samples checked out of the calling thread's workspace arena
+    /// and returned to it on drop.
     block: Vec<C64>,
-    proj: Vec<C64>,
-    coeffs: Vec<C64>,
-    scores: Vec<f64>,
+    proj: [C64; MAX_BLOCK_WIDTH],
+    coeffs: [C64; MAX_BLOCK_WIDTH],
+    scores: [f64; MAX_BLOCK_WIDTH],
+}
+
+impl Drop for CandidateBlock {
+    fn drop(&mut self) {
+        workspace::put(std::mem::take(&mut self.block));
+    }
 }
 
 impl CandidateBlock {
-    /// Allocates a block for up to `w` candidates over `n`-chip symbols.
+    /// A block for up to `w` candidates over `n`-chip symbols, its
+    /// samples borrowed from the workspace arena: once the arena is warm
+    /// a descent builds one without touching the heap.
     ///
     /// # Panics
     /// Panics if `w` is outside `1..=MAX_BLOCK_WIDTH`.
+    // hot:noalloc — the block is an arena checkout, the rest is inline.
     pub fn new(n: usize, w: usize) -> Self {
         assert!(
             (1..=MAX_BLOCK_WIDTH).contains(&w),
@@ -161,10 +174,10 @@ impl CandidateBlock {
             n,
             w,
             cw: 0,
-            block: vec![C64::ZERO; n * w],
-            proj: vec![C64::ZERO; w],
-            coeffs: vec![C64::ZERO; w],
-            scores: vec![0.0; w],
+            block: workspace::take(n * w),
+            proj: [C64::ZERO; MAX_BLOCK_WIDTH],
+            coeffs: [C64::ZERO; MAX_BLOCK_WIDTH],
+            scores: [0.0; MAX_BLOCK_WIDTH],
         }
     }
 
@@ -215,7 +228,9 @@ pub struct OffsetEstimator {
     n: usize,
     cfg: EstimatorConfig,
     downchirp: std::sync::Arc<Vec<C64>>,
-    fft_padded: FftPlan,
+    /// The `n·pad`-point plan, shared with every other estimator of this
+    /// geometry through the process-wide plan cache.
+    fft_padded: std::sync::Arc<FftPlan>,
 }
 
 /// Distinct tone bases kept per thread in the basis LRU. Refinement of a
@@ -265,11 +280,11 @@ fn cached_basis(n: usize, freq_bins: f64) -> Rc<Vec<C64>> {
 
 /// Incremental normal-equation evaluator — the offset search's hot
 /// kernel. Holds the Gram matrix `G = BᴴB`, projection `p = Bᴴy` and
-/// Cholesky factor for the current frequency hypothesis, and on each
-/// [`Self::eval`] updates only the rows/columns of coordinates whose
-/// frequency actually changed (cyclic coordinate descent moves exactly
-/// one per probe). A probe of the residual at frequency `f` is one DTFT
-/// bin of `y`: the moved coordinate costs one fused
+/// Cholesky factor for the current frequency hypothesis, and updates
+/// only the rows/columns of coordinates whose frequency actually changed
+/// (cyclic coordinate descent moves exactly one per probe). A probe of
+/// the residual at frequency `f` is one DTFT bin of `y`: the moved
+/// coordinate costs one fused
 /// [`tone_conj_dot`](choir_dsp::backend::tone_conj_dot) — no tone is
 /// written, none read back. The Gram of pure tones needs no samples at
 /// all — its diagonal is `n` and entry `(i, j)` is the Dirichlet kernel
@@ -279,34 +294,73 @@ fn cached_basis(n: usize, freq_bins: f64) -> Rc<Vec<C64>> {
 /// steady-state probes perform zero heap allocations; basis columns
 /// exist only while [`Self::deflate_into`] streams them.
 ///
+/// Two ways to ask for a residual. [`Self::eval`] solves the whole
+/// system at a point and leaves the coefficients behind for
+/// [`Self::deflate_into`]. A line search moves one coordinate and asks
+/// many times, so it opens the line once ([`Self::hold`]: the `K − 1`
+/// fixed tones are factored and solved there) and each abscissa
+/// ([`Self::probe`]) eliminates only the tone that moved — the same
+/// residual by block elimination, `O(K)` kernels and `O(K²)` flops where
+/// a full solve spends `O(K³)`.
+///
 /// A Gram entry is a pure function of its two frequencies, always
 /// evaluated in the `(i<j, mirror-conjugate)` orientation, and a
 /// projection of its one, so an incrementally maintained system is
-/// bit-identical to a rebuilt one. Neither is the arithmetic of
-/// [`least_squares_refs`] on sampled bases (the Grams agree to
-/// 1e-13·`n` at SF8, 2e-12·`n` at SF12 — the sampled tones' phase
-/// rounding — and the fused projection to `4·n·ε·Σ|y|`): this type
-/// scores hypotheses for the search, and the channels the estimator
-/// reports come from a time-domain [`OffsetEstimator::fit`] at the
-/// converged point.
+/// bit-identical to a rebuilt one, whichever of the two calls moved it.
+/// Neither is the arithmetic of [`least_squares_refs`] on sampled bases
+/// (the Grams agree to 1e-13·`n` at SF8, 2e-12·`n` at SF12 — the sampled
+/// tones' phase rounding — and the fused projection to `4·n·ε·Σ|y|`):
+/// this type scores hypotheses for the search, and the channels the
+/// estimator reports come from a time-domain [`OffsetEstimator::fit`] at
+/// the converged point.
 pub struct GramFit<'a> {
     n: usize,
     y: &'a [C64],
     y_energy: f64,
     k: usize,
+    /// The frequency each coordinate was last projected at; NaN (equal
+    /// to no hypothesis) until it has been.
     freqs: Vec<f64>,
     gram: Vec<C64>,
     p: Vec<C64>,
     chol: CholeskyFactor,
     coeffs: Vec<C64>,
-    primed: bool,
     solved: bool,
+    line: Line,
+}
+
+/// The line a search is held on: coordinate `i` moves, the fixed set
+/// `F` (every other coordinate, ascending) is solved once.
+struct Line {
+    /// The moving coordinate while `F`'s system stands — every fixed
+    /// frequency finite, its Gram factored. `None`: every probe is the
+    /// worst fit.
+    held: Option<usize>,
+    /// `G_F`, row-major `(K−1)²`, and its factor.
+    gram: Vec<C64>,
+    chol: CholeskyFactor,
+    /// `p_F` and `c_F = G_F⁻¹p_F`.
+    p: Vec<C64>,
+    coeffs: Vec<C64>,
+    /// `‖y‖² − Re(c_Fᴴp_F)`: the residual with the moving tone left out.
+    residual: f64,
+    /// Per-probe scratch: the moving tone's Gram column over `F`, and
+    /// `L_F⁻¹` of it.
+    g: Vec<C64>,
+    u: Vec<C64>,
+}
+
+/// The `s`-th member of the fixed set `F` — every coordinate but `i`,
+/// ascending.
+fn fixed_coordinate(s: usize, i: usize) -> usize {
+    s + usize::from(s >= i)
 }
 
 impl<'a> GramFit<'a> {
-    /// Builds an unprimed evaluator for `k` components over the dechirped
-    /// window `y` (`n` chips per symbol). The first [`Self::eval`] fills
-    /// every column; later probes update only what moved.
+    /// Builds an evaluator for `k` components over the dechirped window
+    /// `y` (`n` chips per symbol), nothing projected yet. The first
+    /// [`Self::eval`] fills every column; later probes update only what
+    /// moved.
     ///
     /// # Panics
     /// Panics if `k` is zero or above 64 (the changed-coordinate bitmask
@@ -321,26 +375,36 @@ impl<'a> GramFit<'a> {
         for i in 0..k {
             gram[i * k + i] = C64::from_re(n as f64);
         }
+        let f = k - 1;
         GramFit {
             n,
             y,
             y_energy: choir_dsp::complex::energy(y),
             k,
-            freqs: vec![0.0; k],
+            freqs: vec![f64::NAN; k],
             gram,
             p: vec![C64::ZERO; k],
             chol: CholeskyFactor::new(),
             coeffs: vec![C64::ZERO; k],
-            primed: false,
             solved: false,
+            line: Line {
+                held: None,
+                gram: vec![C64::ZERO; f * f],
+                chol: CholeskyFactor::new(),
+                p: vec![C64::ZERO; f],
+                coeffs: vec![C64::ZERO; f],
+                residual: 0.0,
+                g: vec![C64::ZERO; f],
+                u: vec![C64::ZERO; f],
+            },
         }
     }
 
-    /// Whether the most recent [`Self::eval`] produced a non-singular
-    /// solve, i.e. whether the held coefficients match the held
-    /// frequencies. After a singular or non-finite probe the
-    /// coefficients are stale and [`Self::deflate_into`] must not be
-    /// used.
+    /// Whether the most recent call was an [`Self::eval`] that produced
+    /// a non-singular solve, i.e. whether the held coefficients match
+    /// the held frequencies. After a singular or non-finite evaluation,
+    /// or any [`Self::probe`], the coefficients are stale and
+    /// [`Self::deflate_into`] must not be used.
     pub fn solved(&self) -> bool {
         self.solved
     }
@@ -350,9 +414,9 @@ impl<'a> GramFit<'a> {
     /// subtracted, leaving (approximately) coordinate `i`'s lone tone
     /// plus noise — the target the blocked line-search prefilter scores
     /// its candidate grid against. Only meaningful when [`Self::solved`].
-    /// Each `b_j` is synthesised here, at the frequency the last probe
-    /// held for coordinate `j`: probes project without writing a tone,
-    /// and only the first sweep of a descent deflates.
+    /// Each `b_j` is synthesised here, at the frequency the last
+    /// [`Self::eval`] held for coordinate `j`: probes project without
+    /// writing a tone, and only the first sweep of a descent deflates.
     // hot:noalloc — each basis passes through one workspace buffer.
     pub fn deflate_into(&self, i: usize, out: &mut [C64]) {
         debug_assert!(self.solved, "deflate_into with stale coefficients");
@@ -364,6 +428,38 @@ impl<'a> GramFit<'a> {
             choir_dsp::backend::axpy(out, &basis, self.coeffs[j], true);
         }
         workspace::put(basis);
+    }
+
+    /// The closed-form Gram entry of coordinates `lo < hi` at their held
+    /// frequencies, written in both mirror positions.
+    // hot:noalloc — two owned entries.
+    fn set_gram_pair(&mut self, lo: usize, hi: usize) {
+        debug_assert!(lo < hi);
+        let v = dirichlet(self.n, self.freqs[hi], self.freqs[lo], 1).scale(self.n as f64);
+        self.gram[lo * self.k + hi] = v;
+        self.gram[hi * self.k + lo] = v.conj();
+    }
+
+    /// Brings every coordinate but `skip` to the hypothesis `x`: a
+    /// coordinate whose frequency differs from the one it was last
+    /// projected at is re-projected, and its Gram row and column follow.
+    /// `x` is finite wherever it is read.
+    // hot:noalloc — the per-probe path only rewrites owned buffers.
+    fn sync(&mut self, x: &[f64], skip: Option<usize>) {
+        let k = self.k;
+        let mut changed = 0u64;
+        for (i, &xi) in x.iter().enumerate() {
+            if Some(i) != skip && xi.to_bits() != self.freqs[i].to_bits() {
+                self.p[i] = choir_dsp::backend::tone_conj_dot(self.n, xi, self.y);
+                self.freqs[i] = xi;
+                changed |= 1 << i;
+            }
+        }
+        for i in (0..k).filter(|&i| changed & (1 << i) != 0) {
+            for j in (0..k).filter(|&j| j != i) {
+                self.set_gram_pair(i.min(j), i.max(j));
+            }
+        }
     }
 
     /// Least-squares residual power of the hypothesis `x` (one frequency
@@ -378,39 +474,120 @@ impl<'a> GramFit<'a> {
     pub fn eval(&mut self, x: &[f64]) -> f64 {
         let k = self.k;
         debug_assert_eq!(x.len(), k);
+        self.solved = false;
         if x.iter().any(|xi| !xi.is_finite()) {
-            self.solved = false;
             return self.y_energy;
         }
-        let mut changed = 0u64;
-        for (i, &xi) in x.iter().enumerate() {
-            if !self.primed || xi.to_bits() != self.freqs[i].to_bits() {
-                self.p[i] = choir_dsp::backend::tone_conj_dot(self.n, xi, self.y);
-                self.freqs[i] = xi;
-                changed |= 1 << i;
-            }
-        }
-        self.primed = true;
-        let nn = self.n as f64;
-        for i in 0..k {
-            if changed & (1 << i) == 0 {
-                continue;
-            }
-            for j in (0..k).filter(|&j| j != i) {
-                let (lo, hi) = (i.min(j), i.max(j));
-                let v = dirichlet(self.n, self.freqs[hi], self.freqs[lo], 1).scale(nn);
-                self.gram[lo * k + hi] = v;
-                self.gram[hi * k + lo] = v.conj();
-            }
-        }
+        self.sync(x, None);
         if !self.chol.factor(k, &self.gram) {
-            self.solved = false;
             return self.y_energy;
         }
         self.chol.solve_into(&self.p, &mut self.coeffs);
         self.solved = true;
         gram_residual(k, &self.gram, &self.p, &self.coeffs, self.y_energy)
     }
+
+    /// Opens a line search along coordinate `i` with every other
+    /// coordinate fixed at `x` (`x[i]` is not read): the fixed tones are
+    /// brought to `x` as [`Self::eval`] would bring them, their
+    /// `(K−1)×(K−1)` Gram is taken from the entries already held and
+    /// factored once, and `c_F = G_F⁻¹p_F`, `R_F = ‖y‖² − Re(c_Fᴴp_F)` are
+    /// kept for [`Self::probe`]. A non-finite fixed coordinate or a
+    /// singular `G_F` leaves the line closed: every probe on it reads
+    /// the window energy, as every [`Self::eval`] there would.
+    // hot:noalloc — `Line`'s buffers were sized in `new`.
+    pub fn hold(&mut self, i: usize, x: &[f64]) {
+        let k = self.k;
+        debug_assert!(i < k && x.len() == k);
+        self.line.held = None;
+        if (0..k).any(|j| j != i && !x[j].is_finite()) {
+            return;
+        }
+        self.sync(x, Some(i));
+        let f = k - 1;
+        self.line.residual = self.y_energy;
+        if f > 0 {
+            // Row/column `i` drops out of the full Gram.
+            let at = |s| fixed_coordinate(s, i);
+            for r in 0..f {
+                self.line.p[r] = self.p[at(r)];
+                for c in 0..f {
+                    self.line.gram[r * f + c] = self.gram[at(r) * k + at(c)];
+                }
+            }
+            let line = &mut self.line;
+            if !line.chol.factor(f, &line.gram) {
+                return;
+            }
+            line.chol.solve_into(&line.p, &mut line.coeffs);
+            let mut cp = 0.0;
+            for (c, p) in line.coeffs.iter().zip(&line.p) {
+                cp += (c.conj() * p).re;
+            }
+            line.residual -= cp;
+        }
+        self.line.held = Some(i);
+    }
+
+    /// Residual power with the held coordinate at `v` and the rest where
+    /// [`Self::hold`] fixed them — [`Self::eval`]'s value there, by block
+    /// elimination. Only the moving tone is touched: its projection
+    /// `p_i` (one fused bin) and its Gram column `g` over `F` (the same
+    /// [`dirichlet`] calls, kept in the Gram for the next full solve);
+    /// then `u = L_F⁻¹g`, the Schur complement `s = n − ‖u‖²` — the pivot
+    /// this tone would get last in the elimination order, and rejected
+    /// as any pivot is — and
+    ///
+    /// `‖y‖² − pᴴG⁻¹p = R_F − |p_i − gᴴc_F|² / s`.
+    ///
+    /// The same residual `eval` reports, rounded along another path (on
+    /// tones the coarse stage's 0.8-bin exclusion apart the two agree to
+    /// 1e-13 of the window energy; `kernel_props.rs` bounds any pair at
+    /// 1e-9): an objective, only ever compared. A non-finite `v`, a closed line or a rejected pivot
+    /// reads the window energy.
+    // hot:noalloc — the per-probe path only rewrites owned buffers.
+    pub fn probe(&mut self, v: f64) -> f64 {
+        self.solved = false;
+        let Some(i) = self.line.held.filter(|_| v.is_finite()) else {
+            return self.y_energy;
+        };
+        let k = self.k;
+        let nn = self.n as f64;
+        self.p[i] = choir_dsp::backend::tone_conj_dot(self.n, v, self.y);
+        self.freqs[i] = v;
+        for s in 0..k - 1 {
+            let j = fixed_coordinate(s, i);
+            self.set_gram_pair(i.min(j), i.max(j));
+            self.line.g[s] = self.gram[j * k + i];
+        }
+        let line = &mut self.line;
+        let mut schur = nn;
+        let mut r = self.p[i];
+        if k > 1 {
+            line.chol.forward_into(&line.g, &mut line.u);
+            let mut uu = 0.0;
+            for u in &line.u {
+                uu += u.norm_sqr();
+            }
+            schur -= uu;
+            if !(schur.is_finite() && schur > nn * PIVOT_REL_TOL) {
+                return self.y_energy;
+            }
+            let mut gc = C64::ZERO;
+            for (g, c) in line.g.iter().zip(&line.coeffs) {
+                gc += g.conj() * c;
+            }
+            r -= gc;
+        }
+        (line.residual - r.norm_sqr() / schur).max(0.0)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test probe: every deflated window a sweep-0 prefilter on this
+    /// thread was handed, in order.
+    static PREFILTER_TARGETS: RefCell<Vec<Vec<C64>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Per-tone boundary-scan state reused across `fit_steps` passes: the
@@ -445,7 +622,7 @@ impl OffsetEstimator {
             n,
             cfg,
             downchirp: base_downchirp_cached(n),
-            fft_padded: FftPlan::new(n * cfg.pad),
+            fft_padded: choir_dsp::fft::plan(n * cfg.pad),
         }
     }
 
@@ -564,11 +741,18 @@ impl OffsetEstimator {
     /// exact probe was singular skips the prefilter for that sweep (the
     /// deflation coefficients would be stale) and polishes the full
     /// bracket, exactly as the un-prefiltered descent would.
-    // Entry-time setup allocates once (the coordinate vector and the
-    // candidate block); the per-probe loop itself is allocation-free
-    // through the noalloc-annotated kernels it drives
-    // (`CandidateBlock::fill` / `score`, `GramFit::deflate_into`) and
-    // the workspace-arena deflation buffer.
+    ///
+    /// A line search solves only what moves: it is opened once
+    /// ([`GramFit::hold`] factors the fixed tones) and each abscissa is a
+    /// [`GramFit::probe`]. The first sweep pays one full
+    /// [`GramFit::eval`] per coordinate with a successor, at the last
+    /// abscissa its golden section probed — the solve the successor's
+    /// prefilter deflates around.
+    // The returned coordinate vector is the one heap allocation: the
+    // deflation buffer and the candidate block are arena checkouts, the
+    // line's scratch is `gfit`'s, and the per-probe loop runs through the
+    // noalloc-annotated kernels (`CandidateBlock::fill` / `score`,
+    // `GramFit::deflate_into` / `hold` / `probe`).
     fn ccd_refine(&self, gfit: &mut GramFit<'_>, x0: &[f64], radius: f64) -> Optimum {
         let mut x = x0.to_vec();
         let mut best = gfit.eval(&x);
@@ -583,6 +767,8 @@ impl OffsetEstimator {
                 let (mut lo, mut hi) = (xi - r, xi + r);
                 if sweep == 0 && gfit.solved() {
                     gfit.deflate_into(i, &mut deflated);
+                    #[cfg(test)]
+                    PREFILTER_TARGETS.with(|log| log.borrow_mut().push(deflated.clone()));
                     let step = (hi - lo) / (PREFILTER_GRID - 1) as f64;
                     let mut grid = [0.0f64; PREFILTER_GRID];
                     for (g, gv) in grid.iter_mut().enumerate() {
@@ -607,12 +793,12 @@ impl OffsetEstimator {
                     lo = grid[m.saturating_sub(1)];
                     hi = grid[(m + 1).min(PREFILTER_GRID - 1)];
                 }
+                gfit.hold(i, &x);
+                let mut last = xi;
                 let (xmin, fmin) = golden_section(
                     |v| {
-                        x[i] = v;
-                        let fv = gfit.eval(&x);
-                        x[i] = xi;
-                        fv
+                        last = v;
+                        gfit.probe(v)
                     },
                     lo,
                     hi,
@@ -620,6 +806,16 @@ impl OffsetEstimator {
                 );
                 // golden_section spends ~2 + log_φ(range/tol) evals.
                 evals += 2 + (((hi - lo) / TOL_BINS).ln() / 0.481).max(0.0).ceil() as usize;
+                if sweep == 0 && i + 1 < x.len() {
+                    // The next coordinate's prefilter deflates around the
+                    // joint solve at the last abscissa probed — the final
+                    // midpoint, accepted or not. The probes solved for
+                    // one tone only, so solve there in full; the system
+                    // already stands at that point, this is the factor.
+                    x[i] = last;
+                    gfit.eval(&x);
+                    x[i] = xi;
+                }
                 if fmin < best {
                     best = fmin;
                     x[i] = xmin;
@@ -1264,6 +1460,170 @@ mod tests {
             };
             assert_eq!(bits(&got), bits(&want), "coordinate {i}");
         }
+    }
+
+    /// The descent as it ran before the line probe — every abscissa of
+    /// every golden section a full [`GramFit::eval`] — kept as the
+    /// oracle of [`OffsetEstimator::ccd_refine`]. Returns the optimum
+    /// and every deflated window it handed a sweep-0 prefilter.
+    fn descent_by_eval(
+        e: &OffsetEstimator,
+        gfit: &mut GramFit<'_>,
+        x0: &[f64],
+        radius: f64,
+    ) -> (Optimum, Vec<Vec<C64>>) {
+        let mut x = x0.to_vec();
+        let mut best = gfit.eval(&x);
+        let mut evals = 1usize;
+        let mut r = radius;
+        let mut targets = Vec::new();
+        let mut cand = CandidateBlock::new(e.n, e.cfg.block_width);
+        for sweep in 0..MAX_SWEEPS {
+            let before = best;
+            for i in 0..x.len() {
+                let xi = x[i];
+                let (mut lo, mut hi) = (xi - r, xi + r);
+                if sweep == 0 && gfit.solved() {
+                    let mut deflated = vec![C64::ZERO; e.n];
+                    gfit.deflate_into(i, &mut deflated);
+                    let step = (hi - lo) / (PREFILTER_GRID - 1) as f64;
+                    let grid: Vec<f64> =
+                        (0..PREFILTER_GRID).map(|g| lo + g as f64 * step).collect();
+                    let mut scores = Vec::new();
+                    for chunk in grid.chunks(cand.width()) {
+                        cand.fill(chunk);
+                        scores.extend_from_slice(cand.score(&deflated));
+                    }
+                    targets.push(deflated);
+                    evals += PREFILTER_GRID;
+                    let mut m = 0;
+                    for (g, &s) in scores.iter().enumerate().skip(1) {
+                        if s < scores[m] {
+                            m = g;
+                        }
+                    }
+                    lo = grid[m.saturating_sub(1)];
+                    hi = grid[(m + 1).min(PREFILTER_GRID - 1)];
+                }
+                let (xmin, fmin) = golden_section(
+                    |v| {
+                        x[i] = v;
+                        let fv = gfit.eval(&x);
+                        x[i] = xi;
+                        fv
+                    },
+                    lo,
+                    hi,
+                    TOL_BINS,
+                );
+                evals += 2 + (((hi - lo) / TOL_BINS).ln() / 0.481).max(0.0).ceil() as usize;
+                if fmin < best {
+                    best = fmin;
+                    x[i] = xmin;
+                }
+            }
+            r *= 0.5;
+            if before - best < TOL_BINS * TOL_BINS + 1e-9 * before.abs() {
+                break;
+            }
+        }
+        let value = best;
+        (Optimum { x, value, evals }, targets)
+    }
+
+    /// A seeded corpus of dechirped windows — K = 1…6 tones, 8–26 dB,
+    /// every other one with boundary-split (step) tones, both search
+    /// radii, coarse positions a pad-10 spectrum's half-cell off: the
+    /// descent by line probes lands, bit for bit, where the descent by
+    /// full solves did, and deflates the same windows on the way — which
+    /// pins the prefilter's last-probe quirk instead of assuming it.
+    #[test]
+    fn descent_by_line_probes_lands_where_descent_by_eval_did() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let e = est();
+        let mut rng = StdRng::seed_from_u64(0x21_11E5);
+        let (mut prefiltered, mut accepted_moves) = (0usize, 0usize);
+        for case in 0..240 {
+            let k = 1 + case % 6;
+            let snr_db = rng.gen_range(8.0..26.0);
+            let sigma = (10f64.powf(-snr_db / 10.0) / 2.0).sqrt();
+            let mut y: Vec<C64> = (0..N)
+                .map(|_| {
+                    // Box–Muller, one complex Gaussian a draw.
+                    let (u, v): (f64, f64) = (rng.gen_range(1e-12..1.0), rng.gen_range(0.0..1.0));
+                    C64::from_polar(sigma * (-2.0 * u.ln()).sqrt(), std::f64::consts::TAU * v)
+                })
+                .collect();
+            let mut truth: Vec<f64> = Vec::new();
+            let mut x0 = Vec::new();
+            for _ in 0..k {
+                // Coarse positions reach the descent `find_peaks`'
+                // exclusion radius (0.8 bins) apart or more.
+                let f = loop {
+                    let f = rng.gen_range(1.0..N as f64 - 1.0);
+                    if truth.iter().all(|g| (f - g).abs() >= 0.9) {
+                        break f;
+                    }
+                };
+                truth.push(f);
+                let h = C64::from_polar(
+                    rng.gen_range(0.1..1.0),
+                    rng.gen_range(0.0..std::f64::consts::TAU),
+                );
+                let step = (case / 6 % 2 == 1).then(|| {
+                    let coeff = C64::from_polar(
+                        rng.gen_range(0.1..1.0),
+                        rng.gen_range(0.0..std::f64::consts::TAU),
+                    );
+                    (coeff, rng.gen_range(1..N))
+                });
+                for (t, v) in y.iter_mut().enumerate() {
+                    let tone = C64::cis(std::f64::consts::TAU * f * t as f64 / N as f64);
+                    let amp = match step {
+                        Some((coeff, boundary)) if t < boundary => h + coeff,
+                        _ => h,
+                    };
+                    *v += amp * tone;
+                }
+                x0.push(f + rng.gen_range(-0.05..0.05));
+            }
+            let radius = [SEARCH_RADIUS_BINS, WIDE_RADIUS_BINS][case / 12 % 2];
+            let (want, want_targets) =
+                descent_by_eval(&e, &mut GramFit::new(N, &y, k), &x0, radius);
+            PREFILTER_TARGETS.with(|log| log.borrow_mut().clear());
+            let got = e.ccd_refine(&mut GramFit::new(N, &y, k), &x0, radius);
+            let got_targets = PREFILTER_TARGETS.with(|log| std::mem::take(&mut *log.borrow_mut()));
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.x), bits(&want.x), "case {case} K={k} r={radius}");
+            assert_eq!(got.evals, want.evals, "case {case}");
+            assert!(
+                (got.value - want.value).abs() <= 1e-9 * want.value,
+                "case {case}: {} vs {}",
+                got.value,
+                want.value
+            );
+            assert_eq!(got_targets.len(), want_targets.len(), "case {case}");
+            for (c, (g, w)) in got_targets.iter().zip(&want_targets).enumerate() {
+                let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+                    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                };
+                // (`assert!`, not `assert_eq!`: a failure names the window,
+                // it does not print it.)
+                assert!(bits(g) == bits(w), "case {case}: prefilter target {c}");
+            }
+            prefiltered += got_targets.len();
+            accepted_moves += got
+                .x
+                .iter()
+                .zip(&x0)
+                .filter(|(a, b)| a.to_bits() != b.to_bits())
+                .count();
+        }
+        // The corpus exercises what it claims to: prefilters past the
+        // first coordinate (the ones that see a re-solve) and real moves.
+        assert!(prefiltered > 600, "{prefiltered} prefilter targets");
+        assert!(accepted_moves > 600, "{accepted_moves} accepted moves");
     }
 
     #[test]

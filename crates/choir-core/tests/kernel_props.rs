@@ -153,6 +153,164 @@ fn non_finite_hypothesis_is_the_worst_fit() {
     }
 }
 
+/// What [`GramFit::eval`] rejects a line probe rejects too, with the
+/// same answer — the window energy, bit for bit — whether the evaluator
+/// has solved anything before or not: fixed hypotheses that coincide, a
+/// probe that lands on a fixed tone, and a non-finite abscissa or fixed
+/// coordinate. None of them leaves the line unusable for the next probe.
+#[test]
+fn line_probe_rejects_what_eval_rejects() {
+    let y = window(
+        &[(40.3, 1.0, 0.4), (90.7, 0.5, 2.0), (150.2, 0.7, 1.0)],
+        &vec![(0.01, -0.02); N],
+    );
+    let energy = choir_dsp::complex::energy(&y);
+    let worst = |r: f64, what: &str| assert_eq!(r.to_bits(), energy.to_bits(), "{what}");
+    for primed in [false, true] {
+        let evaluator = |x: &[f64]| {
+            let mut gfit = GramFit::new(N, &y, x.len());
+            if primed {
+                assert!(gfit.eval(x) < energy || x.iter().any(|v| !v.is_finite()));
+            }
+            gfit
+        };
+        // Duplicate fixed hypotheses: no abscissa can mend the line.
+        let x = [40.3, 40.3, 150.2];
+        let mut gfit = GramFit::new(N, &y, 3);
+        if primed {
+            gfit.eval(&[40.3, 90.7, 150.2]);
+        }
+        gfit.hold(2, &x);
+        for v in [150.2, 150.0, 17.0] {
+            worst(gfit.probe(v), "duplicate fixed tones");
+            assert!(!gfit.solved());
+        }
+        // The same pair with the line on one of them: only the abscissa
+        // on top of the other is singular.
+        gfit.hold(1, &x);
+        worst(gfit.probe(40.3), "probe on a fixed tone");
+        let off = gfit.probe(90.7);
+        assert!(off < energy, "primed {primed}: {off} vs {energy}");
+        assert_eq!(
+            off.to_bits(),
+            {
+                gfit.hold(1, &x);
+                gfit.probe(90.7).to_bits()
+            },
+            "a rejected probe must not disturb the next one"
+        );
+        // Non-finite abscissae, at every K; the line survives them.
+        for k in 1..=3 {
+            let x = &[40.3, 90.7, 150.2][..k];
+            for i in 0..k {
+                let mut gfit = evaluator(x);
+                gfit.hold(i, x);
+                let good = gfit.probe(x[i]);
+                assert!(good < energy);
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    worst(gfit.probe(bad), "non-finite abscissa");
+                    assert!(!gfit.solved());
+                    assert_eq!(
+                        gfit.probe(x[i]).to_bits(),
+                        good.to_bits(),
+                        "K={k} i={i} {bad}"
+                    );
+                }
+            }
+        }
+        // A non-finite fixed coordinate closes the line; the moving one
+        // may hold anything, it is not read.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut gfit = evaluator(&[40.3, 90.7, 150.2]);
+            gfit.hold(0, &[40.3, bad, 150.2]);
+            worst(gfit.probe(40.3), "non-finite fixed coordinate");
+            gfit.hold(1, &[40.3, bad, 150.2]);
+            assert!(gfit.probe(90.7) < energy, "the held coordinate is not read");
+        }
+    }
+}
+
+/// `K` tone positions in the estimator's range whose first two fall in
+/// one of [`arb_tone_pair`]'s six separation classes (at `n = N`), the
+/// rest anywhere — with an amplitude and a phase each.
+fn arb_classed_users() -> impl Strategy<Value = Vec<User>> {
+    let nn = N as f64;
+    let anywhere = move |r: f64| -1.0 + r * (nn + 2.0);
+    (
+        1usize..7,
+        0u8..6,
+        prop::collection::vec(
+            (0.0f64..1.0, 0.1f64..1.0, 0.0f64..std::f64::consts::TAU),
+            6..7,
+        ),
+    )
+        .prop_map(move |(k, class, draws)| {
+            let (u, v) = (draws[0].0, draws[1].0);
+            let (lo, hi) = match class {
+                0 => (anywhere(u), anywhere(v)),
+                1 => (u, u + (v * nn).floor()),
+                2 => (anywhere(u), anywhere(u) + (v - 0.5) * 2e-9),
+                3 => (anywhere(u), anywhere(u)),
+                4 => (u, u + nn),
+                _ => (u, nn - v),
+            };
+            let mut users: Vec<User> = draws.iter().map(|d| (anywhere(d.0), d.1, d.2)).collect();
+            (users[0].0, users[1].0) = if v < 0.5 { (lo, hi) } else { (hi, lo) };
+            users.truncate(k);
+            users
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // A line probe against the full solve it stands for — the arithmetic
+    // it replaced, kept as its oracle: K = 1…6 tones, the first pair in
+    // every separation class (whole bins apart, wrapped around the band
+    // edge, closer than 1e-9, identical), every coordinate held in turn,
+    // abscissae across ±0.6 bins. Where `eval` reads a residual the probe
+    // reads it to 1e-9 of the window energy; where `eval` rejects the
+    // system (exactly the window energy) so does the probe. Each line
+    // ends in an accepted move, so the next one must open on a point the
+    // evaluator has not solved at.
+    #[test]
+    fn line_probe_matches_full_eval(
+        users in arb_classed_users(),
+        noise in arb_noise(),
+        moves in prop::collection::vec(-0.2f64..0.2, 6..7),
+    ) {
+        let y = window(&users, &noise);
+        let energy = choir_dsp::complex::energy(&y);
+        let k = users.len();
+        let mut x: Vec<f64> = users.iter().map(|u| u.0).collect();
+        let mut fast = GramFit::new(N, &y, k);
+        for primed in [false, true] {
+            for i in 0..k {
+                fast.hold(i, &x);
+                for step in -6i32..=6 {
+                    let v = x[i] + 0.1 * f64::from(step);
+                    let probed = fast.probe(v);
+                    let mut at = x.clone();
+                    at[i] = v;
+                    let mut full = GramFit::new(N, &y, k);
+                    let solved = full.eval(&at);
+                    prop_assert!(
+                        (probed - solved).abs() <= 1e-9 * energy,
+                        "K={} i={} v={} primed={}: probe {} vs eval {} (energy {})",
+                        k, i, v, primed, probed, solved, energy
+                    );
+                    if !full.solved() {
+                        prop_assert_eq!(probed.to_bits(), energy.to_bits());
+                    }
+                }
+                x[i] += moves[i];
+            }
+            // Second round: the evaluator has a full solve behind it.
+            fast.eval(&x);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

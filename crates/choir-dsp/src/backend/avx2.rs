@@ -514,20 +514,33 @@ unsafe fn axpy_impl(out: &mut [C64], xs: &[C64], amp: C64, subtract: bool) {
     }
 }
 
-/// AVX2 [`super::butterflies`]; bit-identical to the oracle. Passes
-/// with `half >= 2` process butterfly pairs two at a time; the first
-/// (twiddle-free) pass stays scalar.
-pub fn butterflies(x: &mut [C64], twiddles: &[C64], forward: bool) {
+/// AVX2 [`super::butterflies_from`]; bit-identical to the oracle.
+/// Passes with `half >= 2` process butterfly pairs two at a time; the
+/// `len = 2` (twiddle-free) pass stays scalar.
+pub fn butterflies_from(x: &mut [C64], twiddles: &[C64], forward: bool, first_len: usize) {
+    // Bounds every pointer below: a pass of block length `len` reads
+    // `x[start + k + half]` for `start + len ≤ n` and `twiddles[k·n/len]`
+    // for `k < len/2`. Checked here, beside the arithmetic it licenses,
+    // whatever the dispatcher checked.
+    let n = x.len();
+    assert!(
+        n.is_power_of_two() && first_len.is_power_of_two() && first_len >= 2,
+        "butterflies_from: lengths must be powers of two"
+    );
+    assert!(
+        twiddles.len() >= n / 2,
+        "butterflies_from: twiddle table shorter than n/2"
+    );
     // SAFETY: see `conj_dot`.
-    unsafe { butterflies_impl(x, twiddles, forward) }
+    unsafe { butterflies_from_impl(x, twiddles, forward, first_len) }
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn butterflies_impl(x: &mut [C64], twiddles: &[C64], forward: bool) {
+unsafe fn butterflies_from_impl(x: &mut [C64], twiddles: &[C64], forward: bool, first_len: usize) {
     let n = x.len();
     let base = x.as_mut_ptr() as *mut f64;
     let cmask = conj_mask();
-    let mut len = 2;
+    let mut len = first_len;
     while len <= n {
         let half = len / 2;
         let stride = n / len;

@@ -320,7 +320,33 @@ pub fn residual_block(block: &[C64], y: &[C64], coeffs: &[C64], out: &mut [f64])
 /// transform (`forward == false`) conjugates each twiddle as it is
 /// consumed, exactly as the oracle does.
 pub fn butterflies(x: &mut [C64], twiddles: &[C64], forward: bool) {
-    dispatch!(butterflies(x, twiddles, forward))
+    butterflies_from(x, twiddles, forward, 2)
+}
+
+/// The radix-2 passes of block length `first_len`, `2·first_len`, …
+/// `x.len()` — [`butterflies`] with the passes below `first_len` left
+/// out, for a caller that knows what they would have written. A
+/// zero-padded input is that caller: after bit reversal each of its
+/// `k = 2^q` samples sits alone at the head of a block of `x.len()/k`
+/// points, the passes inside a block only ever compute `a ± w·0`, and
+/// they leave the sample replicated across its block — so the padded
+/// transform writes the replicas itself and starts here at `first_len =
+/// 2·x.len()/k`. The same loop body, the same operands per butterfly.
+///
+/// # Panics
+/// Panics unless `x.len()` and `first_len` are powers of two,
+/// `first_len ≥ 2` and `twiddles` holds at least `x.len()/2` entries.
+// hot:noalloc — in place over the caller's buffer.
+pub fn butterflies_from(x: &mut [C64], twiddles: &[C64], forward: bool, first_len: usize) {
+    assert!(
+        x.len().is_power_of_two() && first_len.is_power_of_two() && first_len >= 2,
+        "butterflies_from: lengths must be powers of two"
+    );
+    assert!(
+        twiddles.len() >= x.len() / 2,
+        "butterflies_from: twiddle table shorter than n/2"
+    );
+    dispatch!(butterflies_from(x, twiddles, forward, first_len))
 }
 
 /// Reversed real-kernel FIR `out[j] = Σ_k xs[j + L − 1 − k]·kernel[k]`

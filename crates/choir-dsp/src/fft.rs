@@ -38,19 +38,101 @@ pub struct FftPlan {
 
 #[derive(Clone, Debug)]
 enum PlanKind {
-    /// `n` is a power of two: iterative radix-2 with a precomputed
-    /// half-length twiddle table.
-    Radix2 { twiddles: Vec<C64> },
+    /// `n` is a power of two.
+    Radix2(Radix2),
     /// Arbitrary `n` via Bluestein's algorithm: an `m`-point radix-2
     /// convolution with the chirp sequence `e^{-jπk²/n}`.
     Bluestein {
-        /// Inner power-of-two convolution length, `m ≥ 2n-1`.
-        inner: Box<FftPlan>,
+        /// The inner power-of-two convolution, length `m ≥ 2n-1`.
+        inner: Radix2,
+        /// `rev[i]` is `i` with its `log2 m` bits reversed: where sample
+        /// `i` of the convolution input sits after the permutation.
+        rev: Vec<u32>,
         /// `b[k] = e^{-jπ k²/n}` for `k in 0..n`.
         chirp: Vec<C64>,
-        /// Forward `m`-point transform of the zero-extended conjugate chirp.
-        chirp_ft: Vec<C64>,
+        /// Forward `m`-point transform of the zero-extended conjugate
+        /// chirp, stored in bit-reversed order (`chirp_ft_rev[i]` is bin
+        /// `rev[i]`): the order the inverse transform's butterflies read.
+        chirp_ft_rev: Vec<C64>,
     },
+}
+
+/// Iterative radix-2 decimation-in-time transform of one power-of-two
+/// length: the half-length twiddle table and the bit-reversal
+/// permutation, both built with the plan.
+#[derive(Clone, Debug)]
+struct Radix2 {
+    /// `twiddles[k] = e^{-j2πk/n}` for `k < n/2`.
+    twiddles: Vec<C64>,
+    /// The bit reversal as the transpositions it is made of: every
+    /// `(i, rev(i))` with `i < rev(i)`, ascending in `i`. A permutation
+    /// is not arithmetic — applying it from a table moves the same
+    /// samples to the same places as walking a carry chain per index.
+    swaps: Vec<(u32, u32)>,
+}
+
+/// `rev(i)` for every `i < n` (`n` a power of two): `i` with its `log2 n`
+/// bits reversed.
+fn bit_reversal(n: usize) -> Vec<u32> {
+    assert!(
+        n.is_power_of_two() && n <= 1 << 31,
+        "bit_reversal: {n} is not a power of two an index table can hold"
+    );
+    if n == 1 {
+        return vec![0];
+    }
+    let shift = u32::BITS - n.trailing_zeros();
+    // lint:allow(lossy_cast) — n ≤ 2^31, asserted above.
+    (0..n as u32).map(|i| i.reverse_bits() >> shift).collect()
+}
+
+impl Radix2 {
+    fn new(n: usize) -> Self {
+        let twiddles = (0..n / 2)
+            .map(|k| C64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
+            .collect();
+        let swaps = bit_reversal(n)
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, r)| i < r as usize)
+            // lint:allow(lossy_cast) — i < r, and r is a u32.
+            .map(|(i, r)| (i as u32, r))
+            .collect();
+        Radix2 { twiddles, swaps }
+    }
+
+    /// The bit-reversal permutation, in place.
+    // hot:noalloc — swaps inside the caller's buffer.
+    fn permute(&self, x: &mut [C64]) {
+        for &(i, j) in &self.swaps {
+            x.swap(i as usize, j as usize);
+        }
+    }
+
+    /// Permutation, then every butterfly pass — the backend's job (the
+    /// scalar oracle and the SIMD paths are bit-identical).
+    // hot:noalloc — in place.
+    fn transform(&self, x: &mut [C64], dir: Direction) {
+        self.permute(x);
+        crate::backend::butterflies(x, &self.twiddles, dir == Direction::Forward);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test probe: Bluestein transforms on this thread that took the
+    /// pruned (zero-padded input) path.
+    static PRUNED_TRANSFORMS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A complex number with a component that is `−0.0` — the one value a
+/// butterfly `a ± w·0` does not return unchanged. `w·0` is a zero of
+/// either sign; `x ± (±0) = x` for every non-zero `x` (NaN and the
+/// infinities included) and `(+0) ± (±0) = +0` under round-to-nearest,
+/// but `(−0) + (+0) = +0`.
+fn has_negative_zero(z: C64) -> bool {
+    let negative_zero = (-0.0f64).to_bits();
+    z.re.to_bits() == negative_zero || z.im.to_bits() == negative_zero
 }
 
 impl FftPlan {
@@ -61,20 +143,16 @@ impl FftPlan {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "FftPlan: size must be non-zero");
         if n.is_power_of_two() {
-            let half = n / 2;
-            let twiddles = (0..half)
-                .map(|k| C64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-                .collect();
             FftPlan {
                 n,
-                kind: PlanKind::Radix2 { twiddles },
+                kind: PlanKind::Radix2(Radix2::new(n)),
             }
         } else {
             // Bluestein: X[k] = b[k] · Σ_n x[n] b[n] · conj(b[k-n])
             // — a linear convolution of a[n] = x[n]b[n] with conj(b),
             // computed as a circular convolution of length m ≥ 2n-1.
             let m = (2 * n - 1).next_power_of_two();
-            let inner = FftPlan::new(m);
+            let inner = Radix2::new(m);
             let chirp: Vec<C64> = (0..n)
                 .map(|k| {
                     // k² mod 2n avoids precision loss for large k.
@@ -90,12 +168,15 @@ impl FftPlan {
                 c[m - k] = v;
             }
             inner.transform(&mut c, Direction::Forward);
+            let rev = bit_reversal(m);
+            let chirp_ft_rev = rev.iter().map(|&r| c[r as usize]).collect();
             FftPlan {
                 n,
                 kind: PlanKind::Bluestein {
-                    inner: Box::new(inner),
+                    inner,
+                    rev,
                     chirp,
-                    chirp_ft: c,
+                    chirp_ft_rev,
                 },
             }
         }
@@ -112,22 +193,25 @@ impl FftPlan {
     }
 
     fn transform(&self, x: &mut [C64], dir: Direction) {
-        workspace::with(|ws| self.transform_ws(x, dir, ws));
+        workspace::with(|ws| self.transform_ws(x, x.len(), dir, ws));
     }
 
+    /// Transforms `x` in place, given that `x[live..]` is all `+0.0` —
+    /// `live = x.len()` promises nothing.
     // hot:noalloc — the Bluestein convolution scratch comes from the
     // workspace arena; steady-state transforms are allocation-free.
-    fn transform_ws(&self, x: &mut [C64], dir: Direction, ws: &mut Workspace) {
+    fn transform_ws(&self, x: &mut [C64], live: usize, dir: Direction, ws: &mut Workspace) {
         debug_assert_eq!(x.len(), self.n);
         match &self.kind {
-            PlanKind::Radix2 { twiddles } => radix2(x, twiddles, dir),
+            PlanKind::Radix2(inner) => inner.transform(x, dir),
             PlanKind::Bluestein {
                 inner,
+                rev,
                 chirp,
-                chirp_ft,
+                chirp_ft_rev,
             } => {
                 let n = self.n;
-                let m = inner.len();
+                let m = rev.len();
                 // The inverse transform is the conjugated forward transform:
                 // conjugate in, run forward Bluestein, conjugate out.
                 if dir == Direction::Inverse {
@@ -136,21 +220,47 @@ impl FftPlan {
                     }
                 }
                 let mut a = ws.take(m);
-                for k in 0..n {
-                    a[k] = x[k] * chirp[k];
+                // `live = 2^q ≤ m/2` samples and then zeros: after the
+                // permutation product `j` heads block `rev_q(j)` of
+                // `m/live` points whose every other entry is `±0`, and the
+                // passes inside a block compute `a ± w·0` and nothing
+                // else — the product, exactly, copied across its block,
+                // unless a component of it is a `−0.0`, whose sign `w·0`
+                // could flip. So write the copies and start at the first
+                // pass that combines two blocks.
+                let pruned = live.is_power_of_two()
+                    && 2 * live <= m
+                    && (0..live).all(|k| !has_negative_zero(x[k] * chirp[k]));
+                if pruned {
+                    #[cfg(test)]
+                    PRUNED_TRANSFORMS.with(|c| c.set(c.get() + 1));
+                    let block = m / live;
+                    for k in 0..live {
+                        let head = rev[k] as usize;
+                        a[head..head + block].fill(x[k] * chirp[k]);
+                    }
+                    crate::backend::butterflies_from(&mut a, &inner.twiddles, true, 2 * block);
+                } else {
+                    for k in 0..n {
+                        a[k] = x[k] * chirp[k];
+                    }
+                    inner.transform(&mut a, Direction::Forward);
                 }
-                inner.transform_ws(&mut a, Direction::Forward, ws);
-                for (av, cv) in a.iter_mut().zip(chirp_ft) {
-                    *av = *av * cv;
+                // The point-wise product with the kernel's transform and
+                // the inverse transform's permutation, in one gather.
+                let mut b = ws.take(m);
+                for ((bv, &r), cv) in b.iter_mut().zip(rev).zip(chirp_ft_rev) {
+                    *bv = a[r as usize] * cv;
                 }
-                inner.transform_ws(&mut a, Direction::Inverse, ws);
+                ws.put(a);
+                crate::backend::butterflies(&mut b, &inner.twiddles, false);
                 // The private inverse kernel is unnormalised; fold the 1/m in
                 // here.
                 let scale = 1.0 / m as f64;
                 for k in 0..n {
-                    x[k] = (a[k] * chirp[k]).scale(scale);
+                    x[k] = (b[k] * chirp[k]).scale(scale);
                 }
-                ws.put(a);
+                ws.put(b);
                 if dir == Direction::Inverse {
                     for v in x.iter_mut() {
                         *v = v.conj();
@@ -169,16 +279,23 @@ impl FftPlan {
     }
 
     /// In-place forward transform drawing any internal scratch (the
-    /// Bluestein convolution buffer) from `ws` instead of the heap.
+    /// Bluestein convolution buffers) from `ws` instead of the heap.
     /// `x.len()` must equal [`Self::len`]. Steady-state calls perform no
     /// allocation; [`Self::forward`] is a thin shim over this using the
     /// per-thread arena.
     // hot:noalloc — scratch comes from the caller's workspace arena.
     pub fn forward_into(&self, x: &mut [C64], ws: &mut Workspace) {
         assert_eq!(x.len(), self.n, "forward: buffer length != plan length");
+        self.forward_live(x, x.len(), ws);
+    }
+
+    /// [`Self::forward_into`] for a buffer whose tail `x[live..]` the
+    /// caller has just zero-filled.
+    // hot:noalloc — scratch comes from the caller's workspace arena.
+    fn forward_live(&self, x: &mut [C64], live: usize, ws: &mut Workspace) {
         #[cfg(debug_assertions)]
         let time_energy = crate::complex::energy(x);
-        self.transform_ws(x, Direction::Forward, ws);
+        self.transform_ws(x, live, Direction::Forward, ws);
         #[cfg(debug_assertions)]
         crate::checks::assert_parseval("FftPlan::forward", time_energy, x);
     }
@@ -209,7 +326,11 @@ impl FftPlan {
     /// Writes the forward transform of `x`, zero-padded (or truncated) to
     /// the plan length, into `out`, which must be exactly that length —
     /// the "dechirp then pad by 10×" call of the Choir pipeline. Scratch
-    /// comes from `ws`.
+    /// comes from `ws`. Bit-identical to padding by hand and calling
+    /// [`Self::forward_into`]: a Bluestein plan skips the butterfly
+    /// passes that would only have added zeros (see
+    /// [`butterflies_from`](crate::backend::butterflies_from)), which
+    /// moves no bit of the result.
     // hot:noalloc — output and scratch are caller-provided.
     pub fn forward_padded_into(&self, x: &[C64], out: &mut [C64], ws: &mut Workspace) {
         assert_eq!(
@@ -222,32 +343,8 @@ impl FftPlan {
         for v in out[k..].iter_mut() {
             *v = C64::ZERO;
         }
-        self.forward_into(out, ws);
+        self.forward_live(out, k, ws);
     }
-}
-
-/// Iterative radix-2 DIT FFT. `twiddles[k] = e^{-j2πk/n}` for `k < n/2`.
-fn radix2(x: &mut [C64], twiddles: &[C64], dir: Direction) {
-    let n = x.len();
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 0..n - 1 {
-        if i < j {
-            x.swap(i, j);
-        }
-        let mut mask = n >> 1;
-        while j & mask != 0 {
-            j ^= mask;
-            mask >>= 1;
-        }
-        j |= mask;
-    }
-    // Butterflies: every pass after the permutation is the backend's
-    // job (the scalar oracle and the SIMD paths are bit-identical).
-    crate::backend::butterflies(x, twiddles, dir == Direction::Forward);
 }
 
 /// A thread-safe cache of [`FftPlan`]s keyed by transform size.
@@ -393,6 +490,259 @@ pub fn dft_naive(x: &[C64]) -> Vec<C64> {
 mod tests {
     use super::*;
     use crate::complex::c64;
+
+    /// The iterative radix-2 transform as it ran before the swap table:
+    /// a carry chain walks the bit-reversed index. Kept as the oracle of
+    /// the permutation and of everything built on it.
+    fn radix2(x: &mut [C64], twiddles: &[C64], dir: Direction) {
+        let n = x.len();
+        if n <= 1 {
+            return;
+        }
+        let mut j = 0usize;
+        for i in 0..n - 1 {
+            if i < j {
+                x.swap(i, j);
+            }
+            let mut mask = n >> 1;
+            while j & mask != 0 {
+                j ^= mask;
+                mask >>= 1;
+            }
+            j |= mask;
+        }
+        crate::backend::butterflies(x, twiddles, dir == Direction::Forward);
+    }
+
+    /// The forward transform as it ran before the pruned, permutation-
+    /// fused Bluestein: three whole carry-loop transforms of `m` points
+    /// and a point-wise product in natural order.
+    fn reference_forward(x: &mut [C64]) {
+        let n = x.len();
+        let twiddles = |len: usize| -> Vec<C64> {
+            (0..len / 2)
+                .map(|k| C64::cis(-2.0 * std::f64::consts::PI * k as f64 / len as f64))
+                .collect()
+        };
+        if n.is_power_of_two() {
+            return radix2(x, &twiddles(n), Direction::Forward);
+        }
+        let m = (2 * n - 1).next_power_of_two();
+        let tw = twiddles(m);
+        let chirp: Vec<C64> = (0..n)
+            .map(|k| {
+                let ksq = (k as u64 * k as u64) % (2 * n as u64);
+                C64::cis(-std::f64::consts::PI * ksq as f64 / n as f64)
+            })
+            .collect();
+        let mut c = vec![C64::ZERO; m];
+        c[0] = chirp[0].conj();
+        for k in 1..n {
+            c[k] = chirp[k].conj();
+            c[m - k] = chirp[k].conj();
+        }
+        radix2(&mut c, &tw, Direction::Forward);
+        let mut a = vec![C64::ZERO; m];
+        for k in 0..n {
+            a[k] = x[k] * chirp[k];
+        }
+        radix2(&mut a, &tw, Direction::Forward);
+        for (av, cv) in a.iter_mut().zip(&c) {
+            *av = *av * cv;
+        }
+        radix2(&mut a, &tw, Direction::Inverse);
+        for k in 0..n {
+            x[k] = (a[k] * chirp[k]).scale(1.0 / m as f64);
+        }
+    }
+
+    /// Values a permutation or a pruned pass could mishandle: distinct
+    /// normals, huge and tiny magnitudes, denormals, both zeros.
+    fn adversarial(i: usize) -> C64 {
+        let v = (i as f64 * 0.618 + 0.3).sin() + 1.5;
+        let w = (i as f64 * 1.414 + 0.7).cos() - 1.5;
+        match i % 7 {
+            0 => c64(v * 1e300, w),
+            1 => c64(v, w * 1e-300),
+            2 => c64(v * f64::MIN_POSITIVE / 4.0, w),
+            3 => c64(0.0, w),
+            4 => c64(v, -0.0),
+            _ => c64(v + i as f64, w - i as f64),
+        }
+    }
+
+    fn assert_bits(got: &[C64], want: &[C64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        let same = |g: f64, w: f64| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                same(g.re, w.re) && same(g.im, w.im),
+                "{what}: index {i}: {g:?} vs {w:?}"
+            );
+        }
+    }
+
+    /// Padded transforms run on this thread's pruned path by `f`.
+    fn pruned_during(f: impl FnOnce()) -> usize {
+        PRUNED_TRANSFORMS.with(|c| c.set(0));
+        f();
+        PRUNED_TRANSFORMS.with(|c| c.get())
+    }
+
+    /// `forward_padded_into` and, beside it, the padding done by hand
+    /// through the oracle formulation.
+    fn padded_both_ways(plan: &FftPlan, x: &[C64]) -> (Vec<C64>, Vec<C64>) {
+        let mut got = vec![C64::ONE; plan.len()];
+        workspace::with(|ws| plan.forward_padded_into(x, &mut got, ws));
+        let mut want = vec![C64::ZERO; plan.len()];
+        let k = x.len().min(plan.len());
+        want[..k].copy_from_slice(&x[..k]);
+        reference_forward(&mut want);
+        (got, want)
+    }
+
+    #[test]
+    fn swap_table_is_the_carry_loop() {
+        for log2n in 0..=13 {
+            let n = 1usize << log2n;
+            let x: Vec<C64> = (0..n).map(adversarial).collect();
+            let plan = Radix2::new(n);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let (mut got, mut want) = (x.clone(), x.clone());
+                plan.transform(&mut got, dir);
+                radix2(&mut want, &plan.twiddles, dir);
+                assert_bits(&got, &want, &format!("n={n} {dir:?}"));
+            }
+            // The permutation alone: an involution that sends `i` to its
+            // reversal, every transposition listed once.
+            let mut idx: Vec<C64> = (0..n).map(|i| c64(i as f64, 0.0)).collect();
+            plan.permute(&mut idx);
+            let rev = bit_reversal(n);
+            for (i, v) in idx.iter().enumerate() {
+                assert_eq!(v.re as usize, rev[i] as usize, "n={n} i={i}");
+                assert_eq!(rev[rev[i] as usize] as usize, i);
+            }
+        }
+    }
+
+    #[test]
+    fn every_transform_is_the_carry_loop_formulation() {
+        // Whole-buffer transforms of either kind: the swap table, the
+        // pre-permuted kernel and the gather move no bit.
+        for n in [1usize, 2, 3, 5, 12, 100, 256, 384, 640, 1280, 2560] {
+            let x: Vec<C64> = (0..n)
+                .map(|i| c64((i as f64 * 0.7).sin() + 2.0, (i as f64 * 1.3).cos() - 2.0))
+                .collect();
+            let (mut got, mut want) = (x.clone(), x);
+            let pruned = pruned_during(|| FftPlan::new(n).forward(&mut got));
+            reference_forward(&mut want);
+            assert_bits(&got, &want, &format!("n={n}"));
+            assert_eq!(pruned, 0, "n={n}: a whole buffer has no padding to prune");
+        }
+    }
+
+    /// The chirp a Bluestein plan of length `n` multiplies by, from its
+    /// definition.
+    fn bluestein_chirp(n: usize, k: usize) -> C64 {
+        let ksq = (k as u64 * k as u64) % (2 * n as u64);
+        C64::cis(-std::f64::consts::PI * ksq as f64 / n as f64)
+    }
+
+    #[test]
+    fn padded_transform_prunes_power_of_two_windows_without_negative_zeros() {
+        let plan = FftPlan::new(2560); // m = 8192: the decoder's plan
+        let tame: Vec<C64> = (0..4096)
+            .map(|i| c64((i as f64 * 0.37).sin() + 1.5, (i as f64 * 0.91).cos() - 1.5))
+            .collect();
+        let mut cases: Vec<Vec<C64>> = Vec::new();
+        for k in [
+            0usize, 1, 2, 3, 64, 255, 256, 257, 1024, 2048, 2559, 2560, 4096,
+        ] {
+            cases.push(tame[..k].to_vec());
+        }
+        // Zeros of either sign, in one component or both, at sample 0
+        // (whose chirp factor is `1 − 0j`), inside and at the end; a
+        // silent window; a noiseless chirp symbol's `1 + 0j`.
+        for zero in [0.0, -0.0] {
+            for at in [0usize, 17, 255] {
+                for which in 0..3 {
+                    let mut w = tame[..256].to_vec();
+                    if which != 1 {
+                        w[at].re = zero;
+                    }
+                    if which != 0 {
+                        w[at].im = -zero;
+                    }
+                    cases.push(w);
+                }
+            }
+            cases.push(vec![c64(zero, zero); 256]);
+        }
+        let mut w = tame[..256].to_vec();
+        w[0] = C64::ONE;
+        cases.push(w);
+        let (mut pruned_zeros, mut general_zeros) = (0, 0);
+        for x in cases {
+            // The rule, from its statement: `k = 2^q ≤ m/2` samples (a
+            // longer window is cut to the plan's length first) and no
+            // product with a `−0.0` component.
+            let live = x.len().min(2560);
+            let products = x[..live]
+                .iter()
+                .enumerate()
+                .map(|(k, v)| *v * bluestein_chirp(2560, k));
+            let negative_zero = |c: f64| c.to_bits() == (-0.0f64).to_bits();
+            let clean = products
+                .clone()
+                .all(|p| !negative_zero(p.re) && !negative_zero(p.im));
+            let prunable = live.is_power_of_two() && live <= 4096 && clean;
+            let mut both = None;
+            let pruned = pruned_during(|| both = Some(padded_both_ways(&plan, &x)));
+            let (got, want) = both.expect("closure ran");
+            assert_bits(&got, &want, &format!("k={}", x.len()));
+            assert_eq!(
+                pruned,
+                usize::from(prunable),
+                "k={} {:?}",
+                x.len(),
+                x.first()
+            );
+            if x.len() == 256 && products.clone().any(|p| p.re == 0.0 || p.im == 0.0) {
+                pruned_zeros += pruned;
+                general_zeros += 1 - pruned;
+            }
+        }
+        // Both kinds of zero were met: `+0.0` survives `± w·0` and is
+        // pruned, `−0.0` need not and is not.
+        assert!(
+            pruned_zeros >= 3 && general_zeros >= 3,
+            "{pruned_zeros} / {general_zeros}"
+        );
+    }
+
+    #[test]
+    fn pruned_transform_agrees_on_non_finite_windows() {
+        // NaN and the infinities are not zeros, so the pruned path takes
+        // them; where the oracle reads NaN so must it (NaN bits are
+        // outside the 0-ULP budget), and everything else bit for bit.
+        let plan = FftPlan::new(1280);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut x: Vec<C64> = (0..128).map(|i| c64(i as f64 + 0.5, -1.25)).collect();
+            x[77].im = bad;
+            let mut both = None;
+            let pruned = pruned_during(|| {
+                // The debug Parseval check rejects this window, rightly.
+                both = std::panic::catch_unwind(|| padded_both_ways(&plan, &x)).ok();
+            });
+            assert_eq!(pruned, 1, "{bad}");
+            // Only the sanitizer may panic, and where it is on it must.
+            assert_eq!(both.is_none(), crate::checks::enabled(), "{bad}");
+            if let Some((got, want)) = both {
+                assert_bits(&got, &want, &format!("{bad}"));
+                assert!(got.iter().any(|v| v.is_nan()), "{bad}");
+            }
+        }
+    }
 
     fn assert_close(a: &[C64], b: &[C64], tol: f64) {
         assert_eq!(a.len(), b.len());

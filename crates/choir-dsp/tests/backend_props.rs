@@ -210,9 +210,12 @@ proptest! {
         }
     }
 
+    // The butterfly passes from every first block length, on every
+    // backend, against the scalar oracle — and `from 2`, on both, against
+    // the whole-transform loop as it stood before it took a first length.
     #[test]
-    fn fft_butterflies_match_oracle_bit_exactly(
-        log2n in 1u32..8,
+    fn butterflies_from_2_is_butterflies(
+        log2n in 0u32..9,
         seed in arb_wild_signal(129),
         forward in 0u8..2,
     ) {
@@ -226,13 +229,40 @@ proptest! {
         let twiddles: Vec<C64> =
             (0..n / 2).map(|k| C64::cis(w * k as f64)).collect();
         let forward = forward == 1;
-        let mut want = x.clone();
-        backend::scalar::butterflies(&mut want, &twiddles, forward);
-        for kind in backend::available() {
-            backend::force(kind);
-            let mut got = x.clone();
-            backend::butterflies(&mut got, &twiddles, forward);
-            assert_bits_eq(kind, "butterflies", &got, &want);
+        let mut whole = x.clone();
+        let mut len = 2;
+        while len <= n {
+            let (half, stride) = (len / 2, n / len);
+            for start in (0..n).step_by(len) {
+                for k in 0..half {
+                    let tw = twiddles[k * stride];
+                    let tw = if forward { tw } else { tw.conj() };
+                    let a = whole[start + k];
+                    let b = whole[start + k + half] * tw;
+                    whole[start + k] = a + b;
+                    whole[start + k + half] = a - b;
+                }
+            }
+            len <<= 1;
+        }
+        for first_log2 in 1..=log2n + 1 {
+            let first_len = 1usize << first_log2;
+            let mut want = x.clone();
+            backend::scalar::butterflies_from(&mut want, &twiddles, forward, first_len);
+            if first_len == 2 {
+                assert_bits_eq(BackendKind::Scalar, "scalar from 2", &want, &whole);
+            }
+            for kind in backend::available() {
+                backend::force(kind);
+                let mut got = x.clone();
+                backend::butterflies_from(&mut got, &twiddles, forward, first_len);
+                assert_bits_eq(kind, "butterflies_from", &got, &want);
+                if first_len == 2 {
+                    let mut got = x.clone();
+                    backend::butterflies(&mut got, &twiddles, forward);
+                    assert_bits_eq(kind, "butterflies", &got, &whole);
+                }
+            }
         }
     }
 
@@ -486,6 +516,49 @@ proptest! {
             "n={} len={} f={}: fused {:?} vs two-step {:?} (tol {:e})",
             n, len, freq_bins, want_tame, two_step, tol
         );
+    }
+}
+
+/// The padded transform with its zero-input passes skipped against the
+/// padding done by hand and transformed whole, bit for bit on every
+/// backend: every LoRa symbol length, the paper's pad and two other
+/// Bluestein pads, and a radix-2 pad that has nothing to skip.
+#[test]
+fn pruned_padded_transform_is_the_unpruned_one() {
+    let _s = serial();
+    let _r = RestoreBackend;
+    for sf in 7u32..=12 {
+        let n = 1usize << sf;
+        let x: Vec<C64> = (0..n)
+            .map(|i| {
+                let t = i as f64;
+                c64(
+                    (t * 0.37).sin() + 0.1 * (t * 1.9).cos() + 2.0,
+                    (t * 0.91).cos() - 2.0,
+                )
+            })
+            .collect();
+        for pad in [3usize, 4, 5, 10] {
+            let plan = choir_dsp::fft::plan(n * pad);
+            for kind in backend::available() {
+                backend::force(kind);
+                let mut want = x.clone();
+                want.resize(n * pad, C64::ZERO);
+                plan.forward(&mut want);
+                let mut got = vec![C64::ONE; n * pad];
+                choir_dsp::workspace::with(|ws| plan.forward_padded_into(&x, &mut got, ws));
+                assert_bits_eq(kind, &format!("SF{sf} pad {pad}"), &got, &want);
+            }
+            backend::force(BackendKind::Scalar);
+            let mut oracle = vec![C64::ONE; n * pad];
+            choir_dsp::workspace::with(|ws| plan.forward_padded_into(&x, &mut oracle, ws));
+            for kind in backend::available() {
+                backend::force(kind);
+                let mut got = vec![C64::ONE; n * pad];
+                choir_dsp::workspace::with(|ws| plan.forward_padded_into(&x, &mut got, ws));
+                assert_bits_eq(kind, &format!("SF{sf} pad {pad} vs scalar"), &got, &oracle);
+            }
+        }
     }
 }
 

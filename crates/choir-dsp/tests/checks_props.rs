@@ -101,3 +101,26 @@ fn parseval_check_rejects_a_corrupted_spectrum() {
             .is_err();
     assert!(fired, "corrupted spectrum passed the Parseval check");
 }
+
+#[test]
+fn parseval_check_guards_the_pruned_padded_transform() {
+    // A power-of-two window into a Bluestein plan skips the butterfly
+    // passes that would only add zeros; the boundary check still brackets
+    // that path. A healthy window passes it; one whose energy overflows
+    // (`∞ − ∞` is no Parseval identity) trips it in debug builds and is
+    // let through in release ones — the zero-overhead contract.
+    let healthy: Vec<C64> = (0..128)
+        .map(|i| c64((i as f64 * 0.3).sin() + 2.0, (i as f64 * 0.7).cos() - 2.0))
+        .collect();
+    let plan = plan(1280);
+    let mut y = vec![C64::ZERO; 1280];
+    choir_dsp::workspace::with(|ws| plan.forward_padded_into(&healthy, &mut y, ws));
+    checks::assert_parseval("prop:pruned", energy(&healthy), &y);
+    let huge: Vec<C64> = healthy.iter().map(|v| v.scale(1e200)).collect();
+    let fired = std::panic::catch_unwind(|| {
+        let mut y = vec![C64::ZERO; 1280];
+        choir_dsp::workspace::with(|ws| plan.forward_padded_into(&huge, &mut y, ws));
+    })
+    .is_err();
+    assert_eq!(fired, checks::enabled());
+}

@@ -1,4 +1,4 @@
-//! `cargo xtask ci` — the repository's two merge gates as one tested binary.
+//! `cargo xtask ci` — the repository's three merge gates as one tested binary.
 //!
 //! * `cargo xtask ci model-check` — run the schedule-exploring
 //!   concurrency suites (`choir-sync` smoke plus the pool / trace /
@@ -14,6 +14,15 @@
 //!   fails, "unresolved" passes. Then two traced runs of the change hold
 //!   tracing and online detection to [`TRACE_OVERHEAD_LIMIT`] and
 //!   [`DETECT_SHARE_LIMIT`].
+//! * `cargo xtask ci drift <base-rev>` — the judge of floats. The same
+//!   worktree, under `target/drift/`: runs `trace_dump` and `figures --
+//!   all --json` in both trees and walks each pair of outputs in lockstep
+//!   ([`crate::drift`]). Anything that is not a float must match byte for
+//!   byte (record kinds and order, `evals`, symbols, CRC verdicts,
+//!   digests); a position may drift by 1e-12 relative, a residual, a
+//!   magnitude or a figure leaf by 1e-9; and an offset search whose
+//!   refined positions moved while its coarse input did not is a flipped
+//!   comparison and fails at any size.
 //!
 //! Everything deterministic — bit-identity across threads, backends and
 //! block widths, shed accounting, streamed ≡ batch, the city-scale rows —
@@ -22,16 +31,19 @@
 use std::path::Path;
 use std::process::{Command, ExitCode};
 
-const USAGE: &str = "usage: cargo xtask ci <model-check | perf <base-rev>>
+const USAGE: &str = "usage: cargo xtask ci <model-check | perf <base-rev> | drift <base-rev>>
   model-check      run every schedule-explored concurrency suite under --cfg choir_model
   perf <base-rev>  spine pairs of <base-rev> and this tree: no REGRESSED row, identical delivered
-                   sets and city digests, tracing and detection inside their budgets";
+                   sets and city digests, tracing and detection inside their budgets
+  drift <base-rev> trace_dump and figures --json of <base-rev> and this tree: nothing but floats
+                   may differ, positions by 1e-12, values by 1e-9, and no search's output alone";
 
 /// Entry point for `cargo xtask ci <gate>`.
 pub fn run(args: &[String]) -> ExitCode {
     let verdict = match args {
         [gate] if gate == "model-check" => model_check(),
-        [gate, base_rev] if gate == "perf" => perf(base_rev),
+        [gate, base_rev] if gate == "perf" => against_base(base_rev, "perf", measure),
+        [gate, base_rev] if gate == "drift" => against_base(base_rev, "drift", drift),
         _ => {
             eprintln!("{USAGE}");
             return ExitCode::from(2);
@@ -148,19 +160,79 @@ fn git_worktree(root: &Path, args: &[&str]) -> Command {
     cmd
 }
 
-fn perf(base_rev: &str) -> Result<(), String> {
+/// Runs `gate(root, base, out)` with `<base-rev>` checked out as a
+/// detached `git worktree` at `base = target/<dir>/base-tree` and
+/// `out = target/<dir>` emptied first; the worktree is removed whatever
+/// the verdict.
+fn against_base(
+    base_rev: &str,
+    dir: &str,
+    gate: fn(&Path, &Path, &Path) -> Result<(), String>,
+) -> Result<(), String> {
     let root = crate::workspace_root();
-    let out = root.join("target/perf");
+    let out = root.join("target").join(dir);
     let _ = std::fs::remove_dir_all(&out);
     // A tree a killed run left behind is off the disk now; unregister it.
     run_cmd(&mut git_worktree(&root, &["prune"]))?;
     let base = out.join("base-tree");
     let mut add = git_worktree(&root, &["add", "--detach"]);
     run_cmd(add.arg(&base).arg(base_rev))?;
-    let verdict = measure(&root, &base, &out);
+    let verdict = gate(&root, &base, &out);
     // `--force`: building spine there rewrote its `spine/Cargo.lock`.
     let mut remove = git_worktree(&root, &["remove", "--force"]);
     verdict.and(run_cmd(remove.arg(&base)))
+}
+
+/// A comparison of one artefact's two texts, base then head.
+type Compare = fn(&mut crate::drift::Report, &str, &str);
+
+/// The two artefacts `drift` compares: (file it is kept as under
+/// `target/drift/<side>/`, testbed binary, its arguments, the walk).
+const DRIFT_ARTEFACTS: [(&str, &str, &[&str], Compare); 2] = [
+    (
+        "trace.jsonl",
+        "trace_dump",
+        &[],
+        crate::drift::Report::trace,
+    ),
+    (
+        "fig.json",
+        "figures",
+        &["all", "--json"],
+        crate::drift::Report::figures,
+    ),
+];
+
+/// Runs each of [`DRIFT_ARTEFACTS`] in both trees (`trace_dump` checks
+/// itself and exits non-zero if the decode lost its provenance) and
+/// walks the two outputs side by side.
+fn drift(root: &Path, base: &Path, out: &Path) -> Result<(), String> {
+    let mut report = crate::drift::Report::default();
+    for (file, bin, args, compare) in DRIFT_ARTEFACTS {
+        let produce = |side: &str, tree: &Path| -> Result<String, String> {
+            println!("ci: drift {side} {bin}");
+            let dir = out.join(side);
+            std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+            let path = dir.join(file);
+            let sink = std::fs::File::create(&path).map_err(|e| e.to_string())?;
+            let mut cmd = Command::new("cargo");
+            cmd.args(["run", "--release", "--quiet", "-p", "choir-testbed"])
+                .args(["--bin", bin, "--"])
+                .args(args)
+                .current_dir(tree)
+                .stdout(sink);
+            run_cmd(&mut cmd)?;
+            std::fs::read_to_string(&path).map_err(|e| e.to_string())
+        };
+        compare(
+            &mut report,
+            &produce("base", base)?,
+            &produce("head", root)?,
+        );
+    }
+    report.verdict()?;
+    println!("ci: drift gate passed");
+    Ok(())
 }
 
 fn measure(root: &Path, base: &Path, out: &Path) -> Result<(), String> {

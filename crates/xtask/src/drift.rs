@@ -1,0 +1,332 @@
+//! The float-drift comparison behind `cargo xtask ci drift <base-rev>`.
+//!
+//! A perf change to the estimator, a kernel or the decoder may round a
+//! float along another path and must change nothing else (DESIGN §13,
+//! "Objective or value"). Two artefacts show which happened: the JSONL
+//! of `trace_dump` (one seeded 4-user collision, every offset search and
+//! SIC pass on record) and the document `figures -- all --json` prints.
+//! Both are walked here as token streams, base beside head, in lockstep
+//! — the workspace has no JSON parser and does not need one: a number
+//! spelt with `.` or `e` is a float and may drift inside its field's
+//! bound, every other token must match byte for byte.
+
+use std::collections::BTreeMap;
+
+/// Position fields: bins the next stage consumes.
+const POSITION_FIELDS: [&str; 4] = ["coarse_bins", "refined_bins", "cancelled_bins", "pos_bins"];
+/// Bound on the relative drift of a position.
+const POSITION_LIMIT: f64 = 1e-12;
+/// Bound on the relative drift of any other float (residuals,
+/// magnitudes, every `fig.json` leaf).
+const VALUE_LIMIT: f64 = 1e-9;
+
+/// One scalar of a record: the object key it sits under (array elements
+/// share their array's key) and its spelling.
+#[derive(Debug, PartialEq)]
+struct Leaf<'a> {
+    field: &'a str,
+    text: &'a str,
+}
+
+/// The scalars of a JSON text in document order. Structure (`{}[],:`)
+/// is not kept: two documents with equal leaf sequences under equal keys
+/// but different nesting do not come out of one serialiser.
+fn leaves(json: &str) -> Vec<Leaf<'_>> {
+    let bytes = json.as_bytes();
+    let mut out = Vec::new();
+    let mut field = "";
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        match bytes[i] {
+            b'"' => {
+                i += 1;
+                while i < bytes.len() && bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+                i = (i + 1).min(bytes.len());
+                let text = &json[start..i];
+                let mut rest = i;
+                while rest < bytes.len() && bytes[rest].is_ascii_whitespace() {
+                    rest += 1;
+                }
+                if bytes.get(rest) == Some(&b':') {
+                    field = text.trim_matches('"');
+                    i = rest + 1;
+                } else {
+                    out.push(Leaf { field, text });
+                }
+            }
+            b'{' | b'}' | b'[' | b']' | b',' | b':' => i += 1,
+            c if c.is_ascii_whitespace() => i += 1,
+            _ => {
+                while i < bytes.len() && !b"{}[],: \t\r\n\"".contains(&bytes[i]) {
+                    i += 1;
+                }
+                out.push(Leaf {
+                    field,
+                    text: &json[start..i],
+                });
+            }
+        }
+    }
+    out
+}
+
+/// A number spelt as a float, parsed; integers, strings and literals are
+/// `None` and must match exactly.
+fn as_float(text: &str) -> Option<f64> {
+    if text.starts_with('"') || !text.contains(['.', 'e', 'E']) {
+        return None;
+    }
+    text.parse().ok()
+}
+
+/// What a comparison found: the worst drift per field, and every reason
+/// to fail.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// `name → (floats that moved, worst relative drift, bound)`.
+    pub moved: BTreeMap<String, (usize, f64, f64)>,
+    /// Human-readable failures; empty means the gate passes.
+    pub failures: Vec<String>,
+}
+
+impl Report {
+    /// Walks two leaf sequences in lockstep under the prefix `name`.
+    /// Returns the fields (of `POSITION_FIELDS`) that moved at all.
+    fn walk<'a>(&mut self, name: &str, base: &[Leaf<'a>], head: &[Leaf<'a>]) -> Vec<&'a str> {
+        let mut moved_positions = Vec::new();
+        if base.len() != head.len() {
+            self.failures.push(format!(
+                "{name}: {} scalars at the base, {} here",
+                base.len(),
+                head.len()
+            ));
+            return moved_positions;
+        }
+        for (b, h) in base.iter().zip(head) {
+            if b.field != h.field {
+                self.failures
+                    .push(format!("{name}: field {:?} became {:?}", b.field, h.field));
+                return moved_positions;
+            }
+            if b.text == h.text || b.field.ends_with("_ns") || b.field == "seq" {
+                continue;
+            }
+            let key = format!("{name}.{}", b.field);
+            let (Some(x), Some(y)) = (as_float(b.text), as_float(h.text)) else {
+                self.failures
+                    .push(format!("{key}: {} became {}", b.text, h.text));
+                continue;
+            };
+            // Two spellings of one value are no drift; `0.0` against
+            // `-0.0` is not a number and fails below.
+            let drift = (x - y).abs() / x.abs().max(y.abs());
+            let position = POSITION_FIELDS.contains(&b.field);
+            let limit = if position {
+                POSITION_LIMIT
+            } else {
+                VALUE_LIMIT
+            };
+            if position {
+                moved_positions.push(b.field);
+            }
+            let entry = self.moved.entry(key.clone()).or_insert((0, 0.0, limit));
+            entry.0 += 1;
+            entry.1 = entry.1.max(drift);
+            if drift.is_nan() || drift > limit {
+                self.failures.push(format!(
+                    "{key}: {} became {} — relative drift {drift:.1e} over {limit:.0e}",
+                    b.text, h.text
+                ));
+            }
+        }
+        moved_positions
+    }
+
+    /// Compares two `trace_dump` outputs: `span_*` records are timing
+    /// and dropped from both sides, `*_ns` and `seq` (which counts the
+    /// spans too) are skipped, and an offset search whose refined
+    /// positions moved although its coarse input did not is a flipped
+    /// comparison, whatever its size.
+    pub fn trace(&mut self, base: &str, head: &str) {
+        let records = |text| -> Vec<(&str, Vec<Leaf<'_>>)> {
+            str::lines(text)
+                .map(|line| (line, leaves(line)))
+                .filter(|(_, l)| !kind(l).starts_with("span_"))
+                .collect()
+        };
+        let (base, head) = (records(base), records(head));
+        if base.len() != head.len() {
+            self.failures.push(format!(
+                "trace: {} non-span records at the base, {} here",
+                base.len(),
+                head.len()
+            ));
+            return;
+        }
+        for (i, ((b_line, b), (h_line, h))) in base.iter().zip(&head).enumerate() {
+            let moved = self.walk(kind(b), b, h);
+            if kind(b) == "offset_search"
+                && moved.contains(&"refined_bins")
+                && !moved.contains(&"coarse_bins")
+            {
+                self.failures.push(format!(
+                    "trace: record {i} is a flipped comparison — refined_bins moved, coarse_bins \
+                     did not\n  base: {b_line}\n  head: {h_line}"
+                ));
+            }
+        }
+    }
+
+    /// Compares two `figures -- all --json` documents.
+    pub fn figures(&mut self, base: &str, head: &str) {
+        self.walk("fig", &leaves(base), &leaves(head));
+    }
+
+    /// Prints the per-field table; `Err` carries the failures.
+    pub fn verdict(self) -> Result<(), String> {
+        if self.moved.is_empty() {
+            println!("ci: drift: no float moved");
+        }
+        for (name, (count, worst, limit)) in &self.moved {
+            println!("ci: drift: {name}: {count} moved, worst {worst:.1e} (bound {limit:.0e})");
+        }
+        if self.failures.is_empty() {
+            Ok(())
+        } else {
+            Err(self.failures.join("\nci: FAIL: "))
+        }
+    }
+}
+
+/// The `"kind"` of a trace record (`""` when it has none).
+fn kind<'a>(record: &[Leaf<'a>]) -> &'a str {
+    record
+        .iter()
+        .find(|l| l.field == "kind")
+        .map_or("", |l| l.text.trim_matches('"'))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SEARCH: &str = r#"{"seq": 4, "thread": 0, "kind": "offset_search", "window": 1, "evals": 297, "coarse_bins": [235.904, 179.388], "refined_bins": [235.91175905600346, 179.39633736956057], "residual": 3471.862122426623}"#;
+    const SPAN: &str = r#"{"seq": 2, "thread": 0, "kind": "span_exit", "stage": "dechirp", "exclusive_ns": 371330}"#;
+
+    fn compare(base: &str, head: &str) -> Report {
+        let mut r = Report::default();
+        r.trace(base, head);
+        r
+    }
+
+    #[test]
+    fn leaves_carry_their_field_and_skip_keys() {
+        let l = leaves(r#"{"a": 1, "b": [2.5, -3e-2], "c": {"d": "x:y", "e": null}}"#);
+        let got: Vec<(&str, &str)> = l.iter().map(|l| (l.field, l.text)).collect();
+        assert_eq!(
+            got,
+            [
+                ("a", "1"),
+                ("b", "2.5"),
+                ("b", "-3e-2"),
+                ("d", "\"x:y\""),
+                ("e", "null")
+            ]
+        );
+        assert_eq!(as_float("2.5"), Some(2.5));
+        assert_eq!(as_float("-3e-2"), Some(-0.03));
+        assert_eq!(as_float("297"), None);
+        assert_eq!(as_float("\"1.5\""), None);
+    }
+
+    #[test]
+    fn identical_dumps_pass_and_spans_and_timings_are_ignored() {
+        let base = format!("{SPAN}\n{SEARCH}\n");
+        let head = format!(
+            "{SEARCH}\n{}\n{}\n",
+            SPAN.replace("371330", "99"),
+            SPAN.replace("\"seq\": 2", "\"seq\": 9")
+        );
+        let r = compare(&base, &head);
+        assert!(r.failures.is_empty(), "{:?}", r.failures);
+        assert!(r.moved.is_empty());
+        assert!(r.verdict().is_ok());
+    }
+
+    #[test]
+    fn a_residual_may_drift_inside_its_bound_only() {
+        let r = compare(
+            SEARCH,
+            &SEARCH.replace("3471.862122426623", "3471.862122426643"),
+        );
+        assert!(r.failures.is_empty(), "{:?}", r.failures);
+        let (count, worst, limit) = r.moved["offset_search.residual"];
+        assert_eq!(count, 1);
+        assert!(worst > 1e-15 && worst < 1e-14 && limit == VALUE_LIMIT);
+        let r = compare(SEARCH, &SEARCH.replace("3471.862122426623", "3471.8622"));
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        assert!(r.failures[0].contains("offset_search.residual"));
+    }
+
+    #[test]
+    fn an_integer_a_string_or_a_record_count_may_not_move() {
+        let r = compare(SEARCH, &SEARCH.replace("297", "298"));
+        assert!(
+            r.failures[0].contains("evals: 297 became 298"),
+            "{:?}",
+            r.failures
+        );
+        let r = compare(SEARCH, &SEARCH.replace("offset_search", "sic_pass"));
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        let r = compare(SEARCH, &format!("{SEARCH}\n{SEARCH}"));
+        assert!(
+            r.failures[0].contains("1 non-span records"),
+            "{:?}",
+            r.failures
+        );
+        let r = compare(SEARCH, &SEARCH.replace("\"window\": 1, ", ""));
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+    }
+
+    #[test]
+    fn a_position_that_moves_alone_is_a_flipped_comparison() {
+        // Inside the position bound, and still a failure: the search's
+        // input did not move, so a comparison inside it did.
+        let flipped = SEARCH.replace("235.91175905600346", "235.91175905600349");
+        let r = compare(SEARCH, &flipped);
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        assert!(r.failures[0].contains("flipped comparison"));
+        assert!(r.failures[0].contains("235.91175905600349"));
+        // With its coarse input moved too it is drift, judged by size.
+        let carried = flipped.replace("235.904", "235.90400000000002");
+        assert!(compare(SEARCH, &carried).failures.is_empty());
+        let far = SEARCH
+            .replace("235.904", "235.90400000000002")
+            .replace("235.91175905600346", "235.9117591");
+        let r = compare(SEARCH, &far);
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        assert!(r.failures[0].contains("over 1e-12"), "{:?}", r.failures);
+    }
+
+    #[test]
+    fn figure_leaves_are_values() {
+        let base =
+            r#"{"fig04": {"residual": [0.25, 1.5e-3]}, "city": {"digest": "0x44a0", "n": 7}}"#;
+        let mut r = Report::default();
+        r.figures(base, base);
+        assert!(r.failures.is_empty() && r.moved.is_empty());
+        let mut r = Report::default();
+        r.figures(base, &base.replace("1.5e-3", "1.5000000000001e-3"));
+        assert!(r.failures.is_empty(), "{:?}", r.failures);
+        assert_eq!(r.moved["fig.residual"].0, 1);
+        for (from, to) in [("0.25", "0.2500001"), ("0x44a0", "0x44a1"), ("7", "8")] {
+            let mut r = Report::default();
+            r.figures(base, &base.replace(from, to));
+            assert_eq!(r.failures.len(), 1, "{from}: {:?}", r.failures);
+            assert!(r.verdict().is_err());
+        }
+    }
+}

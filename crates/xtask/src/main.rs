@@ -33,12 +33,14 @@
 //! `cargo xtask selftest` feeds deliberately planted violations through
 //! the engine and fails if any escape — the lint linting itself.
 //!
-//! `cargo xtask ci <model-check | perf <base-rev>>` runs one of the
-//! repository's two merge gates (the schedule-explored concurrency
-//! suites; spine same-seed pairs against a base revision) as a single
-//! tested command — see the [`ci`] module.
+//! `cargo xtask ci <model-check | perf <base-rev> | drift <base-rev>>`
+//! runs one of the repository's three merge gates (the schedule-explored
+//! concurrency suites; spine same-seed pairs against a base revision;
+//! the float-drift comparison against it) as a single tested command —
+//! see the [`ci`] module.
 
 mod ci;
+mod drift;
 mod rules;
 mod scan;
 
@@ -55,7 +57,9 @@ fn main() -> ExitCode {
             eprintln!("usage: cargo xtask <lint|selftest|ci>");
             eprintln!("  lint      run the Choir static-analysis pass over the workspace");
             eprintln!("  selftest  verify the lint engine catches planted violations");
-            eprintln!("  ci        run a merge gate (model-check, perf <base-rev>)");
+            eprintln!(
+                "  ci        run a merge gate (model-check, perf <base-rev>, drift <base-rev>)"
+            );
             ExitCode::from(2)
         }
     }
