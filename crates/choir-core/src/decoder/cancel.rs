@@ -286,8 +286,9 @@ impl ChoirDecoder {
     }
 
     /// One user's turn in a SIC pass: acquire and demodulate it against
-    /// the current signal, then subtract its reconstructed packet so the
-    /// users after it see it removed (packet-level SIC). `transition` is
+    /// the current signal, then — when `cancel` says a later turn will
+    /// read `work` — subtract its reconstructed packet so the users after
+    /// it see it removed (packet-level SIC). `transition` is
     /// [`Self::acquire_and_demod`]'s.
     fn decode_user_pass(
         &self,
@@ -296,12 +297,18 @@ impl ChoirDecoder {
         total_syms: usize,
         st: &mut UserPass,
         transition: Option<Vec<ComponentEstimate>>,
+        cancel: bool,
     ) {
         let (decisions, erasures) =
             self.acquire_and_demod(work, slot_start, &mut st.user, total_syms, transition);
         st.symbols = decisions.iter().map(|d| d.value()).collect();
         st.decisions = decisions;
         st.erasures = erasures;
+        if !cancel {
+            return;
+        }
+        #[cfg(test)]
+        super::SUBTRACTIONS.with(|c| c.set(c.get() + 1));
         // Refine the CFO against the actual subtraction residual: deep
         // near-far demands ~milli-bin accuracy so that the strong user's
         // residue sinks below the weakest client of interest.
@@ -362,8 +369,10 @@ impl ChoirDecoder {
         // Discovery's transition solve is still exact for the first turn
         // of the first pass, the only one to see `work` as captured.
         let mut solved = Some(transition);
-        for pass in 0..self.cfg.sic_passes.max(1) {
-            for st in states.iter_mut() {
+        let passes = self.cfg.sic_passes.max(1);
+        let users = states.len();
+        for pass in 0..passes {
+            for (turn, st) in states.iter_mut().enumerate() {
                 if pass > 0 {
                     // Put this user back.
                     for (w, c) in work.iter_mut().zip(st.contrib.iter_mut()) {
@@ -371,7 +380,11 @@ impl ChoirDecoder {
                         *c = C64::ZERO;
                     }
                 }
-                self.decode_user_pass(&mut work, slot_start, total_syms, st, solved.take());
+                // The last turn of the last pass has nobody after it:
+                // `frame_users` reads decisions, never `work`.
+                let cancel = (pass, turn) != (passes - 1, users - 1);
+                let transition = solved.take();
+                self.decode_user_pass(&mut work, slot_start, total_syms, st, transition, cancel);
             }
         }
         self.frame_users(slot_start, states)

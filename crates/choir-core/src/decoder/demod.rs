@@ -150,7 +150,20 @@ impl CombPlan {
 }
 
 impl ChoirDecoder {
-    /// Demodulates one aligned window on the user's fractional comb: the
+    /// The comb mixer `e^{−j2π·c·t/n}` that shifts a dechirped window by
+    /// the fractional comb offset `c`, so that hypothesis `s` is the
+    /// integer tone `W^{st}`. It is the tone kernel's at `n − c` (equal up
+    /// to whole turns, and inside the range the kernel is tested on), not
+    /// `n` libm `cis`: it feeds scores, which are only ranked. One per
+    /// user turn — every symbol of a pass mixes by the same tone.
+    // hot:noalloc — fills the caller's buffer.
+    fn comb_mixer_into(&self, comb_offset: f64, mixer: &mut [C64]) {
+        let n = self.est.n();
+        choir_dsp::backend::tone_into(mixer, n, n as f64 - comb_offset);
+    }
+
+    /// Demodulates one aligned window on the user's fractional comb
+    /// (`mixer` is [`Self::comb_mixer_into`]'s at the comb offset): the
     /// peak must sit at `value + cfo_bins (mod n)`.
     ///
     /// Each hypothesis `s` is scored per *constant-phase segment*: the
@@ -161,25 +174,17 @@ impl ChoirDecoder {
     /// the coherent sum over the unknown step phase) makes the decision
     /// invariant to the step. [`CombPlan`] evaluates all `n` scores in
     /// `O(n log n)`.
-    // hot:noalloc — the dechirp, mixer and mix buffers come from the
-    // workspace arena.
-    fn comb_demod(&self, aligned: &[C64], comb_offset: f64) -> CombDecision {
+    // hot:noalloc — the dechirp and mix buffers come from the workspace
+    // arena.
+    fn comb_demod(&self, aligned: &[C64], mixer: &[C64]) -> CombDecision {
         scope(Stage::Demod, || {
-            // Shift by the fractional comb offset once, so that hypothesis
-            // `s` is the integer tone `W^{st}`. The mixer `e^{−j2π·c·t/n}`
-            // is the tone kernel's at `n − c` (equal up to whole turns,
-            // and inside the range the kernel is tested on), not `n` libm
-            // `cis`: it feeds scores, which are only ranked.
             let n = self.est.n();
             let mut de = workspace::take(n);
-            let mut mixer = workspace::take(n);
             let mut mix = workspace::take(n);
             self.est.dechirp_into(aligned, &mut de);
-            choir_dsp::backend::tone_into(&mut mixer, n, n as f64 - comb_offset);
-            choir_dsp::backend::cmul_into(&de, &mixer, &mut mix);
+            choir_dsp::backend::cmul_into(&de, mixer, &mut mix);
             let decision = self.comb.decide(&mut mix);
             workspace::put(mix);
-            workspace::put(mixer);
             workspace::put(de);
             decision
         })
@@ -247,16 +252,19 @@ impl ChoirDecoder {
         let mut erasures = 0usize;
         let mut decisions = Vec::with_capacity(total_syms);
         let mut aligned = workspace::take(n);
+        let mut mixer = workspace::take(n);
+        self.comb_mixer_into(cfo_bins, &mut mixer);
         let align = Alignment::new(user.timing_chips);
         for sym_idx in 0..total_syms {
             let d = if self.aligned_window_into(work, slot_start, sym_idx, &align, &mut aligned) {
-                self.comb_demod(&aligned, cfo_bins)
+                self.comb_demod(&aligned, &mixer)
             } else {
                 erasures += 1;
                 CombDecision::default()
             };
             decisions.push(d);
         }
+        workspace::put(mixer);
         workspace::put(aligned);
         (decisions, erasures)
     }
@@ -456,7 +464,9 @@ mod tests {
                         m * C64::cis(TAU * comb_offset * t as f64 / n as f64) * d.conj()
                     })
                     .collect();
-                let fast = dec.comb_demod(&aligned, comb_offset);
+                let mut mixer = vec![C64::ZERO; n];
+                dec.comb_mixer_into(comb_offset, &mut mixer);
+                let fast = dec.comb_demod(&aligned, &mixer);
                 let slow = libm_comb_demod(&dec, &aligned, comb_offset);
                 let values = |d: &CombDecision| d.cands.map(|c| c.0);
                 assert_eq!(values(&fast), values(&slow), "{name} at {comb_offset}");

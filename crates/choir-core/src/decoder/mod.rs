@@ -190,6 +190,8 @@ pub struct ChoirDecoder {
 thread_local! {
     /// Test probe: transition-window solves run on this thread.
     static TRANSITION_SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Test probe: user turns on this thread that subtracted their packet.
+    static SUBTRACTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl ChoirDecoder {
@@ -448,7 +450,8 @@ mod tests {
     fn transition_window_is_solved_once_per_user_turn() {
         // Discovery solves the preamble→sync transition window and the
         // first turn of the first SIC pass reads the same samples, so a
-        // slot costs one solve per user turn, not one more.
+        // slot costs one solve per user turn, not one more — and one
+        // subtraction per turn that has a turn after it, so one fewer.
         let two = vec![profile(2.3, 0.1), profile(-7.6, 0.32)];
         let three = vec![profile(2.3, 0.1), profile(-7.6, 0.32), profile(12.4, 0.18)];
         for (snrs, profiles, sic_passes) in [
@@ -469,12 +472,34 @@ mod tests {
             let dec = ChoirDecoder::with_config(s.params, cfg);
             let view = SlotView::known_len(&s.params, &s.samples, s.slot_start, 6);
             TRANSITION_SOLVES.with(|c| c.set(0));
+            SUBTRACTIONS.with(|c| c.set(0));
             let decoded = dec.try_decode_view(view).expect("slot decodes");
             let solves = TRANSITION_SOLVES.with(|c| c.get());
+            let subtractions = SUBTRACTIONS.with(|c| c.get());
             let users = dec.discover_users(&s.samples, s.slot_start).len();
             assert!(users >= decoded.len() && users >= snrs.len());
             assert_eq!(solves, users * sic_passes);
+            assert_eq!(subtractions, users * sic_passes - 1);
         }
+    }
+
+    #[test]
+    fn decode_never_borrows_the_arena_twice() {
+        // A `workspace::with` (or a free `take`/`put`) inside another
+        // falls back to a throw-away arena: correct, and a `malloc` and a
+        // `free` per buffer on a path that promises none.
+        let s = ScenarioBuilder::new(params())
+            .snrs_db(&[20.0, 17.0])
+            .payload_len(6)
+            .profiles(vec![profile(2.3, 0.1), profile(-7.6, 0.32)])
+            .seed(35)
+            .build();
+        let dec = ChoirDecoder::new(s.params);
+        let view = SlotView::known_len(&s.params, &s.samples, s.slot_start, 6);
+        let before = choir_dsp::workspace::reentries();
+        let decoded = dec.try_decode_view(view).expect("slot decodes");
+        assert_eq!(decoded.len(), 2);
+        assert_eq!(choir_dsp::workspace::reentries(), before);
     }
 
     #[test]

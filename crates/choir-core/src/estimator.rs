@@ -668,14 +668,16 @@ impl OffsetEstimator {
     /// fractional bins with ~`1/pad`-bin granularity.
     pub fn coarse(&self, window: &[C64]) -> Vec<Peak> {
         scope(Stage::Dechirp, || {
-            let de = self.dechirp(window);
-            workspace::with(|ws| {
-                let mut spec = ws.take(self.n * self.cfg.pad);
-                self.fft_padded.forward_padded_into(&de, &mut spec, ws);
-                let peaks = find_peaks(&spec, self.cfg.pad);
-                ws.put(spec);
-                peaks
-            })
+            let mut de = workspace::take(self.n);
+            self.dechirp_into(window, &mut de);
+            let mut spec = workspace::take(self.n * self.cfg.pad);
+            workspace::with(|ws| self.fft_padded.forward_padded_into(&de, &mut spec, ws));
+            // `find_peaks` borrows the arena for its own scratch, so the
+            // transform's borrow has to have ended.
+            let peaks = find_peaks(&spec, self.cfg.pad);
+            workspace::put(spec);
+            workspace::put(de);
+            peaks
         })
     }
 
@@ -1218,6 +1220,23 @@ mod tests {
                 peaks[0].pos
             );
         }
+    }
+
+    #[test]
+    fn coarse_scratch_comes_from_the_thread_arena() {
+        // `find_peaks` checks its spectrum-length `f64` scratch out of the
+        // thread arena, which it can only do once the padded transform's
+        // borrow of that arena has ended: a nested borrow fails over to a
+        // throw-away arena (counted), and nothing real is ever pooled.
+        let e = est();
+        let window = chirp_with_offset(50.4, c64(1.0, 0.0));
+        let before = workspace::reentries();
+        for _ in 0..3 {
+            assert_eq!(e.coarse(&window).len(), 1);
+        }
+        assert_eq!(workspace::reentries(), before, "a borrow nested in coarse");
+        let pooled = workspace::with(|ws| ws.pooled_f64_capacity());
+        assert!(pooled >= N * e.config().pad, "largest f64 buffer: {pooled}");
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!   twice; only separate `mul`/`add`/`sub`/`addsub` are used.
 //! * **Exact complex multiply.** `_mm256_addsub_pd(t1, t2)` evaluates
 //!   `[p.re·q.re − p.im·q.im, p.re·q.im + p.im·q.re]` with the same two
-//!   roundings per component as `C64`'s `Mul`.
+//!   roundings per component as `C64`'s `Mul`. The butterflies multiply
+//!   by twiddles stored pre-split (`[w.re, w.re]`, `[w.im, w.im]` —
+//!   [`super::Twiddles`]), which yields the same four products with the
+//!   imaginary part's two addends swapped: the same bits.
 //! * **Ordered reductions.** Dot products compute two products per
 //!   256-bit register but fold them into a 128-bit `(re, im)`
 //!   accumulator sequentially, in the oracle's index order; each lane
@@ -514,72 +517,150 @@ unsafe fn axpy_impl(out: &mut [C64], xs: &[C64], amp: C64, subtract: bool) {
     }
 }
 
-/// AVX2 [`super::butterflies_from`]; bit-identical to the oracle.
-/// Passes with `half >= 2` process butterfly pairs two at a time; the
-/// `len = 2` (twiddle-free) pass stays scalar.
-pub fn butterflies_from(x: &mut [C64], twiddles: &[C64], forward: bool, first_len: usize) {
-    // Bounds every pointer below: a pass of block length `len` reads
-    // `x[start + k + half]` for `start + len ≤ n` and `twiddles[k·n/len]`
-    // for `k < len/2`. Checked here, beside the arithmetic it licenses,
-    // whatever the dispatcher checked.
+/// Two packed products `b[i]·w[i]` against pre-split twiddles: `wre` is
+/// `[w0.re, w0.re, w1.re, w1.re]`, `wim` the same of the imaginary parts
+/// (already negated for an inverse transform). The oracle's four
+/// products a butterfly — `re = b.re·w.re − b.im·w.im` as written, `im =
+/// b.im·w.re + b.re·w.im` with the two addends the other way round,
+/// which IEEE addition does not see.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn twmul(b: __m256d, wre: __m256d, wim: __m256d) -> __m256d {
+    let t1 = _mm256_mul_pd(b, wre); // [b.re·w.re, b.im·w.re, ..]
+    let t2 = _mm256_mul_pd(_mm256_permute_pd::<0x5>(b), wim); // [b.im·w.im, b.re·w.im, ..]
+    _mm256_addsub_pd(t1, t2)
+}
+
+/// AVX2 [`super::butterflies_from`]; bit-identical to the oracle: every
+/// butterfly is the oracle's, on the oracle's operands; the passes run
+/// two to a trip through memory (the first two, when they are `len = 2`
+/// and `4`, inside one register pair).
+pub fn butterflies_from(x: &mut [C64], tw: &super::Twiddles, forward: bool, first_len: usize) {
+    // Bounds every pointer below, whatever the dispatcher checked: the
+    // passes touch `x[..n]` in whole blocks of `len ≤ n` points, and the
+    // pass of half-length `half ≤ n/2` reads the staged streams at
+    // doubles `2·(half − 1 + k) .. + 4` for even `k < half`, i.e. below
+    // `2·(2·half − 1) ≤ 2·(n − 1)`.
     let n = x.len();
     assert!(
         n.is_power_of_two() && first_len.is_power_of_two() && first_len >= 2,
         "butterflies_from: lengths must be powers of two"
     );
     assert!(
-        twiddles.len() >= n / 2,
-        "butterflies_from: twiddle table shorter than n/2"
+        tw.re.len() == 2 * (n - 1) && tw.im.len() == 2 * (n - 1),
+        "butterflies_from: twiddle tables built for another length"
     );
-    // SAFETY: see `conj_dot`.
-    unsafe { butterflies_from_impl(x, twiddles, forward, first_len) }
+    if n < 4 {
+        // One butterfly at most: the definition itself.
+        return super::scalar::butterflies_from(x, &tw.compact, forward, first_len);
+    }
+    // SAFETY: see `conj_dot`; offsets are bounded by the asserts above.
+    unsafe {
+        if forward {
+            butterflies_from_impl::<true>(x, tw, first_len)
+        } else {
+            butterflies_from_impl::<false>(x, tw, first_len)
+        }
+    }
 }
 
+/// # Safety
+/// AVX2 must be available, `x.len() = n ≥ 4` a power of two, `first_len
+/// ≥ 2` a power of two and `tw`'s staged streams `2·(n − 1)` doubles
+/// long — [`butterflies_from`] checks all of it.
 #[target_feature(enable = "avx2")]
-unsafe fn butterflies_from_impl(x: &mut [C64], twiddles: &[C64], forward: bool, first_len: usize) {
+unsafe fn butterflies_from_impl<const FORWARD: bool>(
+    x: &mut [C64],
+    tw: &super::Twiddles,
+    first_len: usize,
+) {
     let n = x.len();
     let base = x.as_mut_ptr() as *mut f64;
-    let cmask = conj_mask();
-    let mut len = first_len;
-    while len <= n {
-        let half = len / 2;
-        let stride = n / len;
-        if half < 2 {
-            for start in (0..n).step_by(len) {
-                let tw = twiddles[0];
-                let tw = if forward { tw } else { tw.conj() };
-                let a = x[start];
-                let b = x[start + 1] * tw;
-                x[start] = a + b;
-                x[start + 1] = a - b;
-            }
+    let (tre, tim) = (tw.re.as_ptr(), tw.im.as_ptr());
+    // The inverse conjugates each twiddle as consumed: one exact sign
+    // flip on the imaginary pair, as `tw.conj()` is.
+    let sign = _mm256_set1_pd(-0.0);
+    // Stage `half`'s twiddles for butterflies `k, k + 1`.
+    let load = |half: usize, k: usize| {
+        let at = 2 * (half - 1 + k);
+        let wim = _mm256_loadu_pd(tim.add(at));
+        let wim = if FORWARD {
+            wim
         } else {
-            for start in (0..n).step_by(len) {
-                // `half` is a power of two ≥ 2, so the pair loop
-                // covers [0, half) exactly — no scalar tail.
-                let mut k = 0;
-                while k + 2 <= half {
-                    let tw0 = twiddles[k * stride];
-                    let tw1 = twiddles[(k + 1) * stride];
-                    let mut twv = _mm256_setr_pd(tw0.re, tw0.im, tw1.re, tw1.im);
-                    if !forward {
-                        // Inverse conjugates the twiddle as consumed.
-                        twv = _mm256_xor_pd(twv, cmask);
-                    }
-                    let pa = base.add(2 * (start + k));
-                    let pb = base.add(2 * (start + k + half));
-                    let av = _mm256_loadu_pd(pa);
-                    let bv = _mm256_loadu_pd(pb);
-                    // b·tw with the buffer element on the left,
-                    // matching `x[start + k + half] * tw`.
-                    let bt = cmul2(bv, twv);
-                    _mm256_storeu_pd(pa, _mm256_add_pd(av, bt));
-                    _mm256_storeu_pd(pb, _mm256_sub_pd(av, bt));
-                    k += 2;
-                }
+            _mm256_xor_pd(wim, sign)
+        };
+        (_mm256_loadu_pd(tre.add(at)), wim)
+    };
+    let mut len = first_len;
+    if len == 2 {
+        // Passes 2 and 4 inside a register pair: four points in, the two
+        // `len = 2` butterflies across the 128-bit lanes, the two `len =
+        // 4` butterflies on their outputs, four points out.
+        let w2re = _mm256_set1_pd(*tre);
+        let w2im = _mm256_set1_pd(if FORWARD { *tim } else { -*tim });
+        let (w4re, w4im) = load(2, 0);
+        for q in (0..n).step_by(4) {
+            let p = base.add(2 * q);
+            let (r0, r1) = (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)));
+            let a = _mm256_permute2f128_pd::<0x20>(r0, r1); // [x0, x2]
+            let b = _mm256_permute2f128_pd::<0x31>(r0, r1); // [x1, x3]
+            let t = twmul(b, w2re, w2im);
+            let (s, d) = (_mm256_add_pd(a, t), _mm256_sub_pd(a, t)); // [y0, y2], [y1, y3]
+            let a = _mm256_permute2f128_pd::<0x20>(s, d); // [y0, y1]
+            let b = _mm256_permute2f128_pd::<0x31>(s, d); // [y2, y3]
+            let t = twmul(b, w4re, w4im);
+            _mm256_storeu_pd(p, _mm256_add_pd(a, t));
+            _mm256_storeu_pd(p.add(4), _mm256_sub_pd(a, t));
+        }
+        len = 8;
+    }
+    if len > n {
+        return;
+    }
+    // An odd number of passes left: one on its own, so the rest pair up.
+    if (n / len).trailing_zeros().is_multiple_of(2) {
+        let half = len / 2;
+        for start in (0..n).step_by(len) {
+            for k in (0..half).step_by(2) {
+                let (wre, wim) = load(half, k);
+                let pa = base.add(2 * (start + k));
+                let pb = pa.add(2 * half);
+                let a = _mm256_loadu_pd(pa);
+                let t = twmul(_mm256_loadu_pd(pb), wre, wim);
+                _mm256_storeu_pd(pa, _mm256_add_pd(a, t));
+                _mm256_storeu_pd(pb, _mm256_sub_pd(a, t));
             }
         }
-        len <<= 1;
+        len *= 2;
+    }
+    // Passes `len` and `2·len` in one trip: the four points `k`, `k +
+    // half`, `k + len`, `k + len + half` of a `2·len` block are closed
+    // under both — the two `len` butterflies, then the two `2·len`
+    // butterflies on their outputs.
+    while len < n {
+        let half = len / 2;
+        for start in (0..n).step_by(2 * len) {
+            for k in (0..half).step_by(2) {
+                let p0 = base.add(2 * (start + k));
+                let (p1, p2, p3) = (p0.add(2 * half), p0.add(2 * len), p0.add(2 * (len + half)));
+                let (wre, wim) = load(half, k);
+                let a0 = _mm256_loadu_pd(p0);
+                let t0 = twmul(_mm256_loadu_pd(p1), wre, wim);
+                let a1 = _mm256_loadu_pd(p2);
+                let t1 = twmul(_mm256_loadu_pd(p3), wre, wim);
+                let (s0, d0) = (_mm256_add_pd(a0, t0), _mm256_sub_pd(a0, t0));
+                let (s1, d1) = (_mm256_add_pd(a1, t1), _mm256_sub_pd(a1, t1));
+                let (ure, uim) = load(len, k);
+                let u = twmul(s1, ure, uim);
+                let (vre, vim) = load(len, k + half);
+                let v = twmul(d1, vre, vim);
+                _mm256_storeu_pd(p0, _mm256_add_pd(s0, u));
+                _mm256_storeu_pd(p2, _mm256_sub_pd(s0, u));
+                _mm256_storeu_pd(p1, _mm256_add_pd(d0, v));
+                _mm256_storeu_pd(p3, _mm256_sub_pd(d0, v));
+            }
+        }
+        len *= 4;
     }
 }
 

@@ -31,6 +31,11 @@
 //!   independent (the outputs of [`fir_rev_into`], the rows of
 //!   [`tone_conj_dot`]) may run side by side, but each sum accumulates
 //!   sequentially in the oracle's order;
+//! * may swap the two operands of one IEEE addition or multiplication
+//!   (`a + b` is `b + a` to the bit) and may run operations that do not
+//!   feed one another in any order — [`butterflies_from`] runs two
+//!   passes' butterflies over the four points they share — but never
+//!   reassociate a sum;
 //! * flip signs by XOR with the IEEE sign bit (exact, matching `Neg`);
 //! * synthesize tones through the repo's own deterministic [`sincos`]
 //!   kernel, never libm. Libm transcendentals cannot be reproduced
@@ -315,11 +320,76 @@ pub fn residual_block(block: &[C64], y: &[C64], coeffs: &[C64], out: &mut [f64])
     dispatch!(residual_block(block, y, coeffs, out))
 }
 
-/// All radix-2 butterfly passes over an already bit-reversed buffer.
-/// `twiddles[k]` must hold `cis(-2πk/n)` for `k < n/2`; the inverse
-/// transform (`forward == false`) conjugates each twiddle as it is
-/// consumed, exactly as the oracle does.
-pub fn butterflies(x: &mut [C64], twiddles: &[C64], forward: bool) {
+/// The twiddles of one power-of-two transform length `n`, built once
+/// with the plan, in the two layouts the butterfly passes read.
+///
+/// * **compact** — `cis(−2πk/n)` for `k < n/2`: the table the scalar
+///   oracle strides through (`compact[k·n/len]` in the pass of block
+///   length `len`), and the only place a twiddle is *computed*.
+/// * **staged** — the same values regrouped by pass and pre-split for a
+///   vector leaf. The pass of half-length `half = 1, 2, 4, … n/2` owns
+///   entries `half − 1 + k` (`k < half`); entry `e` is the pair
+///   `[w.re, w.re]` at `re[2e..2e + 2]` and `[w.im, w.im]` at
+///   `im[2e..2e + 2]` of `w = compact[k·n/(2·half)]`, copied bit for
+///   bit. A leaf reads a pass's twiddles as two contiguous streams that
+///   are already the operands of `b·w = addsub(b·[w.re, w.re],
+///   swap(b)·[w.im, w.im])`: no stride, no gather, no shuffle on the
+///   twiddle. `2·(n − 1)` doubles a component — 262 KB at `n = 8192`,
+///   shared with the plan through its `Arc`.
+#[derive(Clone, Debug)]
+pub struct Twiddles {
+    compact: Vec<C64>,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Twiddles {
+    /// The tables of an `n`-point transform.
+    ///
+    /// # Panics
+    /// Panics unless `n` is a power of two.
+    pub fn new(n: usize) -> Self {
+        assert!(n.is_power_of_two(), "Twiddles: {n} is not a power of two");
+        let compact: Vec<C64> = (0..n / 2)
+            .map(|k| C64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
+            .collect();
+        let mut re = Vec::with_capacity(2 * (n - 1));
+        let mut im = Vec::with_capacity(2 * (n - 1));
+        let mut half = 1;
+        while half < n {
+            for w in compact.iter().step_by(n / (2 * half)) {
+                re.extend([w.re, w.re]);
+                im.extend([w.im, w.im]);
+            }
+            half *= 2;
+        }
+        Twiddles { compact, re, im }
+    }
+
+    /// The transform length `n` the tables were built for: the staged
+    /// streams hold `n − 1` entries.
+    pub fn transform_len(&self) -> usize {
+        self.re.len() / 2 + 1
+    }
+
+    /// The compact table: `cis(−2πk/n)` for `k < n/2`.
+    pub fn compact(&self) -> &[C64] {
+        &self.compact
+    }
+
+    /// The staged table's two streams, `(re, im)`: entry `e` of the
+    /// stage-major order is `[w.re, w.re]` at `re[2e..2e + 2]` and
+    /// `[w.im, w.im]` at `im[2e..2e + 2]`; both hold `2·(n − 1)` doubles.
+    pub fn staged(&self) -> (&[f64], &[f64]) {
+        (&self.re, &self.im)
+    }
+}
+
+/// All radix-2 butterfly passes over an already bit-reversed buffer of
+/// `twiddles.transform_len()` points; the inverse transform (`forward ==
+/// false`) conjugates each twiddle as it is consumed, exactly as the
+/// oracle does.
+pub fn butterflies(x: &mut [C64], twiddles: &Twiddles, forward: bool) {
     butterflies_from(x, twiddles, forward, 2)
 }
 
@@ -331,22 +401,34 @@ pub fn butterflies(x: &mut [C64], twiddles: &[C64], forward: bool) {
 /// points, the passes inside a block only ever compute `a ± w·0`, and
 /// they leave the sample replicated across its block — so the padded
 /// transform writes the replicas itself and starts here at `first_len =
-/// 2·x.len()/k`. The same loop body, the same operands per butterfly.
+/// 2·x.len()/k`.
+///
+/// The oracle ([`scalar::butterflies_from`], over the compact table)
+/// defines every butterfly: its operands, its four products, its two
+/// sums. A leaf may run butterflies that do not feed one another in any
+/// order — all of a pass, or two passes' worth over the points they
+/// share — and may add the two products of an imaginary part in either
+/// order (IEEE addition commutes bit for bit); nothing else.
 ///
 /// # Panics
-/// Panics unless `x.len()` and `first_len` are powers of two,
-/// `first_len ≥ 2` and `twiddles` holds at least `x.len()/2` entries.
+/// Panics unless `first_len` is a power of two `≥ 2` and `twiddles` was
+/// built for exactly `x.len()` points (a power of two, then).
 // hot:noalloc — in place over the caller's buffer.
-pub fn butterflies_from(x: &mut [C64], twiddles: &[C64], forward: bool, first_len: usize) {
+pub fn butterflies_from(x: &mut [C64], twiddles: &Twiddles, forward: bool, first_len: usize) {
     assert!(
-        x.len().is_power_of_two() && first_len.is_power_of_two() && first_len >= 2,
-        "butterflies_from: lengths must be powers of two"
+        first_len.is_power_of_two() && first_len >= 2,
+        "butterflies_from: first_len must be a power of two"
     );
-    assert!(
-        twiddles.len() >= x.len() / 2,
-        "butterflies_from: twiddle table shorter than n/2"
+    assert_eq!(
+        twiddles.transform_len(),
+        x.len(),
+        "butterflies_from: twiddle tables built for another length"
     );
-    dispatch!(butterflies_from(x, twiddles, forward, first_len))
+    #[cfg(target_arch = "x86_64")]
+    if active() == BackendKind::Avx2 {
+        return avx2::butterflies_from(x, twiddles, forward, first_len);
+    }
+    scalar::butterflies_from(x, &twiddles.compact, forward, first_len)
 }
 
 /// Reversed real-kernel FIR `out[j] = Σ_k xs[j + L − 1 − k]·kernel[k]`

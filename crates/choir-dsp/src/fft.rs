@@ -16,6 +16,7 @@
 //! process-wide [`PlanCache`] so twiddle/Bluestein setup is paid once per
 //! size per process.
 
+use crate::backend::Twiddles;
 use crate::complex::C64;
 use crate::workspace::{self, Workspace};
 use choir_sync::{Mutex, OnceLock};
@@ -58,12 +59,12 @@ enum PlanKind {
 }
 
 /// Iterative radix-2 decimation-in-time transform of one power-of-two
-/// length: the half-length twiddle table and the bit-reversal
-/// permutation, both built with the plan.
+/// length: the twiddle tables and the bit-reversal permutation, both
+/// built with the plan.
 #[derive(Clone, Debug)]
 struct Radix2 {
-    /// `twiddles[k] = e^{-j2πk/n}` for `k < n/2`.
-    twiddles: Vec<C64>,
+    /// `e^{-j2πk/n}` for `k < n/2`, compact and regrouped by pass.
+    twiddles: Twiddles,
     /// The bit reversal as the transpositions it is made of: every
     /// `(i, rev(i))` with `i < rev(i)`, ascending in `i`. A permutation
     /// is not arithmetic — applying it from a table moves the same
@@ -88,9 +89,7 @@ fn bit_reversal(n: usize) -> Vec<u32> {
 
 impl Radix2 {
     fn new(n: usize) -> Self {
-        let twiddles = (0..n / 2)
-            .map(|k| C64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-            .collect();
+        let twiddles = Twiddles::new(n);
         let swaps = bit_reversal(n)
             .into_iter()
             .enumerate()
@@ -494,7 +493,7 @@ mod tests {
     /// The iterative radix-2 transform as it ran before the swap table:
     /// a carry chain walks the bit-reversed index. Kept as the oracle of
     /// the permutation and of everything built on it.
-    fn radix2(x: &mut [C64], twiddles: &[C64], dir: Direction) {
+    fn radix2(x: &mut [C64], twiddles: &Twiddles, dir: Direction) {
         let n = x.len();
         if n <= 1 {
             return;
@@ -519,16 +518,11 @@ mod tests {
     /// and a point-wise product in natural order.
     fn reference_forward(x: &mut [C64]) {
         let n = x.len();
-        let twiddles = |len: usize| -> Vec<C64> {
-            (0..len / 2)
-                .map(|k| C64::cis(-2.0 * std::f64::consts::PI * k as f64 / len as f64))
-                .collect()
-        };
         if n.is_power_of_two() {
-            return radix2(x, &twiddles(n), Direction::Forward);
+            return radix2(x, &Twiddles::new(n), Direction::Forward);
         }
         let m = (2 * n - 1).next_power_of_two();
-        let tw = twiddles(m);
+        let tw = Twiddles::new(m);
         let chirp: Vec<C64> = (0..n)
             .map(|k| {
                 let ksq = (k as u64 * k as u64) % (2 * n as u64);

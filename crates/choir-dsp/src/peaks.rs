@@ -28,23 +28,37 @@ pub struct Peak {
 /// and `N` bins, at most `K·pad·O(1)` bins hold main lobes, a small fraction
 /// of the spectrum.
 ///
-/// Runs inside the refine loop, so the scratch copy comes from the
-/// per-thread [`workspace`](crate::workspace) arena and the median is
-/// found by `select_nth_unstable_by` (O(n) expected) rather than a full
-/// sort. `total_cmp` is a total order, so the selected ranks hold
-/// exactly the values a full `total_cmp` sort would place there —
-/// the result is bit-identical to the sort-based formulation
-/// (regression-tested below on adversarial inputs).
+/// The scratch copy comes from the per-thread
+/// [`workspace`](crate::workspace) arena, which this call borrows for
+/// itself: call it with no [`workspace::with`](crate::workspace::with)
+/// open, or the borrow fails over to a throw-away arena and the copy is
+/// a `malloc` after all ([`workspace::reentries`](crate::workspace::reentries)
+/// counts those). [`find_peaks`] holds one borrow for all of its scratch
+/// and shares the median with this function, not the checkout.
 // hot:noalloc — scratch comes from the thread-local f64 arena.
 pub fn noise_floor(mags: &[f64]) -> f64 {
     if mags.is_empty() {
         return 0.0;
     }
+    crate::workspace::with(|ws| {
+        let mut scratch = ws.take_f64(mags.len());
+        let floor = median_in(mags, &mut scratch);
+        ws.put_f64(scratch);
+        floor
+    })
+}
+
+/// The median of a non-empty `mags`, found in `scratch` (as long) by
+/// `select_nth_unstable_by` (O(n) expected) rather than a full sort.
+/// `total_cmp` is a total order, so the selected ranks hold exactly the
+/// values a full `total_cmp` sort would place there — the result is
+/// bit-identical to the sort-based formulation (regression-tested below
+/// on adversarial inputs).
+fn median_in(mags: &[f64], scratch: &mut [f64]) -> f64 {
     let n = mags.len();
-    let mut scratch = crate::workspace::take_f64(n);
     scratch.copy_from_slice(mags);
     let (lo, nth, _) = scratch.select_nth_unstable_by(n / 2, f64::total_cmp);
-    let floor = if n % 2 == 1 {
+    if n % 2 == 1 {
         *nth
     } else {
         // Even length: the lower median is the total_cmp-maximum of the
@@ -58,9 +72,7 @@ pub fn noise_floor(mags: &[f64]) -> f64 {
             }
         }
         0.5 * (lo_max + *nth)
-    };
-    crate::workspace::put_f64(scratch);
-    floor
+    }
 }
 
 /// Detection threshold as a multiple of the spectrum's median magnitude.
@@ -95,6 +107,11 @@ const ISI_COEFF: f64 = 0.9;
 /// are returned in unpadded-bin units and refined by parabolic
 /// interpolation. The spectrum is treated as circular (it is a DFT).
 ///
+/// Runs once per offset estimate, so its four spectrum-length scratch
+/// buffers come from the per-thread [`workspace`](crate::workspace)
+/// arena under one borrow — like [`noise_floor`], call it with no
+/// [`workspace::with`](crate::workspace::with) open.
+///
 /// # Panics
 /// Panics if `pad` is zero or does not divide the spectrum length.
 pub fn find_peaks(spectrum: &[C64], pad: usize) -> Vec<Peak> {
@@ -108,16 +125,48 @@ pub fn find_peaks(spectrum: &[C64], pad: usize) -> Vec<Peak> {
         0,
         "find_peaks: spectrum length not a multiple of pad"
     );
+    crate::workspace::with(|ws| {
+        let mut mags = ws.take_f64(np);
+        let mut scratch = ws.take_f64(np);
+        let mut order = ws.take_idx(np);
+        let mut masked = ws.take_idx(np.div_ceil(WORD));
+        let peaks = greedy_peaks(
+            spectrum,
+            pad,
+            &mut mags,
+            &mut scratch,
+            &mut order,
+            &mut masked,
+        );
+        ws.put_idx(masked);
+        ws.put_idx(order);
+        ws.put_f64(scratch);
+        ws.put_f64(mags);
+        peaks
+    })
+}
+
+/// Bits in a word of the mask bitset.
+const WORD: usize = usize::BITS as usize;
+
+/// [`find_peaks`] over its scratch: `mags` and `scratch` as long as the
+/// spectrum, `order` with room for as many indices, `masked` a zeroed
+/// bitset of one bit a bin.
+fn greedy_peaks(
+    spectrum: &[C64],
+    pad: usize,
+    mags: &mut [f64],
+    scratch: &mut [f64],
+    order: &mut Vec<usize>,
+    masked: &mut [usize],
+) -> Vec<Peak> {
+    let np = spectrum.len();
     // Unpadded symbol length, sets the leakage kernel.
     let n_sym = np / pad;
-    // The magnitude scratch is a per-call temporary of spectrum length —
-    // recycled through the thread arena like the rest of the refine
-    // loop's buffers.
-    let mut mags = crate::workspace::take_f64(np);
     for (m, z) in mags.iter_mut().zip(spectrum) {
         *m = z.abs();
     }
-    let floor = noise_floor(&mags);
+    let floor = median_in(mags, scratch);
     let thresh = floor * THRESHOLD;
     let excl = ((MIN_SEPARATION * pad as f64).round() as usize).max(1);
 
@@ -128,18 +177,18 @@ pub fn find_peaks(spectrum: &[C64], pad: usize) -> Vec<Peak> {
     // and, of equal magnitudes, the higher index first — and the rounds
     // walk that list past masked bins instead of rescanning the spectrum.
     let ends_scan = |h: f64| h <= thresh || h <= 0.0;
-    let mut order: Vec<usize> = (0..np).filter(|&i| !ends_scan(mags[i])).collect();
+    order.clear();
+    order.extend((0..np).filter(|&i| !ends_scan(mags[i])));
     order.sort_unstable_by(|&a, &b| mags[b].total_cmp(&mags[a]).then(b.cmp(&a)));
-    let mut masked = vec![false; np];
     let mut peaks: Vec<Peak> = Vec::new();
     // Bound the scan: each iteration masks at least one bin, but cap the
     // number of rejected candidates we are willing to examine.
     let mut rejections_left = 8 * MAX_PEAKS;
-    for imax in order {
+    for &imax in order.iter() {
         if peaks.len() >= MAX_PEAKS {
             break;
         }
-        if masked[imax] {
+        if masked[imax / WORD] >> (imax % WORD) & 1 == 1 {
             continue;
         }
         let hmax = mags[imax];
@@ -179,11 +228,11 @@ pub fn find_peaks(spectrum: &[C64], pad: usize) -> Vec<Peak> {
         // Mask the exclusion zone (circularly) whether accepted or not, so
         // the scan always makes progress.
         for d in 0..=excl {
-            masked[(imax + d) % np] = true;
-            masked[(imax + np - d) % np] = true;
+            for i in [(imax + d) % np, (imax + np - d) % np] {
+                masked[i / WORD] |= 1 << (i % WORD);
+            }
         }
     }
-    crate::workspace::put_f64(mags);
     peaks
 }
 

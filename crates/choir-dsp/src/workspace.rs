@@ -24,20 +24,21 @@
 //! observes stale data and results cannot depend on reuse history.
 
 use crate::complex::C64;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
-/// A scratch arena of `Vec<C64>` and `Vec<f64>` buffers keyed by
-/// requested length.
+/// A scratch arena of `Vec<C64>`, `Vec<f64>` and `Vec<usize>` buffers
+/// keyed by requested length.
 ///
 /// See the module docs for the ownership model. A `Workspace` is cheap to
 /// construct (no allocation until first use) and deliberately `!Sync`:
-/// share one per thread, not one per process. Complex and real buffers
-/// live in separate pools so a checkout never has to transmute or split
-/// capacity between element types.
+/// share one per thread, not one per process. Complex, real and index
+/// buffers live in separate pools so a checkout never has to transmute
+/// or split capacity between element types.
 #[derive(Debug, Default)]
 pub struct Workspace {
     free: Vec<Vec<C64>>,
     free_f64: Vec<Vec<f64>>,
+    free_idx: Vec<Vec<usize>>,
 }
 
 /// Best-fit checkout shared by both pools: prefer the smallest pooled
@@ -111,29 +112,66 @@ impl Workspace {
         }
     }
 
+    /// Checks out a zero-filled index (`usize`) buffer of exactly `len`
+    /// elements, with the same best-fit policy as [`take`](Self::take).
+    /// Used by the candidate list and the mask bitset in `peaks`.
+    pub fn take_idx(&mut self, len: usize) -> Vec<usize> {
+        best_fit(&mut self.free_idx, len)
+    }
+
+    /// Returns an index buffer taken via [`take_idx`](Self::take_idx) to
+    /// the arena. Zero-capacity buffers are dropped rather than pooled.
+    pub fn put_idx(&mut self, buf: Vec<usize>) {
+        if buf.capacity() > 0 {
+            self.free_idx.push(buf);
+        }
+    }
+
     /// Number of buffers currently pooled (checked in, not checked
-    /// out), across both element types.
+    /// out), across all element types.
     pub fn pooled(&self) -> usize {
-        self.free.len() + self.free_f64.len()
+        self.free.len() + self.free_f64.len() + self.free_idx.len()
+    }
+
+    /// Largest capacity among the pooled real (`f64`) buffers, zero when
+    /// none is pooled — what a test reads to see that a hot path's real
+    /// scratch did come back to this arena.
+    pub fn pooled_f64_capacity(&self) -> usize {
+        self.free_f64.iter().map(Vec::capacity).max().unwrap_or(0)
     }
 }
 
 thread_local! {
     static THREAD_ARENA: RefCell<Workspace> = RefCell::new(Workspace::new());
+    /// Calls of [`with`] on this thread that found the arena borrowed.
+    static REENTRIES: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Runs `f` with exclusive access to the calling thread's arena.
 ///
-/// Re-entrant calls (an `f` that itself calls [`with`]) do not deadlock
-/// or panic: the inner call falls back to a fresh temporary arena, which
-/// is correct (buffers are zeroed on checkout) but forgoes reuse — keep
-/// hot paths to a single `with` at the entry point and thread
-/// `&mut Workspace` explicitly below it.
+/// Re-entrant calls (an `f` that itself calls [`with`], or one of the
+/// free [`take`]/[`put`] helpers built on it) do not deadlock or panic:
+/// the inner call falls back to a fresh temporary arena, which is
+/// correct (buffers are zeroed on checkout) but forgoes reuse — every
+/// checkout is a `malloc` and every return a `free`. Keep hot paths to a
+/// single `with` at the entry point and thread `&mut Workspace`
+/// explicitly below it, or end the borrow before calling anything that
+/// opens its own; [`reentries`] counts the calls that fell back, so a
+/// test can hold a path to zero.
 pub fn with<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     THREAD_ARENA.with(|cell| match cell.try_borrow_mut() {
         Ok(mut ws) => f(&mut ws),
-        Err(_) => f(&mut Workspace::new()),
+        Err(_) => {
+            REENTRIES.with(|c| c.set(c.get() + 1));
+            f(&mut Workspace::new())
+        }
     })
+}
+
+/// How many [`with`] calls on this thread, since it started, found the
+/// arena already borrowed and ran on a throw-away one instead.
+pub fn reentries() -> usize {
+    REENTRIES.with(Cell::get)
 }
 
 /// Checks out a zero-filled buffer from the calling thread's arena.
@@ -252,6 +290,7 @@ mod tests {
 
     #[test]
     fn reentrant_with_falls_back_to_fresh_arena() {
+        let before = reentries();
         let out = with(|outer| {
             let a = outer.take(4);
             let inner_len = with(|inner| inner.take(4).len());
@@ -259,5 +298,12 @@ mod tests {
             inner_len
         });
         assert_eq!(out, 4);
+        // Counted, and only the inner call: the free helpers outside a
+        // `with` borrow the arena themselves and fall back on nothing.
+        assert_eq!(reentries(), before + 1);
+        put_f64(take_f64(4));
+        assert_eq!(reentries(), before + 1);
+        with(|_| put(take(4)));
+        assert_eq!(reentries(), before + 3);
     }
 }

@@ -41,7 +41,9 @@ impl Drop for RestoreBackend {
 }
 
 /// Maps a (class, seed) pair to an adversarial `f64`: normals, huge and
-/// tiny magnitudes, denormals, and signed zeros.
+/// tiny magnitudes, denormals, and signed zeros — classes `0..6`, what
+/// [`arb_wild_signal`] draws. Classes 6 and 7 are the infinities and NaN
+/// themselves, for the kernels tested on [`arb_wilder_signal`].
 fn wild(class: u8, v: f64) -> f64 {
     match class {
         0 => v,
@@ -55,7 +57,9 @@ fn wild(class: u8, v: f64) -> f64 {
                 0.0
             }
         }
-        _ => v * 1e9,
+        5 => v * 1e9,
+        6 => f64::INFINITY.copysign(v),
+        _ => f64::NAN,
     }
 }
 
@@ -65,12 +69,70 @@ fn wild_c64((re, im): (WildPair, WildPair)) -> C64 {
     c64(wild(re.0, re.1), wild(im.0, im.1))
 }
 
+/// Complex vectors of `1..max_len` values drawn from the first `classes`
+/// classes of [`wild`].
+fn arb_signal(classes: u8, max_len: usize) -> impl Strategy<Value = Vec<C64>> {
+    let part = move || (0..classes, -1.0f64..1.0);
+    prop::collection::vec((part(), part()), 1..max_len)
+        .prop_map(|v| v.into_iter().map(wild_c64).collect())
+}
+
 /// Complex vectors of adversarial values with lengths 1..67 — never a
 /// multiple of the 2-complex AVX2 step for long stretches, so every
 /// tail path is exercised.
 fn arb_wild_signal(max_len: usize) -> impl Strategy<Value = Vec<C64>> {
-    prop::collection::vec(((0u8..6, -1.0f64..1.0), (0u8..6, -1.0f64..1.0)), 1..max_len)
-        .prop_map(|v| v.into_iter().map(wild_c64).collect())
+    arb_signal(6, max_len)
+}
+
+/// [`arb_wild_signal`] with the infinities and NaN drawn outright (an
+/// eighth of the components each), not only reached by overflow.
+fn arb_wilder_signal(max_len: usize) -> impl Strategy<Value = Vec<C64>> {
+    arb_signal(8, max_len)
+}
+
+/// Every butterfly entry point on every backend against the oracle, for
+/// one buffer and direction: all first block lengths `2 … 2n` (`2n`: no
+/// pass at all), and `from 2` against `whole`, the loop as it stood
+/// before it took a first length.
+fn check_butterflies(x: &[C64], forward: bool) {
+    let n = x.len();
+    let tables = backend::Twiddles::new(n);
+    let twiddles = tables.compact();
+    let mut whole = x.to_vec();
+    let mut len = 2;
+    while len <= n {
+        let (half, stride) = (len / 2, n / len);
+        for start in (0..n).step_by(len) {
+            for k in 0..half {
+                let tw = twiddles[k * stride];
+                let tw = if forward { tw } else { tw.conj() };
+                let a = whole[start + k];
+                let b = whole[start + k + half] * tw;
+                whole[start + k] = a + b;
+                whole[start + k + half] = a - b;
+            }
+        }
+        len <<= 1;
+    }
+    for first_log2 in 1..=n.trailing_zeros() + 1 {
+        let first_len = 1usize << first_log2;
+        let mut want = x.to_vec();
+        backend::scalar::butterflies_from(&mut want, twiddles, forward, first_len);
+        if first_len == 2 {
+            assert_bits_eq(BackendKind::Scalar, "scalar from 2", &want, &whole);
+        }
+        for kind in backend::available() {
+            backend::force(kind);
+            let mut got = x.to_vec();
+            backend::butterflies_from(&mut got, &tables, forward, first_len);
+            assert_bits_eq(kind, "butterflies_from", &got, &want);
+            if first_len == 2 {
+                let mut got = x.to_vec();
+                backend::butterflies(&mut got, &tables, forward);
+                assert_bits_eq(kind, "butterflies", &got, &whole);
+            }
+        }
+    }
 }
 
 /// Real vectors of adversarial values (sinc-kernel taps for `fir_rev_into`).
@@ -213,10 +275,12 @@ proptest! {
     // The butterfly passes from every first block length, on every
     // backend, against the scalar oracle — and `from 2`, on both, against
     // the whole-transform loop as it stood before it took a first length.
+    // Up to the 8 192 points of the decoder's padded transform, on values
+    // that include the infinities and NaN outright.
     #[test]
     fn butterflies_from_2_is_butterflies(
-        log2n in 0u32..9,
-        seed in arb_wild_signal(129),
+        log2n in 0u32..14,
+        seed in arb_wilder_signal(129),
         forward in 0u8..2,
     ) {
         let _s = serial();
@@ -225,45 +289,7 @@ proptest! {
         // Cycle the drawn values out to the power-of-two length the
         // butterfly passes require.
         let x: Vec<C64> = (0..n).map(|i| seed[i % seed.len()]).collect();
-        let w = -2.0 * PI / n as f64;
-        let twiddles: Vec<C64> =
-            (0..n / 2).map(|k| C64::cis(w * k as f64)).collect();
-        let forward = forward == 1;
-        let mut whole = x.clone();
-        let mut len = 2;
-        while len <= n {
-            let (half, stride) = (len / 2, n / len);
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let tw = twiddles[k * stride];
-                    let tw = if forward { tw } else { tw.conj() };
-                    let a = whole[start + k];
-                    let b = whole[start + k + half] * tw;
-                    whole[start + k] = a + b;
-                    whole[start + k + half] = a - b;
-                }
-            }
-            len <<= 1;
-        }
-        for first_log2 in 1..=log2n + 1 {
-            let first_len = 1usize << first_log2;
-            let mut want = x.clone();
-            backend::scalar::butterflies_from(&mut want, &twiddles, forward, first_len);
-            if first_len == 2 {
-                assert_bits_eq(BackendKind::Scalar, "scalar from 2", &want, &whole);
-            }
-            for kind in backend::available() {
-                backend::force(kind);
-                let mut got = x.clone();
-                backend::butterflies_from(&mut got, &twiddles, forward, first_len);
-                assert_bits_eq(kind, "butterflies_from", &got, &want);
-                if first_len == 2 {
-                    let mut got = x.clone();
-                    backend::butterflies(&mut got, &twiddles, forward);
-                    assert_bits_eq(kind, "butterflies", &got, &whole);
-                }
-            }
-        }
+        check_butterflies(&x, forward == 1);
     }
 
     #[test]
@@ -558,6 +584,95 @@ fn pruned_padded_transform_is_the_unpruned_one() {
                 choir_dsp::workspace::with(|ws| plan.forward_padded_into(&x, &mut got, ws));
                 assert_bits_eq(kind, &format!("SF{sf} pad {pad} vs scalar"), &got, &oracle);
             }
+        }
+    }
+}
+
+/// Every shape the leaf has a branch for, not a draw of them: every
+/// length to the decoder's 8 192, every first block length (so pass
+/// counts of both parities entered at `len = 2` — the in-register pair —
+/// and above it), both directions. Three signals a length, because a NaN
+/// or an overflow spreads to every output within `log2 n` passes and a
+/// buffer of NaNs compares equal to anything: one that stays finite
+/// through all thirteen passes (normals over forty decades, denormals,
+/// both zeros), the same with a few infinities, NaNs and `1e300`s planted
+/// (confined to a corner of the output when few passes run), and one
+/// where every class is dense.
+#[test]
+fn butterflies_match_the_oracle_at_every_shape() {
+    let _s = serial();
+    let _r = RestoreBackend;
+    let unit = |i: usize| {
+        let v = (i as f64 * 0.618 + 0.3).sin();
+        if i.is_multiple_of(3) {
+            -v
+        } else {
+            v
+        }
+    };
+    let finite = |i: usize| match i % 7 {
+        0 => unit(i) * 1e20,
+        1 => unit(i) * 1e-20,
+        2 => wild(3, unit(i)),
+        3 => wild(4, unit(i)),
+        _ => unit(i),
+    };
+    let planted = |i: usize| match i % 61 {
+        13 => wild(6, unit(i)),
+        29 => wild(7, unit(i)),
+        47 => wild(1, unit(i)),
+        _ => finite(i),
+    };
+    let dense = |i: usize| wild((i % 8) as u8, unit(i));
+    for log2n in 0..=13 {
+        let n = 1usize << log2n;
+        let signal = |f: &dyn Fn(usize) -> f64| -> Vec<C64> {
+            (0..n).map(|i| c64(f(2 * i), f(2 * i + 5))).collect()
+        };
+        for x in [signal(&finite), signal(&planted), signal(&dense)] {
+            for forward in [true, false] {
+                check_butterflies(&x, forward);
+            }
+        }
+        // The first signal is what it says: finite after every pass.
+        let mut all = signal(&finite);
+        backend::butterflies(&mut all, &backend::Twiddles::new(n), true);
+        assert!(all.iter().all(|v| v.re.is_finite() && v.im.is_finite()));
+    }
+}
+
+/// The staged table is the compact one regrouped, never recomputed: the
+/// pass of half-length `half` owns entries `half − 1 + k`, each the
+/// doubled real and doubled imaginary part of `compact[k·n/(2·half)]`,
+/// bit for bit — and the compact table is the plan's `cis(−2πk/n)`.
+#[test]
+fn staged_twiddles_are_the_compact_table_regrouped() {
+    for log2n in 0..=13 {
+        let n = 1usize << log2n;
+        let tables = backend::Twiddles::new(n);
+        assert_eq!(tables.transform_len(), n);
+        let compact = tables.compact();
+        assert_eq!(compact.len(), n / 2);
+        for (k, w) in compact.iter().enumerate() {
+            let want = C64::cis(-2.0 * PI * k as f64 / n as f64);
+            assert_bits_eq(BackendKind::Scalar, "compact", &[*w], &[want]);
+        }
+        let (re, im) = tables.staged();
+        assert_eq!((re.len(), im.len()), (2 * (n - 1), 2 * (n - 1)), "n={n}");
+        let mut half = 1;
+        while half < n {
+            for k in 0..half {
+                let w = compact[k * n / (2 * half)];
+                let e = 2 * (half - 1 + k);
+                for (got, want) in [(&re[e..e + 2], w.re), (&im[e..e + 2], w.im)] {
+                    assert_eq!(
+                        [got[0].to_bits(), got[1].to_bits()],
+                        [want.to_bits(); 2],
+                        "n={n} half={half} k={k}"
+                    );
+                }
+            }
+            half *= 2;
         }
     }
 }

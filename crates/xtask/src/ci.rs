@@ -11,9 +11,10 @@
 //!   untraced pairs of every [`LEGS`] entry (one seed, alternating which
 //!   side goes first, [`SECONDS`] each) and exits with `spine compare`'s
 //!   verdict: a REGRESSED row or a differing delivered set / city digest
-//!   fails, "unresolved" passes. Then two traced runs of the change hold
-//!   tracing and online detection to [`TRACE_OVERHEAD_LIMIT`] and
-//!   [`DETECT_SHARE_LIMIT`].
+//!   fails, "unresolved" passes. Then a traced run of either side on two
+//!   workloads: the change's hold tracing and online detection to
+//!   [`TRACE_OVERHEAD_LIMIT`] and [`DETECT_SHARE_LIMIT`], and the pair
+//!   prints as a stage table ([`stage_table`]) — read, not gated.
 //! * `cargo xtask ci drift <base-rev>` — the judge of floats. The same
 //!   worktree, under `target/drift/`: runs `trace_dump` and `figures --
 //!   all --json` in both trees and walks each pair of outputs in lockstep
@@ -260,12 +261,19 @@ fn measure(root: &Path, base: &Path, out: &Path) -> Result<(), String> {
         compare.args([set("base", backend), set("head", backend)]);
         failures.extend(run_cmd(&mut compare).err());
     }
-    let traced = out.join("traced");
-    for workload in ["slotted_2u", "paced_mix"] {
-        run_cmd(&mut spine_run(root, workload, "1", TRACED_SECONDS, &traced))?;
-        let runs = std::fs::read_to_string(traced.join("runs.jsonl")).map_err(|e| e.to_string())?;
-        let record = runs.lines().last().unwrap_or_default();
-        failures.extend(traced_failures(workload, record));
+    for (workload, per) in TRACED_LEGS {
+        let mut records = Vec::new();
+        for (side, tree) in sides {
+            let set = out.join(format!("traced-{side}"));
+            run_cmd(&mut spine_run(tree, workload, "1", TRACED_SECONDS, &set))?;
+            let runs =
+                std::fs::read_to_string(set.join("runs.jsonl")).map_err(|e| e.to_string())?;
+            records.push(runs.lines().last().unwrap_or_default().to_string());
+        }
+        failures.extend(traced_failures(workload, &records[1]));
+        for row in stage_table(workload, per, &records[0], &records[1]) {
+            println!("{row}");
+        }
     }
     if failures.is_empty() {
         println!("ci: perf gate passed");
@@ -300,6 +308,64 @@ fn traced_failures(workload: &str, record: &str) -> Vec<String> {
         .filter(|(r, limit, _)| r.is_nan() || r >= limit)
         .map(|(r, _, what)| format!("{workload}: {what} costs {r:.4} of busy time"))
         .collect()
+}
+
+/// The stages a traced run bills (`core.profile.*_s`, whole-run seconds).
+const STAGES: [&str; 7] = [
+    "dechirp", "refine", "demod", "sic", "cluster", "ingest", "detect",
+];
+/// The transform rows a traced run times per call.
+const FFT_ROWS: [&str; 2] = ["dsp.fft.forward_256_us", "dsp.fft.forward_padded_us"];
+
+/// What a traced run's whole-run stage seconds are divided by to compare
+/// two sides: (metric, the unit the quotient prints in, its scale).
+type Per = (&'static str, &'static str, f64);
+/// Milliseconds a decoded slot — for a workload whose traced passes are
+/// all counted in `station.slots_decoded`. A traced run is time-bounded,
+/// so its raw stage seconds grow with the slots it gets through.
+const PER_SLOT: Per = ("station.slots_decoded", "ms/slot", 1e3);
+/// Percent of busy time — for `paced_mix`, whose record counts the slots
+/// of one pass of the stream while the stage seconds also cover the
+/// tracing quads' replays of its head, as many as fitted.
+const OF_BUSY: Per = ("trace.busy_s", "% busy", 1e2);
+
+/// The traced legs: (workload, how its stage table is normalised).
+const TRACED_LEGS: [(&str, Per); 2] = [("slotted_2u", PER_SLOT), ("paced_mix", OF_BUSY)];
+
+/// The stage table of one workload's traced pair, base beside head: each
+/// `core.profile.<stage>_s` over `per`'s metric, then the `dsp.fft.*`
+/// rows as timed. A key a record lacks reads `-`.
+fn stage_table(workload: &str, per: Per, base: &str, head: &str) -> Vec<String> {
+    let (divisor, unit, scale) = per;
+    let share = |record: &str, stage: &str| {
+        let seconds = metric(record, &format!("core.profile.{stage}_s"))?;
+        let over = metric(record, divisor).filter(|&d| d > 0.0)?;
+        Some(scale * seconds / over)
+    };
+    let cell = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.3}"));
+    let row = |name: &str, b: Option<f64>, h: Option<f64>| {
+        let change = match (b, h) {
+            (Some(b), Some(h)) if b > 0.0 => format!("{:+.1} %", 100.0 * (h / b - 1.0)),
+            _ => "-".to_string(),
+        };
+        format!(
+            "ci: perf traced {workload}: {name:<32} {:>9} {:>9} {change:>9}",
+            cell(b),
+            cell(h)
+        )
+    };
+    let mut rows = vec![format!(
+        "ci: perf traced {workload}: {:<32} {:>9} {:>9} {:>9}",
+        "", "base", "head", "change"
+    )];
+    for stage in STAGES {
+        let name = format!("core.profile.{stage} {unit}");
+        rows.push(row(&name, share(base, stage), share(head, stage)));
+    }
+    for key in FFT_ROWS {
+        rows.push(row(key, metric(base, key), metric(head, key)));
+    }
+    rows
 }
 
 /// The value of metric `key` in a spine run record, which spells every
@@ -360,6 +426,58 @@ mod tests {
         let fails = traced_failures("paced_mix", "{\"metrics\": {}}");
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("has no"), "{fails:?}");
+    }
+
+    #[test]
+    fn stage_table_divides_stage_seconds_by_what_the_leg_names() {
+        let record = |slots: f64, busy_s: f64, dechirp_s: f64, padded_us: f64| {
+            format!(
+                "{{\"metrics\": {{\"station.slots_decoded\": {{\"value\": {slots}, \"unit\": \"count\"}}, \
+                 \"core.profile.dechirp_s\": {{\"value\": {dechirp_s}, \"unit\": \"s\"}}, \
+                 \"dsp.fft.forward_padded_us\": {{\"value\": {padded_us}, \"unit\": \"us\"}}, \
+                 \"trace.busy_s\": {{\"value\": {busy_s}, \"unit\": \"s\"}}}}}}"
+            )
+        };
+        // The head got through more slots in its 20 s, so its raw seconds
+        // are higher though each slot cost less.
+        let (base, head) = (
+            record(400.0, 8.0, 2.6, 133.0),
+            record(500.0, 10.0, 2.2, 77.0),
+        );
+        let fields = |rows: &[String], needle: &str| -> Vec<String> {
+            let row = rows.iter().find(|r| r.contains(needle)).expect(needle);
+            let tail = &row[row.find(needle).expect(needle) + needle.len()..];
+            tail.split_whitespace().map(str::to_string).collect()
+        };
+        let rows = stage_table("slotted_2u", PER_SLOT, &base, &head);
+        assert_eq!(rows.len(), 1 + STAGES.len() + FFT_ROWS.len());
+        // 2.6 s / 400 = 6.5 ms, 2.2 s / 500 = 4.4 ms.
+        assert_eq!(
+            fields(&rows, "core.profile.dechirp ms/slot"),
+            ["6.500", "4.400", "-32.3", "%"]
+        );
+        assert_eq!(
+            fields(&rows, "dsp.fft.forward_padded_us"),
+            ["133.000", "77.000", "-42.1", "%"]
+        );
+        // A stage the records do not carry.
+        assert_eq!(fields(&rows, "core.profile.sic ms/slot"), ["-", "-", "-"]);
+        // 2.6 s of 8 = 32.5 %, 2.2 s of 10 = 22 %.
+        let rows = stage_table("paced_mix", OF_BUSY, &base, &head);
+        assert_eq!(
+            fields(&rows, "core.profile.dechirp % busy"),
+            ["32.500", "22.000", "-32.3", "%"]
+        );
+        // Nothing to divide by, and a record with nothing in it.
+        let rows = stage_table("paced_mix", PER_SLOT, &record(0.0, 8.0, 2.6, 133.0), "{}");
+        assert_eq!(
+            fields(&rows, "core.profile.dechirp ms/slot"),
+            ["-", "-", "-"]
+        );
+        assert_eq!(
+            fields(&rows, "dsp.fft.forward_padded_us"),
+            ["133.000", "-", "-"]
+        );
     }
 
     #[test]
