@@ -10,7 +10,6 @@ use lora_phy::chirp::symbol_sample;
 
 use super::demod::CombDecision;
 use super::{ChoirDecoder, DecodedUser, UserEstimate};
-use crate::estimator::ComponentEstimate;
 use crate::profile::{scope, Stage};
 
 /// One user's state across the SIC passes.
@@ -288,19 +287,17 @@ impl ChoirDecoder {
     /// One user's turn in a SIC pass: acquire and demodulate it against
     /// the current signal, then — when `cancel` says a later turn will
     /// read `work` — subtract its reconstructed packet so the users after
-    /// it see it removed (packet-level SIC). `transition` is
-    /// [`Self::acquire_and_demod`]'s.
+    /// it see it removed (packet-level SIC).
     fn decode_user_pass(
         &self,
         work: &mut [C64],
         slot_start: usize,
         total_syms: usize,
         st: &mut UserPass,
-        transition: Option<Vec<ComponentEstimate>>,
         cancel: bool,
     ) {
         let (decisions, erasures) =
-            self.acquire_and_demod(work, slot_start, &mut st.user, total_syms, transition);
+            self.acquire_and_demod(work, slot_start, &mut st.user, total_syms);
         st.symbols = decisions.iter().map(|d| d.value()).collect();
         st.decisions = decisions;
         st.erasures = erasures;
@@ -336,15 +333,13 @@ impl ChoirDecoder {
     /// number of data symbols (sync symbols are consumed internally).
     /// Returns one entry per validated user, strongest first. `users` must
     /// be non-empty and the capture must hold the whole slot — both are
-    /// established by [`Self::try_decode_view`]. `transition` is the
-    /// transition-window solve discovery made on `samples`.
+    /// established by [`Self::try_decode_view`].
     pub(super) fn decode_with_users(
         &self,
         samples: &[C64],
         slot_start: usize,
         num_data_symbols: usize,
         users: Vec<UserEstimate>,
-        transition: Vec<ComponentEstimate>,
     ) -> Vec<DecodedUser> {
         let total_syms = self.params.preamble_len + 2 + num_data_symbols;
         let mut work = samples.to_vec();
@@ -365,10 +360,6 @@ impl ChoirDecoder {
         // later passes re-decode each user with *every other* user's
         // contribution removed, and re-acquisition against the cleaned
         // signal breaks the cascade.
-        //
-        // Discovery's transition solve is still exact for the first turn
-        // of the first pass, the only one to see `work` as captured.
-        let mut solved = Some(transition);
         let passes = self.cfg.sic_passes.max(1);
         let users = states.len();
         for pass in 0..passes {
@@ -383,8 +374,7 @@ impl ChoirDecoder {
                 // The last turn of the last pass has nobody after it:
                 // `frame_users` reads decisions, never `work`.
                 let cancel = (pass, turn) != (passes - 1, users - 1);
-                let transition = solved.take();
-                self.decode_user_pass(&mut work, slot_start, total_syms, st, transition, cancel);
+                self.decode_user_pass(&mut work, slot_start, total_syms, st, cancel);
             }
         }
         self.frame_users(slot_start, states)

@@ -11,7 +11,6 @@ use lora_phy::frame::SYNC_SYMBOLS;
 
 use super::discover::{seed_chip, Alignment};
 use super::{ChoirDecoder, UserEstimate};
-use crate::estimator::ComponentEstimate;
 use crate::profile::{scope, Stage};
 
 /// Per-window comb decision with its top alternatives (for list decoding).
@@ -231,20 +230,16 @@ impl ChoirDecoder {
     /// current (partially cleaned) signal: re-acquire coarse integer
     /// timing from the preamble→sync transition, refine fractional timing,
     /// re-read the offset from aligned windows, then demodulate every
-    /// symbol on the user's comb. Updates `user` in place. `transition`
-    /// carries the transition window's components when they are already
-    /// solved on exactly these samples.
+    /// symbol on the user's comb. Updates `user` in place.
     pub(super) fn acquire_and_demod(
         &self,
         work: &[C64],
         slot_start: usize,
         user: &mut UserEstimate,
         total_syms: usize,
-        transition: Option<Vec<ComponentEstimate>>,
     ) -> (Vec<CombDecision>, usize) {
         let n = self.est.n();
-        let transition = transition.unwrap_or_else(|| self.transition_components(work, slot_start));
-        let coarse = self.timing_from_transition(&transition, user, n);
+        let coarse = self.transition_chip(work, slot_start, user);
         user.timing_chips = self.acquire_timing(work, slot_start, user, coarse);
         user.offset_bins = self.refine_offset_aligned(work, slot_start, user);
         user.frac = user.offset_bins.fract();

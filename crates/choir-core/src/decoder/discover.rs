@@ -9,8 +9,6 @@ use choir_dsp::workspace;
 use lora_phy::frame::SYNC_SYMBOLS;
 
 use super::{ChoirConfig, ChoirDecoder, UserEstimate};
-use crate::cluster::circular_dist;
-use crate::estimator::ComponentEstimate;
 use crate::profile::{scope, Stage};
 use crate::sic::phased_sic;
 
@@ -31,6 +29,41 @@ fn tone_energy(windows: &[C64], pos_bins: f64, tone: &mut [C64]) -> f64 {
         s += conj_dot(tone, de).norm_sqr();
     }
     s
+}
+
+/// The boundary `c` at which a dechirped window is best explained by the
+/// tone `tail` over `[0, c)` and the tone `head` over `[c, n)`, each with
+/// its own complex gain, and the energy that fit explains. The segments
+/// are disjoint and the tones unit-modulus, so the two least-squares gains
+/// decouple and the explained energy is closed-form in two prefix sums
+/// `P_x[c] = Σ_{t<c} conj(x[t])·de[t]`:
+///
+/// ```text
+/// score(c) = |P_tail[c]|²/c + |P_head[n] − P_head[c]|²/(n − c),   score(0) = |P_head[n]|²/n
+/// ```
+///
+/// Returns the argmax over `c ∈ [0, n)`, the lowest `c` on a tie. `head`
+/// is left holding its own prefix sums.
+// hot:noalloc — two serial folds over the caller's buffers.
+fn boundary_scan(de: &[C64], tail: &[C64], head: &mut [C64]) -> (usize, f64) {
+    let n = de.len();
+    let mut acc = C64::ZERO;
+    for (h, d) in head.iter_mut().zip(de) {
+        let before = acc;
+        acc += h.conj() * *d;
+        *h = before;
+    }
+    let head_total = acc;
+    let mut best = (0, head_total.norm_sqr() / n as f64);
+    let mut acc = tail[0].conj() * de[0];
+    for c in 1..n {
+        let score = acc.norm_sqr() / c as f64 + (head_total - head[c]).norm_sqr() / (n - c) as f64;
+        if score > best.1 {
+            best = (c, score);
+        }
+        acc += tail[c].conj() * de[c];
+    }
+    best
 }
 
 /// A user's timing as the alignment helpers read it: the delay in chips
@@ -81,17 +114,6 @@ impl ChoirDecoder {
     /// Stage 1+2: discovers colliding users from the preamble (Sec. 5) and
     /// splits each user's aggregate offset into timing and CFO (Sec. 6).
     pub fn discover_users(&self, samples: &[C64], slot_start: usize) -> Vec<UserEstimate> {
-        self.discover_with_transition(samples, slot_start).0
-    }
-
-    /// [`Self::discover_users`], also returning the preamble→sync
-    /// transition window's components it fitted on the way, so the decode
-    /// that follows on the same samples does not solve that window again.
-    pub(super) fn discover_with_transition(
-        &self,
-        samples: &[C64],
-        slot_start: usize,
-    ) -> (Vec<UserEstimate>, Vec<ComponentEstimate>) {
         // Debug sanitizer at the pipeline mouth: corrupt IQ in means every
         // later stage fails confusingly; fail here with the right label.
         choir_dsp::checks::assert_finite("decoder::discover_users input", samples);
@@ -111,7 +133,7 @@ impl ChoirDecoder {
             per_window.push(phased_sic(&self.est, win, &self.cfg.sic).components);
         }
         if per_window.is_empty() {
-            return (Vec::new(), Vec::new());
+            return Vec::new();
         }
         let min_support = (per_window.len() / 2).max(2).min(per_window.len());
         let tracks = scope(Stage::Cluster, || {
@@ -134,10 +156,8 @@ impl ChoirDecoder {
         // direct alignment scan. Integer errors of a few chips are benign
         // (a chirp's time shift and the matching frequency shift cancel in
         // both the comb demodulator and the subtraction template).
-        choir_trace::set_window(p as u64);
-        let transition = self.transition_components(samples, slot_start);
         for u in users.iter_mut() {
-            let coarse = self.timing_from_transition(&transition, u, n);
+            let coarse = self.transition_chip(samples, slot_start, u);
             // Alternate timing and offset refinement: each conditions the
             // other (the timing score reads energy at the expected comb
             // position; the offset is read from windows aligned by the
@@ -161,22 +181,46 @@ impl ChoirDecoder {
                 });
             }
         }
-        (users, transition)
+        users
     }
 
-    /// Phased SIC over the preamble→sync transition window (empty when the
-    /// window runs past the capture): what
-    /// [`Self::timing_from_transition`] reads a user's chip delay from.
-    pub(super) fn transition_components(
+    /// Coarse integer timing (Sec. 6): the chip at which `user`'s last
+    /// preamble chirp hands over to its first sync chirp. In the
+    /// slot-aligned window `preamble_len` a user delayed by `Δ` chips
+    /// dechirps to a tone at `μ = offset_bins` over `[0, Δ)` (the tail of
+    /// its last preamble chirp) and a tone at `μ + SYNC_SYMBOLS[0]` over
+    /// `[Δ, n)` (the head of its first sync chirp), so `Δ` is where
+    /// [`boundary_scan`]'s two-gain fit explains most of the window — one
+    /// single-user matched filter, which is the right estimator on a
+    /// signal the other users have been cancelled from and, measured, no
+    /// worse than a joint solve of the window on one they have not (DESIGN
+    /// §17). `0.0` when the window runs past the capture or is silent.
+    // hot:noalloc — the dechirp and both tones are workspace buffers.
+    pub(super) fn transition_chip(
         &self,
         samples: &[C64],
         slot_start: usize,
-    ) -> Vec<ComponentEstimate> {
-        #[cfg(test)]
-        super::TRANSITION_SOLVES.with(|c| c.set(c.get() + 1));
-        self.window(samples, slot_start, self.params.preamble_len)
-            .map(|win| phased_sic(&self.est, win, &self.cfg.sic).components)
-            .unwrap_or_default()
+        user: &UserEstimate,
+    ) -> f64 {
+        let Some(win) = self.window(samples, slot_start, self.params.preamble_len) else {
+            return 0.0;
+        };
+        scope(Stage::Refine, || {
+            let n = self.est.n();
+            let m = n as f64;
+            let mut de = workspace::take(n);
+            let mut tail = workspace::take(n);
+            let mut head = workspace::take(n);
+            self.est.dechirp_into(win, &mut de);
+            choir_dsp::backend::tone_into(&mut tail, n, user.offset_bins.rem_euclid(m));
+            let sync_pos = (user.offset_bins + SYNC_SYMBOLS[0] as f64).rem_euclid(m);
+            choir_dsp::backend::tone_into(&mut head, n, sync_pos);
+            let (chip, _) = boundary_scan(&de, &tail, &mut head);
+            workspace::put(head);
+            workspace::put(tail);
+            workspace::put(de);
+            chip as f64
+        })
     }
 
     /// Re-reads a user's aggregate offset from *aligned* preamble windows:
@@ -244,41 +288,6 @@ impl ChoirDecoder {
         }
         workspace::put(aligned);
         held
-    }
-
-    /// Coarse integer timing from the preamble→sync transition window: the
-    /// window holds the tail of the last preamble chirp (peak at `μ`) and
-    /// the head of the first sync chirp (peak at `μ + SYNC_SYMBOLS[0]`).
-    /// Both components' fitted boundary-split terms place their segment
-    /// edge exactly at the user's chip delay `Δ`, so the boundary is read
-    /// off directly. Returns 0 when neither component carries a step
-    /// (sub-chip delays — exactly the case where 0 is correct to a chip).
-    pub(super) fn timing_from_transition(
-        &self,
-        transition: &[ComponentEstimate],
-        user: &UserEstimate,
-        n: usize,
-    ) -> f64 {
-        let m = n as f64;
-        let find = |target: f64| -> Option<&ComponentEstimate> {
-            transition
-                .iter()
-                .filter(|c| circular_dist(c.freq_bins, target, m) < 0.6)
-                .max_by(|a, b| {
-                    let ta = a.channel.abs() + a.step.map(|s| s.coeff.abs()).unwrap_or(0.0);
-                    let tb = b.channel.abs() + b.step.map(|s| s.coeff.abs()).unwrap_or(0.0);
-                    ta.total_cmp(&tb)
-                })
-        };
-        let head = find((user.offset_bins + SYNC_SYMBOLS[0] as f64).rem_euclid(m));
-        if let Some(st) = head.and_then(|c| c.step) {
-            return st.boundary as f64;
-        }
-        let tail = find(user.offset_bins);
-        if let Some(st) = tail.and_then(|c| c.step) {
-            return st.boundary as f64;
-        }
-        0.0
     }
 
     /// Energy of the user's expected comb tone summed over the aligned
@@ -376,17 +385,19 @@ impl ChoirDecoder {
         let m = align.timing_chips.floor();
         let delta = align.timing_chips - m; // in [0,1): signal delayed by delta
         let a = slot_start as i64 + (sym_idx * n) as i64 + m as i64;
-        let lo = a - taps as i64;
-        let hi = a + (n + taps) as i64;
+        // Advancing by `delta` is a delay of `1 − delta` one sample
+        // earlier: output `j` reads `a + j + 1 − taps ..= a + j + 1 + taps`.
+        let lo = a + 1 - taps as i64;
+        let hi = a + 1 + (n + taps) as i64;
         if lo < 0 || hi as usize > samples.len() {
             return false;
         }
         let slice = &samples[lo as usize..hi as usize];
         if delta < 1e-9 {
-            out.copy_from_slice(&slice[taps..taps + n]);
+            out.copy_from_slice(&slice[taps - 1..taps - 1 + n]);
         } else {
             // Keep the window between the margins.
-            fractional_delay_into(slice, &align.kernel, taps, out);
+            fractional_delay_into(slice, &align.kernel, taps - 1, out);
         }
         true
     }
@@ -396,6 +407,7 @@ impl ChoirDecoder {
 mod tests {
     use super::super::tests::{decode, params, profile};
     use super::*;
+    use crate::cluster::circular_dist;
     use crate::error::DecodeError;
     use crate::SlotView;
     use choir_channel::impairments::HardwareProfile;
@@ -513,6 +525,285 @@ mod tests {
                 assert!(
                     (got - direct).abs() <= 1e-9 * direct,
                     "pos {pos}, {held} windows: {got} vs {direct}"
+                );
+            }
+        }
+    }
+
+    /// A dechirped transition window: the tone `mu` with gain `g_tail`
+    /// over `[0, delta)`, the tone `mu + SYNC_SYMBOLS[0]` with gain
+    /// `g_head` from `delta` on.
+    fn transition_window(n: usize, mu: f64, delta: usize, g_tail: C64, g_head: C64) -> Vec<C64> {
+        let w = std::f64::consts::TAU / n as f64;
+        (0..n)
+            .map(|t| {
+                if t < delta {
+                    g_tail * C64::cis(w * mu * t as f64)
+                } else {
+                    g_head * C64::cis(w * (mu + SYNC_SYMBOLS[0] as f64) * t as f64)
+                }
+            })
+            .collect()
+    }
+
+    /// A capture, slot at sample 0, whose window `preamble_len` dechirps
+    /// to `de` and whose every other sample is zero.
+    fn capture_dechirping_to(dec: &ChoirDecoder, de: &[C64]) -> Vec<C64> {
+        let n = dec.est.n();
+        let down = lora_phy::chirp::base_downchirp_cached(n);
+        let mut capture = vec![C64::ZERO; dec.params.preamble_len * n];
+        capture.extend(de.iter().zip(down.iter()).map(|(v, d)| v * d.conj()));
+        capture
+    }
+
+    fn user_at(offset_bins: f64) -> UserEstimate {
+        UserEstimate {
+            offset_bins,
+            frac: offset_bins.fract(),
+            mag: 1.0,
+            channel: C64::ONE,
+            phase_slope: None,
+            timing_chips: 0.0,
+            support: 7,
+        }
+    }
+
+    /// The tail and head tones [`ChoirDecoder::transition_chip`] builds
+    /// for a user at `mu`.
+    fn transition_tones(n: usize, mu: f64) -> (Vec<C64>, Vec<C64>) {
+        let (mut tail, mut head) = (vec![C64::ZERO; n], vec![C64::ZERO; n]);
+        choir_dsp::backend::tone_into(&mut tail, n, mu);
+        let sync_pos = (mu + SYNC_SYMBOLS[0] as f64).rem_euclid(n as f64);
+        choir_dsp::backend::tone_into(&mut head, n, sync_pos);
+        (tail, head)
+    }
+
+    // A chip is a whole number: compared exactly.
+    #[allow(clippy::float_cmp)]
+    #[test]
+    fn transition_chip_is_exact_on_noiseless_windows() {
+        let dec = ChoirDecoder::new(params());
+        let n = dec.est.n();
+        let (g_tail, g_head) = (C64::from_polar(1.0, 0.4), C64::from_polar(0.9, -1.9));
+        // A generic offset, one within 0.1 bin of an integer, and one
+        // whose sync tone wraps past `n`.
+        for mu in [17.37, 100.04, 240.5] {
+            for delta in 0..n {
+                let de = transition_window(n, mu, delta, g_tail, g_head);
+                let capture = capture_dechirping_to(&dec, &de);
+                let chip = dec.transition_chip(&capture, 0, &user_at(mu));
+                assert_eq!(chip, delta as f64, "mu {mu}");
+            }
+        }
+    }
+
+    /// [`boundary_scan`]'s oracle: at every boundary, fit the two gains by
+    /// direct sums over their segments and add up what they explain.
+    fn direct_boundary_scan(de: &[C64], tail: &[C64], head: &[C64]) -> (usize, f64) {
+        let explained = |tone: &[C64], seg: &[C64]| {
+            if seg.is_empty() {
+                return 0.0;
+            }
+            let gain = conj_dot(tone, seg) / seg.len() as f64;
+            gain.norm_sqr() * seg.len() as f64
+        };
+        let mut best = (0, -1.0);
+        for c in 0..de.len() {
+            let score = explained(&tail[..c], &de[..c]) + explained(&head[c..], &de[c..]);
+            if score > best.1 {
+                best = (c, score);
+            }
+        }
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn boundary_scan_matches_the_direct_two_gain_fit(
+            noise in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 256..257),
+            mu in 0.0f64..256.0,
+            at in 0.0f64..1.0,
+            level in 0.05f64..2.0,
+            phase in 0.0f64..std::f64::consts::TAU,
+        ) {
+            let n = noise.len();
+            let delta = (at * n as f64) as usize;
+            let mut de = transition_window(n, mu, delta, C64::ONE, C64::cis(phase));
+            for (v, &(re, im)) in de.iter_mut().zip(&noise) {
+                *v += C64 { re, im }.scale(level);
+            }
+            let (tail, mut head) = transition_tones(n, mu);
+            let slow = direct_boundary_scan(&de, &tail, &head);
+            let fast = boundary_scan(&de, &tail, &mut head);
+            proptest::prop_assert_eq!(fast.0, slow.0);
+            proptest::prop_assert!((fast.1 - slow.1).abs() <= 1e-9 * slow.1, "{:?} vs {:?}", fast, slow);
+        }
+    }
+
+    // A chip is a whole number: compared exactly.
+    #[allow(clippy::float_cmp)]
+    #[test]
+    fn transition_chip_is_bit_identical_on_every_backend() {
+        use choir_dsp::backend;
+        let s = ScenarioBuilder::new(params())
+            .snrs_db(&[14.0, 12.0])
+            .profiles(vec![profile(5.37, 0.05), profile(-3.21, 0.4)]) // 12.8 and 102.4 chips
+            .seed(2)
+            .build();
+        let dec = ChoirDecoder::new(s.params);
+        let users = dec.discover_users(&s.samples, s.slot_start);
+        assert!(users.len() >= 2);
+        let p = s.params.preamble_len;
+        let win = dec.window(&s.samples, s.slot_start, p).unwrap();
+        let runs: Vec<Vec<(usize, u64)>> = backend::available()
+            .into_iter()
+            .map(|kind| {
+                backend::force(kind);
+                let reads = users.iter().map(|u| {
+                    let (tail, mut head) = transition_tones(dec.est.n(), u.offset_bins);
+                    let (chip, score) = boundary_scan(&dec.est.dechirp(win), &tail, &mut head);
+                    let read = dec.transition_chip(&s.samples, s.slot_start, u);
+                    assert_eq!(read, chip as f64);
+                    (chip, score.to_bits())
+                });
+                reads.collect()
+            })
+            .collect();
+        backend::reset();
+        for run in &runs[1..] {
+            assert_eq!(run, &runs[0]);
+        }
+        let mut chips: Vec<usize> = runs[0].iter().take(2).map(|r| r.0).collect();
+        chips.sort_unstable();
+        assert!(chips[0].abs_diff(13) <= 2, "{chips:?}");
+        assert!(chips[1].abs_diff(102) <= 2, "{chips:?}");
+    }
+
+    // A chip is a whole number: compared exactly.
+    #[allow(clippy::float_cmp)]
+    #[test]
+    fn transition_chip_of_a_cut_or_silent_window_is_zero() {
+        let dec = ChoirDecoder::new(params());
+        let n = dec.est.n();
+        let de = transition_window(n, 17.37, 40, C64::ONE, C64::ONE);
+        let capture = capture_dechirping_to(&dec, &de);
+        let user = user_at(17.37);
+        assert_eq!(dec.transition_chip(&capture, 0, &user), 40.0);
+        // The capture ends inside window `preamble_len`.
+        assert_eq!(
+            dec.transition_chip(&capture[..capture.len() - 1], 0, &user),
+            0.0
+        );
+        assert_eq!(dec.transition_chip(&capture, usize::MAX - 100, &user), 0.0);
+        let silent = vec![C64::ZERO; capture.len()];
+        assert_eq!(dec.transition_chip(&silent, 0, &user), 0.0);
+    }
+
+    /// The read as a detector is held: position error against the true
+    /// delay, strict bounds, every user of a drawn collision with every
+    /// other user's true waveform removed — the signal a user's turn sees
+    /// once cancellation has done its work.
+    #[test]
+    fn transition_chip_lands_within_two_chips_once_the_others_are_removed() {
+        use choir_channel::impairments::OscillatorModel;
+        use choir_channel::mix::{render_into, MixConfig, Transmission};
+        use lora_phy::chirp::PacketWaveform;
+        use rand::SeedableRng;
+        let params = params();
+        let dec = ChoirDecoder::new(params);
+        let n = dec.est.n();
+        let cfg = MixConfig {
+            bw_hz: params.bw.hz(),
+            noise_power: 0.0,
+        };
+        let osc = OscillatorModel::default();
+        let slot_start = 2 * n;
+        let snrs = [22.0, 18.0, 14.0, 10.0, 6.0];
+        let (mut within, mut users) = (0, 0);
+        let mut worst = 0.0f64;
+        for seed in 0..40 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7100 + seed);
+            let symbols = lora_phy::frame::packet_symbols(&params, &[seed as u8; 4]);
+            let total = slot_start + (symbols.len() + 4) * n;
+            let txs: Vec<Transmission> = snrs
+                .iter()
+                .map(|&snr| Transmission {
+                    waveform: PacketWaveform::new(n, symbols.clone()),
+                    channel: C64::ONE,
+                    amplitude: choir_channel::noise::db_to_lin(snr).sqrt(),
+                    profile: osc.sample_profile(osc.sample_ppm(&mut rng), &mut rng),
+                    start_sample: slot_start as f64,
+                })
+                .collect();
+            let alone: Vec<Vec<C64>> = txs
+                .iter()
+                .map(|tx| {
+                    let mut buf = vec![C64::ZERO; total];
+                    render_into(&mut buf, tx, &cfg, &mut rng);
+                    buf
+                })
+                .collect();
+            let mut capture = choir_channel::noise::awgn(&mut rng, total, 1.0);
+            for buf in &alone {
+                for (c, b) in capture.iter_mut().zip(buf) {
+                    *c += *b;
+                }
+            }
+            for (i, tx) in txs.iter().enumerate() {
+                let mut cleaned = capture.clone();
+                for (_, buf) in alone.iter().enumerate().filter(|(j, _)| *j != i) {
+                    for (c, b) in cleaned.iter_mut().zip(buf) {
+                        *c -= *b;
+                    }
+                }
+                let truth = tx.profile.timing_offset_symbols * n as f64;
+                let mu = tx.profile.aggregate_shift_bins(params.bin_hz(), n);
+                let chip =
+                    dec.transition_chip(&cleaned, slot_start, &user_at(mu.rem_euclid(n as f64)));
+                let err = (chip - truth).abs();
+                worst = worst.max(err);
+                within += usize::from(err <= 2.0);
+                users += 1;
+            }
+        }
+        assert_eq!(users, 200);
+        assert!(
+            within * 100 >= users * 95,
+            "{within} of {users} reads within 2 chips of the true delay, worst {worst}"
+        );
+    }
+
+    /// Regression: the slice handed to the resampler sat one sample early,
+    /// so the last output of every window was an edge output that dropped
+    /// its `k = −taps` tap.
+    #[test]
+    fn aligned_window_is_the_interior_of_the_advanced_capture() {
+        let dec = ChoirDecoder::new(params());
+        let n = dec.est.n();
+        let ramp: Vec<C64> = (0..6 * n)
+            .map(|i| C64 {
+                re: i as f64,
+                im: -0.5 * i as f64,
+            })
+            .collect();
+        for timing in [12.3, 0.75, 40.0] {
+            let align = Alignment::new(timing);
+            let whole = choir_dsp::resample::fractional_delay(
+                &ramp,
+                Alignment::advance(timing),
+                RESAMPLE_TAPS,
+            );
+            let mut out = vec![C64::ZERO; n];
+            assert!(dec.aligned_window_into(&ramp, n, 2, &align, &mut out));
+            let a = 3 * n + timing.floor() as usize;
+            // Every output, the last one included, is the full 21-tap sum.
+            for (j, (got, want)) in out.iter().zip(&whole[a..a + n]).enumerate() {
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "timing {timing}, output {j}: {got:?} vs {want:?}"
                 );
             }
         }

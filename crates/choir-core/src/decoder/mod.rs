@@ -7,8 +7,10 @@
 //! 2. **Split time from frequency** (Sec. 6): a user's aggregate offset
 //!    `μ = cfo − Δ` confounds CFO and timing, but two extra observables
 //!    break the tie: the phase of its preamble peak advances by
-//!    `2π·cfo/bin` per symbol, and the boundary of the fitted ISI step sits
-//!    at its chip delay `Δ`. Together they give `Δ` in (fractional) chips.
+//!    `2π·cfo/bin` per symbol, and its last preamble chirp hands over to
+//!    its first sync chirp `Δ` chips into the window between them — a
+//!    boundary one matched filter reads. Together they give `Δ` in
+//!    (fractional) chips.
 //! 3. **Per-user aligned demodulation + packet-level SIC** (Secs. 5.2,
 //!    6.1): strongest user first, realign windows to the user's own symbol
 //!    clock (integer shift + windowed-sinc fractional resampling — this
@@ -84,8 +86,8 @@ pub struct UserEstimate {
     /// `2π·CFO/bin (mod 2π)`, separating true CFO from timing offset.
     pub phase_slope: Option<f64>,
     /// Estimated timing offset in chips (delay past the slot boundary),
-    /// reconstructed from the ISI step boundary (integer part) and the
-    /// phase slope (fractional part).
+    /// reconstructed from the preamble→sync boundary (integer part) and
+    /// an alignment search (fractional part).
     pub timing_chips: f64,
     /// Number of preamble windows the user was tracked in.
     pub support: usize,
@@ -188,8 +190,6 @@ pub struct ChoirDecoder {
 
 #[cfg(test)]
 thread_local! {
-    /// Test probe: transition-window solves run on this thread.
-    static TRANSITION_SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// Test probe: user turns on this thread that subtracted their packet.
     static SUBTRACTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
@@ -259,11 +259,11 @@ impl ChoirDecoder {
             }
             .traced());
         }
-        let (users, transition) = self.discover_with_transition(samples, slot_start);
+        let users = self.discover_users(samples, slot_start);
         if users.is_empty() {
             return Err(DecodeError::NoUsersFound.traced());
         }
-        Ok(self.decode_with_users(samples, slot_start, num_data_symbols, users, transition))
+        Ok(self.decode_with_users(samples, slot_start, num_data_symbols, users))
     }
 
     /// Decodes a batch of independent slots on `pool`
@@ -447,39 +447,38 @@ mod tests {
     }
 
     #[test]
-    fn transition_window_is_solved_once_per_user_turn() {
-        // Discovery solves the preamble→sync transition window and the
-        // first turn of the first SIC pass reads the same samples, so a
-        // slot costs one solve per user turn, not one more — and one
-        // subtraction per turn that has a turn after it, so one fewer.
+    fn a_decode_solves_only_the_interior_preamble_windows() {
+        // The only joint solves of a decode are discovery's, one per
+        // interior preamble window, whatever the user count or the pass
+        // count — a user turn reads its preamble→sync chip with a matched
+        // filter — and a slot costs one subtraction per turn that has a
+        // turn after it.
         let two = vec![profile(2.3, 0.1), profile(-7.6, 0.32)];
         let three = vec![profile(2.3, 0.1), profile(-7.6, 0.32), profile(12.4, 0.18)];
-        for (snrs, profiles, sic_passes) in [
-            (&[20.0, 17.0][..], two.clone(), 2),
-            (&[20.0, 17.0][..], two, 1),
-            (&[20.0, 17.0, 14.0][..], three, 2),
-        ] {
-            let s = ScenarioBuilder::new(params())
-                .snrs_db(snrs)
-                .payload_len(6)
-                .profiles(profiles)
-                .seed(35)
-                .build();
-            let cfg = ChoirConfig {
-                sic_passes,
-                ..ChoirConfig::default()
-            };
-            let dec = ChoirDecoder::with_config(s.params, cfg);
-            let view = SlotView::known_len(&s.params, &s.samples, s.slot_start, 6);
-            TRANSITION_SOLVES.with(|c| c.set(0));
-            SUBTRACTIONS.with(|c| c.set(0));
-            let decoded = dec.try_decode_view(view).expect("slot decodes");
-            let solves = TRANSITION_SOLVES.with(|c| c.get());
-            let subtractions = SUBTRACTIONS.with(|c| c.get());
-            let users = dec.discover_users(&s.samples, s.slot_start).len();
-            assert!(users >= decoded.len() && users >= snrs.len());
-            assert_eq!(solves, users * sic_passes);
-            assert_eq!(subtractions, users * sic_passes - 1);
+        for (snrs, profiles) in [(&[20.0, 17.0][..], two), (&[20.0, 17.0, 14.0][..], three)] {
+            for sic_passes in [1, 2] {
+                let s = ScenarioBuilder::new(params())
+                    .snrs_db(snrs)
+                    .payload_len(6)
+                    .profiles(profiles.clone())
+                    .seed(35)
+                    .build();
+                let cfg = ChoirConfig {
+                    sic_passes,
+                    ..ChoirConfig::default()
+                };
+                let dec = ChoirDecoder::with_config(s.params, cfg);
+                let view = SlotView::known_len(&s.params, &s.samples, s.slot_start, 6);
+                crate::sic::PHASED_SIC_CALLS.with(|c| c.set(0));
+                SUBTRACTIONS.with(|c| c.set(0));
+                let decoded = dec.try_decode_view(view).expect("slot decodes");
+                let solves = crate::sic::PHASED_SIC_CALLS.with(|c| c.get());
+                let subtractions = SUBTRACTIONS.with(|c| c.get());
+                let users = dec.discover_users(&s.samples, s.slot_start).len();
+                assert!(users >= decoded.len() && users >= snrs.len());
+                assert_eq!(solves, s.params.preamble_len - 1);
+                assert_eq!(subtractions, users * sic_passes - 1);
+            }
         }
     }
 

@@ -53,8 +53,16 @@ pub struct SicResult {
     pub stall: Option<DecodeError>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test probe: [`phased_sic`] calls on this thread.
+    pub(crate) static PHASED_SIC_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Runs phased SIC on one symbol window.
 pub fn phased_sic(est: &OffsetEstimator, window: &[C64], cfg: &SicConfig) -> SicResult {
+    #[cfg(test)]
+    PHASED_SIC_CALLS.with(|c| c.set(c.get() + 1));
     crate::profile::scope(crate::profile::Stage::Sic, || {
         phased_sic_inner(est, window, cfg)
     })

@@ -9,9 +9,12 @@
 //!   `git worktree` under `target/perf/`, builds `spine/` in both trees
 //!   with the flags `BENCHMARK.json`'s command uses, runs [`PAIRS`]
 //!   untraced pairs of every [`LEGS`] entry (one seed, alternating which
-//!   side goes first, [`SECONDS`] each) and exits with `spine compare`'s
-//!   verdict: a REGRESSED row or a differing delivered set / city digest
-//!   fails, "unresolved" passes. Then a traced run of either side on two
+//!   side goes first, [`SECONDS`] each) and reads `spine compare`'s
+//!   table: a REGRESSED row or a differing city digest fails,
+//!   "unresolved" passes. A differing delivered set is what a declared
+//!   decision change looks like, so it is judged here, pair by pair, on
+//!   the frames both runs transmitted ([`delivered_moves`]): the change
+//!   must deliver at least as many as the base. Then a traced run of either side on two
 //!   workloads: the change's hold tracing and online detection to
 //!   [`TRACE_OVERHEAD_LIMIT`] and [`DETECT_SHARE_LIMIT`], and the pair
 //!   prints as a stage table ([`stage_table`]) — read, not gated.
@@ -23,21 +26,29 @@
 //!   digests); a position may drift by 1e-12 relative, a residual, a
 //!   magnitude or a figure leaf by 1e-9; and an offset search whose
 //!   refined positions moved while its coarse input did not is a flipped
-//!   comparison and fails at any size.
+//!   comparison and fails at any size. A change whose tree carries
+//!   another [`GOLDENS`] file than the base's has declared a decision
+//!   change (DESIGN §13): all of that is then reported, not failed on,
+//!   and what is held is [`crate::drift::decision_change`] — the CRC
+//!   count of the traced slot not lower, the `city` and `station`
+//!   figures identical.
 //!
 //! Everything deterministic — bit-identity across threads, backends and
 //! block widths, shed accounting, streamed ≡ batch, the city-scale rows —
 //! is a `cargo test`; no gate compares against another host's numbers.
 
 use std::path::Path;
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 const USAGE: &str = "usage: cargo xtask ci <model-check | perf <base-rev> | drift <base-rev>>
   model-check      run every schedule-explored concurrency suite under --cfg choir_model
-  perf <base-rev>  spine pairs of <base-rev> and this tree: no REGRESSED row, identical delivered
-                   sets and city digests, tracing and detection inside their budgets
+  perf <base-rev>  spine pairs of <base-rev> and this tree: no REGRESSED row, identical city
+                   digests, no pair delivering fewer frames than the base's run of it, tracing and
+                   detection inside their budgets
   drift <base-rev> trace_dump and figures --json of <base-rev> and this tree: nothing but floats
-                   may differ, positions by 1e-12, values by 1e-9, and no search's output alone";
+                   may differ, positions by 1e-12, values by 1e-9, and no search's output alone —
+                   unless a golden transcript differs too (a declared decision change): then the
+                   traced slot's CRC count may not fall and the city/station figures may not move";
 
 /// Entry point for `cargo xtask ci <gate>`.
 pub fn run(args: &[String]) -> ExitCode {
@@ -204,11 +215,19 @@ const DRIFT_ARTEFACTS: [(&str, &str, &[&str], Compare); 2] = [
     ),
 ];
 
+/// The golden transcripts, `cargo test`'s pins of every decoded float.
+/// A change regenerates one only to declare that a decision moved.
+const GOLDENS: [&str; 2] = [
+    "crates/choir-core/tests/golden_seeded.txt",
+    "crates/choir-station/tests/async_golden.txt",
+];
+
 /// Runs each of [`DRIFT_ARTEFACTS`] in both trees (`trace_dump` checks
 /// itself and exits non-zero if the decode lost its provenance) and
 /// walks the two outputs side by side.
 fn drift(root: &Path, base: &Path, out: &Path) -> Result<(), String> {
     let mut report = crate::drift::Report::default();
+    let mut texts = Vec::new();
     for (file, bin, args, compare) in DRIFT_ARTEFACTS {
         let produce = |side: &str, tree: &Path| -> Result<String, String> {
             println!("ci: drift {side} {bin}");
@@ -225,13 +244,30 @@ fn drift(root: &Path, base: &Path, out: &Path) -> Result<(), String> {
             run_cmd(&mut cmd)?;
             std::fs::read_to_string(&path).map_err(|e| e.to_string())
         };
-        compare(
-            &mut report,
-            &produce("base", base)?,
-            &produce("head", root)?,
-        );
+        let (b, h) = (produce("base", base)?, produce("head", root)?);
+        compare(&mut report, &b, &h);
+        texts.push((b, h));
     }
-    report.verdict()?;
+    let regenerated = GOLDENS
+        .iter()
+        .find(|g| std::fs::read(base.join(g)).ok() != std::fs::read(root.join(g)).ok());
+    match regenerated {
+        None => report.verdict()?,
+        Some(golden) => {
+            println!("ci: drift: decision change declared by {golden}");
+            report.print_moved();
+            for difference in &report.failures {
+                println!("ci: drift: reported: {difference}");
+            }
+            let [(trace_b, trace_h), (fig_b, fig_h)] = &texts[..] else {
+                return Err("drift: expected a trace pair and a figure pair".to_string());
+            };
+            let held = crate::drift::decision_change(trace_b, trace_h, fig_b, fig_h);
+            if !held.is_empty() {
+                return Err(held.join("\nci: FAIL: "));
+            }
+        }
+    }
     println!("ci: drift gate passed");
     Ok(())
 }
@@ -259,7 +295,18 @@ fn measure(root: &Path, base: &Path, out: &Path) -> Result<(), String> {
         let mut compare = spine(root, "run");
         compare.args(["--", "compare"]);
         compare.args([set("base", backend), set("head", backend)]);
-        failures.extend(run_cmd(&mut compare).err());
+        let table = compare
+            .stderr(Stdio::inherit())
+            .output()
+            .map_err(|e| format!("could not launch {compare:?}: {e}"))?;
+        let table = String::from_utf8_lossy(&table.stdout).into_owned();
+        print!("{table}");
+        failures.extend(compare_failures(&table));
+        let runs = |side| {
+            std::fs::read_to_string(set(side, backend).join("runs.jsonl"))
+                .map_err(|e| format!("{side} runs.jsonl: {e}"))
+        };
+        failures.extend(delivered_failures(&runs("base")?, &runs("head")?));
     }
     for (workload, per) in TRACED_LEGS {
         let mut records = Vec::new();
@@ -281,6 +328,79 @@ fn measure(root: &Path, base: &Path, out: &Path) -> Result<(), String> {
     } else {
         Err(failures.join("\nci: FAIL: "))
     }
+}
+
+/// What of `spine compare`'s table fails the gate: a REGRESSED row, a
+/// differing exact result other than the delivered set (a city digest),
+/// or no table at all. "delivered sets differ" is
+/// [`delivered_failures`]' to judge.
+fn compare_failures(table: &str) -> Vec<String> {
+    if !table.contains("exact results:") {
+        return vec!["spine compare printed no verdict".to_string()];
+    }
+    table
+        .lines()
+        .filter(|l| {
+            l.ends_with("REGRESSED")
+                || (l.starts_with("DIFFERENT:") && !l.ends_with("delivered sets differ"))
+        })
+        .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect()
+}
+
+/// Frames at the end of the shorter of two delivered sets that are not
+/// compared — `spine compare`'s own slack: the slots in flight when a
+/// time-bounded run stopped are decoded from a truncated capture.
+const PREFIX_SLACK: usize = 4;
+
+/// Frames the two runs of one seed disagree on, over the frames both
+/// transmitted: (delivered by the base only, by the head only).
+fn delivered_moves(base: &str, head: &str) -> (usize, usize) {
+    let common = base.len().min(head.len()).saturating_sub(PREFIX_SLACK);
+    let pairs = base.bytes().zip(head.bytes()).take(common);
+    pairs.fold((0, 0), |(lost, gained), (b, h)| {
+        (
+            lost + usize::from(b == b'1' && h != b'1'),
+            gained + usize::from(b != b'1' && h == b'1'),
+        )
+    })
+}
+
+/// Pairs the two run sets' records (the `i`-th run of a workload on
+/// either side is pair `i`), prints what each pair lost and gained, and
+/// fails a pair whose head delivers fewer frames of the common prefix
+/// than its base.
+fn delivered_failures(base_runs: &str, head_runs: &str) -> Vec<String> {
+    let mut failures = Vec::new();
+    let mut nth = std::collections::BTreeMap::new();
+    for head in head_runs.lines() {
+        let (Some(workload), Some(set)) = (detail(head, "workload"), detail(head, "delivered_set"))
+        else {
+            continue;
+        };
+        let pair = nth.entry(workload).or_insert(0usize);
+        let base = base_runs
+            .lines()
+            .filter(|r| detail(r, "workload") == Some(workload))
+            .nth(*pair)
+            .and_then(|r| detail(r, "delivered_set"));
+        let Some(base) = base else {
+            failures.push(format!(
+                "{workload} pair {pair}: no base run to hold it against"
+            ));
+            continue;
+        };
+        let (lost, gained) = delivered_moves(base, set);
+        println!("ci: perf delivered {workload} pair {pair}: lost {lost}, gained {gained}");
+        if gained < lost {
+            failures.push(format!(
+                "{workload} pair {pair}: delivers {} fewer frames of the common prefix",
+                lost - gained
+            ));
+        }
+        *pair += 1;
+    }
+    failures
 }
 
 /// The two budgets a traced run record of `workload` must meet.
@@ -375,6 +495,14 @@ fn metric(record: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\": {{\"value\": ");
     let rest = &record[record.find(&needle)? + needle.len()..];
     rest[..rest.find(',')?].parse().ok()
+}
+
+/// The string under `"key": "…"` in a spine run record (`workload`,
+/// every entry of `details`).
+fn detail<'a>(record: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\": \"");
+    let rest = &record[record.find(&needle)? + needle.len()..];
+    Some(&rest[..rest.find('"')?])
 }
 
 #[cfg(test)]
@@ -478,6 +606,73 @@ mod tests {
             fields(&rows, "dsp.fft.forward_padded_us"),
             ["133.000", "-", "-"]
         );
+    }
+
+    /// Untraced run records of one workload, one a delivered set.
+    fn runs(workload: &str, sets: &[&str]) -> String {
+        sets.iter()
+            .map(|set| {
+                format!(
+                    "{{\"workload\": \"{workload}\", \"seed\": 1, \"details\": \
+                     {{\"ops_failed\": \"3\", \"delivered_set\": \"{set}\"}}}}\n"
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_pair_passes_iff_the_head_delivers_no_fewer_of_the_common_prefix() {
+        let base = "1101101111";
+        // Identical, and a longer run whose extra frames do not count.
+        assert_eq!(delivered_moves(base, base), (0, 0));
+        assert_eq!(delivered_moves(base, "11011011110000000"), (0, 0));
+        // A superset, an equal count with swaps, fewer; the last four
+        // frames of the shorter run are never compared.
+        assert_eq!(delivered_moves(base, "1111111111"), (0, 2));
+        assert_eq!(delivered_moves(base, "1011100000"), (1, 1));
+        assert_eq!(delivered_moves(base, "0100000000"), (3, 0));
+        assert_eq!(delivered_moves("1111", "0000"), (0, 0));
+        let verdicts = |head: &[&str]| {
+            delivered_failures(&runs("dense_5u", &[base, base]), &runs("dense_5u", head))
+        };
+        assert!(verdicts(&[base, base]).is_empty());
+        assert!(verdicts(&["1111111111", "1011100000"]).is_empty());
+        let fails = verdicts(&[base, "0100000000"]);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(
+            fails[0].contains("dense_5u pair 1: delivers 3 fewer"),
+            "{fails:?}"
+        );
+        // A head run with no base run beside it is not a pass.
+        assert_eq!(verdicts(&[base, base, base]).len(), 1);
+        // Workloads pair among themselves; a record without a delivered
+        // set (city_1m) is nobody's pair.
+        let mixed = |a: &str, b: &str| runs("slotted_2u", &[a]) + &runs("dense_5u", &[b]);
+        let city = "{\"workload\": \"city_1m\", \"details\": {\"city.digest\": \"0x44a0\"}}\n";
+        let fails = delivered_failures(
+            &(mixed(base, base) + city),
+            &(city.to_string() + &runs("dense_5u", &["0100000000"]) + &runs("slotted_2u", &[base])),
+        );
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].starts_with("dense_5u pair 0"), "{fails:?}");
+    }
+
+    #[test]
+    fn compare_table_fails_on_regressed_rows_and_digests_only() {
+        let clean = "metric  workload  a median  b median  change  spread  bound  b won verdict\n\
+                     rtf                    dense_5u          1.2500       2.1000  +68.0%    2.0%   25.0%    3/3    better\n\
+                     exact results: 12 run pairs of one (workload, seed), 0 differing\n";
+        assert!(compare_failures(clean).is_empty());
+        let moved = format!("{clean}DIFFERENT: dense_5u seed 1: delivered sets differ\n");
+        assert!(compare_failures(&moved).is_empty());
+        let digest = format!("{clean}DIFFERENT: city_1m seed 1: city.digest 0x44a0 vs 0x44a1\n");
+        assert_eq!(compare_failures(&digest).len(), 1);
+        let slower = clean.replace("3/3    better", "0/3    REGRESSED");
+        let fails = compare_failures(&slower);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].starts_with("rtf dense_5u"), "{fails:?}");
+        // `spine compare` died before its table: not a pass.
+        assert_eq!(compare_failures("").len(), 1);
     }
 
     #[test]

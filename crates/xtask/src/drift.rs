@@ -180,25 +180,118 @@ impl Report {
         }
     }
 
-    /// Compares two `figures -- all --json` documents.
+    /// Compares two `figures -- all --json` documents, report by report,
+    /// so a report whose point count moved is named and the rest are
+    /// still walked.
     pub fn figures(&mut self, base: &str, head: &str) {
-        self.walk("fig", &leaves(base), &leaves(head));
+        let (base, head) = (leaves(base), leaves(head));
+        let (base, head) = (reports(&base), reports(&head));
+        if base.len() != head.len() {
+            self.failures.push(format!(
+                "fig: {} reports at the base, {} here",
+                base.len(),
+                head.len()
+            ));
+            return;
+        }
+        for (b, h) in base.iter().zip(&head) {
+            if b.len() != h.len() {
+                let id = report_id(b);
+                self.failures.push(format!(
+                    "fig {id}: {} scalars at the base, {} here",
+                    b.len(),
+                    h.len()
+                ));
+            } else {
+                self.walk("fig", b, h);
+            }
+        }
     }
 
-    /// Prints the per-field table; `Err` carries the failures.
-    pub fn verdict(self) -> Result<(), String> {
+    /// Prints the worst drift per field.
+    pub fn print_moved(&self) {
         if self.moved.is_empty() {
             println!("ci: drift: no float moved");
         }
         for (name, (count, worst, limit)) in &self.moved {
             println!("ci: drift: {name}: {count} moved, worst {worst:.1e} (bound {limit:.0e})");
         }
+    }
+
+    /// Prints the per-field table; `Err` carries the failures.
+    pub fn verdict(self) -> Result<(), String> {
+        self.print_moved();
         if self.failures.is_empty() {
             Ok(())
         } else {
             Err(self.failures.join("\nci: FAIL: "))
         }
     }
+}
+
+/// The leaves of a `figures --json` document cut into its reports: each
+/// starts at its `"id"`.
+fn reports<'a, 'b>(leaves: &'b [Leaf<'a>]) -> Vec<&'b [Leaf<'a>]> {
+    let mut starts: Vec<usize> = (0..leaves.len())
+        .filter(|&i| leaves[i].field == "id")
+        .collect();
+    if starts.first() != Some(&0) {
+        starts.insert(0, 0);
+    }
+    starts.push(leaves.len());
+    starts.windows(2).map(|w| &leaves[w[0]..w[1]]).collect()
+}
+
+/// The `"id"` a report starts with, quotes kept (`""` when it has none).
+fn report_id<'a>(report: &[Leaf<'a>]) -> &'a str {
+    report
+        .first()
+        .filter(|l| l.field == "id")
+        .map_or("", |l| l.text)
+}
+
+/// Figure reports no decoder decision reaches: the closed-form city
+/// simulator's and the station's slot accounting.
+const DECISION_FREE_REPORTS: [&str; 2] = ["\"city\"", "\"station\""];
+
+/// What a declared decision change (a regenerated golden transcript) is
+/// still held to, given both sides' `trace_dump` and `figures --json`
+/// outputs: the traced slot delivers no fewer CRC-ok users, and the
+/// reports in [`DECISION_FREE_REPORTS`] are identical. Returns the
+/// failures.
+pub fn decision_change(
+    trace_base: &str,
+    trace_head: &str,
+    fig_base: &str,
+    fig_head: &str,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    let crc_ok = |text: &str| -> u64 {
+        text.lines()
+            .map(leaves)
+            .filter(|l| kind(l) == "slot_outcome")
+            .flat_map(|l| l.into_iter().filter(|f| f.field == "crc_ok"))
+            .filter_map(|f| f.text.parse::<u64>().ok())
+            .sum()
+    };
+    let (b, h) = (crc_ok(trace_base), crc_ok(trace_head));
+    println!("ci: drift: slot_outcome.crc_ok {b} at the base, {h} here");
+    if h < b {
+        failures.push(format!("slot_outcome.crc_ok fell from {b} to {h}"));
+    }
+    let (base, head) = (leaves(fig_base), leaves(fig_head));
+    let (base, head) = (reports(&base), reports(&head));
+    for id in DECISION_FREE_REPORTS {
+        let of = |all: &[&[Leaf<'_>]]| all.iter().position(|r| report_id(r) == id);
+        match (of(&base), of(&head)) {
+            (Some(b), Some(h)) if base[b] == head[h] => {}
+            (Some(_), Some(_)) => failures.push(format!(
+                "fig {id}: moved — no decoder decision reaches this report"
+            )),
+            _ => failures.push(format!("fig {id}: report missing")),
+        }
+    }
+    failures
 }
 
 /// The `"kind"` of a trace record (`""` when it has none).
@@ -309,6 +402,53 @@ mod tests {
         let r = compare(SEARCH, &far);
         assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
         assert!(r.failures[0].contains("over 1e-12"), "{:?}", r.failures);
+    }
+
+    #[test]
+    fn a_declared_decision_change_holds_the_crc_count_and_the_decision_free_reports() {
+        let outcome = |crc_ok: u32| {
+            format!(
+                "{SEARCH}\n{{\"seq\": 9, \"kind\": \"slot_outcome\", \"users\": 4, \"crc_ok\": {crc_ok}}}\n"
+            )
+        };
+        let figs = |p7: f64, city: &str, station: u32| {
+            format!(
+                "[{{\"id\":\"fig08def\",\"series\":[{{\"label\":\"p\",\"points\":[[7,{p7}]]}}]}},\
+                 {{\"id\":\"station\",\"series\":[{{\"label\":\"slots\",\"points\":[[\"shed\",{station}]]}}]}},\
+                 {{\"id\":\"city\",\"notes\":[\"digest {city}\"]}}]"
+            )
+        };
+        let base = figs(0.36, "0x44a0", 3);
+        // A decoder figure and the record stream may move; the CRC count
+        // may rise.
+        let held = decision_change(&outcome(3), &outcome(4), &base, &figs(0.5, "0x44a0", 3));
+        assert!(held.is_empty(), "{held:?}");
+        let held = decision_change(&outcome(4), &outcome(3), &base, &base);
+        assert_eq!(held.len(), 1, "{held:?}");
+        assert!(held[0].contains("fell from 4 to 3"), "{held:?}");
+        for moved in [figs(0.36, "0x44a1", 3), figs(0.36, "0x44a0", 2)] {
+            let held = decision_change(&outcome(4), &outcome(4), &base, &moved);
+            assert_eq!(held.len(), 1, "{held:?}");
+            assert!(held[0].contains("no decoder decision"), "{held:?}");
+        }
+        let held = decision_change(&outcome(4), &outcome(4), &base, "[]");
+        assert_eq!(held.len(), 2, "{held:?}");
+    }
+
+    #[test]
+    fn a_report_whose_point_count_moved_is_named_and_the_rest_still_walked() {
+        let base =
+            r#"[{"id":"fig07","points":[[1,0.5],[2,0.25]]},{"id":"fig12","points":[["a",0.6]]}]"#;
+        let head = r#"[{"id":"fig07","points":[[1,0.5],[2,0.25],[3,0.125]]},{"id":"fig12","points":[["a",0.4]]}]"#;
+        let mut r = Report::default();
+        r.figures(base, head);
+        assert_eq!(r.failures.len(), 2, "{:?}", r.failures);
+        assert!(r.failures[0].contains("fig \"fig07\": 5 scalars at the base, 7 here"));
+        assert!(r.failures[1].contains("fig.points: 0.6 became 0.4"));
+        let mut r = Report::default();
+        r.figures(base, r#"[{"id":"fig07","points":[[1,0.5],[2,0.25]]}]"#);
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        assert!(r.failures[0].contains("2 reports at the base, 1 here"));
     }
 
     #[test]
