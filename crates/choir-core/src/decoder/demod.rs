@@ -7,7 +7,6 @@ use std::sync::Arc;
 use choir_dsp::complex::C64;
 use choir_dsp::fft::FftPlan;
 use choir_dsp::workspace;
-use lora_phy::frame::SYNC_SYMBOLS;
 
 use super::discover::{seed_chip, Alignment};
 use super::{ChoirDecoder, UserEstimate};
@@ -163,12 +162,13 @@ impl ChoirDecoder {
 
     /// Demodulates one aligned window on the user's fractional comb
     /// (`mixer` is [`Self::comb_mixer_into`]'s at the comb offset): the
-    /// peak must sit at `value + cfo_bins (mod n)`.
+    /// peak must sit at `value + μ + ceil(Δ) (mod n)`.
     ///
     /// Each hypothesis `s` is scored per *constant-phase segment*: the
     /// chirp's internal frequency wrap sits `N − s` chips into the symbol,
-    /// and any residual sub-chip misalignment turns it into a phase step
-    /// that would partially cancel a whole-window correlation. Combining
+    /// and the user's fractional chip — the window is a slice on its whole
+    /// chip grid, not a resample — turns it into a phase step that would
+    /// partially cancel a whole-window correlation. Combining
     /// the two segments by magnitude (`(|pre| + |post|)²` — the maximum of
     /// the coherent sum over the unknown step phase) makes the decision
     /// invariant to the step. [`CombPlan`] evaluates all `n` scores in
@@ -200,10 +200,9 @@ impl ChoirDecoder {
         coarse: f64,
     ) -> f64 {
         let cand_a = self.refine_timing(work, slot_start, user, coarse);
-        // The search reads its seed only as a whole chip, so two seeds on
-        // one chip (whole numbers under half a chip apart) are one search
-        // with one result and nothing to play off.
-        if (seed_chip(coarse) - seed_chip(user.timing_chips)).abs() < 0.5 {
+        // The read takes its seed only as a whole chip, so two seeds on
+        // one chip are one read with one result and nothing to play off.
+        if seed_chip(coarse) == seed_chip(user.timing_chips) {
             return cand_a;
         }
         let cand_b = self.refine_timing(work, slot_start, user, user.timing_chips);
@@ -213,17 +212,6 @@ impl ChoirDecoder {
         } else {
             cand_b
         }
-    }
-
-    /// Energy of the user's comb on the two sync windows at timing `delta`.
-    fn sync_energy(&self, work: &[C64], slot_start: usize, user: &UserEstimate, delta: f64) -> f64 {
-        let p = self.params.preamble_len;
-        let align = Alignment::new(delta);
-        let mut s = 0.0;
-        for (i, &sync) in SYNC_SYMBOLS.iter().enumerate() {
-            s += self.comb_energy(work, slot_start, &[p + i], &align, sync, user.offset_bins);
-        }
-        s
     }
 
     /// One acquisition+demodulation pass for a single user against the
@@ -243,24 +231,26 @@ impl ChoirDecoder {
         user.timing_chips = self.acquire_timing(work, slot_start, user, coarse);
         user.offset_bins = self.refine_offset_aligned(work, slot_start, user);
         user.frac = user.offset_bins.fract();
-        let cfo_bins = user.cfo_bins(n);
+        let align = Alignment::new(user.timing_chips);
         let mut erasures = 0usize;
         let mut decisions = Vec::with_capacity(total_syms);
-        let mut aligned = workspace::take(n);
         let mut mixer = workspace::take(n);
-        self.comb_mixer_into(cfo_bins, &mut mixer);
-        let align = Alignment::new(user.timing_chips);
+        // On the grid `ceil(Δ)` symbol `s` dechirps to `s + μ + ceil(Δ)`;
+        // the step the fractional chip leaves at its wrap is what the
+        // per-segment score absorbs.
+        let comb_offset = (user.offset_bins + align.chip as f64).rem_euclid(n as f64);
+        self.comb_mixer_into(comb_offset, &mut mixer);
         for sym_idx in 0..total_syms {
-            let d = if self.aligned_window_into(work, slot_start, sym_idx, &align, &mut aligned) {
-                self.comb_demod(&aligned, &mixer)
-            } else {
-                erasures += 1;
-                CombDecision::default()
+            let d = match self.aligned_window(work, slot_start, sym_idx, &align) {
+                Some(win) => self.comb_demod(win, &mixer),
+                None => {
+                    erasures += 1;
+                    CombDecision::default()
+                }
             };
             decisions.push(d);
         }
         workspace::put(mixer);
-        workspace::put(aligned);
         (decisions, erasures)
     }
 }
@@ -507,6 +497,33 @@ mod tests {
         }
     }
 
+    /// On a user's whole-chip grid every value demodulates, whatever its
+    /// fractional chip: read at `ceil(Δ)`, symbol `s` is the comb tone `s`
+    /// with the phase step `2π·frac(Δ)` after its wrap, which the
+    /// per-segment score reads through — at `δ = 0.5` a whole-window
+    /// correlation of `s = n/2` cancels to nothing.
+    #[test]
+    fn every_value_decodes_from_integer_grid_windows() {
+        let dec = ChoirDecoder::new(params());
+        let n = dec.est.n();
+        let symbols: Vec<u16> = (0..n).map(|s| u16::try_from(s).unwrap()).collect();
+        for frac in [0.1, 0.5, 0.9] {
+            let delta = 57.0 + frac;
+            let (capture, slot_start, mu) =
+                super::super::tests::render_lone(symbols.clone(), delta, -9.3, 0.0, 3);
+            let align = Alignment::new(delta);
+            let mut mixer = vec![C64::ZERO; n];
+            dec.comb_mixer_into((mu + align.chip as f64).rem_euclid(n as f64), &mut mixer);
+            for (sym_idx, &s) in symbols.iter().enumerate() {
+                let win = dec
+                    .aligned_window(&capture, slot_start, sym_idx, &align)
+                    .expect("inside the capture");
+                let got = dec.comb_demod(win, &mixer).value();
+                assert_eq!(got, s, "δ = {frac}");
+            }
+        }
+    }
+
     #[test]
     fn timing_candidates_on_different_chips_are_both_searched() {
         let s = ScenarioBuilder::new(params())
@@ -546,7 +563,7 @@ mod tests {
             assert!((got - 12.8).abs() < 0.5, "kept the wrong chip: {got}");
         }
         // Seeds on one chip: the one search's result, as it stands.
-        let coarse = seed_chip(found.timing_chips);
+        let coarse = seed_chip(found.timing_chips) as f64;
         let got = dec.acquire_timing(&s.samples, s.slot_start, &found, coarse);
         assert_eq!(got.to_bits(), search(&found, coarse).to_bits());
     }

@@ -1,19 +1,18 @@
 //! Stages 1–2: user discovery from the preamble (Sec. 5) and the
-//! timing/CFO split (Sec. 6), plus the alignment helpers every later stage
-//! reads a user's windows through.
+//! timing/CFO split (Sec. 6), plus the alignment every later stage reads
+//! a user's windows through: a slice on the user's whole-chip grid and a
+//! phase step for the fraction.
+
+use std::f64::consts::TAU;
 
 use choir_dsp::complex::C64;
 use choir_dsp::linalg::conj_dot;
-use choir_dsp::resample::{fractional_delay_into, DelayKernel};
 use choir_dsp::workspace;
 use lora_phy::frame::SYNC_SYMBOLS;
 
 use super::{ChoirConfig, ChoirDecoder, UserEstimate};
 use crate::profile::{scope, Stage};
 use crate::sic::phased_sic;
-
-/// Taps per side of the windowed-sinc fractional resampler.
-const RESAMPLE_TAPS: usize = 10;
 
 /// Summed correlation energy `Σ_w |Σ_t de_w[t]·e^{−j2π·pos·t/n}|²` of the
 /// dechirped windows laid back to back in `windows` against the tone at
@@ -66,48 +65,49 @@ fn boundary_scan(de: &[C64], tail: &[C64], head: &mut [C64]) -> (usize, f64) {
     best
 }
 
-/// A user's timing as the alignment helpers read it: the delay in chips
-/// and the resampler kernel that advances the signal by its fractional
-/// part. Whoever holds the timing fixed builds one and every window
-/// aligned to it shares the kernel — five a probe in
-/// [`ChoirDecoder::refine_timing`], three in
-/// [`ChoirDecoder::refine_offset_aligned`], every symbol of a pass in
-/// `acquire_and_demod` — where each window used to rebuild the same
-/// `2·RESAMPLE_TAPS + 1` windowed-sinc weights.
+/// The two constant-phase sums of a dechirped window `de` of a symbol
+/// carrying `value` against `tone`: `a = Σ_{t<n−value} conj(tone[t])·de[t]`
+/// and `b` over the rest — the chirp wraps `n − value` chips in, and a
+/// sub-chip delay turns that wrap into a phase step (DESIGN §17 "A
+/// fractional chip is a phase"). A `value` of 0 leaves `b` empty.
+// hot:noalloc — two dot products over the caller's buffers.
+fn wrap_sums(de: &[C64], tone: &[C64], value: u16) -> (C64, C64) {
+    let wrap = de.len() - usize::from(value);
+    let (de_pre, de_post) = de.split_at(wrap);
+    let (tone_pre, tone_post) = tone.split_at(wrap);
+    (conj_dot(tone_pre, de_pre), conj_dot(tone_post, de_post))
+}
+
+/// A user's timing `Δ` as every window the decoder reads of it sees it:
+/// the whole chip `ceil(Δ)` its windows start at, and the phase step
+/// `e^{−j2π·frac(Δ)}` that turns the segment after a chirp's wrap back
+/// into line with the segment before it. Read at that chip, a symbol of
+/// value `v` dechirps to the tone `v + μ + ceil(Δ)` — the fractional chip
+/// cancels out of the frequency — with `e^{+j2π·frac(Δ)}` on its last `v`
+/// samples, so a window is a slice of the capture, not a resample of it.
 pub(super) struct Alignment {
-    timing_chips: f64,
-    kernel: DelayKernel,
+    /// `ceil(Δ)`: the sample, past the slot-aligned window, a user's
+    /// window starts at.
+    pub(super) chip: usize,
+    /// `e^{−j2π·frac(Δ)}`.
+    step: C64,
 }
 
 impl Alignment {
     pub(super) fn new(timing_chips: f64) -> Self {
+        let delta = timing_chips.max(0.0);
         Alignment {
-            timing_chips,
-            kernel: DelayKernel::new(Self::advance(timing_chips), RESAMPLE_TAPS),
+            chip: delta.ceil() as usize,
+            step: C64::cis(-TAU * (delta - delta.floor())),
         }
-    }
-
-    /// Moves the alignment to another timing, reusing the kernel's
-    /// allocation: a timing search builds one and retimes it per probe.
-    // hot:noalloc — the kernel is retuned in place.
-    fn retime(&mut self, timing_chips: f64) {
-        self.timing_chips = timing_chips;
-        self.kernel.retune(Self::advance(timing_chips));
-    }
-
-    /// The resampler delay for a timing: the signal is delayed by the
-    /// fractional chip, and resampling with the negative delay advances
-    /// it.
-    fn advance(timing_chips: f64) -> f64 {
-        -(timing_chips - timing_chips.floor())
     }
 }
 
-/// The whole chip a timing search is seeded at — all
-/// [`ChoirDecoder::refine_timing`] reads of its seed, so seeds on one chip
-/// are one search.
-pub(super) fn seed_chip(seed: f64) -> f64 {
-    seed.max(0.0).round()
+/// The whole chip a timing read is seeded at — all
+/// [`ChoirDecoder::refine_timing`] takes of its seed, so seeds on one chip
+/// are one read.
+pub(super) fn seed_chip(seed: f64) -> usize {
+    seed.max(0.0).round() as usize
 }
 
 impl ChoirDecoder {
@@ -152,16 +152,16 @@ impl ChoirDecoder {
             })
             .collect();
         // Timing estimation (Sec. 6): coarse integer part from the
-        // preamble→sync transition window, precise fractional part from a
-        // direct alignment scan. Integer errors of a few chips are benign
-        // (a chirp's time shift and the matching frequency shift cancel in
-        // both the comb demodulator and the subtraction template).
+        // preamble→sync transition window, fractional part from the sync
+        // chirps' phase step at their wrap. Integer errors of a few chips
+        // are benign (a chirp's time shift and the matching frequency
+        // shift cancel in both the comb demodulator and the subtraction
+        // template).
         for u in users.iter_mut() {
             let coarse = self.transition_chip(samples, slot_start, u);
             // Alternate timing and offset refinement: each conditions the
-            // other (the timing score reads energy at the expected comb
-            // position; the offset is read from windows aligned by the
-            // timing).
+            // other (the timing read correlates against tones at the
+            // offset; the offset is read on the timing's chip grid).
             u.timing_chips = self.refine_timing(samples, slot_start, u, coarse);
             for _ in 0..2 {
                 u.offset_bins = self.refine_offset_aligned(samples, slot_start, u);
@@ -223,11 +223,11 @@ impl ChoirDecoder {
         })
     }
 
-    /// Re-reads a user's aggregate offset from *aligned* preamble windows:
-    /// once the timing is compensated, the preamble dechirps to a clean
-    /// single tone at `μ + Δ` with no boundary phase step, so its position
-    /// can be localised to milli-bins by a golden search on correlation
-    /// energy.
+    /// Re-reads a user's aggregate offset from its preamble windows on
+    /// its own chip grid: read at `ceil(Δ)`, a preamble chirp (value 0,
+    /// no wrap inside the window) dechirps to one clean tone at `μ +
+    /// ceil(Δ)`, so its position can be localised to milli-bins by a
+    /// golden search on correlation energy.
     pub(super) fn refine_offset_aligned(
         &self,
         samples: &[C64],
@@ -236,16 +236,21 @@ impl ChoirDecoder {
     ) -> f64 {
         scope(Stage::Refine, || {
             let n = self.est.n() as f64;
-            let delta = user.timing_chips;
-            let init = (user.offset_bins + delta).rem_euclid(n);
-            // The timing is fixed for the whole search, so align and
-            // dechirp the probe windows once instead of per probe (the
-            // windowed-sinc resample is as expensive as the correlation).
+            let align = Alignment::new(user.timing_chips);
+            let chip = align.chip as f64;
+            let init = (user.offset_bins + chip).rem_euclid(n);
+            // The windows are fixed for the whole search, so dechirp them
+            // once instead of per probe.
             let len = self.est.n();
             let mut probes = workspace::take(3 * len);
-            let align = Alignment::new(delta);
-            let held =
-                self.dechirped_probes_into(samples, slot_start, &[2, 4, 6], &align, &mut probes);
+            let mut held = 0;
+            for sym_idx in [2, 4, 6] {
+                if let Some(win) = self.aligned_window(samples, slot_start, sym_idx, &align) {
+                    self.est
+                        .dechirp_into(win, &mut probes[held * len..(held + 1) * len]);
+                    held += 1;
+                }
+            }
             // No probe window inside the capture: the score is flat and a
             // golden search over it walks to the bracket edge, so the
             // estimate the caller holds is the best there is.
@@ -257,155 +262,136 @@ impl ChoirDecoder {
                 let (pos, _) =
                     choir_dsp::optim::golden_section(score, init - 0.6, init + 0.6, 1e-3);
                 workspace::put(tone);
-                (pos - delta).rem_euclid(n)
+                (pos - chip).rem_euclid(n)
             };
             workspace::put(probes);
             refined
         })
     }
 
-    /// Aligns the windows `sym_idxs` to `align` and dechirps them back to
-    /// back into `probes`, skipping any that run past the capture.
-    /// Returns how many windows `probes` now holds.
-    // hot:noalloc — the alignment scratch is a workspace buffer.
-    fn dechirped_probes_into(
+    /// Energy of the user's two sync chirps read at timing `delta`: each
+    /// sync window on the grid `ceil(delta)`, its two constant-phase sums
+    /// against the tone `value + μ + ceil(delta)` joined by the alignment's
+    /// step, `|a + step·b|²`. A window past the capture contributes
+    /// nothing.
+    // hot:noalloc — the dechirp and the tone are workspace buffers.
+    pub(super) fn sync_energy(
         &self,
         samples: &[C64],
         slot_start: usize,
-        sym_idxs: &[usize],
-        align: &Alignment,
-        probes: &mut [C64],
-    ) -> usize {
-        let len = self.est.n();
-        let mut aligned = workspace::take(len);
-        let mut held = 0;
-        for &sym_idx in sym_idxs {
-            if self.aligned_window_into(samples, slot_start, sym_idx, align, &mut aligned) {
-                self.est
-                    .dechirp_into(&aligned, &mut probes[held * len..(held + 1) * len]);
-                held += 1;
-            }
-        }
-        workspace::put(aligned);
-        held
-    }
-
-    /// Energy of the user's expected comb tone summed over the aligned
-    /// windows `sym_idxs`, which all carry `expected_value`: they probe
-    /// one position, so one synthesised tone scores them all. A window
-    /// past the capture contributes nothing.
-    // hot:noalloc — the timing searches call this per probe; the probe
-    // windows and the tone are workspace buffers.
-    pub(super) fn comb_energy(
-        &self,
-        samples: &[C64],
-        slot_start: usize,
-        sym_idxs: &[usize],
-        align: &Alignment,
-        expected_value: u16,
-        offset_bins: f64,
+        user: &UserEstimate,
+        delta: f64,
     ) -> f64 {
         let n = self.est.n();
-        let pos = (expected_value as f64 + offset_bins + align.timing_chips).rem_euclid(n as f64);
-        let mut probes = workspace::take(sym_idxs.len() * n);
+        let p = self.params.preamble_len;
+        let align = Alignment::new(delta);
+        let mut de = workspace::take(n);
         let mut tone = workspace::take(n);
-        let held = self.dechirped_probes_into(samples, slot_start, sym_idxs, align, &mut probes);
-        let energy = tone_energy(&probes[..held * n], pos, &mut tone);
+        let mut energy = 0.0;
+        for (i, &value) in SYNC_SYMBOLS.iter().enumerate() {
+            let Some(win) = self.aligned_window(samples, slot_start, p + i, &align) else {
+                continue;
+            };
+            self.est.dechirp_into(win, &mut de);
+            let pos = f64::from(value) + user.offset_bins + align.chip as f64;
+            choir_dsp::backend::tone_into(&mut tone, n, pos.rem_euclid(n as f64));
+            let (a, b) = wrap_sums(&de, &tone, value);
+            energy += (a + align.step * b).norm_sqr();
+        }
         workspace::put(tone);
-        workspace::put(probes);
+        workspace::put(de);
         energy
     }
 
-    /// Timing refinement (Sec. 6): the preamble is periodic in whole chips,
-    /// so preamble windows pin only the *fractional* chip alignment; the
-    /// known sync symbols break integer ambiguities (a grossly wrong
-    /// integer shift slides the window off the sync chirps entirely).
-    /// Scans {coarse, 0} integer candidates × a fractional grid, scoring
-    /// preamble + sync comb energy, then golden-refines.
+    /// Timing refinement (Sec. 6), in closed form. A user delayed by `Δ =
+    /// m + δ` chips and read on the chip grid `m + 1` dechirps, in every
+    /// window of value `v`, to the tone `f = v + μ + m + 1` — `δ` cancels
+    /// out of the frequency — turned by `e^{j2πδ}` after the chirp's wrap
+    /// `n − v` chips in. So with `a`, `b` the two segment sums of a window
+    /// against that tone ([`wrap_sums`]), the analytic template's
+    /// correlation `Σ_w |a + e^{−j2πδ}·b|²` is largest at
+    ///
+    /// ```text
+    /// δ = arg(Σ_w conj(a)·b) / 2π  (mod 1),   score(m) = Σ_w (|a|² + |b|²) + 2·|Σ_w conj(a)·b|
+    /// ```
+    ///
+    /// Read over preamble windows 2, 4, 6 (value 0: no wrap, so they weigh
+    /// the chip but carry no `δ`) and the two sync windows, for the chips
+    /// `m ∈ {b − 1, b} ∪ {0}`, `b` the seed's whole chip. The first `m`
+    /// wins a tie and a window past the capture is skipped; with none left
+    /// the read is the first chip, `δ = 0`.
     pub(super) fn refine_timing(
         &self,
         samples: &[C64],
         slot_start: usize,
         user: &UserEstimate,
-        coarse: f64,
+        seed: f64,
     ) -> f64 {
         scope(Stage::Refine, || {
+            let n = self.est.n();
             let p = self.params.preamble_len;
-            let mut align = Alignment::new(0.0);
-            let mut score = |delta: f64| -> f64 {
-                if delta < 0.0 {
-                    return -1.0;
-                }
-                align.retime(delta);
-                let offset = user.offset_bins;
-                let mut s = self.comb_energy(samples, slot_start, &[2, 4, 6], &align, 0, offset);
-                for (i, &sync) in SYNC_SYMBOLS.iter().enumerate() {
-                    s += self.comb_energy(samples, slot_start, &[p + i], &align, sync, offset);
-                }
-                s
-            };
-            let mut ints: Vec<f64> = vec![seed_chip(coarse), 0.0];
-            ints.dedup();
-            let mut best = (0.0f64, -1.0f64);
-            for &base in &ints {
-                for j in 0..8 {
-                    let cand = base + j as f64 / 8.0 - 0.5;
-                    let sc = score(cand);
-                    if sc > best.1 {
-                        best = (cand, sc);
+            let reads = [
+                (2, 0),
+                (4, 0),
+                (6, 0),
+                (p, SYNC_SYMBOLS[0]),
+                (p + 1, SYNC_SYMBOLS[1]),
+            ];
+            let b = seed_chip(seed);
+            let mut chips = [b.checked_sub(1), Some(b), Some(0)];
+            if b <= 1 {
+                chips[2] = None;
+            }
+            let mut de = workspace::take(n);
+            let mut tone = workspace::take(n);
+            let mut best = (0usize, -1.0f64, C64::ZERO);
+            for m in chips.into_iter().flatten() {
+                let (mut energy, mut cross) = (0.0, C64::ZERO);
+                let mut toned = None;
+                let start = slot_start.checked_add(m + 1);
+                for (sym_idx, value) in reads {
+                    let Some(win) = start.and_then(|s| self.window(samples, s, sym_idx)) else {
+                        continue;
+                    };
+                    if toned != Some(value) {
+                        let pos = f64::from(value) + user.offset_bins + (m + 1) as f64;
+                        choir_dsp::backend::tone_into(&mut tone, n, pos.rem_euclid(n as f64));
+                        toned = Some(value);
                     }
+                    self.est.dechirp_into(win, &mut de);
+                    let (a, b) = wrap_sums(&de, &tone, value);
+                    energy += a.norm_sqr() + b.norm_sqr();
+                    cross += a.conj() * b;
+                }
+                let score = energy + 2.0 * cross.abs();
+                if score > best.1 {
+                    best = (m, score, cross);
                 }
             }
-            let (lo, hi) = (best.0 - 0.125, best.0 + 0.125);
-            let (x, neg_s) = choir_dsp::optim::golden_section(|d| -score(d), lo.max(0.0), hi, 5e-3);
-            if -neg_s >= best.1 {
-                x
-            } else {
-                best.0
-            }
+            workspace::put(tone);
+            workspace::put(de);
+            let (m, _, cross) = best;
+            m as f64 + (cross.arg() / TAU).rem_euclid(1.0)
         })
     }
 
-    /// Extracts the user-aligned window for symbol index `sym_idx` (global
-    /// over preamble+sync+data) into `out` (`n` samples): integer shift by
-    /// `floor(Δ)` plus windowed-sinc resampling by `frac(Δ)`, `Δ` being
-    /// `align`'s timing. Returns false, leaving `out` unspecified, when
-    /// the window and its resampler margins run past the capture.
-    // hot:noalloc — the output is caller-provided.
-    pub(super) fn aligned_window_into(
+    /// The user-aligned window for symbol index `sym_idx` (global over
+    /// preamble+sync+data): the `n` samples from `align.chip` past the
+    /// slot-aligned window, or `None` when they run past the capture.
+    pub(super) fn aligned_window<'a>(
         &self,
-        samples: &[C64],
+        samples: &'a [C64],
         slot_start: usize,
         sym_idx: usize,
         align: &Alignment,
-        out: &mut [C64],
-    ) -> bool {
-        let n = self.est.n();
-        let taps = RESAMPLE_TAPS;
-        let m = align.timing_chips.floor();
-        let delta = align.timing_chips - m; // in [0,1): signal delayed by delta
-        let a = slot_start as i64 + (sym_idx * n) as i64 + m as i64;
-        // Advancing by `delta` is a delay of `1 − delta` one sample
-        // earlier: output `j` reads `a + j + 1 − taps ..= a + j + 1 + taps`.
-        let lo = a + 1 - taps as i64;
-        let hi = a + 1 + (n + taps) as i64;
-        if lo < 0 || hi as usize > samples.len() {
-            return false;
-        }
-        let slice = &samples[lo as usize..hi as usize];
-        if delta < 1e-9 {
-            out.copy_from_slice(&slice[taps - 1..taps - 1 + n]);
-        } else {
-            // Keep the window between the margins.
-            fractional_delay_into(slice, &align.kernel, taps - 1, out);
-        }
-        true
+    ) -> Option<&'a [C64]> {
+        self.window(samples, slot_start.checked_add(align.chip)?, sym_idx)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{decode, params, profile};
+    use super::super::tests::{decode, params, profile, render_lone};
     use super::*;
     use crate::cluster::circular_dist;
     use crate::error::DecodeError;
@@ -775,11 +761,11 @@ mod tests {
         );
     }
 
-    /// Regression: the slice handed to the resampler sat one sample early,
-    /// so the last output of every window was an edge output that dropped
-    /// its `k = −taps` tap.
+    /// A user's window is the capture itself from `ceil(Δ)` on — borrowed,
+    /// not resampled — with the fractional chip left to the step, and no
+    /// window once it runs past the capture.
     #[test]
-    fn aligned_window_is_the_interior_of_the_advanced_capture() {
+    fn aligned_window_is_the_raw_slice_at_the_ceiling_chip() {
         let dec = ChoirDecoder::new(params());
         let n = dec.est.n();
         let ramp: Vec<C64> = (0..6 * n)
@@ -788,25 +774,207 @@ mod tests {
                 im: -0.5 * i as f64,
             })
             .collect();
-        for timing in [12.3, 0.75, 40.0] {
+        for (timing, chip, frac) in [
+            (12.3, 13, 0.3),
+            (0.75, 1, 0.75),
+            (40.0, 40, 0.0),
+            (0.0, 0, 0.0),
+            (-2.0, 0, 0.0),
+        ] {
             let align = Alignment::new(timing);
-            let whole = choir_dsp::resample::fractional_delay(
-                &ramp,
-                Alignment::advance(timing),
-                RESAMPLE_TAPS,
+            assert_eq!(align.chip, chip, "timing {timing}");
+            assert!(
+                (align.step - C64::cis(-TAU * frac)).abs() < 1e-12,
+                "timing {timing}"
             );
-            let mut out = vec![C64::ZERO; n];
-            assert!(dec.aligned_window_into(&ramp, n, 2, &align, &mut out));
-            let a = 3 * n + timing.floor() as usize;
-            // Every output, the last one included, is the full 21-tap sum.
-            for (j, (got, want)) in out.iter().zip(&whole[a..a + n]).enumerate() {
-                assert_eq!(
-                    (got.re.to_bits(), got.im.to_bits()),
-                    (want.re.to_bits(), want.im.to_bits()),
-                    "timing {timing}, output {j}: {got:?} vs {want:?}"
-                );
+            let win = dec
+                .aligned_window(&ramp, n, 2, &align)
+                .expect("inside the capture");
+            let a = 3 * n + chip;
+            assert!(std::ptr::eq(win, &ramp[a..a + n]), "timing {timing}");
+        }
+        // Window 4 at chip 1 ends one sample past the capture.
+        assert!(dec
+            .aligned_window(&ramp, n, 4, &Alignment::new(0.5))
+            .is_none());
+        assert!(dec
+            .aligned_window(&ramp, n, 4, &Alignment::new(0.0))
+            .is_some());
+        assert!(dec
+            .aligned_window(&ramp, usize::MAX - 1, 0, &Alignment::new(3.0))
+            .is_none());
+    }
+
+    /// The frame the timing tests render.
+    fn frame_symbols() -> Vec<u16> {
+        lora_phy::frame::packet_symbols(&params(), &[0x5a, 0xc3, 0x11, 0x7e])
+    }
+
+    /// The closed form is the template's maximum, not an estimate of it:
+    /// on a noiseless user it returns the rendered delay to rounding,
+    /// whatever the fraction, the offset and the seed's side of it. At `δ
+    /// = 0` the grids `m` and `m + 1` read one template — a chirp's value
+    /// one chip past its end is the next chirp's first sample — so the
+    /// read may land on a neighbouring whole chip, with the fraction
+    /// still exact.
+    #[test]
+    fn refine_timing_is_exact_on_a_noiseless_user() {
+        let dec = ChoirDecoder::new(params());
+        for (m, cfo) in [(3usize, 5.37), (40, -12.81), (117, 30.5)] {
+            for frac in [0.0, 0.1, 0.5, 0.9, 0.999] {
+                let delta = m as f64 + frac;
+                let (capture, slot_start, mu) =
+                    render_lone(frame_symbols(), delta, cfo, f64::INFINITY, 1);
+                for seed in [delta, delta.floor(), delta.ceil()] {
+                    let got = dec.refine_timing(&capture, slot_start, &user_at(mu), seed);
+                    let err = (got - delta).abs();
+                    let frac_err = circular_dist(got.rem_euclid(1.0), frac, 1.0);
+                    let what = format!("Δ = {delta}, μ = {mu}, seed {seed}: read {got}");
+                    if frac > 0.0 {
+                        assert!(err < 1e-6, "{what}");
+                    } else {
+                        assert!(frac_err < 1e-6 && err < 1.0 + 1e-6, "{what}");
+                    }
+                }
             }
         }
+    }
+
+    /// The read's oracle: for every chip the read tries, every `δ` on a
+    /// 1e-3 grid, the analytic template of each window it reads — the
+    /// chirp at the fractional time `t + 1 − δ`, rotated by the CFO `μ + m
+    /// + δ` that delay implies — correlated with the window, the
+    /// energies summed. Returns the best `(m, δ)`.
+    fn brute_force_timing(
+        dec: &ChoirDecoder,
+        samples: &[C64],
+        slot_start: usize,
+        mu: f64,
+        seed: f64,
+    ) -> (usize, f64) {
+        let n = dec.est.n();
+        let p = dec.params.preamble_len;
+        let reads = [
+            (2, 0),
+            (4, 0),
+            (6, 0),
+            (p, SYNC_SYMBOLS[0]),
+            (p + 1, SYNC_SYMBOLS[1]),
+        ];
+        let b = seed_chip(seed);
+        let mut chips = vec![b.saturating_sub(1), b, 0];
+        chips.sort_unstable();
+        chips.dedup();
+        let mut best = (0, 0.0, -1.0);
+        for &m in &chips {
+            for k in 0..1000 {
+                let delta = k as f64 * 1e-3;
+                let cfo = mu + m as f64 + delta;
+                let score: f64 = reads
+                    .iter()
+                    .filter_map(|&(sym_idx, value)| {
+                        let win = dec.window(samples, slot_start + m + 1, sym_idx)?;
+                        let corr: C64 = win
+                            .iter()
+                            .enumerate()
+                            .map(|(t, y)| {
+                                let at = (t + m + 1) as f64;
+                                let chirp =
+                                    lora_phy::chirp::symbol_sample(n, value, at - m as f64 - delta);
+                                let rot = C64::cis(TAU * cfo * at / n as f64);
+                                (chirp * rot).conj() * y
+                            })
+                            .sum();
+                        Some(corr.norm_sqr())
+                    })
+                    .sum();
+                if score > best.2 {
+                    best = (m, delta, score);
+                }
+            }
+        }
+        (best.0, best.1)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn refine_timing_is_the_maximum_of_the_template_scan(
+            chip in 2usize..150,
+            frac in 0.02f64..0.98,
+            cfo in -40.0f64..40.0,
+            snr_db in -6.0f64..12.0,
+            seed in 0u64..1000,
+        ) {
+            let dec = ChoirDecoder::new(params());
+            let delta = chip as f64 + frac;
+            let (capture, slot_start, mu) = render_lone(frame_symbols(), delta, cfo, snr_db, seed);
+            let user = user_at(mu);
+            let got = dec.refine_timing(&capture, slot_start, &user, delta);
+            let (m, d) = brute_force_timing(&dec, &capture, slot_start, mu, delta);
+            // The same chip, and the fraction within the scan's grid.
+            let scan = m as f64 + d;
+            proptest::prop_assert!((got - scan).abs() <= 1e-3, "read {} vs scan {}", got, scan);
+        }
+    }
+
+    /// The read touches the backend only through the tone and dot
+    /// kernels, which are bit-identical — so is the read, and so is the
+    /// sync score the play-off between two reads compares.
+    #[test]
+    fn refine_timing_is_bit_identical_on_every_backend() {
+        use choir_dsp::backend;
+        let s = ScenarioBuilder::new(params())
+            .snrs_db(&[14.0, 12.0])
+            .profiles(vec![profile(5.37, 0.05), profile(-3.21, 0.4)]) // 12.8 and 102.4 chips
+            .seed(2)
+            .build();
+        let dec = ChoirDecoder::new(s.params);
+        let users = dec.discover_users(&s.samples, s.slot_start);
+        assert!(users.len() >= 2);
+        let runs: Vec<Vec<u64>> = backend::available()
+            .into_iter()
+            .map(|kind| {
+                backend::force(kind);
+                let mut bits = Vec::new();
+                for u in &users {
+                    for seed in [0.0, u.timing_chips, 40.0] {
+                        let read = dec.refine_timing(&s.samples, s.slot_start, u, seed);
+                        let sync = dec.sync_energy(&s.samples, s.slot_start, u, read);
+                        bits.extend([read.to_bits(), sync.to_bits()]);
+                    }
+                }
+                bits
+            })
+            .collect();
+        backend::reset();
+        for run in &runs[1..] {
+            assert_eq!(run, &runs[0]);
+        }
+    }
+
+    /// A capture that ends inside the last sync window loses that window
+    /// from every chip's read and the read stays finite, on the right
+    /// fraction; with no window left it is the first chip tried, `δ = 0`.
+    // A read with nothing to read is a whole number: compared exactly.
+    #[allow(clippy::float_cmp)]
+    #[test]
+    fn refine_timing_of_a_cut_capture_is_finite() {
+        let dec = ChoirDecoder::new(params());
+        let n = dec.est.n();
+        let p = dec.params.preamble_len;
+        let delta = 40.3;
+        let (capture, slot_start, mu) = render_lone(frame_symbols(), delta, 5.37, 10.0, 4);
+        let user = user_at(mu);
+        let cut = &capture[..slot_start + (p + 1) * n + 41 + n / 2];
+        let got = dec.refine_timing(cut, slot_start, &user, delta);
+        assert!(got.is_finite() && (got - delta).abs() < 0.15, "read {got}");
+        let empty = &capture[..slot_start + 2 * n];
+        assert_eq!(dec.refine_timing(empty, slot_start, &user, delta), 39.0);
+        let beyond = usize::MAX - 10;
+        assert_eq!(dec.refine_timing(&capture, beyond, &user, delta), 39.0);
+        assert_eq!(dec.refine_timing(empty, slot_start, &user, 0.3), 0.0);
     }
 
     #[test]

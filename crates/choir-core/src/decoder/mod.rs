@@ -9,15 +9,19 @@
 //!    break the tie: the phase of its preamble peak advances by
 //!    `2π·cfo/bin` per symbol, and its last preamble chirp hands over to
 //!    its first sync chirp `Δ` chips into the window between them — a
-//!    boundary one matched filter reads. Together they give `Δ` in
-//!    (fractional) chips.
+//!    boundary one matched filter reads, to the whole chip. The fraction
+//!    of a chip is a phase: read on the whole-chip grid, a chirp delayed
+//!    by `δ` turns by `2πδ` at its frequency wrap, and the sync chirps'
+//!    wrap phases give `δ` in closed form.
 //! 3. **Per-user aligned demodulation + packet-level SIC** (Secs. 5.2,
-//!    6.1): strongest user first, realign windows to the user's own symbol
-//!    clock (integer shift + windowed-sinc fractional resampling — this
-//!    removes inter-symbol interference entirely), demodulate each symbol
-//!    as the argmax over the user's *fractional comb* (integer values +
-//!    its fractional offset), reconstruct its exact waveform (per-symbol
-//!    complex gain fit) and subtract before decoding the next user.
+//!    6.1): strongest user first, read windows on the user's own symbol
+//!    clock (the capture sliced at the whole chip `ceil(Δ)` — no
+//!    resampling — which removes inter-symbol interference entirely),
+//!    demodulate each symbol as the argmax over the user's *fractional
+//!    comb* (integer values + its fractional offset, each scored per
+//!    constant-phase segment so the wrap's step costs nothing),
+//!    reconstruct its exact waveform (per-symbol complex gain fit) and
+//!    subtract before decoding the next user.
 //! 4. **Frame-decode** each user's symbol stream through the standard LoRa
 //!    chain (Gray/interleave/Hamming/CRC) from `lora-phy`.
 //!
@@ -87,7 +91,8 @@ pub struct UserEstimate {
     pub phase_slope: Option<f64>,
     /// Estimated timing offset in chips (delay past the slot boundary),
     /// reconstructed from the preamble→sync boundary (integer part) and
-    /// an alignment search (fractional part).
+    /// the sync chirps' phase step at their frequency wrap (fractional
+    /// part).
     pub timing_chips: f64,
     /// Number of preamble windows the user was tracked in.
     pub support: usize,
@@ -306,6 +311,52 @@ mod tests {
             cfo_jitter_hz: 0.0,
             timing_jitter_symbols: 0.0,
         }
+    }
+
+    /// A lone transmitter's `symbols` (preamble included), rendered
+    /// analytically `delta` chips late at `cfo_bins` and `snr_db`, into a
+    /// capture whose slot starts two symbols in and that ends two symbols
+    /// after the packet, over unit AWGN — or none, when `snr_db` is
+    /// infinite. Returns the capture, the slot start and the true
+    /// aggregate offset `μ` in `[0, n)`.
+    pub(super) fn render_lone(
+        symbols: Vec<u16>,
+        delta: f64,
+        cfo_bins: f64,
+        snr_db: f64,
+        seed: u64,
+    ) -> (Vec<C64>, usize, f64) {
+        use choir_channel::mix::{render_into, MixConfig, Transmission};
+        use rand::SeedableRng;
+        let params = params();
+        let n = params.samples_per_symbol();
+        let slot_start = 2 * n;
+        let total = slot_start + (symbols.len() + 2) * n;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let profile = HardwareProfile {
+            timing_offset_symbols: delta / n as f64,
+            ..profile(cfo_bins, 0.0)
+        };
+        let (amplitude, mut capture) = if snr_db.is_finite() {
+            let noise = choir_channel::noise::awgn(&mut rng, total, 1.0);
+            (choir_channel::noise::db_to_lin(snr_db).sqrt(), noise)
+        } else {
+            (1.0, vec![C64::ZERO; total])
+        };
+        let tx = Transmission {
+            waveform: lora_phy::chirp::PacketWaveform::new(n, symbols),
+            channel: C64::from_polar(1.0, 0.3),
+            amplitude,
+            profile,
+            start_sample: slot_start as f64,
+        };
+        let cfg = MixConfig {
+            bw_hz: params.bw.hz(),
+            noise_power: 0.0,
+        };
+        render_into(&mut capture, &tx, &cfg, &mut rng);
+        let mu = profile.aggregate_shift_bins(params.bin_hz(), n);
+        (capture, slot_start, mu.rem_euclid(n as f64))
     }
 
     /// Decodes a scenario's slot for a known payload length.

@@ -18,9 +18,9 @@
 //!   is an independent IEEE add, so no reassociation occurs. The
 //!   speedup comes from vectorizing the multiplies and element-wise
 //!   passes, not from reordering sums. Where the oracle defines many
-//!   independent folds (`fir_rev_into`'s outputs, `tone_conj_dot`'s
-//!   rows) each gets its own lanes and they advance side by side —
-//!   still the oracle's order within every one.
+//!   independent folds (`tone_conj_dot`'s rows) each gets its own lanes
+//!   and they advance side by side — still the oracle's order within
+//!   every one.
 //! * **Sign flips via XOR** with `-0.0` masks — exactly `f64`'s `Neg`,
 //!   NaN-safe.
 //!
@@ -662,75 +662,6 @@ unsafe fn butterflies_from_impl<const FORWARD: bool>(
         }
         len *= 4;
     }
-}
-
-/// Outputs one pass of [`fir_rev_into`] keeps in flight: eight
-/// registers of two, enough independent add chains to cover the add
-/// latency at two a cycle.
-const FIR_BLOCK: usize = 16;
-
-/// AVX2 [`super::fir_rev_into`]; bit-identical to the oracle.
-///
-/// *Outputs*, not taps, sit in the lanes: a register holds two adjacent
-/// outputs, tap `k` adds `xs[j + L − 1 − k]·kernel[k]` to output `j` of
-/// every register from one contiguous load and one broadcast, and the
-/// taps run in the oracle's ascending order — so each output's sum is
-/// the oracle's fold term for term, while sixteen of them advance side
-/// by side instead of one `L`-deep dependent chain at a time.
-pub fn fir_rev_into(xs: &[C64], kernel: &[f64], out: &mut [C64]) {
-    // Bounds every load below; checked here, beside the pointer
-    // arithmetic it licenses, whatever the dispatcher checked.
-    assert!(
-        !kernel.is_empty() && xs.len() + 1 >= out.len() + kernel.len(),
-        "fir_rev_into: source shorter than the outputs read"
-    );
-    // SAFETY: see `conj_dot`.
-    unsafe { fir_rev_into_impl(xs, kernel, out) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn fir_rev_into_impl(xs: &[C64], kernel: &[f64], out: &mut [C64]) {
-    let l = kernel.len();
-    let m = out.len();
-    let px = xs.as_ptr() as *const f64;
-    let po = out.as_mut_ptr() as *mut f64;
-    // Output `j` reads `xs[j..j + l]`, so a register of outputs `j, j+1`
-    // loads `xs[j + l − 1 − k]` and its successor: inside `xs` whenever
-    // `j + 1 < m`, by the wrapper's length check.
-    if m >= FIR_BLOCK {
-        let mut j = 0usize;
-        loop {
-            let mut acc = [_mm256_setzero_pd(); FIR_BLOCK / 2];
-            for (k, &kv) in kernel.iter().enumerate() {
-                let kv = _mm256_set1_pd(kv);
-                let src = px.add(2 * (j + l - 1 - k));
-                for (r, a) in acc.iter_mut().enumerate() {
-                    *a = _mm256_add_pd(*a, _mm256_mul_pd(_mm256_loadu_pd(src.add(4 * r)), kv));
-                }
-            }
-            for (r, a) in acc.iter().enumerate() {
-                _mm256_storeu_pd(po.add(2 * j + 4 * r), *a);
-            }
-            if j + FIR_BLOCK >= m {
-                return;
-            }
-            // A short last block slides back over outputs already
-            // written: recomputing one is the same fold, the same bits.
-            j = (j + FIR_BLOCK).min(m - FIR_BLOCK);
-        }
-    }
-    let mut j = 0usize;
-    while j + 2 <= m {
-        let mut acc = _mm256_setzero_pd();
-        for (k, &kv) in kernel.iter().enumerate() {
-            let xv = _mm256_loadu_pd(px.add(2 * (j + l - 1 - k)));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(xv, _mm256_set1_pd(kv)));
-        }
-        _mm256_storeu_pd(po.add(2 * j), acc);
-        j += 2;
-    }
-    // An odd last output is the oracle's own loop.
-    super::scalar::fir_rev_into(&xs[j..], kernel, &mut out[j..]);
 }
 
 /// `2·R` whole rows of [`tone_conj_dot`], two to a register: row `2r`

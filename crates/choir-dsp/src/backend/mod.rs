@@ -3,8 +3,8 @@
 //! Stage profiles (`core.profile.*` of a traced spine run) show the
 //! Algorithm-1 refine loop spending its time in a handful of dense
 //! complex kernels: dechirp multiplies, the conjugated dot product that
-//! projects a window onto a tone, tone-basis synthesis, the sinc
-//! interpolation FIR, and the radix-2 FFT butterflies. This module
+//! projects a window onto a tone, tone-basis synthesis and the radix-2
+//! FFT butterflies. This module
 //! gives each of those a narrow kernel entry point and selects an
 //! implementation once per process:
 //!
@@ -28,9 +28,8 @@
 //!   bits relative to the two-rounding scalar expression);
 //! * keep reduction order identical to the scalar fold — lanes may
 //!   compute products in parallel, and folds the oracle defines as
-//!   independent (the outputs of [`fir_rev_into`], the rows of
-//!   [`tone_conj_dot`]) may run side by side, but each sum accumulates
-//!   sequentially in the oracle's order;
+//!   independent (the rows of [`tone_conj_dot`]) may run side by side,
+//!   but each sum accumulates sequentially in the oracle's order;
 //! * may swap the two operands of one IEEE addition or multiplication
 //!   (`a + b` is `b + a` to the bit) and may run operations that do not
 //!   feed one another in any order — [`butterflies_from`] runs two
@@ -429,32 +428,6 @@ pub fn butterflies_from(x: &mut [C64], twiddles: &Twiddles, forward: bool, first
         return avx2::butterflies_from(x, twiddles, forward, first_len);
     }
     scalar::butterflies_from(x, &twiddles.compact, forward, first_len)
-}
-
-/// Reversed real-kernel FIR `out[j] = Σ_k xs[j + L − 1 − k]·kernel[k]`
-/// (`L = kernel.len()`, `k` ascending, each output accumulated from
-/// `C64::ZERO`) — the interior of the sinc fractional-delay filter, where
-/// the source index walks backwards as the kernel index walks forwards.
-/// The outputs are independent and each one's fold is the oracle's
-/// ([`scalar::fir_rev_into`]), so a leaf may compute many side by side
-/// (that is the whole speed-up: `L` dependent adds per output become one
-/// streaming pass) and stay bit-identical.
-///
-/// # Panics
-/// Panics if `kernel` is empty or `xs` is not exactly the `out.len() +
-/// L − 1` samples the outputs read.
-// hot:noalloc — reads and writes caller-provided slices only.
-pub fn fir_rev_into(xs: &[C64], kernel: &[f64], out: &mut [C64]) {
-    assert!(!kernel.is_empty(), "fir_rev_into: empty kernel");
-    if out.is_empty() {
-        return;
-    }
-    assert_eq!(
-        xs.len() + 1,
-        out.len() + kernel.len(),
-        "fir_rev_into: source length"
-    );
-    dispatch!(fir_rev_into(xs, kernel, out))
 }
 
 /// One DTFT bin of `y` at `freq_bins`: `Σ_t conj(tone[t])·y[t]` with

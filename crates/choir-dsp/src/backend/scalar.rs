@@ -171,10 +171,10 @@ pub fn butterflies_from(x: &mut [C64], twiddles: &[C64], forward: bool, first_le
 }
 
 /// Reversed real-kernel MAC `Σ_j xs[L-1-j]·kernel[j]` (`L = xs.len()`,
-/// `j` ascending, accumulated from `C64::ZERO`): one output of the sinc
-/// fractional-delay filter, where the source index walks backwards as
-/// the kernel index walks forwards. The fold [`fir_rev_into`] is defined
-/// by; no backend dispatches it on its own.
+/// `j` ascending, accumulated from `C64::ZERO`): one interior output of
+/// the sinc fractional-delay filter, where the source index walks
+/// backwards as the kernel index walks forwards. No backend dispatches
+/// it: the resampler is off the decode path.
 pub fn dot_rev(xs: &[C64], kernel: &[f64]) -> C64 {
     debug_assert_eq!(xs.len(), kernel.len());
     let l = xs.len();
@@ -183,14 +183,6 @@ pub fn dot_rev(xs: &[C64], kernel: &[f64]) -> C64 {
         acc += xs[l - 1 - j].scale(k);
     }
     acc
-}
-
-/// Oracle for [`super::fir_rev_into`]: one [`dot_rev`] per output,
-/// `out[j] = dot_rev(xs[j..j + L], kernel)`.
-pub fn fir_rev_into(xs: &[C64], kernel: &[f64], out: &mut [C64]) {
-    for (o, src) in out.iter_mut().zip(xs.windows(kernel.len())) {
-        *o = dot_rev(src, kernel);
-    }
 }
 
 /// Oracle for [`super::tone_conj_dot`]: the DTFT bin `Σ_t

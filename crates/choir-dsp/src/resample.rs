@@ -1,120 +1,69 @@
 //! Fractional delays.
 //!
 //! The channel simulator generates each transmitter's waveform analytically
-//! at its own (offset) clock, but receiver-side processing sometimes needs
-//! to shift an already-sampled signal by a fraction of a sample — e.g. when
-//! reconstructing a hypothesis for interference cancellation. Windowed-sinc
-//! interpolation gives near-ideal fractional delay for band-limited signals.
+//! at its own (offset) clock, but an experiment sometimes needs to shift an
+//! already-sampled signal by a fraction of a sample (Fig. 7's offset
+//! estimates on timing-compensated windows). Windowed-sinc interpolation
+//! gives near-ideal fractional delay for band-limited signals. The decoder
+//! does not resample: it reads a user on its whole-chip grid and carries
+//! the fractional chip as a phase.
 
+use crate::backend::scalar::dot_rev;
 use crate::complex::C64;
-
-/// A delay as the resampler applies it: whole samples to shift by and
-/// the Hann-windowed sinc weights of the fractional rest. A function of
-/// `(delay, taps)` alone, so a caller that resamples many windows at one
-/// delay builds it once and hands it to every
-/// [`fractional_delay_into`]; [`Self::retune`] moves it to another delay
-/// in place, for a search that probes one delay after another.
-#[derive(Clone, Debug)]
-pub struct DelayKernel {
-    taps: usize,
-    int_shift: i64,
-    /// Weight of tap `k = −taps…taps`, ascending; empty when the delay
-    /// is whole samples (within 1e-12) and the filter is a pure shift.
-    weights: Vec<f64>,
-}
-
-impl DelayKernel {
-    /// The kernel delaying by `delay` samples (fractional and/or
-    /// negative) with `taps` taps per side.
-    ///
-    /// # Panics
-    /// Panics if `taps` is zero.
-    pub fn new(delay: f64, taps: usize) -> Self {
-        assert!(taps >= 1, "fractional_delay: need at least one tap");
-        let mut kernel = DelayKernel {
-            taps,
-            int_shift: 0,
-            weights: Vec::with_capacity(2 * taps + 1),
-        };
-        kernel.retune(delay);
-        kernel
-    }
-
-    /// Moves the kernel to `delay`, keeping its tap count and its
-    /// allocation: the value [`Self::new`] builds for `(delay, taps)`.
-    // hot:noalloc — the weights are rewritten in the capacity `new` reserved.
-    pub fn retune(&mut self, delay: f64) {
-        let int_part = delay.floor();
-        let frac = delay - int_part;
-        self.int_shift = int_part as i64;
-        self.weights.clear();
-        if frac.abs() < 1e-12 {
-            return;
-        }
-        let t = self.taps as i64;
-        self.weights.extend((-t..=t).map(|k| {
-            let u = k as f64 - frac;
-            // Hann window over the tap span.
-            let w = 0.5 + 0.5 * (std::f64::consts::PI * u / (t as f64 + 1.0)).cos();
-            sinc(u) * w.max(0.0)
-        }));
-    }
-}
 
 /// Delays `x` by `delay` samples (may be fractional and/or negative) using
 /// windowed-sinc interpolation with `taps` taps per side (Hann-windowed).
 /// Samples that would come from outside the signal are treated as zero.
+///
+/// # Panics
+/// Panics if `taps` is zero.
 pub fn fractional_delay(x: &[C64], delay: f64, taps: usize) -> Vec<C64> {
-    let mut out = vec![C64::ZERO; x.len()];
-    fractional_delay_into(x, &DelayKernel::new(delay, taps), 0, &mut out);
-    out
-}
-
-/// Allocation-free [`fractional_delay`] over the output positions
-/// `first..first + out.len()` only: `out[j]` is exactly the value
-/// `fractional_delay(x, delay, taps)[first + j]` for the `(delay, taps)`
-/// `kernel` was built from. A caller that keeps an interior span of the
-/// delayed signal (the decoder's aligned windows) skips both the
-/// full-length buffer and the edge outputs it would drop.
-// hot:noalloc — reads the caller's kernel, writes the caller's buffer.
-pub fn fractional_delay_into(x: &[C64], kernel: &DelayKernel, first: usize, out: &mut [C64]) {
-    let n = x.len() as i64;
-    let int_shift = kernel.int_shift;
-    if kernel.weights.is_empty() {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = sample_or_zero(x, (first + j) as i64 - int_shift);
-        }
-        return;
+    assert!(taps >= 1, "fractional_delay: need at least one tap");
+    let int_part = delay.floor();
+    let frac = delay - int_part;
+    let int_shift = int_part as i64;
+    if frac.abs() < 1e-12 {
+        return integer_shift(x, int_shift);
     }
-    let t = kernel.taps as i64;
-    let first = first as i64;
+    let t = taps as i64;
+    // Weight of tap `k = −taps…taps`, ascending.
+    let weights: Vec<f64> = (-t..=t)
+        .map(|k| {
+            let u = k as f64 - frac;
+            // Hann window over the tap span.
+            let w = 0.5 + 0.5 * (std::f64::consts::PI * u / (t as f64 + 1.0)).cos();
+            sinc(u) * w.max(0.0)
+        })
+        .collect();
+    let n = x.len() as i64;
+    let mut out = vec![C64::ZERO; x.len()];
     // out[i] = Σ_k x[i - int_shift - k] · sinc(k - frac) · w(k). Output
     // `i` is *interior* when every tap's source is in range, `int_shift
     // + t ≤ i < n + int_shift − t`: there the source index walks
-    // backwards as the tap index walks forwards with no skips — the
-    // backend's reversed FIR, one streaming pass over the whole run.
-    let end = first + out.len() as i64;
-    let lo = (int_shift + t).clamp(first, end);
-    let hi = (n + int_shift - t).clamp(lo, end);
+    // backwards as the tap index walks forwards with no skips — one
+    // `dot_rev` over the output's source span.
+    let lo = (int_shift + t).clamp(0, n);
+    let hi = (n + int_shift - t).clamp(lo, n);
     if lo < hi {
-        crate::backend::fir_rev_into(
-            &x[(lo - int_shift - t) as usize..(hi - int_shift + t) as usize],
-            &kernel.weights,
-            &mut out[(lo - first) as usize..(hi - first) as usize],
-        );
+        let src = &x[(lo - int_shift - t) as usize..(hi - int_shift + t) as usize];
+        let interior = out[lo as usize..hi as usize].iter_mut();
+        for (o, span) in interior.zip(src.windows(weights.len())) {
+            *o = dot_rev(span, &weights);
+        }
     }
     // Edge outputs: taps whose source falls outside the signal read zero.
-    for i in (first..lo).chain(hi..end) {
+    for i in (0..lo).chain(hi..n) {
         let mut acc = C64::ZERO;
-        for (kw, k) in kernel.weights.iter().zip(-t..=t) {
+        for (kw, k) in weights.iter().zip(-t..=t) {
             let src = i - int_shift - k;
             if src < 0 || src >= n {
                 continue;
             }
             acc += x[src as usize].scale(*kw);
         }
-        out[(i - first) as usize] = acc;
+        out[i as usize] = acc;
     }
+    out
 }
 
 /// Integer sample shift with zero fill (positive = delay).
@@ -178,15 +127,57 @@ mod tests {
         }
     }
 
+    /// The resampler before its interior ran through `dot_rev`, kept as
+    /// its oracle: every output its own guarded tap loop.
+    fn per_output_delay(x: &[C64], delay: f64, taps: usize) -> Vec<C64> {
+        let int_part = delay.floor();
+        let frac = delay - int_part;
+        let int_shift = int_part as i64;
+        let t = taps as i64;
+        let sample = |src: i64| usize::try_from(src).ok().and_then(|i| x.get(i)).copied();
+        (0..x.len() as i64)
+            .map(|i| {
+                if frac.abs() < 1e-12 {
+                    return sample(i - int_shift).unwrap_or(C64::ZERO);
+                }
+                let mut acc = C64::ZERO;
+                for k in -t..=t {
+                    let Some(v) = sample(i - int_shift - k) else {
+                        continue;
+                    };
+                    let u = k as f64 - frac;
+                    let w = 0.5 + 0.5 * (std::f64::consts::PI * u / (t as f64 + 1.0)).cos();
+                    acc += v.scale(sinc(u) * w.max(0.0));
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// Interior outputs through `dot_rev`, edges through the guarded
+    /// loop, whole shifts through `integer_shift`: all the per-output
+    /// formulation, bit for bit — on a signal with an interior, one
+    /// shorter than the taps span, one sample and none.
     #[test]
-    fn ranged_delay_is_a_slice_of_the_full_one() {
-        let x: Vec<C64> = (0..64).map(|i| C64::cis(0.3 * i as f64)).collect();
-        for delay in [-0.37, 0.0, 0.62, 3.0, -2.25] {
-            let full = fractional_delay(&x, delay, 6);
-            for (first, len) in [(0usize, 64usize), (6, 52), (0, 5), (60, 4)] {
-                let mut part = vec![C64::ZERO; len];
-                fractional_delay_into(&x, &DelayKernel::new(delay, 6), first, &mut part);
-                assert_eq!(part, full[first..first + len], "delay {delay} from {first}");
+    fn resampler_matches_the_per_output_formulation() {
+        let signal: Vec<C64> = (0..300)
+            .map(|i| C64::from_polar(1.0 + 0.3 * (i as f64 * 0.71).sin(), 0.013 * (i * i) as f64))
+            .collect();
+        for len in [300usize, 30, 1, 0] {
+            let x = &signal[..len];
+            for taps in [1usize, 6, 10, 24] {
+                for delay in [-0.63, -0.000_001, 0.25, 0.999_999, 3.0, -40.4, 310.2, 7.5] {
+                    let want = per_output_delay(x, delay, taps);
+                    let got = fractional_delay(x, delay, taps);
+                    assert_eq!(got.len(), len);
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(
+                            (g.re.to_bits(), g.im.to_bits()),
+                            (w.re.to_bits(), w.im.to_bits()),
+                            "delay {delay}, taps {taps}, {len} samples"
+                        );
+                    }
+                }
             }
         }
     }

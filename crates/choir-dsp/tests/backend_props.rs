@@ -16,7 +16,6 @@
 
 use choir_dsp::backend::{self, BackendKind};
 use choir_dsp::complex::{c64, C64};
-use choir_dsp::resample::{fractional_delay_into, sinc, DelayKernel};
 use proptest::prelude::*;
 use std::f64::consts::PI;
 
@@ -135,12 +134,6 @@ fn check_butterflies(x: &[C64], forward: bool) {
     }
 }
 
-/// Real vectors of adversarial values (sinc-kernel taps for `fir_rev_into`).
-fn arb_wild_taps(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec((0u8..6, -1.0f64..1.0), 1..max_len)
-        .prop_map(|v| v.into_iter().map(|(c, x)| wild(c, x)).collect())
-}
-
 /// The backend contract: bit-equal, except NaN matches any NaN (sign
 /// and payload of NaNs are unspecified by IEEE-754 — see module docs).
 fn f64_matches(g: f64, w: f64) -> bool {
@@ -233,42 +226,6 @@ proptest! {
             let mut got = acc[..n].to_vec();
             backend::axpy(&mut got, &xs[..n], amp, subtract);
             assert_bits_eq(kind, "axpy", &got, &want);
-        }
-    }
-
-    // The reversed FIR at every output count around the leaf's block
-    // sizes (none, one, a pair, a block less one, a block, a block and
-    // one, and the resampler's 255/256) and every kernel length in use
-    // (1 and 3 taps, the decoder's 21, the tests' 49): each backend and
-    // the scalar entry against one `scalar::dot_rev` per output — the
-    // arithmetic the kernel replaced, and its definition.
-    #[test]
-    fn fir_rev_matches_one_dot_rev_per_output_bit_exactly(
-        seed in arb_wild_signal(129),
-        taps in arb_wild_taps(67),
-    ) {
-        let _s = serial();
-        let _r = RestoreBackend;
-        for l in [1usize, 3, 21, 49] {
-            let kernel: Vec<f64> = (0..l).map(|k| taps[k % taps.len()]).collect();
-            for m in [0usize, 1, 2, 15, 16, 17, 255, 256] {
-                // Cycle the drawn values out to the samples `m` outputs read.
-                let xs: Vec<C64> = (0..(m + l).saturating_sub(1).max(1))
-                    .map(|i| seed[i % seed.len()])
-                    .collect();
-                let want: Vec<C64> = (0..m)
-                    .map(|j| backend::scalar::dot_rev(&xs[j..j + l], &kernel))
-                    .collect();
-                let mut oracle = vec![C64::ONE; m];
-                backend::scalar::fir_rev_into(&xs, &kernel, &mut oracle);
-                assert_bits_eq(BackendKind::Scalar, "scalar::fir_rev_into", &oracle, &want);
-                for kind in backend::available() {
-                    backend::force(kind);
-                    let mut got = vec![C64::ONE; m];
-                    backend::fir_rev_into(&xs, &kernel, &mut got);
-                    assert_bits_eq(kind, "fir_rev_into", &got, &want);
-                }
-            }
         }
     }
 
@@ -694,71 +651,6 @@ fn non_finite_frequency_yields_a_nan_bin() {
                     "{} f={f} len={len}",
                     kind.name()
                 );
-            }
-        }
-    }
-}
-
-/// The resampler before the FIR kernel, kept as its oracle: every output
-/// its own guarded tap loop, the windowed-sinc weights rebuilt per call.
-fn per_output_delay(x: &[C64], delay: f64, taps: usize, first: usize, len: usize) -> Vec<C64> {
-    let int_part = delay.floor();
-    let frac = delay - int_part;
-    let int_shift = int_part as i64;
-    let t = taps as i64;
-    let sample = |src: i64| usize::try_from(src).ok().and_then(|i| x.get(i)).copied();
-    (first as i64..(first + len) as i64)
-        .map(|i| {
-            if frac.abs() < 1e-12 {
-                return sample(i - int_shift).unwrap_or(C64::ZERO);
-            }
-            let mut acc = C64::ZERO;
-            for k in -t..=t {
-                let Some(v) = sample(i - int_shift - k) else {
-                    continue;
-                };
-                let u = k as f64 - frac;
-                let w = 0.5 + 0.5 * (PI * u / (t as f64 + 1.0)).cos();
-                acc += v.scale(sinc(u) * w.max(0.0));
-            }
-            acc
-        })
-        .collect()
-}
-
-/// Interior runs through the backend FIR, edges through the guarded loop,
-/// a kernel shared across windows or retuned from another delay: all the
-/// per-output formulation, bit for bit, on every backend.
-#[test]
-fn fir_resampler_matches_the_per_output_formulation() {
-    let _s = serial();
-    let _r = RestoreBackend;
-    let x: Vec<C64> = (0..300)
-        .map(|i| C64::from_polar(1.0 + 0.3 * (i as f64 * 0.71).sin(), 0.013 * (i * i) as f64))
-        .collect();
-    let spans = [
-        (0usize, 300usize),
-        (10, 256),
-        (0, 1),
-        (299, 1),
-        (40, 17),
-        (150, 0),
-    ];
-    for kind in backend::available() {
-        backend::force(kind);
-        for taps in [1usize, 6, 10, 24] {
-            let mut shared = DelayKernel::new(0.5, taps);
-            for delay in [-0.63, -0.000_001, 0.25, 0.999_999, 3.0, -40.4, 310.2, 7.5] {
-                shared.retune(delay);
-                let rebuilt = DelayKernel::new(delay, taps);
-                for (first, len) in spans {
-                    let want = per_output_delay(&x, delay, taps, first, len);
-                    for (kernel, how) in [(&shared, "retuned"), (&rebuilt, "rebuilt")] {
-                        let mut got = vec![C64::ONE; len];
-                        fractional_delay_into(&x, kernel, first, &mut got);
-                        assert_bits_eq(kind, how, &got, &want);
-                    }
-                }
             }
         }
     }

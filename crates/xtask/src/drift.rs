@@ -250,14 +250,39 @@ fn report_id<'a>(report: &[Leaf<'a>]) -> &'a str {
         .map_or("", |l| l.text)
 }
 
-/// Figure reports no decoder decision reaches: the closed-form city
-/// simulator's and the station's slot accounting.
-const DECISION_FREE_REPORTS: [&str; 2] = ["\"city\"", "\"station\""];
+/// Figure reports no decoder decision reaches — the closed-form city
+/// simulator, the station's streamed-vs-batch diff and slot accounting —
+/// each with the one part of it that runs the IQ decoder on the side:
+/// the city's escalation probe (a series label) and the station's
+/// metrics (its `notes`, which count the users decoded).
+const DECISION_FREE_REPORTS: [(&str, &str); 2] =
+    [("\"city\"", "\"iq escalation\""), ("\"station\"", "notes")];
+
+/// A report's leaves cut into those no decision reaches and those under
+/// `iq` — the points of the series labelled `iq`, or every note when `iq`
+/// is `notes`.
+fn split_iq<'b, 'a>(report: &'b [Leaf<'a>], iq: &str) -> [Vec<&'b Leaf<'a>>; 2] {
+    let mut label = "";
+    let mut parts = [Vec::new(), Vec::new()];
+    for leaf in report {
+        if leaf.field == "label" {
+            label = leaf.text;
+        }
+        let decoded = match leaf.field {
+            "notes" => iq == "notes",
+            "points" => label == iq,
+            _ => false,
+        };
+        parts[usize::from(decoded)].push(leaf);
+    }
+    parts
+}
 
 /// What a declared decision change (a regenerated golden transcript) is
 /// still held to, given both sides' `trace_dump` and `figures --json`
 /// outputs: the traced slot delivers no fewer CRC-ok users, and the
-/// reports in [`DECISION_FREE_REPORTS`] are identical. Returns the
+/// reports in [`DECISION_FREE_REPORTS`] are identical but for their
+/// IQ-decoded leaves, which are printed when they moved. Returns the
 /// failures.
 pub fn decision_change(
     trace_base: &str,
@@ -281,14 +306,30 @@ pub fn decision_change(
     }
     let (base, head) = (leaves(fig_base), leaves(fig_head));
     let (base, head) = (reports(&base), reports(&head));
-    for id in DECISION_FREE_REPORTS {
+    for (id, iq) in DECISION_FREE_REPORTS {
         let of = |all: &[&[Leaf<'_>]]| all.iter().position(|r| report_id(r) == id);
-        match (of(&base), of(&head)) {
-            (Some(b), Some(h)) if base[b] == head[h] => {}
-            (Some(_), Some(_)) => failures.push(format!(
-                "fig {id}: moved — no decoder decision reaches this report"
-            )),
-            _ => failures.push(format!("fig {id}: report missing")),
+        let (Some(b), Some(h)) = (of(&base), of(&head)) else {
+            failures.push(format!("fig {id}: report missing"));
+            continue;
+        };
+        let ([b_held, b_iq], [h_held, h_iq]) = (split_iq(base[b], iq), split_iq(head[h], iq));
+        if b_held != h_held {
+            failures.push(format!(
+                "fig {id}: moved outside {iq} — no decoder decision reaches it"
+            ));
+        }
+        if b_iq.len() != h_iq.len() {
+            println!(
+                "ci: drift: reported: fig {id} {iq}: {} leaves at the base, {} here",
+                b_iq.len(),
+                h_iq.len()
+            );
+        }
+        for (x, y) in b_iq.iter().zip(&h_iq).filter(|(x, y)| x != y) {
+            println!(
+                "ci: drift: reported: fig {id} {iq}: {} became {}",
+                x.text, y.text
+            );
         }
     }
     failures
@@ -433,6 +474,43 @@ mod tests {
         }
         let held = decision_change(&outcome(4), &outcome(4), &base, "[]");
         assert_eq!(held.len(), 2, "{held:?}");
+    }
+
+    #[test]
+    fn a_declared_decision_change_reports_the_iq_decoded_leaves_only() {
+        let figs = |fps: f64, mismatches: u32, digest: &str, decoded: u32, identical: u32| {
+            format!(
+                "[{{\"id\":\"city\",\"series\":[{{\"label\":\"choir fps\",\"points\":[[4,{fps}]]}},\
+                 {{\"label\":\"iq escalation\",\"points\":[[\"slots escalated\",4],\
+                 [\"verdict mismatches\",{mismatches}]]}}],\"notes\":[\"digest {digest}\"]}},\
+                 {{\"id\":\"station\",\"series\":[{{\"label\":\"paths agree\",\
+                 \"points\":[[\"identical\",{identical}]]}}],\
+                 \"notes\":[\"metrics: {{\\\"users_decoded\\\": {decoded}}}\"]}}]"
+            )
+        };
+        let outcome = "{\"kind\": \"slot_outcome\", \"crc_ok\": 4}";
+        let base = figs(2676.5, 0, "0x44a0", 8, 1);
+        // The escalation probe's verdicts and the station's decode counts
+        // may move, together or alone.
+        for head in [
+            figs(2676.5, 1, "0x44a0", 7, 1),
+            figs(2676.5, 1, "0x44a0", 8, 1),
+            figs(2676.5, 0, "0x44a0", 7, 1),
+        ] {
+            let held = decision_change(outcome, outcome, &base, &head);
+            assert!(held.is_empty(), "{held:?}");
+        }
+        // A closed-form city leaf, the city digest, the streamed-vs-batch
+        // diff: each still fails, beside a moved IQ leaf too.
+        for head in [
+            figs(2676.0, 1, "0x44a0", 8, 1),
+            figs(2676.5, 0, "0x44a1", 8, 1),
+            figs(2676.5, 0, "0x44a0", 7, 0),
+        ] {
+            let held = decision_change(outcome, outcome, &base, &head);
+            assert_eq!(held.len(), 1, "{head}: {held:?}");
+            assert!(held[0].contains("no decoder decision"), "{held:?}");
+        }
     }
 
     #[test]
