@@ -14,10 +14,8 @@
 
 use choir_core::estimator::{EstimatorConfig, GramFit, OffsetEstimator};
 use choir_dsp::complex::{c64, C64};
-use choir_dsp::fft::FftPlan;
 use choir_dsp::linalg::{conj_dot, least_squares_refs, residual_energy_refs};
 use choir_dsp::peaks::dirichlet;
-use choir_dsp::resample::{fractional_delay, integer_shift, sinc};
 use proptest::prelude::*;
 
 const N: usize = 256; // chips per symbol at the default SF8
@@ -426,71 +424,6 @@ proptest! {
                 prop_assert_eq!(resid.to_bits(), choir_dsp::complex::energy(&y).to_bits());
                 prop_assert!(channels.iter().all(|c| c.re == 0.0 && c.im == 0.0));
             }
-        }
-    }
-
-    // The workspace-backed `padded_spectrum` (checkout + `_into` FFT) must
-    // be bit-identical to padding by hand and transforming in place.
-    #[test]
-    fn workspace_padded_spectrum_matches_allocating_fft(
-        users in arb_users(),
-        noise in arb_noise(),
-    ) {
-        let est = OffsetEstimator::new(N, EstimatorConfig::default());
-        let y = window(&users, &noise);
-        let fast = est.padded_spectrum(&y);
-        let mut reference = y.clone();
-        reference.resize(N * est.config().pad, C64::ZERO);
-        FftPlan::new(reference.len()).forward(&mut reference);
-        prop_assert_eq!(fast.len(), reference.len());
-        for (a, b) in fast.iter().zip(&reference) {
-            prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
-            prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-    }
-
-    // `fractional_delay` hoists the windowed-sinc kernel out of the
-    // per-sample loop (it depends only on the fractional part); the
-    // output must match the per-sample recomputation it replaced, bit
-    // for bit.
-    #[test]
-    fn hoisted_sinc_kernel_matches_per_sample_recompute(
-        users in arb_users(),
-        noise in arb_noise(),
-        delay in -3.0f64..3.0,
-    ) {
-        let x = window(&users, &noise);
-        let taps = 8usize;
-        let fast = fractional_delay(&x, delay, taps);
-        // Pre-change reference: recompute sinc·Hann inside the sample loop.
-        let int_part = delay.floor();
-        let frac = delay - int_part;
-        let int_shift_amt = int_part as i64;
-        let reference: Vec<C64> = if frac.abs() < 1e-12 {
-            integer_shift(&x, int_shift_amt)
-        } else {
-            let t = taps as i64;
-            (0..N as i64)
-                .map(|i| {
-                    let mut acc = C64::ZERO;
-                    for k in -t..=t {
-                        let src = i - int_shift_amt - k;
-                        if src < 0 || src >= N as i64 {
-                            continue;
-                        }
-                        let u = k as f64 - frac;
-                        let s = sinc(u);
-                        let w = 0.5
-                            + 0.5 * (std::f64::consts::PI * u / (t as f64 + 1.0)).cos();
-                        acc += x[src as usize].scale(s * w.max(0.0));
-                    }
-                    acc
-                })
-                .collect()
-        };
-        for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
-            prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "sample {} re", i);
-            prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "sample {} im", i);
         }
     }
 }

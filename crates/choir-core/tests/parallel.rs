@@ -6,7 +6,7 @@
 
 use choir_channel::impairments::HardwareProfile;
 use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
-use choir_core::{ChoirConfig, ChoirDecoder, DecodedUser, SlotView};
+use choir_core::{ChoirDecoder, DecodedUser, SlotView};
 use choir_pool::ThreadPool;
 use lora_phy::params::PhyParams;
 
@@ -140,10 +140,7 @@ fn parallel_decode_matches_sequential() {
 /// (scratch workspaces, cached bases, incremental Gram least-squares) is
 /// required to leave the decoded streams *byte-for-byte* unchanged — every
 /// estimate is compared via `to_bits`, every symbol and payload byte
-/// exactly. The refine prefilter's candidate-block width must not show
-/// either: the corpus is decoded at `block_width` 1, 2, 4 and 8 and every
-/// width must render the same capture. Regenerate it after an intentional
-/// numerics change:
+/// exactly. Regenerate it after an intentional numerics change:
 ///
 /// `cargo run --release -p choir-core --example golden_dump > crates/choir-core/tests/golden_seeded.txt`
 #[test]
@@ -151,49 +148,43 @@ fn seeded_scenarios_match_golden_capture() {
     use std::fmt::Write as _;
     const GOLDEN: &str = include_str!("golden_seeded.txt");
     let slots = seeded_slots(6);
-    for block_width in [1, 2, 4, 8] {
-        let mut cfg = ChoirConfig::default();
-        cfg.estimator.block_width = block_width;
-        let dec = ChoirDecoder::with_config(params(), cfg);
-        let results = dec.decode_slot_views_with_pool(&views(&slots, 6), ThreadPool::sequential());
-        let mut rendered = String::new();
-        for (i, r) in results.iter().enumerate() {
+    let dec = ChoirDecoder::new(params());
+    let results = dec.decode_slot_views_with_pool(&views(&slots, 6), ThreadPool::sequential());
+    let mut rendered = String::new();
+    for (i, r) in results.iter().enumerate() {
+        writeln!(
+            rendered,
+            "slot {i}: {} users, error={:?}",
+            r.users.len(),
+            r.error
+        )
+        .unwrap();
+        for (j, u) in r.users.iter().enumerate() {
             writeln!(
                 rendered,
-                "slot {i}: {} users, error={:?}",
-                r.users.len(),
-                r.error
+                "  u{j} offset={:#018x} frac={:#018x} timing={:#018x}",
+                u.user.offset_bins.to_bits(),
+                u.user.frac.to_bits(),
+                u.user.timing_chips.to_bits()
             )
             .unwrap();
-            for (j, u) in r.users.iter().enumerate() {
-                writeln!(
+            writeln!(rendered, "  u{j} symbols={:?}", u.symbols).unwrap();
+            match &u.frame {
+                Some(f) => writeln!(
                     rendered,
-                    "  u{j} offset={:#018x} frac={:#018x} timing={:#018x}",
-                    u.user.offset_bins.to_bits(),
-                    u.user.frac.to_bits(),
-                    u.user.timing_chips.to_bits()
+                    "  u{j} crc_ok={} payload={:?}",
+                    f.crc_ok, f.payload
                 )
-                .unwrap();
-                writeln!(rendered, "  u{j} symbols={:?}", u.symbols).unwrap();
-                match &u.frame {
-                    Some(f) => writeln!(
-                        rendered,
-                        "  u{j} crc_ok={} payload={:?}",
-                        f.crc_ok, f.payload
-                    )
-                    .unwrap(),
-                    None => {
-                        writeln!(rendered, "  u{j} frame=None err={:?}", u.frame_error).unwrap()
-                    }
-                }
+                .unwrap(),
+                None => writeln!(rendered, "  u{j} frame=None err={:?}", u.frame_error).unwrap(),
             }
         }
-        assert_eq!(
-            rendered.trim_end(),
-            GOLDEN.trim_end(),
-            "block_width {block_width}: decoded streams diverged from the golden \
-             capture — if the change is an intentional numerics change, regenerate \
-             via the golden_dump example; otherwise this is a hot-path regression"
-        );
     }
+    assert_eq!(
+        rendered.trim_end(),
+        GOLDEN.trim_end(),
+        "decoded streams diverged from the golden capture — if the change is an \
+         intentional numerics change, regenerate via the golden_dump example; \
+         otherwise this is a hot-path regression"
+    );
 }

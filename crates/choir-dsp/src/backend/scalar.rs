@@ -170,21 +170,6 @@ pub fn butterflies_from(x: &mut [C64], twiddles: &[C64], forward: bool, first_le
     }
 }
 
-/// Reversed real-kernel MAC `Σ_j xs[L-1-j]·kernel[j]` (`L = xs.len()`,
-/// `j` ascending, accumulated from `C64::ZERO`): one interior output of
-/// the sinc fractional-delay filter, where the source index walks
-/// backwards as the kernel index walks forwards. No backend dispatches
-/// it: the resampler is off the decode path.
-pub fn dot_rev(xs: &[C64], kernel: &[f64]) -> C64 {
-    debug_assert_eq!(xs.len(), kernel.len());
-    let l = xs.len();
-    let mut acc = C64::ZERO;
-    for (j, &k) in kernel.iter().enumerate() {
-        acc += xs[l - 1 - j].scale(k);
-    }
-    acc
-}
-
 /// Oracle for [`super::tone_conj_dot`]: the DTFT bin `Σ_t
 /// conj(tone[t])·y[t]` folded by the tone kernel's rows. With `w`, `B`
 /// and the two [`super::sincos`] tables exactly as [`tone_into`] builds

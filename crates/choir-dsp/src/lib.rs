@@ -4,7 +4,7 @@
 //! Choir reproduction (SIGCOMM 2017): complex arithmetic, FFTs (radix-2 and
 //! Bluestein for arbitrary sizes), spectral peak detection with Dirichlet
 //! leakage modelling, small dense complex linear algebra, derivative-free
-//! local optimisation, fractional resampling and statistics.
+//! local optimisation and statistics.
 //!
 //! Nothing in this crate knows about LoRa: it is the layer the PHY and the
 //! Choir decoder are built on, and it deliberately has no dependencies
@@ -35,7 +35,6 @@ pub mod fft;
 pub mod linalg;
 pub mod optim;
 pub mod peaks;
-pub mod resample;
 pub mod stats;
 pub mod workspace;
 

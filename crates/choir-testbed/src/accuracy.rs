@@ -69,22 +69,24 @@ struct Cell {
 /// Floors: a timing count may sit one user under what the closed-form
 /// timing read (DESIGN §17) measures, so a later change cannot quietly
 /// give its gain back; a delivery count one frame under what the decoder
-/// delivered before that read. CHANGES.md lists both sides.
+/// delivered before that read, or under what the exact-probe grid of the
+/// offset search delivers where that is more. CHANGES.md lists both
+/// sides.
 #[rustfmt::skip]
 const CELLS: [Cell; 8] = [
     Cell { name: "k1_10", snrs_db: &[10.0], floors: [28, 27, 28, 27, 29] },
     Cell { name: "k2_20_14", snrs_db: &[20.0, 14.0], floors: [59, 43, 59, 58, 59] },
-    Cell { name: "k3_20_14", snrs_db: &[20.0, 17.0, 14.0], floors: [85, 51, 87, 87, 86] },
-    Cell { name: "k5_22_14", snrs_db: &[22.0, 20.0, 18.0, 16.0, 14.0], floors: [129, 64, 130, 123, 124] },
+    Cell { name: "k3_20_14", snrs_db: &[20.0, 17.0, 14.0], floors: [85, 51, 88, 87, 89] },
+    Cell { name: "k5_22_14", snrs_db: &[22.0, 20.0, 18.0, 16.0, 14.0], floors: [129, 64, 130, 123, 127] },
     Cell { name: "k5_30_6_near_far", snrs_db: &[30.0, 24.0, 18.0, 12.0, 6.0], floors: [104, 53, 105, 99, 102] },
     Cell { name: "k6_22_12", snrs_db: &[22.0, 20.0, 18.0, 16.0, 14.0, 12.0], floors: [149, 72, 162, 158, 154] },
     Cell { name: "k8_22_8", snrs_db: &[22.0, 20.0, 18.0, 16.0, 14.0, 12.0, 10.0, 8.0], floors: [180, 69, 161, 144, 140] },
     Cell { name: "k10_24_6", snrs_db: &[24.0, 22.0, 20.0, 18.0, 16.0, 14.0, 12.0, 10.0, 8.0, 6.0], floors: [176, 88, 157, 127, 132] },
 ];
 
-/// The grid total must stay above what the decoder delivered before the
-/// closed-form timing read (834 of 1 200).
-const DELIVERED_TOTAL_FLOOR: usize = 833;
+/// The grid total may sit two frames under what the decoder delivers
+/// with the exact-probe grid of the offset search (840 of 1 200).
+const DELIVERED_TOTAL_FLOOR: usize = 838;
 
 /// The measured ledger: the counts of each cell of the grid, in order.
 #[derive(Clone, Debug, PartialEq, Eq)]

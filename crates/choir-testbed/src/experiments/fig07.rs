@@ -13,8 +13,10 @@ use choir_channel::scenario::{CollisionScenario, ScenarioBuilder};
 use choir_core::decoder::ChoirDecoder;
 use choir_core::estimator::{EstimatorConfig, OffsetEstimator};
 use choir_dsp::complex::C64;
+use choir_dsp::linalg::conj_dot;
 use choir_dsp::stats;
 use lora_phy::params::PhyParams;
+use std::f64::consts::TAU;
 
 use super::{decode_scenarios, Scale};
 
@@ -61,8 +63,14 @@ fn per_window_offsets(
         .collect()
 }
 
-/// Per-window fractional-timing estimates: golden-max of tone energy over
-/// the sub-chip alignment, one window at a time.
+/// Per-window timing reads, in closed form. On the slot grid a user
+/// delayed `Δ` chips dechirps, in every interior preamble window, to the
+/// one tone `μ`: the tail of the previous chirp over `[0, ceil Δ)` and the
+/// head of this one over `[ceil Δ, n)`, the first turned by `e^{−j2π·Δ}`
+/// against the second. So with `a`, `b` the two segment sums against that
+/// tone, `frac(Δ) = arg(conj(a)·b)/2π`, unwrapped to within half a chip of
+/// `delta_truth`. A window past the capture reads nothing, and so does
+/// every window when a segment is empty (`Δ` a whole number of symbols).
 fn per_window_timing(
     est: &OffsetEstimator,
     samples: &[C64],
@@ -72,42 +80,21 @@ fn per_window_timing(
     delta_truth: f64,
 ) -> Vec<f64> {
     let n = est.n();
-    let taps = 10usize;
+    let split = delta_truth.ceil() as usize % n;
+    if split == 0 {
+        return Vec::new();
+    }
+    let mut tone = vec![C64::ZERO; n];
+    choir_dsp::backend::tone_into(&mut tone, n, mu.rem_euclid(n as f64));
+    let (tone_a, tone_b) = tone.split_at(split);
     (1..preamble_len)
         .filter_map(|w| {
-            let energy = |delta: f64| -> f64 {
-                let m = delta.floor();
-                let fr = delta - m;
-                let a = slot_start as i64 + (w * n) as i64 + m as i64;
-                let lo = a - taps as i64;
-                let hi = a + (n + taps) as i64;
-                if lo < 0 || hi as usize > samples.len() {
-                    return 0.0;
-                }
-                let slice = &samples[lo as usize..hi as usize];
-                let shifted = choir_dsp::resample::fractional_delay(slice, -fr, taps);
-                let aligned = &shifted[taps..taps + n];
-                let de = est.dechirp(aligned);
-                let pos = (mu + delta).rem_euclid(n as f64);
-                let wv = -2.0 * std::f64::consts::PI * pos / n as f64;
-                let acc: C64 = de
-                    .iter()
-                    .enumerate()
-                    .map(|(t, v)| v * C64::cis(wv * t as f64))
-                    .sum();
-                acc.norm_sqr()
-            };
-            let (d, neg) = choir_dsp::optim::golden_section(
-                |x| -energy(x),
-                (delta_truth - 0.5).max(0.0),
-                delta_truth + 0.5,
-                1e-3,
-            );
-            if -neg > 0.0 {
-                Some(d)
-            } else {
-                None
-            }
+            let lo = slot_start + w * n;
+            let de = est.dechirp(samples.get(lo..lo + n)?);
+            let (de_a, de_b) = de.split_at(split);
+            let cross = conj_dot(tone_a, de_a).conj() * conj_dot(tone_b, de_b);
+            let frac = cross.arg() / TAU;
+            Some(frac + (delta_truth - frac).round())
         })
         .collect()
 }
@@ -216,5 +203,54 @@ mod tests {
         // (one chip is 8 µs at 125 kHz).
         let to = r.value("stdev rel. TO (µs)", "High").unwrap();
         assert!(to < 2.0, "TO stability {to} µs");
+    }
+
+    /// A noiseless user delayed `Δ` chips at a fractional CFO: every
+    /// interior window reads `Δ` back.
+    #[test]
+    fn per_window_timing_reads_a_noiseless_delay() {
+        use choir_channel::impairments::HardwareProfile;
+        use choir_channel::mix::{render_into, MixConfig, Transmission};
+        use rand::SeedableRng;
+        let params = PhyParams::default();
+        let n = params.samples_per_symbol();
+        let p = params.preamble_len;
+        let est = OffsetEstimator::new(n, EstimatorConfig::default());
+        let slot_start = 2 * n;
+        for (delta, cfo_bins) in [(0.3, 0.0), (3.71, 12.4), (40.5, -7.93), (199.02, 101.6)] {
+            let profile = HardwareProfile {
+                cfo_hz: cfo_bins * params.bin_hz(),
+                timing_offset_symbols: delta / n as f64,
+                ..HardwareProfile::ideal()
+            };
+            let tx = Transmission {
+                waveform: lora_phy::chirp::PacketWaveform::new(n, vec![0; p + 1]),
+                channel: C64::from_polar(1.0, 0.3),
+                amplitude: 1.0,
+                profile,
+                start_sample: slot_start as f64,
+            };
+            let mut samples = vec![C64::ZERO; slot_start + (p + 2) * n];
+            let cfg = MixConfig {
+                bw_hz: params.bw.hz(),
+                noise_power: 0.0,
+            };
+            render_into(
+                &mut samples,
+                &tx,
+                &cfg,
+                &mut rand::rngs::StdRng::seed_from_u64(1),
+            );
+            let mu = profile.aggregate_shift_bins(params.bin_hz(), n);
+            let reads = per_window_timing(&est, &samples, slot_start, p, mu, delta);
+            assert_eq!(reads.len(), p - 1, "Δ {delta}");
+            for (w, d) in reads.iter().enumerate() {
+                assert!(
+                    (d - delta).abs() < 1e-6,
+                    "Δ {delta}, μ {mu}: window {} read {d}",
+                    w + 1
+                );
+            }
+        }
     }
 }

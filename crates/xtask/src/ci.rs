@@ -36,8 +36,8 @@
 //!   figures identical but for the leaves an IQ decode reaches (the city's
 //!   escalation probe, the station's metrics note), which are reported.
 //!
-//! Everything deterministic — bit-identity across threads, backends and
-//! block widths, shed accounting, streamed ≡ batch, the city-scale rows —
+//! Everything deterministic — bit-identity across threads and backends,
+//! shed accounting, streamed ≡ batch, the city-scale rows —
 //! is a `cargo test`; no gate compares against another host's numbers.
 
 use std::path::Path;
