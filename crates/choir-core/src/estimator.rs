@@ -170,6 +170,15 @@ thread_local! {
     static BORDER_SCRATCH: RefCell<CholeskyFactor> = RefCell::new(CholeskyFactor::new());
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test probe: [`OffsetEstimator::estimate`] calls on this thread.
+    pub(crate) static ESTIMATE_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Test probe: [`OffsetEstimator::refine`] calls on this thread — the
+    /// joint solves, through [`OffsetEstimator::estimate`] or not.
+    pub(crate) static SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Returns the tone basis for `(n, freq_bins)`, served from the calling
 /// thread's LRU. The offset search revisits the same grid points
 /// constantly — fitted positions feed `fit`, the boundary scans and model
@@ -662,6 +671,8 @@ impl OffsetEstimator {
     /// Returns one estimate per input position (order preserved).
     pub fn refine(&self, window: &[C64], coarse_bins: &[f64]) -> Vec<ComponentEstimate> {
         assert!(!coarse_bins.is_empty(), "refine: no coarse positions");
+        #[cfg(test)]
+        SOLVES.with(|c| c.set(c.get() + 1));
         scope(Stage::Refine, || {
             let de = self.dechirp(window);
             let mut gfit = GramFit::new(self.n, &de, coarse_bins.len());
@@ -892,22 +903,18 @@ impl OffsetEstimator {
     }
 
     /// Coarse + fine in one call: detects peaks, jointly refines their
-    /// frequencies, then fits each component's boundary-split (ISI) term
-    /// and re-refines frequencies against the step-corrected residual.
+    /// frequencies (Algorithm 1's fine stage), then fits each component's
+    /// boundary-split (ISI) term and re-refines frequencies against the
+    /// step-corrected residual.
     pub fn estimate(&self, window: &[C64]) -> Vec<ComponentEstimate> {
+        #[cfg(test)]
+        ESTIMATE_CALLS.with(|c| c.set(c.get() + 1));
         let peaks = self.coarse(window);
         if peaks.is_empty() {
             return Vec::new();
         }
         let coarse: Vec<f64> = peaks.iter().map(|p| p.pos).collect();
-        self.refine_with_steps(window, &coarse)
-    }
-
-    /// Joint frequency refinement plus per-component step fitting, starting
-    /// from the given coarse positions (Algorithm 1's fine stage with the
-    /// boundary-split extension).
-    pub fn refine_with_steps(&self, window: &[C64], coarse: &[f64]) -> Vec<ComponentEstimate> {
-        let mut comps = self.refine(window, coarse);
+        let mut comps = self.refine(window, &coarse);
         if self.cfg.fit_steps {
             scope(Stage::Refine, || {
                 self.refine_steps_passes(window, &mut comps)
@@ -917,7 +924,7 @@ impl OffsetEstimator {
     }
 
     /// The step-fitting / corrected-refinement alternation of
-    /// [`Self::refine_with_steps`] (split out for stage accounting).
+    /// [`Self::estimate`] (split out for stage accounting).
     fn refine_steps_passes(&self, window: &[C64], comps: &mut Vec<ComponentEstimate>) {
         {
             let de = self.dechirp(window);
@@ -1100,23 +1107,20 @@ mod tests {
         // Closely spaced users are the hard case for leakage: 1.4 bins.
         // The ISI-aware peak rejection is conservative at this distance, so
         // the second user surfaces through phased SIC rather than in the
-        // first peak-detection pass.
+        // first peak-detection pass. Phase 1 fits the first user alone, so
+        // its position leans ≈ 0.115 bin toward the unmodelled neighbour;
+        // phase 2 fits the neighbour under that lean, and no re-solve
+        // follows. Two users in, exactly two components out.
         let e = est();
         let (f1, f2) = (80.2, 81.6);
         let mut w = chirp_with_offset(f1, C64::ONE);
         add(&mut w, &chirp_with_offset(f2, c64(0.0, -0.9)));
         let r = crate::sic::phased_sic(&e, &w, &crate::sic::SicConfig::default());
-        let mut comps = r.components.clone();
-        assert!(comps.len() >= 2, "found {} comps", comps.len());
-        comps.sort_by(|a, b| b.channel.abs().total_cmp(&a.channel.abs()));
-        let near = |f: f64| {
-            comps
-                .iter()
-                .map(|c| (c.freq_bins - f).abs())
-                .fold(f64::INFINITY, f64::min)
-        };
-        assert!(near(f1) < 0.1, "f1 err {}", near(f1));
-        assert!(near(f2) < 0.1, "f2 err {}", near(f2));
+        let mut found: Vec<f64> = r.components.iter().map(|c| c.freq_bins).collect();
+        found.sort_by(f64::total_cmp);
+        assert_eq!(found.len(), 2, "components at {found:?}");
+        assert!((found[0] - f1).abs() < 0.15, "f1 err {}", found[0] - f1);
+        assert!((found[1] - f2).abs() < 0.15, "f2 err {}", found[1] - f2);
     }
 
     #[test]

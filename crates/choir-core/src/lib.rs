@@ -8,8 +8,8 @@
 //!   with an exact boundary-split ("step") term for multi-chip fractional
 //!   timing offsets;
 //! * [`sic`] — phased successive interference cancellation (Sec. 5.2):
-//!   joint cohorts instead of one-at-a-time subtraction, with a final
-//!   joint polish;
+//!   joint cohorts instead of one-at-a-time subtraction, the strong
+//!   cohort first and then what surfaces under it;
 //! * [`cluster`] — tracking users across symbols by the fractional part of
 //!   their peak positions, channel magnitude and phase (Sec. 6.2);
 //! * [`decoder`] — the full base-station pipeline: preamble user

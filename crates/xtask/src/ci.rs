@@ -409,8 +409,10 @@ impl DeliveryRule {
 }
 
 /// Pairs the two run sets' records (the `i`-th run of a workload on
-/// either side is pair `i`), prints what each pair lost and gained, and
-/// fails a pair whose moves on the common prefix `rule` rejects.
+/// either side is pair `i`), prints what each pair lost and gained and
+/// each side's false accepts (a report, not a gate: each run counts its
+/// own, over however far into the stream it got), and fails a pair whose
+/// moves on the common prefix `rule` rejects.
 fn delivered_failures(base_runs: &str, head_runs: &str, rule: DeliveryRule) -> Vec<String> {
     let mut failures = Vec::new();
     let mut nth = std::collections::BTreeMap::new();
@@ -420,19 +422,23 @@ fn delivered_failures(base_runs: &str, head_runs: &str, rule: DeliveryRule) -> V
             continue;
         };
         let pair = nth.entry(workload).or_insert(0usize);
-        let base = base_runs
+        let base_record = base_runs
             .lines()
             .filter(|r| detail(r, "workload") == Some(workload))
-            .nth(*pair)
-            .and_then(|r| detail(r, "delivered_set"));
-        let Some(base) = base else {
+            .nth(*pair);
+        let Some((base_record, base)) =
+            base_record.and_then(|r| Some((r, detail(r, "delivered_set")?)))
+        else {
             failures.push(format!(
                 "{workload} pair {pair}: no base run to hold it against"
             ));
             continue;
         };
         let (lost, gained) = delivered_moves(base, set);
-        println!("ci: perf delivered {workload} pair {pair}: lost {lost}, gained {gained}");
+        println!(
+            "{}",
+            pair_line(workload, *pair, (lost, gained), base_record, head)
+        );
         if rule.fails(lost, gained) {
             failures.push(format!(
                 "{workload} pair {pair}: delivers {} fewer frames of the common prefix \
@@ -443,6 +449,24 @@ fn delivered_failures(base_runs: &str, head_runs: &str, rule: DeliveryRule) -> V
         *pair += 1;
     }
     failures
+}
+
+/// The line a delivered pair prints: its moves on the common prefix and
+/// each side's false accepts (`-` where a record has none).
+fn pair_line(
+    workload: &str,
+    pair: usize,
+    (lost, gained): (usize, usize),
+    base: &str,
+    head: &str,
+) -> String {
+    let false_accepts = |r| detail(r, "false_accepts").unwrap_or("-");
+    format!(
+        "ci: perf delivered {workload} pair {pair}: lost {lost}, gained {gained}, \
+         false_accepts {} -> {}",
+        false_accepts(base),
+        false_accepts(head)
+    )
 }
 
 /// The two budgets a traced run record of `workload` must meet.
@@ -699,6 +723,23 @@ mod tests {
         );
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].starts_with("dense_5u pair 0"), "{fails:?}");
+    }
+
+    #[test]
+    fn a_pair_line_reports_both_sides_false_accepts() {
+        let with = |n: u32| {
+            format!(
+                "{{\"workload\": \"dense_5u\", \"details\": {{\"false_accepts\": \"{n}\", \
+                 \"delivered_set\": \"1101\"}}}}"
+            )
+        };
+        assert_eq!(
+            pair_line("dense_5u", 3, (13, 6), &with(0), &with(1)),
+            "ci: perf delivered dense_5u pair 3: lost 13, gained 6, false_accepts 0 -> 1"
+        );
+        // A record without the count reads as `-`.
+        let old = &runs("dense_5u", &["1101"]);
+        assert!(pair_line("dense_5u", 0, (0, 0), old, &with(2)).ends_with("false_accepts - -> 2"));
     }
 
     /// A delivered set of `len` frames, all delivered but for `missing`.
