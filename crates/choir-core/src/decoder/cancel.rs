@@ -4,9 +4,9 @@
 //! collisions, and the multi-pass loop that drives demodulation and
 //! cancellation over every user.
 
+use choir_dsp::backend::{axpy, conj_dot, tone_into};
 use choir_dsp::complex::C64;
 use choir_dsp::workspace;
-use lora_phy::chirp::symbol_sample;
 
 use super::demod::CombDecision;
 use super::{ChoirDecoder, DecodedUser, UserEstimate};
@@ -63,11 +63,25 @@ impl SymbolSpan {
         (wrap_global.ceil().max(self.first as f64) as usize).min(self.last)
     }
 
-    /// The symbol's chirp over the span (`out` holds [`Self::len`]
-    /// samples), before the CFO rotation.
-    fn chirp_into(&self, n: usize, value: u16, out: &mut [C64]) {
-        for (i, o) in (self.first..self.last).zip(out) {
-            *o = symbol_sample(n, value, i as f64 - self.start);
+    /// The symbol's chirp over the span turned by a carrier `cfo_bins`
+    /// off (`out` holds [`Self::len`] samples, `up` is the base up-chirp
+    /// at integer chips), up to one unit constant on each side of
+    /// [`Self::wrap`] — which a per-segment gain absorbs exactly.
+    ///
+    /// With `ε = first − start` and `j = i − first`, the chirp's phase
+    /// `symbol_phase(n, s, j + ε)/2π` is `j²/2n − j/2 + (s + ε)·j/n` plus
+    /// whole cycles plus a constant on each side of the wrap, and the
+    /// carrier adds `cfo·j/n` plus a constant: the base up-chirp's table
+    /// times one tone at `s + ε + cfo`.
+    // hot:noalloc — one tone kernel call and a product, in `out`.
+    fn chirp_into(&self, n: usize, value: u16, cfo_bins: f64, up: &[C64], out: &mut [C64]) {
+        let eps = self.first as f64 - self.start;
+        // Whole bins are whole cycles at integer `j`: fold the tone into
+        // one band so its phase stays small.
+        let freq = (value as f64 + eps + cfo_bins).rem_euclid(n as f64);
+        tone_into(out, n, freq);
+        for (o, u) in out.iter_mut().zip(up) {
+            *o = u * *o;
         }
     }
 }
@@ -89,9 +103,11 @@ struct CfoProbes {
 }
 
 impl CfoProbes {
-    /// `None` when the frame is too short to hold a probe symbol.
+    /// `None` when the frame is too short to hold a probe symbol. `up` is
+    /// the base up-chirp ([`SymbolSpan::chirp_into`]).
     fn new(
         n: usize,
+        up: &[C64],
         work: &[C64],
         slot_start: usize,
         symbols: &[u16],
@@ -122,7 +138,7 @@ impl CfoProbes {
                 .map(|z| z.norm_sqr())
                 .sum::<f64>();
             let chirp = &mut chirp[..span.len()];
-            span.chirp_into(n, value, chirp);
+            span.chirp_into(n, value, 0.0, up, chirp);
             let wrap = span.wrap(n, value);
             for (a, b) in [(span.first, wrap), (wrap, span.last)] {
                 if b <= a {
@@ -186,66 +202,42 @@ impl ChoirDecoder {
         scope(Stage::Sic, || {
             let n = self.est.n();
             let span = SymbolSpan::new(work.len(), slot_start, sym_idx, n, timing_chips);
-            let mut chirp = workspace::take(span.len());
-            span.chirp_into(n, value, &mut chirp);
-            self.subtract_chirp(work, contrib, slot_start, span, &chirp, value, cfo_bins);
-            workspace::put(chirp);
+            let mut template = workspace::take(span.len());
+            span.chirp_into(n, value, cfo_bins, &self.upchirp, &mut template);
+            self.subtract_chirp(work, contrib, span, &template, value);
+            workspace::put(template);
         })
     }
 
-    /// [`Self::subtract_symbol`] given the symbol's span and its chirp
-    /// over it, which depend on neither the signal nor the CFO.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Self::subtract_symbol`] given the symbol's span and its template
+    /// over it ([`SymbolSpan::chirp_into`]): one least-squares gain per
+    /// constant-phase segment ([`SymbolSpan::wrap`]) — independent gains
+    /// absorb the phase step at the wrap, and the template's unit constant
+    /// on either side of it, exactly.
+    // hot:noalloc — two dots and two updates a segment, in place.
     fn subtract_chirp(
         &self,
         work: &mut [C64],
         contrib: &mut [C64],
-        slot_start: usize,
         span: SymbolSpan,
-        chirp: &[C64],
+        template: &[C64],
         value: u16,
-        cfo_bins: f64,
     ) {
-        let n = self.est.n();
         let SymbolSpan { first, last, .. } = span;
-        if first >= last {
-            return;
-        }
-        let w_cfo = 2.0 * std::f64::consts::PI * cfo_bins / n as f64;
-        // Template over the span.
-        let mut template = workspace::take(last - first);
-        for ((i, t), s) in (first..last).zip(template.iter_mut()).zip(chirp) {
-            *t = s * C64::cis(w_cfo * (i as f64 - slot_start as f64));
-        }
-        // Fit one complex gain per constant-phase segment
-        // ([`SymbolSpan::wrap`]): independent gains absorb the phase step
-        // at the wrap exactly.
-        let wrap = span.wrap(n, value);
-        let mut subtract_segment = |lo: usize, hi: usize| {
+        let wrap = span.wrap(self.est.n(), value);
+        for (lo, hi) in [(first, wrap), (wrap, last)] {
             if hi <= lo {
-                return;
+                continue;
             }
-            let num: C64 = work[lo..hi]
-                .iter()
-                .zip(&template[lo - first..hi - first])
-                .map(|(y, t)| y * t.conj())
-                .sum();
-            let den: f64 = template[lo - first..hi - first]
-                .iter()
-                .map(|t| t.norm_sqr())
-                .sum();
+            let t = &template[lo - first..hi - first];
+            let den = conj_dot(t, t).re;
             if den <= 1e-12 {
-                return;
+                continue;
             }
-            let g = num / den;
-            for (i, t) in (lo..hi).zip(&template[lo - first..hi - first]) {
-                work[i] -= g * t;
-                contrib[i] += g * t;
-            }
-        };
-        subtract_segment(first, wrap);
-        subtract_segment(wrap, last);
-        workspace::put(template);
+            let g = conj_dot(t, &work[lo..hi]) / den;
+            axpy(&mut work[lo..hi], t, g, true);
+            axpy(&mut contrib[lo..hi], t, g, false);
+        }
     }
 
     /// Golden-refines a user's CFO (bins) by minimising the energy left
@@ -270,7 +262,8 @@ impl ChoirDecoder {
     ) -> f64 {
         scope(Stage::Refine, || {
             let n = self.est.n();
-            let Some(probes) = CfoProbes::new(n, work, slot_start, symbols, timing_chips) else {
+            let probes = CfoProbes::new(n, &self.upchirp, work, slot_start, symbols, timing_chips);
+            let Some(probes) = probes else {
                 return cfo_init;
             };
             let (best, _) = choir_dsp::optim::golden_section(
@@ -386,10 +379,26 @@ mod tests {
     use super::super::tests::{decode, params, profile};
     use super::*;
     use choir_channel::scenario::ScenarioBuilder;
+    use lora_phy::chirp::symbol_sample;
+
+    /// The template as `subtract_chirp` built it before it read a table
+    /// and a tone, kept as its oracle: every sample of the chirp from its
+    /// phase by libm ([`symbol_sample`]), rotated by a libm phasor at the
+    /// CFO counted from `origin`.
+    fn libm_template(span: &SymbolSpan, n: usize, value: u16, cfo: f64, origin: usize) -> Vec<C64> {
+        let w_cfo = 2.0 * std::f64::consts::PI * cfo / n as f64;
+        (span.first..span.last)
+            .map(|i| {
+                symbol_sample(n, value, i as f64 - span.start)
+                    * C64::cis(w_cfo * (i as f64 - origin as f64))
+            })
+            .collect()
+    }
 
     /// The objective `refine_cfo_for_subtraction` minimised before it read
     /// DTFT bins, kept as their oracle: copy each probe stretch, rotate the
-    /// chirp to `cfo`, fit and subtract it per segment, sum what is left.
+    /// libm chirp to `cfo`, fit and subtract it per segment, sum what is
+    /// left.
     fn copy_subtract_sum(
         dec: &ChoirDecoder,
         work: &[C64],
@@ -405,11 +414,10 @@ mod tests {
             let stretch = &work[lo..(lo + 2 * n).min(work.len())];
             let span = SymbolSpan::new(stretch.len(), 0, 0, n, timing_chips);
             let value = symbols[sym_idx];
-            let mut chirp = vec![C64::ZERO; span.len()];
-            span.chirp_into(n, value, &mut chirp);
+            let template = libm_template(&span, n, value, cfo, 0);
             let mut left = stretch.to_vec();
             let mut removed = vec![C64::ZERO; left.len()];
-            dec.subtract_chirp(&mut left, &mut removed, 0, span, &chirp, value, cfo);
+            dec.subtract_chirp(&mut left, &mut removed, span, &template, value);
             total += left
                 .iter()
                 .take(n + timing_chips.ceil() as usize)
@@ -417,6 +425,63 @@ mod tests {
                 .sum::<f64>();
         }
         total
+    }
+
+    #[test]
+    fn subtraction_matches_the_libm_template() {
+        // What `subtract_symbol` removes against what the libm template
+        // removes through the same per-segment fit: fractional and whole
+        // starts, the extreme values (0: the wrap past the span; n − 1:
+        // right after its first chip), wraps inside the span and a span
+        // cut by the end of the capture.
+        use rand::{Rng, SeedableRng};
+        let dec = ChoirDecoder::new(params());
+        let n = dec.est.n();
+        let slot_start = 3 * n + 17;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let whole: Vec<C64> = (0..slot_start + 8 * n)
+            .map(|_| C64 {
+                re: rng.gen_range(-0.3..0.3),
+                im: rng.gen_range(-0.3..0.3),
+            })
+            .collect();
+        // Symbol 5 keeps its first 200 − timing samples.
+        let cut = slot_start + 5 * n + 200;
+        let mut cases = 0;
+        for timing in [0.0, 0.37, 0.999, 115.2, -2.6] {
+            for value in [0u16, 1, 77, 200, (n - 1) as u16] {
+                for cfo in [0.0, 3.37, 255.7] {
+                    for (sym_idx, len) in [(2usize, whole.len()), (5, cut)] {
+                        // The symbol itself, at a gain, over the noise.
+                        let span = SymbolSpan::new(len, slot_start, sym_idx, n, timing);
+                        let mut work = whole[..len].to_vec();
+                        let chirp = libm_template(&span, n, value, cfo, slot_start);
+                        for (w, c) in work[span.first..span.last].iter_mut().zip(&chirp) {
+                            *w += C64 { re: 1.7, im: -0.4 } * c;
+                        }
+                        let mut left = work.clone();
+                        let mut got = vec![C64::ZERO; len];
+                        dec.subtract_symbol(
+                            &mut left, &mut got, slot_start, sym_idx, value, timing, cfo,
+                        );
+                        let mut want = vec![C64::ZERO; len];
+                        dec.subtract_chirp(&mut work, &mut want, span, &chirp, value);
+                        let diff: f64 =
+                            got.iter().zip(&want).map(|(g, w)| (g - w).norm_sqr()).sum();
+                        let norm: f64 = want.iter().map(|w| w.norm_sqr()).sum();
+                        let what = format!("timing {timing} value {value} cfo {cfo} sym {sym_idx}");
+                        assert!(norm > 0.5 * span.len() as f64, "{what}: {norm}");
+                        assert!(
+                            diff.sqrt() <= 1e-9 * norm.sqrt(),
+                            "{what}: {diff:e} of {norm:e}"
+                        );
+                        let wrap = span.wrap(n, value);
+                        cases += usize::from(span.first < wrap && wrap < span.last);
+                    }
+                }
+            }
+        }
+        assert!(cases >= 60, "only {cases} spans wrap inside");
     }
 
     #[test]
@@ -447,7 +512,7 @@ mod tests {
                 ("data", whole, moved, &symbols[9..], None),
                 ("cut short", cut, s.slot_start, &symbols[..], Some(3)),
             ] {
-                let probes = CfoProbes::new(n, work, slot_start, symbols, timing)
+                let probes = CfoProbes::new(n, &dec.upchirp, work, slot_start, symbols, timing)
                     .expect("six symbols hold three probes");
                 if let Some(held) = held {
                     assert_eq!(probes.segments.len(), held, "{what}");

@@ -191,6 +191,9 @@ pub struct ChoirDecoder {
     /// The comb demodulator's chirp-z tables and FFT plans, shared across
     /// clones.
     comb: std::sync::Arc<demod::CombPlan>,
+    /// The base up-chirp at integer chips, every subtraction template's
+    /// table (the process-wide cached one).
+    upchirp: std::sync::Arc<Vec<C64>>,
 }
 
 #[cfg(test)]
@@ -207,13 +210,15 @@ impl ChoirDecoder {
 
     /// Builds a decoder with explicit configuration.
     pub fn with_config(params: PhyParams, cfg: ChoirConfig) -> Self {
-        let est = OffsetEstimator::new(params.samples_per_symbol(), cfg.estimator);
-        let comb = std::sync::Arc::new(demod::CombPlan::new(params.samples_per_symbol()));
+        let n = params.samples_per_symbol();
+        let est = OffsetEstimator::new(n, cfg.estimator);
+        let comb = std::sync::Arc::new(demod::CombPlan::new(n));
         ChoirDecoder {
             params,
             cfg,
             est,
             comb,
+            upchirp: lora_phy::chirp::base_upchirp_cached(n),
         }
     }
 

@@ -531,11 +531,11 @@ unsafe fn twmul(b: __m256d, wre: __m256d, wim: __m256d) -> __m256d {
     _mm256_addsub_pd(t1, t2)
 }
 
-/// AVX2 [`super::butterflies_from`]; bit-identical to the oracle: every
+/// AVX2 [`super::butterflies`]; bit-identical to the oracle: every
 /// butterfly is the oracle's, on the oracle's operands; the passes run
-/// two to a trip through memory (the first two, when they are `len = 2`
-/// and `4`, inside one register pair).
-pub fn butterflies_from(x: &mut [C64], tw: &super::Twiddles, forward: bool, first_len: usize) {
+/// two to a trip through memory (the first two, `len = 2` and `4`, inside
+/// one register pair).
+pub fn butterflies(x: &mut [C64], tw: &super::Twiddles, forward: bool) {
     // Bounds every pointer below, whatever the dispatcher checked: the
     // passes touch `x[..n]` in whole blocks of `len ≤ n` points, and the
     // pass of half-length `half ≤ n/2` reads the staged streams at
@@ -543,37 +543,33 @@ pub fn butterflies_from(x: &mut [C64], tw: &super::Twiddles, forward: bool, firs
     // `2·(2·half − 1) ≤ 2·(n − 1)`.
     let n = x.len();
     assert!(
-        n.is_power_of_two() && first_len.is_power_of_two() && first_len >= 2,
-        "butterflies_from: lengths must be powers of two"
+        n.is_power_of_two(),
+        "butterflies: length must be a power of two"
     );
     assert!(
         tw.re.len() == 2 * (n - 1) && tw.im.len() == 2 * (n - 1),
-        "butterflies_from: twiddle tables built for another length"
+        "butterflies: twiddle tables built for another length"
     );
     if n < 4 {
         // One butterfly at most: the definition itself.
-        return super::scalar::butterflies_from(x, &tw.compact, forward, first_len);
+        return super::scalar::butterflies(x, &tw.compact, forward);
     }
     // SAFETY: see `conj_dot`; offsets are bounded by the asserts above.
     unsafe {
         if forward {
-            butterflies_from_impl::<true>(x, tw, first_len)
+            butterflies_impl::<true>(x, tw)
         } else {
-            butterflies_from_impl::<false>(x, tw, first_len)
+            butterflies_impl::<false>(x, tw)
         }
     }
 }
 
 /// # Safety
-/// AVX2 must be available, `x.len() = n ≥ 4` a power of two, `first_len
-/// ≥ 2` a power of two and `tw`'s staged streams `2·(n − 1)` doubles
-/// long — [`butterflies_from`] checks all of it.
+/// AVX2 must be available, `x.len() = n ≥ 4` a power of two and `tw`'s
+/// staged streams `2·(n − 1)` doubles long — [`butterflies`] checks all
+/// of it.
 #[target_feature(enable = "avx2")]
-unsafe fn butterflies_from_impl<const FORWARD: bool>(
-    x: &mut [C64],
-    tw: &super::Twiddles,
-    first_len: usize,
-) {
+unsafe fn butterflies_impl<const FORWARD: bool>(x: &mut [C64], tw: &super::Twiddles) {
     let n = x.len();
     let base = x.as_mut_ptr() as *mut f64;
     let (tre, tim) = (tw.re.as_ptr(), tw.im.as_ptr());
@@ -591,29 +587,26 @@ unsafe fn butterflies_from_impl<const FORWARD: bool>(
         };
         (_mm256_loadu_pd(tre.add(at)), wim)
     };
-    let mut len = first_len;
-    if len == 2 {
-        // Passes 2 and 4 inside a register pair: four points in, the two
-        // `len = 2` butterflies across the 128-bit lanes, the two `len =
-        // 4` butterflies on their outputs, four points out.
-        let w2re = _mm256_set1_pd(*tre);
-        let w2im = _mm256_set1_pd(if FORWARD { *tim } else { -*tim });
-        let (w4re, w4im) = load(2, 0);
-        for q in (0..n).step_by(4) {
-            let p = base.add(2 * q);
-            let (r0, r1) = (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)));
-            let a = _mm256_permute2f128_pd::<0x20>(r0, r1); // [x0, x2]
-            let b = _mm256_permute2f128_pd::<0x31>(r0, r1); // [x1, x3]
-            let t = twmul(b, w2re, w2im);
-            let (s, d) = (_mm256_add_pd(a, t), _mm256_sub_pd(a, t)); // [y0, y2], [y1, y3]
-            let a = _mm256_permute2f128_pd::<0x20>(s, d); // [y0, y1]
-            let b = _mm256_permute2f128_pd::<0x31>(s, d); // [y2, y3]
-            let t = twmul(b, w4re, w4im);
-            _mm256_storeu_pd(p, _mm256_add_pd(a, t));
-            _mm256_storeu_pd(p.add(4), _mm256_sub_pd(a, t));
-        }
-        len = 8;
+    // Passes 2 and 4 inside a register pair: four points in, the two
+    // `len = 2` butterflies across the 128-bit lanes, the two `len = 4`
+    // butterflies on their outputs, four points out.
+    let w2re = _mm256_set1_pd(*tre);
+    let w2im = _mm256_set1_pd(if FORWARD { *tim } else { -*tim });
+    let (w4re, w4im) = load(2, 0);
+    for q in (0..n).step_by(4) {
+        let p = base.add(2 * q);
+        let (r0, r1) = (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)));
+        let a = _mm256_permute2f128_pd::<0x20>(r0, r1); // [x0, x2]
+        let b = _mm256_permute2f128_pd::<0x31>(r0, r1); // [x1, x3]
+        let t = twmul(b, w2re, w2im);
+        let (s, d) = (_mm256_add_pd(a, t), _mm256_sub_pd(a, t)); // [y0, y2], [y1, y3]
+        let a = _mm256_permute2f128_pd::<0x20>(s, d); // [y0, y1]
+        let b = _mm256_permute2f128_pd::<0x31>(s, d); // [y2, y3]
+        let t = twmul(b, w4re, w4im);
+        _mm256_storeu_pd(p, _mm256_add_pd(a, t));
+        _mm256_storeu_pd(p.add(4), _mm256_sub_pd(a, t));
     }
+    let mut len = 8;
     if len > n {
         return;
     }

@@ -32,7 +32,7 @@
 //!   but each sum accumulates sequentially in the oracle's order;
 //! * may swap the two operands of one IEEE addition or multiplication
 //!   (`a + b` is `b + a` to the bit) and may run operations that do not
-//!   feed one another in any order — [`butterflies_from`] runs two
+//!   feed one another in any order — [`butterflies`] runs two
 //!   passes' butterflies over the four points they share — but never
 //!   reassociate a sum;
 //! * flip signs by XOR with the IEEE sign bit (exact, matching `Neg`);
@@ -388,46 +388,29 @@ impl Twiddles {
 /// `twiddles.transform_len()` points; the inverse transform (`forward ==
 /// false`) conjugates each twiddle as it is consumed, exactly as the
 /// oracle does.
-pub fn butterflies(x: &mut [C64], twiddles: &Twiddles, forward: bool) {
-    butterflies_from(x, twiddles, forward, 2)
-}
-
-/// The radix-2 passes of block length `first_len`, `2·first_len`, …
-/// `x.len()` — [`butterflies`] with the passes below `first_len` left
-/// out, for a caller that knows what they would have written. A
-/// zero-padded input is that caller: after bit reversal each of its
-/// `k = 2^q` samples sits alone at the head of a block of `x.len()/k`
-/// points, the passes inside a block only ever compute `a ± w·0`, and
-/// they leave the sample replicated across its block — so the padded
-/// transform writes the replicas itself and starts here at `first_len =
-/// 2·x.len()/k`.
 ///
-/// The oracle ([`scalar::butterflies_from`], over the compact table)
-/// defines every butterfly: its operands, its four products, its two
-/// sums. A leaf may run butterflies that do not feed one another in any
-/// order — all of a pass, or two passes' worth over the points they
-/// share — and may add the two products of an imaginary part in either
-/// order (IEEE addition commutes bit for bit); nothing else.
+/// The oracle ([`scalar::butterflies`], over the compact table) defines
+/// every butterfly: its operands, its four products, its two sums. A leaf
+/// may run butterflies that do not feed one another in any order — all of
+/// a pass, or two passes' worth over the points they share — and may add
+/// the two products of an imaginary part in either order (IEEE addition
+/// commutes bit for bit); nothing else.
 ///
 /// # Panics
-/// Panics unless `first_len` is a power of two `≥ 2` and `twiddles` was
-/// built for exactly `x.len()` points (a power of two, then).
+/// Panics unless `twiddles` was built for exactly `x.len()` points (a
+/// power of two, then).
 // hot:noalloc — in place over the caller's buffer.
-pub fn butterflies_from(x: &mut [C64], twiddles: &Twiddles, forward: bool, first_len: usize) {
-    assert!(
-        first_len.is_power_of_two() && first_len >= 2,
-        "butterflies_from: first_len must be a power of two"
-    );
+pub fn butterflies(x: &mut [C64], twiddles: &Twiddles, forward: bool) {
     assert_eq!(
         twiddles.transform_len(),
         x.len(),
-        "butterflies_from: twiddle tables built for another length"
+        "butterflies: twiddle tables built for another length"
     );
     #[cfg(target_arch = "x86_64")]
     if active() == BackendKind::Avx2 {
-        return avx2::butterflies_from(x, twiddles, forward, first_len);
+        return avx2::butterflies(x, twiddles, forward);
     }
-    scalar::butterflies_from(x, &twiddles.compact, forward, first_len)
+    scalar::butterflies(x, &twiddles.compact, forward)
 }
 
 /// One DTFT bin of `y` at `freq_bins`: `Σ_t conj(tone[t])·y[t]` with

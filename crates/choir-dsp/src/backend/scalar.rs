@@ -146,13 +146,11 @@ pub fn residual_block(block: &[C64], y: &[C64], coeffs: &[C64], out: &mut [f64])
     }
 }
 
-/// Oracle for [`super::butterflies_from`]: the radix-2 passes of block
-/// length `first_len`, `2·first_len`, … `x.len()` over an already
-/// bit-reversed buffer, in-place. `first_len = 2` is the whole
-/// transform.
-pub fn butterflies_from(x: &mut [C64], twiddles: &[C64], forward: bool, first_len: usize) {
+/// Oracle for [`super::butterflies`]: every radix-2 pass, block length
+/// `2, 4, … x.len()`, over an already bit-reversed buffer, in place.
+pub fn butterflies(x: &mut [C64], twiddles: &[C64], forward: bool) {
     let n = x.len();
-    let mut len = first_len;
+    let mut len = 2;
     while len <= n {
         let half = len / 2;
         let stride = n / len;

@@ -16,7 +16,7 @@ pub struct Peak {
     /// Peak position in *unpadded* bin units (fractional). For a spectrum
     /// zero-padded by `pad`, padded index `i` maps to `i / pad`.
     pub pos: f64,
-    /// Peak magnitude `|X[k]|` at the maximum.
+    /// Peak magnitude `|X[k]|` at the maximum (`sqrt(re² + im²)`).
     pub height: f64,
     /// Complex spectrum value at the maximum (coarse channel estimate).
     pub value: C64,
@@ -163,8 +163,10 @@ fn greedy_peaks(
     let np = spectrum.len();
     // Unpadded symbol length, sets the leakage kernel.
     let n_sym = np / pad;
+    // IEEE `sqrt` of the squared norm rather than libm's `hypot`, as the
+    // comb scorer does: within an ulp or two of it, and no call.
     for (m, z) in mags.iter_mut().zip(spectrum) {
-        *m = z.abs();
+        *m = z.norm_sqr().sqrt();
     }
     let floor = median_in(mags, scratch);
     let thresh = floor * THRESHOLD;
@@ -392,7 +394,7 @@ mod tests {
     fn find_peaks_by_rescan(spectrum: &[C64], pad: usize) -> Vec<Peak> {
         let np = spectrum.len();
         let n_sym = np / pad;
-        let mags: Vec<f64> = spectrum.iter().map(|z| z.abs()).collect();
+        let mags: Vec<f64> = spectrum.iter().map(|z| z.norm_sqr().sqrt()).collect();
         let thresh = noise_floor(&mags) * THRESHOLD;
         let excl = ((MIN_SEPARATION * pad as f64).round() as usize).max(1);
         let mut masked = mags.clone();

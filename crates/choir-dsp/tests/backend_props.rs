@@ -89,48 +89,17 @@ fn arb_wilder_signal(max_len: usize) -> impl Strategy<Value = Vec<C64>> {
     arb_signal(8, max_len)
 }
 
-/// Every butterfly entry point on every backend against the oracle, for
-/// one buffer and direction: all first block lengths `2 … 2n` (`2n`: no
-/// pass at all), and `from 2` against `whole`, the loop as it stood
-/// before it took a first length.
+/// The butterfly passes on every backend against the oracle, for one
+/// buffer and direction.
 fn check_butterflies(x: &[C64], forward: bool) {
-    let n = x.len();
-    let tables = backend::Twiddles::new(n);
-    let twiddles = tables.compact();
-    let mut whole = x.to_vec();
-    let mut len = 2;
-    while len <= n {
-        let (half, stride) = (len / 2, n / len);
-        for start in (0..n).step_by(len) {
-            for k in 0..half {
-                let tw = twiddles[k * stride];
-                let tw = if forward { tw } else { tw.conj() };
-                let a = whole[start + k];
-                let b = whole[start + k + half] * tw;
-                whole[start + k] = a + b;
-                whole[start + k + half] = a - b;
-            }
-        }
-        len <<= 1;
-    }
-    for first_log2 in 1..=n.trailing_zeros() + 1 {
-        let first_len = 1usize << first_log2;
-        let mut want = x.to_vec();
-        backend::scalar::butterflies_from(&mut want, twiddles, forward, first_len);
-        if first_len == 2 {
-            assert_bits_eq(BackendKind::Scalar, "scalar from 2", &want, &whole);
-        }
-        for kind in backend::available() {
-            backend::force(kind);
-            let mut got = x.to_vec();
-            backend::butterflies_from(&mut got, &tables, forward, first_len);
-            assert_bits_eq(kind, "butterflies_from", &got, &want);
-            if first_len == 2 {
-                let mut got = x.to_vec();
-                backend::butterflies(&mut got, &tables, forward);
-                assert_bits_eq(kind, "butterflies", &got, &whole);
-            }
-        }
+    let tables = backend::Twiddles::new(x.len());
+    let mut want = x.to_vec();
+    backend::scalar::butterflies(&mut want, tables.compact(), forward);
+    for kind in backend::available() {
+        backend::force(kind);
+        let mut got = x.to_vec();
+        backend::butterflies(&mut got, &tables, forward);
+        assert_bits_eq(kind, "butterflies", &got, &want);
     }
 }
 
@@ -229,13 +198,11 @@ proptest! {
         }
     }
 
-    // The butterfly passes from every first block length, on every
-    // backend, against the scalar oracle — and `from 2`, on both, against
-    // the whole-transform loop as it stood before it took a first length.
-    // Up to the 8 192 points of the decoder's padded transform, on values
-    // that include the infinities and NaN outright.
+    // The butterfly passes on every backend against the scalar oracle, up
+    // to 8 192 points, on values that include the infinities and NaN
+    // outright.
     #[test]
-    fn butterflies_from_2_is_butterflies(
+    fn butterflies_match_oracle_bit_exactly(
         log2n in 0u32..14,
         seed in arb_wilder_signal(129),
         forward in 0u8..2,
@@ -502,12 +469,12 @@ proptest! {
     }
 }
 
-/// The padded transform with its zero-input passes skipped against the
-/// padding done by hand and transformed whole, bit for bit on every
-/// backend: every LoRa symbol length, the paper's pad and two other
-/// Bluestein pads, and a radix-2 pad that has nothing to skip.
+/// The padded transform, bit for bit on every backend: every LoRa symbol
+/// length, the paper's pad and two other Bluestein pads and a radix-2
+/// pad, on a window of the symbol's length (split into short transforms)
+/// and on one a sample shorter (padded by hand and transformed whole).
 #[test]
-fn pruned_padded_transform_is_the_unpruned_one() {
+fn padded_transform_is_bit_identical_across_backends() {
     let _s = serial();
     let _r = RestoreBackend;
     for sf in 7u32..=12 {
@@ -523,32 +490,29 @@ fn pruned_padded_transform_is_the_unpruned_one() {
             .collect();
         for pad in [3usize, 4, 5, 10] {
             let plan = choir_dsp::fft::plan(n * pad);
-            for kind in backend::available() {
-                backend::force(kind);
-                let mut want = x.clone();
-                want.resize(n * pad, C64::ZERO);
-                plan.forward(&mut want);
-                let mut got = vec![C64::ONE; n * pad];
-                choir_dsp::workspace::with(|ws| plan.forward_padded_into(&x, &mut got, ws));
-                assert_bits_eq(kind, &format!("SF{sf} pad {pad}"), &got, &want);
-            }
-            backend::force(BackendKind::Scalar);
-            let mut oracle = vec![C64::ONE; n * pad];
-            choir_dsp::workspace::with(|ws| plan.forward_padded_into(&x, &mut oracle, ws));
-            for kind in backend::available() {
-                backend::force(kind);
-                let mut got = vec![C64::ONE; n * pad];
-                choir_dsp::workspace::with(|ws| plan.forward_padded_into(&x, &mut got, ws));
-                assert_bits_eq(kind, &format!("SF{sf} pad {pad} vs scalar"), &got, &oracle);
+            for live in [n, n - 1] {
+                backend::force(BackendKind::Scalar);
+                let mut oracle = vec![C64::ONE; n * pad];
+                choir_dsp::workspace::with(|ws| {
+                    plan.forward_padded_into(&x[..live], &mut oracle, ws)
+                });
+                for kind in backend::available() {
+                    backend::force(kind);
+                    let mut got = vec![C64::ONE; n * pad];
+                    choir_dsp::workspace::with(|ws| {
+                        plan.forward_padded_into(&x[..live], &mut got, ws)
+                    });
+                    let what = format!("SF{sf} pad {pad} live {live} vs scalar");
+                    assert_bits_eq(kind, &what, &got, &oracle);
+                }
             }
         }
     }
 }
 
 /// Every shape the leaf has a branch for, not a draw of them: every
-/// length to the decoder's 8 192, every first block length (so pass
-/// counts of both parities entered at `len = 2` — the in-register pair —
-/// and above it), both directions. Three signals a length, because a NaN
+/// length to 8 192 (so pass counts of both parities after the
+/// in-register pair), both directions. Three signals a length, because a NaN
 /// or an overflow spreads to every output within `log2 n` passes and a
 /// buffer of NaNs compares equal to anything: one that stays finite
 /// through all thirteen passes (normals over forty decades, denormals,

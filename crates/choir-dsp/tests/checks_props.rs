@@ -103,10 +103,10 @@ fn parseval_check_rejects_a_corrupted_spectrum() {
 }
 
 #[test]
-fn parseval_check_guards_the_pruned_padded_transform() {
-    // A power-of-two window into a Bluestein plan skips the butterfly
-    // passes that would only add zeros; the boundary check still brackets
-    // that path. A healthy window passes it; one whose energy overflows
+fn parseval_check_guards_the_split_padded_transform() {
+    // A power-of-two window into a longer plan is transformed as short
+    // radix-2 transforms, one per output residue; the boundary check
+    // brackets that path. A healthy window passes it; one whose energy overflows
     // (`∞ − ∞` is no Parseval identity) trips it in debug builds and is
     // let through in release ones — the zero-overhead contract.
     let healthy: Vec<C64> = (0..128)
@@ -115,7 +115,7 @@ fn parseval_check_guards_the_pruned_padded_transform() {
     let plan = plan(1280);
     let mut y = vec![C64::ZERO; 1280];
     choir_dsp::workspace::with(|ws| plan.forward_padded_into(&healthy, &mut y, ws));
-    checks::assert_parseval("prop:pruned", energy(&healthy), &y);
+    checks::assert_parseval("prop:split", energy(&healthy), &y);
     let huge: Vec<C64> = healthy.iter().map(|v| v.scale(1e200)).collect();
     let fired = std::panic::catch_unwind(|| {
         let mut y = vec![C64::ZERO; 1280];

@@ -101,18 +101,25 @@ impl SampleRing {
     /// blocks, never reallocates. Returns how many resident samples were
     /// overwritten (0 in the nominal, consumer-keeps-up regime).
     pub fn push(&mut self, chunk: &[C64]) -> u64 {
-        let cap = self.buf.len() as u64;
-        let mut dropped = 0u64;
-        for &s in chunk {
-            if self.head - self.tail == cap {
-                self.tail += 1;
-                dropped += 1;
-            }
-            // Write position = absolute index mod capacity: resident data
-            // is always a contiguous absolute range, however it wraps.
-            self.buf[(self.head % cap) as usize] = s;
-            self.head += 1;
+        let cap = self.buf.len();
+        let head = self.head + chunk.len() as u64;
+        // Only the newest `cap` samples of the stream stay resident.
+        let tail = self.tail.max(head.saturating_sub(cap as u64));
+        let dropped = tail - self.tail;
+        // Of the chunk, what survives it; written at absolute index mod
+        // capacity (resident data is always a contiguous absolute range,
+        // however it wraps), in at most two copies.
+        let mut rest = &chunk[chunk.len().saturating_sub(cap)..];
+        let mut at = head - rest.len() as u64;
+        while !rest.is_empty() {
+            let pos = (at % cap as u64) as usize;
+            let run = rest.len().min(cap - pos);
+            self.buf[pos..pos + run].copy_from_slice(&rest[..run]);
+            rest = &rest[run..];
+            at += run as u64;
         }
+        self.head = head;
+        self.tail = tail;
         self.overwritten += dropped;
         if dropped > 0 {
             // Provenance: a wrap means ingest outran the decode side past
@@ -212,6 +219,55 @@ mod tests {
         assert_eq!(r.tail(), 6);
         r.discard_until(1_000);
         assert_eq!(r.tail(), r.head());
+    }
+
+    #[test]
+    fn push_is_the_sample_by_sample_ring() {
+        // The push as it ran before it copied whole runs, kept as its
+        // oracle: one sample at a time, the oldest dropped when full.
+        fn push_by_sample(r: &mut SampleRing, chunk: &[C64]) -> u64 {
+            let cap = r.buf.len() as u64;
+            let mut dropped = 0;
+            for &s in chunk {
+                if r.head - r.tail == cap {
+                    r.tail += 1;
+                    dropped += 1;
+                }
+                r.buf[(r.head % cap) as usize] = s;
+                r.head += 1;
+            }
+            r.overwritten += dropped;
+            dropped
+        }
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for cap in [1usize, 2, 7, 16] {
+            let (mut got, mut want) = (
+                SampleRing::with_capacity(cap),
+                SampleRing::with_capacity(cap),
+            );
+            let mut next = 0;
+            for _ in 0..400 {
+                let len = rng.gen_range(0..=3 * cap);
+                let chunk = seq(next, next + len);
+                next += len;
+                assert_eq!(
+                    got.push(&chunk),
+                    push_by_sample(&mut want, &chunk),
+                    "cap {cap}"
+                );
+                assert_eq!(
+                    (got.tail, got.head, got.overwritten),
+                    (want.tail, want.head, want.overwritten)
+                );
+                assert_eq!(got.buf, want.buf, "cap {cap}");
+                if rng.gen_bool(0.3) {
+                    let until = rng.gen_range(got.tail..=got.head);
+                    got.discard_until(until);
+                    want.discard_until(until);
+                }
+            }
+        }
     }
 
     #[test]

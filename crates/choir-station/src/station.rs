@@ -413,6 +413,14 @@ impl Station {
     /// recording each zeroed component's absolute position for typed
     /// rejection at cut time.
     fn sanitize(&mut self, chunk: &[C64]) -> Option<Vec<C64>> {
+        // The common case in one branch-free pass: a NaN fails `<=` too.
+        let usable = |v: f64| v.abs() <= MAX_COMPONENT;
+        if chunk
+            .iter()
+            .fold(true, |ok, z| ok & usable(z.re) & usable(z.im))
+        {
+            return None;
+        }
         let base = self.ring.head();
         let mut cleaned: Option<Vec<C64>> = None;
         for (i, z) in chunk.iter().enumerate() {

@@ -20,6 +20,8 @@
 //!   same-line `// ordering:` justification;
 //! * **lock_scope** — no `.lock()` while another `let`-bound guard is
 //!   still in scope, unless the nesting carries a lock-order argument;
+//! * **hot_libm** — a `hot:noalloc` function in `choir-dsp` /
+//!   `choir-core` calls no libm phasor (`C64::cis(`, `symbol_sample(`);
 //! * **simd_boundary** — `unsafe` and `std::arch` / `core::arch`
 //!   intrinsics are confined to `crates/choir-dsp/src/backend/`
 //!   (`avx2.rs` is the single file there that contains `unsafe`); the
@@ -207,6 +209,11 @@ fn selftest() -> ExitCode {
             "crates/choir-core/src/decoder/planted.rs",
             "// hot:noalloc — comb demodulation\nfn comb_demod(x: &[u8]) -> Vec<u8> { x.to_vec() }\n",
             &["hot_noalloc"],
+        ),
+        (
+            "crates/choir-core/src/decoder/planted.rs",
+            "// hot:noalloc — subtraction\nfn template(t: &mut [C64], w: f64) { t[0] = C64::cis(w); }\n",
+            &["hot_libm"],
         ),
         (
             "crates/choir-dsp/src/planted.rs",

@@ -93,6 +93,7 @@ pub fn check_file(f: &SourceFile) -> Vec<Violation> {
     no_float_eq(f, &mut out);
     no_lossy_casts(f, &mut out);
     no_hot_allocs(f, &mut out);
+    no_hot_libm(f, &mut out);
     trace_event(f, &mut out);
     sync_facade(f, &mut out);
     atomic_ordering(f, &mut out);
@@ -339,32 +340,17 @@ fn brace_close(code: &str, open: usize) -> Option<usize> {
     None
 }
 
-/// Rule `hot_noalloc`: a `hot:noalloc` comment marker annotates the next
-/// function as a steady-state hot-path kernel — the per-candidate refine
-/// loop runs it thousands of times per slot, so any per-call heap
-/// allocation (`Vec::new`, `vec!`, `.clone()`, `.to_vec()`) melts the
-/// allocation-free guarantee the offset-search rewrite established. Scratch
-/// must come from the caller, a `choir_dsp::workspace` checkout, or a
-/// reused field.
-fn no_hot_allocs(f: &SourceFile, out: &mut Vec<Violation>) {
-    const NEEDLES: [(&str, &str); 4] = [
-        (
-            "Vec::new",
-            "`Vec::new` inside a hot:noalloc function — take scratch from the workspace arena",
-        ),
-        (
-            "vec!",
-            "`vec!` inside a hot:noalloc function — take scratch from the workspace arena",
-        ),
-        (
-            ".clone()",
-            "`.clone()` inside a hot:noalloc function — borrow or reuse a buffer instead",
-        ),
-        (
-            ".to_vec()",
-            "`.to_vec()` inside a hot:noalloc function — borrow or reuse a buffer instead",
-        ),
-    ];
+/// Flags every `needle` under `rule` inside the body of each function a
+/// hot-path comment marker annotates (see [`no_hot_allocs`]). Needles
+/// that do not start with `.` need an identifier boundary on their left,
+/// so `my_vec!` / `SmallVec::new`-style idents don't match (a
+/// path-qualified `std::vec::Vec::new` still does).
+fn in_hot_bodies(
+    f: &SourceFile,
+    out: &mut Vec<Violation>,
+    rule: &'static str,
+    needles: &[(&str, &str)],
+) {
     let mut marker = 0usize;
     while let Some(rel) = f.comments[marker..].find("hot:noalloc") {
         let at = marker + rel;
@@ -375,14 +361,11 @@ fn no_hot_allocs(f: &SourceFile, out: &mut Vec<Violation>) {
         let Some(close) = brace_close(&f.code, open) else {
             continue;
         };
-        for (needle, msg) in NEEDLES {
+        for &(needle, msg) in needles {
             let mut search = open;
             while let Some(rel) = f.code[search..close].find(needle) {
                 let hit = search + rel;
                 search = hit + needle.len();
-                // Identifier boundary on the left for the non-`.` needles,
-                // so `my_vec!` / `SmallVec::new`-style idents don't match
-                // (a path-qualified `std::vec::Vec::new` still does).
                 if !needle.starts_with('.') {
                     let prev = f.code.as_bytes().get(hit.wrapping_sub(1)).copied();
                     if let Some(p) = prev {
@@ -391,10 +374,70 @@ fn no_hot_allocs(f: &SourceFile, out: &mut Vec<Violation>) {
                         }
                     }
                 }
-                push(f, out, hit, "hot_noalloc", msg.to_string());
+                push(f, out, hit, rule, msg.to_string());
             }
         }
     }
+}
+
+/// Rule `hot_noalloc`: a `hot:noalloc` comment marker annotates the next
+/// function as a steady-state hot-path kernel — the per-candidate refine
+/// loop runs it thousands of times per slot, so any per-call heap
+/// allocation (`Vec::new`, `vec!`, `.clone()`, `.to_vec()`) melts the
+/// allocation-free guarantee the offset-search rewrite established. Scratch
+/// must come from the caller, a `choir_dsp::workspace` checkout, or a
+/// reused field.
+fn no_hot_allocs(f: &SourceFile, out: &mut Vec<Violation>) {
+    in_hot_bodies(
+        f,
+        out,
+        "hot_noalloc",
+        &[
+            (
+                "Vec::new",
+                "`Vec::new` inside a hot:noalloc function — take scratch from the workspace arena",
+            ),
+            (
+                "vec!",
+                "`vec!` inside a hot:noalloc function — take scratch from the workspace arena",
+            ),
+            (
+                ".clone()",
+                "`.clone()` inside a hot:noalloc function — borrow or reuse a buffer instead",
+            ),
+            (
+                ".to_vec()",
+                "`.to_vec()` inside a hot:noalloc function — borrow or reuse a buffer instead",
+            ),
+        ],
+    );
+}
+
+/// Rule `hot_libm`: a `hot:noalloc` function in `choir-dsp`/`choir-core`
+/// evaluates no libm phasor per sample — no `C64::cis(` and no
+/// `symbol_sample(` (one libm `cis` a call). A waveform is a table times
+/// a tone (`tone_into` on the deterministic sincos kernel), a spectrum a
+/// transform; a per-sample libm call there is what the subtraction leaves
+/// spent a third of a slot on.
+fn no_hot_libm(f: &SourceFile, out: &mut Vec<Violation>) {
+    if !is_dsp_source(&f.path) {
+        return;
+    }
+    in_hot_bodies(
+        f,
+        out,
+        "hot_libm",
+        &[
+            (
+                "C64::cis(",
+                "libm `C64::cis` inside a hot:noalloc function — build the phasor from a table and `tone_into`",
+            ),
+            (
+                "symbol_sample(",
+                "libm `symbol_sample` inside a hot:noalloc function — a chirp is the base up-chirp's table times a tone",
+            ),
+        ],
+    );
 }
 
 /// Rule `trace_event`: every `DecodeError` *construction* in library code
@@ -875,6 +918,44 @@ mod tests {
         assert!(violations(
             "crates/choir-dsp/src/planted.rs",
             "// hot:noalloc — kernel\npub fn f() { my_vec!(); let _ = SmallVec::new(); }\n",
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn hot_libm_bans_libm_phasors_in_annotated_dsp_fns() {
+        // Both phasors inside one annotated function, path-qualified or not.
+        let v = violations(
+            "crates/choir-core/src/decoder/planted.rs",
+            "// hot:noalloc — subtraction\nfn f(t: &mut [C64], w: f64) {\n    t[0] = C64::cis(w);\n    t[1] = lora_phy::chirp::symbol_sample(256, 3, 0.5);\n}\n",
+        );
+        assert_eq!(v, ["hot_libm", "hot_libm"]);
+        // Unannotated functions, other crates and idents that only end
+        // in the name are not this rule's business.
+        for (path, src) in [
+            (
+                "crates/choir-dsp/src/planted.rs",
+                "pub fn setup(w: f64) -> C64 { C64::cis(w) }\n",
+            ),
+            (
+                "crates/choir-channel/src/planted.rs",
+                "// hot:noalloc — channel\npub fn f(w: f64) -> C64 { C64::cis(w) }\n",
+            ),
+            (
+                "crates/choir-dsp/src/planted.rs",
+                "// hot:noalloc — kernel\npub fn f(w: f64) -> C64 { my_symbol_sample(w) + sincos::cis(w) }\n",
+            ),
+            (
+                "crates/choir-dsp/src/planted.rs",
+                "// hot:noalloc — kernel\npub fn f(x: &mut [C64]) { x[0] = C64::ONE; }\npub fn cold(w: f64) -> C64 { C64::cis(w) }\n",
+            ),
+        ] {
+            assert!(violations(path, src).is_empty(), "{path}: {src}");
+        }
+        // An allowlisted site with a reason is exempt.
+        assert!(violations(
+            "crates/choir-dsp/src/planted.rs",
+            "// hot:noalloc — kernel\npub fn f(w: f64) -> C64 {\n    // lint:allow(hot_libm) — once per call, not per sample\n    C64::cis(w)\n}\n",
         )
         .is_empty());
     }
