@@ -2,11 +2,13 @@
 //! (Secs. 5.2, 6.1) — per-user waveform reconstruction and subtraction,
 //! the CFO refinement that makes the subtraction deep enough for near-far
 //! collisions, and the multi-pass loop that drives demodulation and
-//! cancellation over every user.
+//! cancellation over every user: a candidate earns its data windows with
+//! its header, and a user whose frame checks out is final.
 
 use choir_dsp::backend::{axpy, conj_dot, tone_into};
 use choir_dsp::complex::C64;
 use choir_dsp::workspace;
+use lora_phy::frame::{decode_frame, DecodedFrame, FrameError};
 
 use super::demod::CombDecision;
 use super::{ChoirDecoder, DecodedUser, UserEstimate};
@@ -14,17 +16,28 @@ use crate::profile::{scope, Stage};
 
 /// One user's state across the SIC passes.
 pub(super) struct UserPass {
-    /// The user's estimate, re-acquired on every pass.
+    /// The user's estimate, re-acquired on every turn.
     pub(super) user: UserEstimate,
-    /// Comb decisions of the latest pass, one per symbol window.
+    /// Comb decisions of the latest demodulating turn, one per window it
+    /// read: the preamble and sync windows only when they failed the
+    /// header rule ([`ChoirDecoder::header_holds`]), every window
+    /// otherwise.
     pub(super) decisions: Vec<CombDecision>,
-    /// Winning value of each decision (preamble and sync included).
+    /// Winning value of each decision.
     pub(super) symbols: Vec<u16>,
-    /// Windows of the latest pass that ran past the capture.
+    /// Windows of the latest demodulating turn that ran past the capture.
     pub(super) erasures: usize,
+    /// The frame chain's plain verdict on the data symbols of the latest
+    /// demodulating turn; `None` when its header failed.
+    pub(super) frame: Option<Result<DecodedFrame, FrameError>>,
+    /// Set once a turn's frame is `crc_ok && fec_reliable` on a clean
+    /// header: its symbols and verdict are never re-decided, and later
+    /// passes only re-fit and re-subtract it.
+    is_final: bool,
     /// What this user's latest subtraction removed from the working
-    /// signal, so a later pass can put the user back and re-decode it
-    /// against an otherwise-cleaned signal.
+    /// signal, so a later pass can put the user back — to re-decode it
+    /// against an otherwise-cleaned signal, or, once it is final, to
+    /// re-fit its subtraction there.
     contrib: Vec<C64>,
 }
 
@@ -277,10 +290,11 @@ impl ChoirDecoder {
         })
     }
 
-    /// One user's turn in a SIC pass: acquire and demodulate it against
-    /// the current signal, then — when `cancel` says a later turn will
-    /// read `work` — subtract its reconstructed packet so the users after
-    /// it see it removed (packet-level SIC).
+    /// One user's turn in a SIC pass: re-acquire it against the current
+    /// signal and, unless it is final, demodulate it
+    /// ([`Self::demodulate`]); then — when it holds a header and `cancel`
+    /// says a later turn will read `work` — subtract its reconstructed
+    /// packet so the users after it see it removed (packet-level SIC).
     fn decode_user_pass(
         &self,
         work: &mut [C64],
@@ -289,11 +303,14 @@ impl ChoirDecoder {
         st: &mut UserPass,
         cancel: bool,
     ) {
-        let (decisions, erasures) =
-            self.acquire_and_demod(work, slot_start, &mut st.user, total_syms);
-        st.symbols = decisions.iter().map(|d| d.value()).collect();
-        st.decisions = decisions;
-        st.erasures = erasures;
+        // A final user's turn only serves the turns after it.
+        if st.is_final && !cancel {
+            return;
+        }
+        self.acquire(work, slot_start, &mut st.user);
+        if !st.is_final && !self.demodulate(work, slot_start, total_syms, st) {
+            return;
+        }
         if !cancel {
             return;
         }
@@ -322,6 +339,44 @@ impl ChoirDecoder {
         }
     }
 
+    /// Demodulates an acquired user's windows, the preamble and sync
+    /// windows first: a candidate whose header fails
+    /// [`Self::header_holds`] is one `frame_users` drops whatever its data
+    /// says, so it gets no data window and no subtraction this pass, and
+    /// the next pass retries it on a cleaner signal. A header that holds
+    /// earns the data windows and one plain frame decode, which makes the
+    /// user final when it is `crc_ok && fec_reliable`. Returns whether the
+    /// header held.
+    fn demodulate(
+        &self,
+        work: &[C64],
+        slot_start: usize,
+        total_syms: usize,
+        st: &mut UserPass,
+    ) -> bool {
+        let header = self.params.preamble_len + 2;
+        st.decisions.clear();
+        st.frame = None;
+        st.erasures = self.demod_windows(work, slot_start, &st.user, 0..header, &mut st.decisions);
+        st.symbols = st.decisions.iter().map(|d| d.value()).collect();
+        if !self.header_holds(&st.symbols) {
+            return false;
+        }
+        st.erasures += self.demod_windows(
+            work,
+            slot_start,
+            &st.user,
+            header..total_syms,
+            &mut st.decisions,
+        );
+        st.symbols
+            .extend(st.decisions[header..].iter().map(|d| d.value()));
+        let frame = decode_frame(&self.params, &st.symbols[header..]);
+        st.is_final = matches!(&frame, Ok(f) if f.crc_ok && f.fec_reliable);
+        st.frame = Some(frame);
+        true
+    }
+
     /// Stages 3–4: decodes every discovered user's data given the expected
     /// number of data symbols (sync symbols are consumed internally).
     /// Returns one entry per validated user, strongest first. `users` must
@@ -342,17 +397,20 @@ impl ChoirDecoder {
             .into_iter()
             .map(|user| UserPass {
                 user,
-                decisions: Vec::new(),
+                decisions: Vec::with_capacity(total_syms),
                 symbols: Vec::new(),
                 erasures: 0,
+                frame: None,
+                is_final: false,
                 contrib: vec![C64::ZERO; work.len()],
             })
             .collect();
         // The first pass decodes the strong users under full interference,
         // so its symbol errors leave full-power residue that cascades;
-        // later passes re-decode each user with *every other* user's
-        // contribution removed, and re-acquisition against the cleaned
-        // signal breaks the cascade.
+        // later passes put each user back and re-acquire it against the
+        // signal with *every other* user's contribution removed, which
+        // breaks the cascade: a final user is re-fitted and re-subtracted
+        // from its own symbols, every other one re-decoded.
         let passes = self.cfg.sic_passes.max(1);
         let users = states.len();
         for pass in 0..passes {
@@ -367,7 +425,14 @@ impl ChoirDecoder {
                 // The last turn of the last pass has nobody after it:
                 // `frame_users` reads decisions, never `work`.
                 let cancel = (pass, turn) != (passes - 1, users - 1);
+                #[cfg(test)]
+                let before = super::DEMODULATED.with(|c| c.get());
                 self.decode_user_pass(&mut work, slot_start, total_syms, st, cancel);
+                #[cfg(test)]
+                super::TURN_WINDOWS.with(|t| {
+                    t.borrow_mut()
+                        .push(super::DEMODULATED.with(|c| c.get()) - before)
+                });
             }
         }
         self.frame_users(slot_start, states)

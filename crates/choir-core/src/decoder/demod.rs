@@ -1,6 +1,7 @@
 //! Stage 3a: per-user aligned comb demodulation, preceded by the
 //! per-pass re-acquisition of the user's timing and offset against the
-//! current (partially cleaned) signal.
+//! current (partially cleaned) signal. Which windows a turn demodulates
+//! is `cancel`'s to decide.
 
 use std::sync::Arc;
 
@@ -176,6 +177,8 @@ impl ChoirDecoder {
     // hot:noalloc — the dechirp and mix buffers come from the workspace
     // arena.
     fn comb_demod(&self, aligned: &[C64], mixer: &[C64]) -> CombDecision {
+        #[cfg(test)]
+        super::DEMODULATED.with(|c| c.set(c.get() + 1));
         scope(Stage::Demod, || {
             let n = self.est.n();
             let mut de = workspace::take(n);
@@ -214,33 +217,39 @@ impl ChoirDecoder {
         }
     }
 
-    /// One acquisition+demodulation pass for a single user against the
-    /// current (partially cleaned) signal: re-acquire coarse integer
-    /// timing from the preamble→sync transition, refine fractional timing,
-    /// re-read the offset from aligned windows, then demodulate every
-    /// symbol on the user's comb. Updates `user` in place.
-    pub(super) fn acquire_and_demod(
-        &self,
-        work: &[C64],
-        slot_start: usize,
-        user: &mut UserEstimate,
-        total_syms: usize,
-    ) -> (Vec<CombDecision>, usize) {
-        let n = self.est.n();
+    /// Re-acquires a user against the current (partially cleaned) signal:
+    /// coarse integer timing from the preamble→sync transition, fractional
+    /// timing, then the offset re-read from aligned windows. Updates `user`
+    /// in place.
+    pub(super) fn acquire(&self, work: &[C64], slot_start: usize, user: &mut UserEstimate) {
         let coarse = self.transition_chip(work, slot_start, user);
         user.timing_chips = self.acquire_timing(work, slot_start, user, coarse);
         user.offset_bins = self.refine_offset_aligned(work, slot_start, user);
         user.frac = user.offset_bins.fract();
+    }
+
+    /// Demodulates symbol windows `syms` of an acquired user on its comb,
+    /// appending one decision per window to `decisions` (a default one
+    /// where the window runs past the capture). Returns how many ran past
+    /// it.
+    pub(super) fn demod_windows(
+        &self,
+        work: &[C64],
+        slot_start: usize,
+        user: &UserEstimate,
+        syms: std::ops::Range<usize>,
+        decisions: &mut Vec<CombDecision>,
+    ) -> usize {
+        let n = self.est.n();
         let align = Alignment::new(user.timing_chips);
         let mut erasures = 0usize;
-        let mut decisions = Vec::with_capacity(total_syms);
         let mut mixer = workspace::take(n);
         // On the grid `ceil(Δ)` symbol `s` dechirps to `s + μ + ceil(Δ)`;
         // the step the fractional chip leaves at its wrap is what the
         // per-segment score absorbs.
         let comb_offset = (user.offset_bins + align.chip as f64).rem_euclid(n as f64);
         self.comb_mixer_into(comb_offset, &mut mixer);
-        for sym_idx in 0..total_syms {
+        for sym_idx in syms {
             let d = match self.aligned_window(work, slot_start, sym_idx, &align) {
                 Some(win) => self.comb_demod(win, &mixer),
                 None => {
@@ -251,7 +260,7 @@ impl ChoirDecoder {
             decisions.push(d);
         }
         workspace::put(mixer);
-        (decisions, erasures)
+        erasures
     }
 }
 

@@ -21,7 +21,10 @@
 //!    comb* (integer values + its fractional offset, each scored per
 //!    constant-phase segment so the wrap's step costs nothing),
 //!    reconstruct its exact waveform (per-symbol complex gain fit) and
-//!    subtract before decoding the next user.
+//!    subtract before decoding the next user. A candidate demodulates its
+//!    data windows only once its preamble and sync windows hold, and a
+//!    user whose frame checks out is final: later passes re-subtract it
+//!    but never re-decide it.
 //! 4. **Frame-decode** each user's symbol stream through the standard LoRa
 //!    chain (Gray/interleave/Hamming/CRC) from `lora-phy`.
 //!
@@ -52,10 +55,16 @@ pub struct ChoirConfig {
     pub estimator: EstimatorConfig,
     /// Phased-SIC settings (used on the preamble windows).
     pub sic: SicConfig,
-    /// Packet-level SIC passes: pass 1 decodes strongest-first under
-    /// residual interference; later passes re-decode each user with every
-    /// other user's reconstruction removed. Two passes handle dense
-    /// (8–10 user) collisions; one suffices for small ones.
+    /// Packet-level SIC passes — the retry budget of the users that are
+    /// not final. Pass 1 decodes strongest-first under residual
+    /// interference, and a user whose frame comes out `crc_ok &&
+    /// fec_reliable` on a clean header is final: later passes put it back,
+    /// re-acquire it and re-subtract its pass-1 symbols, but never
+    /// demodulate it again. Every other user is re-decoded with every
+    /// other user's reconstruction removed; a candidate whose preamble or
+    /// sync windows fail gets neither data windows nor a subtraction in
+    /// that pass. Two passes handle dense (8–10 user) collisions; one
+    /// suffices for small ones.
     pub sic_passes: usize,
 }
 
@@ -200,6 +209,11 @@ pub struct ChoirDecoder {
 thread_local! {
     /// Test probe: user turns on this thread that subtracted their packet.
     static SUBTRACTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Test probe: symbol windows this thread's comb demodulator scored.
+    static DEMODULATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Test probe: the windows each user turn on this thread demodulated,
+    /// in turn order.
+    static TURN_WINDOWS: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl ChoirDecoder {
@@ -502,13 +516,23 @@ mod tests {
         assert!(dec.discover_users(&s.samples, usize::MAX - 100).is_empty());
     }
 
+    /// Zeroes the decode probes of this thread.
+    fn reset_probes() {
+        crate::sic::PHASED_SIC_CALLS.with(|c| c.set(0));
+        SUBTRACTIONS.with(|c| c.set(0));
+        DEMODULATED.with(|c| c.set(0));
+        TURN_WINDOWS.with(|t| t.borrow_mut().clear());
+    }
+
     #[test]
     fn a_decode_solves_only_the_interior_preamble_windows() {
         // The only joint solves of a decode are discovery's, one per
         // interior preamble window, whatever the user count or the pass
         // count — a user turn reads its preamble→sync chip with a matched
-        // filter — and a slot costs one subtraction per turn that has a
-        // turn after it.
+        // filter. A turn demodulates nothing (a final user), its header
+        // (a failed one) or every window; and a slot costs one subtraction
+        // per turn that passed the header rule, now or in an earlier pass,
+        // and has a turn after it.
         let two = vec![profile(2.3, 0.1), profile(-7.6, 0.32)];
         let three = vec![profile(2.3, 0.1), profile(-7.6, 0.32), profile(12.4, 0.18)];
         for (snrs, profiles) in [(&[20.0, 17.0][..], two), (&[20.0, 17.0, 14.0][..], three)] {
@@ -525,17 +549,112 @@ mod tests {
                 };
                 let dec = ChoirDecoder::with_config(s.params, cfg);
                 let view = SlotView::known_len(&s.params, &s.samples, s.slot_start, 6);
-                crate::sic::PHASED_SIC_CALLS.with(|c| c.set(0));
-                SUBTRACTIONS.with(|c| c.set(0));
+                let header = s.params.preamble_len + 2;
+                let total = header + view.num_data_symbols;
+                reset_probes();
                 let decoded = dec.try_decode_view(view).expect("slot decodes");
                 let solves = crate::sic::PHASED_SIC_CALLS.with(|c| c.get());
                 let subtractions = SUBTRACTIONS.with(|c| c.get());
+                let turns = TURN_WINDOWS.with(|t| t.borrow().clone());
                 let users = dec.discover_users(&s.samples, s.slot_start).len();
                 assert!(users >= decoded.len() && users >= snrs.len());
                 assert_eq!(solves, s.params.preamble_len - 1);
-                assert_eq!(subtractions, users * sic_passes - 1);
+                assert_eq!(turns.len(), users * sic_passes);
+                for (i, &w) in turns.iter().enumerate() {
+                    assert!(
+                        w == header || w == total || (w == 0 && i >= users),
+                        "{turns:?}"
+                    );
+                }
+                let earned = turns[..turns.len() - 1]
+                    .iter()
+                    .filter(|&&w| w != header)
+                    .count();
+                assert_eq!(subtractions, earned, "{turns:?}");
+                assert!(subtractions >= snrs.len() * sic_passes - 1, "{turns:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_clean_two_user_slot_demodulates_each_user_once() {
+        // Both users' pass-1 frames check out, so the second pass
+        // re-subtracts them and demodulates nothing: each window of the
+        // slot is demodulated once a user, and each user's frame is the
+        // one a single pass yields.
+        let s = ScenarioBuilder::new(params())
+            .snrs_db(&[20.0, 17.0])
+            .payload_len(10)
+            .profiles(vec![profile(2.3, 0.1), profile(-7.6, 0.32)])
+            .seed(2)
+            .build();
+        let view = SlotView::known_len(&s.params, &s.samples, s.slot_start, 10);
+        let total_syms = s.params.preamble_len + 2 + view.num_data_symbols;
+        let decode = |sic_passes| {
+            let cfg = ChoirConfig {
+                sic_passes,
+                ..ChoirConfig::default()
+            };
+            let dec = ChoirDecoder::with_config(s.params, cfg);
+            assert_eq!(dec.discover_users(&s.samples, s.slot_start).len(), 2);
+            reset_probes();
+            let out = dec.try_decode_view(view).expect("slot decodes");
+            (
+                out,
+                DEMODULATED.with(|c| c.get()),
+                SUBTRACTIONS.with(|c| c.get()),
+            )
+        };
+        let (one, one_windows, _) = decode(1);
+        let (two, two_windows, two_subtractions) = decode(2);
+        assert_eq!(one_windows, 2 * total_syms);
+        assert_eq!(two_windows, 2 * total_syms);
+        assert_eq!(two_subtractions, 3);
+        assert_eq!(two.len(), 2);
+        for (a, b) in one.iter().zip(&two) {
+            assert!(b.payload_ok());
+            assert_eq!(a.symbols, b.symbols);
+            assert_eq!(a.frame, b.frame);
+        }
+    }
+
+    #[test]
+    fn a_spurious_candidate_demodulates_its_header_and_subtracts_nothing() {
+        // A candidate at an offset nobody transmits on dechirps the real
+        // user's preamble to one constant non-zero value: its header fails
+        // in every pass, so each pass costs it `p + 2` windows and no
+        // subtraction — and it never reaches the output.
+        let s = ScenarioBuilder::new(params())
+            .snrs_db(&[20.0])
+            .payload_len(6)
+            .profiles(vec![profile(3.0, 0.1)])
+            .seed(77)
+            .build();
+        let dec = ChoirDecoder::new(s.params);
+        let n = dec.est.n();
+        let p = s.params.preamble_len;
+        let nds = SlotView::known_len(&s.params, &s.samples, s.slot_start, 6).num_data_symbols;
+        let real = dec.discover_users(&s.samples, s.slot_start)[0];
+        let offset_bins = (real.offset_bins + 64.5).rem_euclid(n as f64);
+        let spurious = UserEstimate {
+            offset_bins,
+            frac: offset_bins.fract(),
+            ..real
+        };
+        reset_probes();
+        let alone = dec.decode_with_users(&s.samples, s.slot_start, nds, vec![spurious]);
+        assert!(alone.is_empty());
+        assert_eq!(DEMODULATED.with(|c| c.get()), 2 * (p + 2));
+        assert_eq!(SUBTRACTIONS.with(|c| c.get()), 0);
+        // Behind the real user: the real user demodulates once and
+        // subtracts in both passes (a turn follows each), the candidate
+        // costs its header twice.
+        reset_probes();
+        let both = dec.decode_with_users(&s.samples, s.slot_start, nds, vec![real, spurious]);
+        assert_eq!(both.len(), 1);
+        assert!(both[0].payload_ok());
+        assert_eq!(DEMODULATED.with(|c| c.get()), p + 2 + nds + 2 * (p + 2));
+        assert_eq!(SUBTRACTIONS.with(|c| c.get()), 2);
     }
 
     #[test]

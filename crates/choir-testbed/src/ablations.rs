@@ -185,31 +185,13 @@ pub fn ablate_steps(scale: Scale) -> FigureReport {
 
 /// Packet-level SIC passes: 1 vs 2 at moderate density.
 pub fn ablate_sic_passes(scale: Scale) -> FigureReport {
-    let params = PhyParams::default();
-    let trials = scale.trials(2, 5);
-    let k = 6usize;
+    let trials = scale.trials(2, 5) as u64;
     let mut pts = Vec::new();
     for passes in [1usize, 2] {
-        let cfg = ChoirConfig {
-            sic_passes: passes,
-            ..ChoirConfig::default()
-        };
-        let dec = ChoirDecoder::with_config(params, cfg);
-        let slots: Vec<CollisionScenario> = (0..trials)
-            .map(|t| {
-                let snrs: Vec<f64> = (0..k).map(|i| 22.0 - i as f64 * 2.2).collect();
-                ScenarioBuilder::new(params)
-                    .snrs_db(&snrs)
-                    .payload_len(8)
-                    .seed(4200 + t as u64)
-                    .build()
-            })
-            .collect();
-        let ok: usize = decode_scenarios(&dec, &slots, 8)
+        let ok: usize = sic_ladder_delivered(passes, 4200..4200 + trials)
             .iter()
-            .map(|res| res.ok_users().filter(|d| d.payload_ok()).count())
             .sum();
-        let total = k * trials;
+        let total = SIC_LADDER_USERS * trials as usize;
         pts.push((format!("{passes} pass"), ok as f64 / total as f64));
     }
     let rows: Vec<(&str, f64)> = pts.iter().map(|(l, v)| (l.as_str(), *v)).collect();
@@ -219,6 +201,49 @@ pub fn ablate_sic_passes(scale: Scale) -> FigureReport {
     );
     r.push_series(Series::from_labels("decode rate", &rows));
     r
+}
+
+/// Users a draw of [`ablate_sic_passes`]' ladder holds.
+const SIC_LADDER_USERS: usize = 6;
+
+/// [`ablate_sic_passes`]' ladder — six users at 22, 19.8, … 11 dB with
+/// 8-byte payloads, one draw a seed of `seeds` — decoded with
+/// `passes` packet-level SIC passes: per draw, the users whose frame
+/// passed its CRC and carries a payload one of them sent.
+pub fn sic_ladder_delivered(passes: usize, seeds: std::ops::Range<u64>) -> Vec<usize> {
+    let params = PhyParams::default();
+    let cfg = ChoirConfig {
+        sic_passes: passes,
+        ..ChoirConfig::default()
+    };
+    let dec = ChoirDecoder::with_config(params, cfg);
+    let slots: Vec<CollisionScenario> = seeds
+        .map(|seed| {
+            let snrs: Vec<f64> = (0..SIC_LADDER_USERS)
+                .map(|i| 22.0 - i as f64 * 2.2)
+                .collect();
+            ScenarioBuilder::new(params)
+                .snrs_db(&snrs)
+                .payload_len(8)
+                .seed(seed)
+                .build()
+        })
+        .collect();
+    decode_scenarios(&dec, &slots, 8)
+        .iter()
+        .zip(&slots)
+        .map(|(res, s)| {
+            let mut sent: Vec<&[u8]> = s.users.iter().map(|u| u.payload.as_slice()).collect();
+            let mut delivered = 0;
+            for frame in res.ok_users().filter_map(|d| d.frame.as_ref()) {
+                if let Some(i) = sent.iter().position(|p| *p == frame.payload.as_slice()) {
+                    sent.swap_remove(i);
+                    delivered += 1;
+                }
+            }
+            delivered
+        })
+        .collect()
 }
 
 /// Preamble-accumulation window for below-noise team detection.

@@ -411,12 +411,16 @@ impl DeliveryRule {
 
 /// Pairs the two run sets' records (the `i`-th run of a workload on
 /// either side is pair `i`), prints what each pair lost and gained and
-/// each side's false accepts (a report, not a gate: each run counts its
-/// own, over however far into the stream it got), and fails a pair whose
-/// moves on the common prefix `rule` rejects.
+/// each side's false accepts, and fails a pair whose moves on the common
+/// prefix `rule` rejects — and a workload whose head runs false-accept
+/// more frames, summed over its pairs, than its base runs did. (Each run
+/// counts its own false accepts over however far into the stream it got,
+/// so one pair says little; a pair a record of which has no count enters
+/// neither sum.)
 fn delivered_failures(base_runs: &str, head_runs: &str, rule: DeliveryRule) -> Vec<String> {
     let mut failures = Vec::new();
     let mut nth = std::collections::BTreeMap::new();
+    let mut accepts = std::collections::BTreeMap::new();
     for head in head_runs.lines() {
         let (Some(workload), Some(set)) = (detail(head, "workload"), detail(head, "delivered_set"))
         else {
@@ -447,9 +451,25 @@ fn delivered_failures(base_runs: &str, head_runs: &str, rule: DeliveryRule) -> V
                 lost - gained
             ));
         }
+        if let (Some(b), Some(h)) = (false_accepts(base_record), false_accepts(head)) {
+            let sums: &mut (u64, u64) = accepts.entry(workload).or_default();
+            *sums = (sums.0 + b, sums.1 + h);
+        }
         *pair += 1;
     }
+    for (workload, (base, head)) in accepts {
+        if head > base {
+            failures.push(format!(
+                "{workload}: the head's pairs false-accept {head} frames, the base's {base}"
+            ));
+        }
+    }
     failures
+}
+
+/// A run record's `oracle.false_accepts` count, as its `details` spell it.
+fn false_accepts(record: &str) -> Option<u64> {
+    detail(record, "false_accepts")?.parse().ok()
 }
 
 /// The line a delivered pair prints: its moves on the common prefix and
@@ -741,6 +761,47 @@ mod tests {
         // A record without the count reads as `-`.
         let old = &runs("dense_5u", &["1101"]);
         assert!(pair_line("dense_5u", 0, (0, 0), old, &with(2)).ends_with("false_accepts - -> 2"));
+    }
+
+    #[test]
+    fn a_workload_fails_when_its_head_pairs_false_accept_more_than_its_base() {
+        let run = |workload: &str, n: &str| {
+            format!(
+                "{{\"workload\": \"{workload}\", \"details\": {{\"false_accepts\": \"{n}\", \
+                 \"delivered_set\": \"1101\"}}}}\n"
+            )
+        };
+        let set = |workload: &str, counts: &[&str]| -> String {
+            counts.iter().map(|n| run(workload, n)).collect()
+        };
+        let verdict = |base: &[&str], head: &[&str]| {
+            delivered_failures(
+                &set("dense_5u", base),
+                &set("dense_5u", head),
+                DeliveryRule::Count,
+            )
+        };
+        // Judged on the sum: one pair may rise where another falls.
+        assert!(verdict(&["0", "0", "0"], &["0", "0", "0"]).is_empty());
+        assert!(verdict(&["2", "0", "1"], &["0", "3", "0"]).is_empty());
+        assert!(verdict(&["1", "1", "1"], &["0", "0", "0"]).is_empty());
+        let fails = verdict(&["1", "0", "0"], &["0", "1", "1"]);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert_eq!(
+            fails[0],
+            "dense_5u: the head's pairs false-accept 2 frames, the base's 1"
+        );
+        // A pair with a record that has no count enters neither sum.
+        assert!(verdict(&["-", "0"], &["4", "0"]).is_empty());
+        assert_eq!(verdict(&["x", "0"], &["4", "1"]).len(), 1);
+        // Workloads are summed apart.
+        let fails = delivered_failures(
+            &(set("dense_5u", &["3"]) + &set("paced_mix", &["0"])),
+            &(set("paced_mix", &["1"]) + &set("dense_5u", &["0"])),
+            DeliveryRule::Count,
+        );
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].starts_with("paced_mix:"), "{fails:?}");
     }
 
     /// A delivered set of `len` frames, all delivered but for `missing`.
