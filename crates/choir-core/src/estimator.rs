@@ -5,15 +5,18 @@
 //! peak positions, (3) fits complex channels by least squares (Eqn. 2),
 //! (4) reconstructs the signal and measures the residual power (Eqn. 3),
 //! and (5) searches the neighbourhood of the coarse positions for the
-//! offsets that minimise the residual (Eqn. 4). The residual surface is
-//! locally convex (Fig. 4), so cyclic coordinate descent with a shrinking
-//! bracket converges quickly; multi-start guards against side-lobe minima.
+//! offsets that minimise the residual (Eqn. 4). The problem is separable:
+//! once the frequencies are fixed every gain is linear, so the search runs
+//! over the `K` frequencies alone (variable projection) and moves all of
+//! them at once by damped Gauss–Newton steps ([`GramFit::descend`]); the
+//! residual surface is locally convex (Fig. 4), so a few steps converge.
 //!
-//! The descent's first sweep, the one with the widest brackets, scores a
-//! fixed grid of candidate offsets per coordinate with the same residual
-//! probe its golden section uses, and polishes only the bracket around
-//! the grid argmin. The refined output is bit-identical on every DSP
-//! backend.
+//! A local step cannot hop out of a side lobe, so the wide
+//! step-corrected pass first runs one basin-hopping sweep
+//! ([`basin_sweep`]): per coordinate, a fixed grid of candidate offsets
+//! scored with the exact residual, and a golden-section polish of the
+//! bracket around the grid argmin. The refined output is bit-identical on
+//! every DSP backend.
 
 use crate::error::DecodeError;
 use crate::profile::{scope, Stage};
@@ -24,7 +27,7 @@ use choir_dsp::linalg::{
     gram_residual, least_squares_refs, residual_energy_refs, CholeskyFactor, PIVOT_REL_TOL,
 };
 use choir_dsp::optim::{golden_section, Optimum};
-use choir_dsp::peaks::{dirichlet, find_peaks, Peak};
+use choir_dsp::peaks::{dirichlet, dirichlet_ramps, find_peaks, Peak};
 use choir_dsp::workspace;
 use lora_phy::chirp::base_downchirp_cached;
 use std::cell::RefCell;
@@ -99,20 +102,31 @@ impl Default for EstimatorConfig {
     }
 }
 
-/// Residual-search bracket around each coarse position, in bins. Coarse
-/// positions are accurate to ~1/pad bins, so ±0.5/pad plus margin is
-/// enough.
+/// Reach of the offset search around each coarse position, in bins:
+/// [`GramFit::descend`]'s first trust radius, and half the box it keeps
+/// every coordinate in. Coarse positions are accurate to ~1/pad bins, so
+/// ±0.5/pad plus margin is enough.
 const SEARCH_RADIUS_BINS: f64 = 0.15;
 
-/// Bracket of the first step-corrected refinement pass, in bins: a
+/// Reach of the first step-corrected refinement pass, in bins — its
+/// basin-hopping sweep's bracket and its solver's first trust radius: a
 /// boundary-split tone's coarse peak can sit half a bin off.
 const WIDE_RADIUS_BINS: f64 = 0.6;
 
-/// Convergence tolerance of the offset search, in bins.
+/// Convergence tolerance of the offset search, in bins: the bracket a
+/// golden-section polish narrows to, and twice the step at which
+/// [`GramFit::descend`] stops.
 const TOL_BINS: f64 = 1e-4;
 
-/// Maximum coordinate-descent sweeps.
-const MAX_SWEEPS: usize = 12;
+/// Initial Levenberg–Marquardt damping `λ` of [`GramFit::descend`]: the
+/// step solves `(H + λ·diag H)·Δ = −∇R`, so a small `λ` starts it as
+/// Gauss–Newton.
+const LM_DAMPING: f64 = 1e-3;
+
+/// Steps [`GramFit::descend`] may try, accepted or not — a guard: the
+/// trust radius halves on every rejection, so the tolerance stops a
+/// search long before.
+const MAX_STEPS: usize = 48;
 
 /// Minimum relative residual improvement for a step term to be kept.
 const STEP_GAIN_THRESHOLD: f64 = 0.02;
@@ -129,12 +143,12 @@ const STEP_GAIN_THRESHOLD: f64 = 0.02;
 /// (DESIGN §17).
 const STEP_WEIGHT_EXPONENT: f64 = 0.3;
 
-/// Number of grid points the first sweep of [`OffsetEstimator::refine`]'s
-/// descent probes per coordinate before handing the two cells around the
-/// grid argmin to the golden-section polish.
+/// Number of grid points [`basin_sweep`] probes per coordinate before
+/// handing the two cells around the grid argmin to the golden-section
+/// polish.
 const PREFILTER_GRID: usize = 8;
 
-/// The bracket a first-sweep line search polishes: `score` at
+/// The bracket a [`basin_sweep`] line search polishes: `score` at
 /// [`PREFILTER_GRID`] evenly spaced points of `[lo, hi]`, in order, and
 /// the two cells around the argmin (the lowest index on a tie).
 fn grid_bracket(lo: f64, hi: f64, mut score: impl FnMut(f64) -> f64) -> (f64, f64) {
@@ -151,6 +165,30 @@ fn grid_bracket(lo: f64, hi: f64, mut score: impl FnMut(f64) -> f64) -> (f64, f6
         grid[m.saturating_sub(1)],
         grid[(m + 1).min(PREFILTER_GRID - 1)],
     )
+}
+
+/// The wide pass's one basin-hopping sweep: per coordinate, within
+/// `±radius` of where the sweep found it, a [`PREFILTER_GRID`]-point grid
+/// ([`grid_bracket`]) and a golden-section polish of the two cells around
+/// its argmin, every abscissa a [`GramFit::probe`] on a line
+/// [`GramFit::hold`] opened. A coordinate moves when its line beats the
+/// best residual so far. The grid lets a boundary-split tone whose
+/// coarse peak sat on a side lobe hop to its main lobe, which no local
+/// step reaches. Returns the residual at the point left in `x`.
+// hot:noalloc — the grid is on the stack, the line's scratch is `gfit`'s.
+fn basin_sweep(gfit: &mut GramFit<'_>, x: &mut [f64], radius: f64) -> f64 {
+    let mut best = gfit.eval(x);
+    for i in 0..x.len() {
+        let xi = x[i];
+        gfit.hold(i, x);
+        let (lo, hi) = grid_bracket(xi - radius, xi + radius, |v| gfit.probe(v));
+        let (xmin, fmin) = golden_section(|v| gfit.probe(v), lo, hi, TOL_BINS);
+        if fmin < best {
+            best = fmin;
+            x[i] = xmin;
+        }
+    }
+    best
 }
 
 /// Reusable per-symbol estimator for a fixed symbol length `2^SF`.
@@ -220,31 +258,34 @@ fn cached_basis(n: usize, freq_bins: f64) -> Rc<Vec<C64>> {
 /// Incremental normal-equation evaluator — the offset search's hot
 /// kernel. Holds the Gram matrix `G = BᴴB`, projection `p = Bᴴy` and
 /// Cholesky factor for the current frequency hypothesis, and updates
-/// only the rows/columns of coordinates whose frequency actually changed
-/// (cyclic coordinate descent moves exactly one per probe). A probe of
-/// the residual at frequency `f` is one DTFT bin of `y`: the moved
-/// coordinate costs one fused
+/// only the rows/columns of coordinates whose frequency actually changed.
+/// A projection at frequency `f` is one DTFT bin of `y`: one fused
 /// [`tone_conj_dot`](choir_dsp::backend::tone_conj_dot) — no tone is
 /// written, none read back. The Gram of pure tones needs no samples at
 /// all — its diagonal is `n` and entry `(i, j)` is the Dirichlet kernel
 /// `Σ_t e^{j2π(f_j − f_i)t/n}` in closed form ([`dirichlet`]) — and the
 /// residual follows from the Gram identity (`O(K²)`) instead of a
-/// time-domain reconstruction. Every buffer is owned and reused, so
-/// steady-state probes perform zero heap allocations, and no basis
-/// column is ever written.
+/// time-domain reconstruction. Every buffer is owned and sized in
+/// [`Self::new`], so steady-state searches perform zero heap
+/// allocations, and no basis column is ever written.
 ///
-/// Two ways to ask for a residual. [`Self::eval`] solves the whole
-/// system at a point. A line search moves one coordinate and asks
-/// many times, so it opens the line once ([`Self::hold`]: the `K − 1`
-/// fixed tones are factored and solved there) and each abscissa
-/// ([`Self::probe`]) eliminates only the tone that moved — the same
-/// residual by block elimination, `O(K)` kernels and `O(K²)` flops where
-/// a full solve spends `O(K³)`.
+/// Three ways to ask for a residual. [`Self::eval`] solves the whole
+/// system at a point. [`Self::descend`] moves every frequency at once by
+/// damped Gauss–Newton steps on the variable-projection residual, each
+/// trial point such a solve whose projections come with their
+/// ramp-weighted twins (`K` passes of
+/// [`tone_ramp_conj_dot`](choir_dsp::backend::tone_ramp_conj_dot)). A
+/// line search moves one coordinate and asks many times, so it opens the
+/// line once ([`Self::hold`]: the `K − 1` fixed tones are factored and
+/// solved there) and each abscissa ([`Self::probe`]) eliminates only the
+/// tone that moved — the same residual by block elimination, one kernel
+/// pass and `O(K²)` flops where a full solve spends `O(K³)`.
+/// [`Self::kernels`] counts the passes, whichever path spent them.
 ///
 /// A Gram entry is a pure function of its two frequencies, always
 /// evaluated in the `(i<j, mirror-conjugate)` orientation, and a
 /// projection of its one, so an incrementally maintained system is
-/// bit-identical to a rebuilt one, whichever of the two calls moved it.
+/// bit-identical to a rebuilt one, whichever call moved it.
 /// Neither is the arithmetic of [`least_squares_refs`] on sampled bases
 /// (the Grams agree to 1e-13·`n` at SF8, 2e-12·`n` at SF12 — the sampled
 /// tones' phase rounding — and the fused projection to `4·n·ε·Σ|y|`):
@@ -261,10 +302,16 @@ pub struct GramFit<'a> {
     freqs: Vec<f64>,
     gram: Vec<C64>,
     p: Vec<C64>,
+    /// `q_i = Σ_t t·conj(b_i[t])·y[t]`, valid where `q_fresh` has bit `i`.
+    q: Vec<C64>,
+    q_fresh: u64,
     chol: CholeskyFactor,
     coeffs: Vec<C64>,
     solved: bool,
+    /// Kernel passes spent since [`Self::new`].
+    kernels: usize,
     line: Line,
+    normal: Normal,
 }
 
 /// The line a search is held on: coordinate `i` moves, the fixed set
@@ -288,6 +335,28 @@ struct Line {
     u: Vec<C64>,
 }
 
+/// [`GramFit::descend`]'s Gauss–Newton system and scratch, all `K` or
+/// `K²` long.
+struct Normal {
+    /// The ramp sums `E_kl`, `F_kl` of [`dirichlet_ramps`] at `f_l − f_k`.
+    e: Vec<C64>,
+    f: Vec<C64>,
+    /// A column of `E` and `G⁻¹` of it.
+    col: Vec<C64>,
+    sol: Vec<C64>,
+    /// `∇R` and the Gauss–Newton normal matrix `H` at the accepted point.
+    grad: Vec<f64>,
+    hess: Vec<f64>,
+    /// `H + λ·diag H` (real, held as complex for [`CholeskyFactor`]), its
+    /// factor, `−∇R` and the step.
+    damped: Vec<C64>,
+    chol: CholeskyFactor,
+    rhs: Vec<C64>,
+    step: Vec<C64>,
+    /// The point a step is tried at.
+    trial: Vec<f64>,
+}
+
 /// The `s`-th member of the fixed set `F` — every coordinate but `i`,
 /// ascending.
 fn fixed_coordinate(s: usize, i: usize) -> usize {
@@ -297,7 +366,7 @@ fn fixed_coordinate(s: usize, i: usize) -> usize {
 impl<'a> GramFit<'a> {
     /// Builds an evaluator for `k` components over the dechirped window
     /// `y` (`n` chips per symbol), nothing projected yet. The first
-    /// [`Self::eval`] fills every column; later probes update only what
+    /// [`Self::eval`] fills every column; later calls update only what
     /// moved.
     ///
     /// # Panics
@@ -322,9 +391,12 @@ impl<'a> GramFit<'a> {
             freqs: vec![f64::NAN; k],
             gram,
             p: vec![C64::ZERO; k],
+            q: vec![C64::ZERO; k],
+            q_fresh: 0,
             chol: CholeskyFactor::new(),
             coeffs: vec![C64::ZERO; k],
             solved: false,
+            kernels: 0,
             line: Line {
                 held: None,
                 gram: vec![C64::ZERO; f * f],
@@ -335,6 +407,19 @@ impl<'a> GramFit<'a> {
                 g: vec![C64::ZERO; f],
                 u: vec![C64::ZERO; f],
             },
+            normal: Normal {
+                e: vec![C64::ZERO; k * k],
+                f: vec![C64::ZERO; k * k],
+                col: vec![C64::ZERO; k],
+                sol: vec![C64::ZERO; k],
+                grad: vec![0.0; k],
+                hess: vec![0.0; k * k],
+                damped: vec![C64::ZERO; k * k],
+                chol: CholeskyFactor::new(),
+                rhs: vec![C64::ZERO; k],
+                step: vec![C64::ZERO; k],
+                trial: vec![0.0; k],
+            },
         }
     }
 
@@ -344,6 +429,12 @@ impl<'a> GramFit<'a> {
     /// or any [`Self::probe`], the coefficients are stale.
     pub fn solved(&self) -> bool {
         self.solved
+    }
+
+    /// Kernel passes — one projection, with or without its ramp — spent
+    /// since [`Self::new`]: what a search cost.
+    pub fn kernels(&self) -> usize {
+        self.kernels
     }
 
     /// The closed-form Gram entry of coordinates `lo < hi` at their held
@@ -359,16 +450,33 @@ impl<'a> GramFit<'a> {
     /// Brings every coordinate but `skip` to the hypothesis `x`: a
     /// coordinate whose frequency differs from the one it was last
     /// projected at is re-projected, and its Gram row and column follow.
-    /// `x` is finite wherever it is read.
+    /// With `ramp`, every coordinate also gets its `q` — a moved one
+    /// from the same pass as its `p` (whose bits the ramp kernel shares),
+    /// a stale one from a pass of its own. `x` is finite wherever it is
+    /// read.
     // hot:noalloc — the per-probe path only rewrites owned buffers.
-    fn sync(&mut self, x: &[f64], skip: Option<usize>) {
+    fn sync(&mut self, x: &[f64], skip: Option<usize>, ramp: bool) {
         let k = self.k;
         let mut changed = 0u64;
         for (i, &xi) in x.iter().enumerate() {
-            if Some(i) != skip && xi.to_bits() != self.freqs[i].to_bits() {
+            if Some(i) == skip {
+                continue;
+            }
+            let bit = 1u64 << i;
+            let moved = xi.to_bits() != self.freqs[i].to_bits();
+            if ramp && (moved || self.q_fresh & bit == 0) {
+                (self.p[i], self.q[i]) = choir_dsp::backend::tone_ramp_conj_dot(self.n, xi, self.y);
+                self.q_fresh |= bit;
+            } else if moved {
                 self.p[i] = choir_dsp::backend::tone_conj_dot(self.n, xi, self.y);
+                self.q_fresh &= !bit;
+            } else {
+                continue;
+            }
+            self.kernels += 1;
+            if moved {
                 self.freqs[i] = xi;
-                changed |= 1 << i;
+                changed |= bit;
             }
         }
         for i in (0..k).filter(|&i| changed & (1 << i) != 0) {
@@ -388,19 +496,186 @@ impl<'a> GramFit<'a> {
     /// [`gram_residual`]'s zero clamp as a perfect fit.
     // hot:noalloc — the per-probe path only rewrites owned buffers.
     pub fn eval(&mut self, x: &[f64]) -> f64 {
+        self.solve_at(x, false)
+    }
+
+    /// [`Self::eval`], with every `q` brought to `x` as well when `ramp`.
+    // hot:noalloc — the per-probe path only rewrites owned buffers.
+    fn solve_at(&mut self, x: &[f64], ramp: bool) -> f64 {
         let k = self.k;
         debug_assert_eq!(x.len(), k);
         self.solved = false;
         if x.iter().any(|xi| !xi.is_finite()) {
             return self.y_energy;
         }
-        self.sync(x, None);
+        self.sync(x, None, ramp);
         if !self.chol.factor(k, &self.gram) {
             return self.y_energy;
         }
         self.chol.solve_into(&self.p, &mut self.coeffs);
         self.solved = true;
         gram_residual(k, &self.gram, &self.p, &self.coeffs, self.y_energy)
+    }
+
+    /// Minimises the residual over every frequency at once, from `x`,
+    /// by variable projection (Golub & Pereyra; Kaufman's Jacobian): the
+    /// gains are eliminated by the least-squares solve, so the residual
+    /// is a function of the frequencies alone, and a damped Gauss–Newton
+    /// (Levenberg–Marquardt) step moves all of them together. At an
+    /// accepted point [`Self::normal_equations`] forms `∇R` and the
+    /// normal matrix `H`, and a step solves `(H + λ·diag H)·Δ = −∇R`:
+    ///
+    /// - the step is scaled down to the trust radius, which starts at
+    ///   `radius` and halves with every rejected step;
+    /// - every coordinate is kept within `±2·radius` of `origin` (the
+    ///   reach of the halving line searches this replaced), so a bad
+    ///   Jacobian cannot walk a tone into its neighbour;
+    /// - a step is accepted only if a full solve there lowers the
+    ///   residual (`λ` falls tenfold; a rejection raises it tenfold);
+    /// - the search stops once a step, accepted or not, moves no
+    ///   coordinate by half of [`TOL_BINS`] or more. Kaufman's Jacobian
+    ///   leaves out the residual's own curvature, so on a noisy window
+    ///   the steps shrink only geometrically (by ≈ 0.4 a step on the
+    ///   test corpus's worst): a step of `TOL_BINS` can leave as much
+    ///   again to go, half of it leaves less than the tolerance.
+    ///
+    /// Leaves the best point in `x` and returns its residual. A start
+    /// whose Gram is singular is returned as it is, at the window energy.
+    // hot:noalloc — every buffer is `normal`'s, sized in `new`.
+    pub fn descend(&mut self, x: &mut [f64], origin: &[f64], radius: f64) -> f64 {
+        let k = self.k;
+        debug_assert!(x.len() == k && origin.len() == k);
+        let mut best = self.solve_at(x, true);
+        if !self.solved || !self.normal_equations() {
+            return best;
+        }
+        let reach = 2.0 * radius;
+        let (mut trust, mut lambda) = (radius, LM_DAMPING);
+        for _ in 0..MAX_STEPS {
+            let nm = &mut self.normal;
+            let floor = 1e-12 * (0..k).map(|i| nm.hess[i * k + i]).fold(0.0, f64::max);
+            // A coordinate on the box's edge whose gradient points out of
+            // it stays there (an active bound): its row and column leave
+            // the system, so the free coordinates step as if it were fixed.
+            let pinned = |i: usize| {
+                (x[i] <= origin[i] - reach && nm.grad[i] > 0.0)
+                    || (x[i] >= origin[i] + reach && nm.grad[i] < 0.0)
+            };
+            for r in 0..k {
+                for c in 0..k {
+                    let h = match (r == c, pinned(r) || pinned(c)) {
+                        (true, true) => 1.0,
+                        (true, false) => {
+                            nm.hess[r * k + c] + lambda * nm.hess[r * k + c].max(floor)
+                        }
+                        (false, true) => 0.0,
+                        (false, false) => nm.hess[r * k + c],
+                    };
+                    nm.damped[r * k + c] = C64::from_re(h);
+                }
+                nm.rhs[r] = C64::from_re(if pinned(r) { 0.0 } else { -nm.grad[r] });
+            }
+            if !(floor > 0.0 && nm.chol.factor(k, &nm.damped)) {
+                // A flat or non-finite system: no direction to try.
+                break;
+            }
+            nm.chol.solve_into(&nm.rhs, &mut nm.step);
+            let longest = nm.step.iter().fold(0.0f64, |m, s| m.max(s.re.abs()));
+            let scale = if longest > trust {
+                trust / longest
+            } else {
+                1.0
+            };
+            let mut moved = 0.0f64;
+            for i in 0..k {
+                let to = (x[i] + scale * nm.step[i].re).clamp(origin[i] - reach, origin[i] + reach);
+                moved = moved.max((to - x[i]).abs());
+                nm.trial[i] = to;
+            }
+            let trial = std::mem::take(&mut self.normal.trial);
+            let r = self.solve_at(&trial, true);
+            let accepted = r < best;
+            if accepted {
+                best = r;
+                x.copy_from_slice(&trial);
+            }
+            self.normal.trial = trial;
+            if moved < 0.5 * TOL_BINS {
+                break;
+            }
+            if accepted {
+                lambda *= 0.1;
+                if !self.normal_equations() {
+                    break;
+                }
+            } else {
+                lambda *= 10.0;
+                trust *= 0.5;
+            }
+        }
+        best
+    }
+
+    /// The Gauss–Newton system at the solved point: with `c = G⁻¹p` the
+    /// gains, `q` the ramp-weighted projections and the ramp sums `E`,
+    /// `F` of every pair ([`dirichlet_ramps`], Hermitian),
+    ///
+    /// `∇R_k = −(4π/n)·Im(conj(c_k)·(q_k − Σ_l E_kl·c_l))`
+    ///
+    /// — the residual `y − Bc` against tone `k`'s frequency derivative —
+    /// and Kaufman's normal matrix, the derivatives' Gram with their
+    /// projection on the tones removed,
+    ///
+    /// `H_kl = 2·(2π/n)²·Re(conj(c_k)·c_l·(F − E·G⁻¹·E)_kl)`,
+    ///
+    /// reusing `G`'s Cholesky factor. Returns whether both came out
+    /// finite. Only valid right after a solved [`Self::solve_at`] with
+    /// the ramp.
+    // hot:noalloc — every buffer is `normal`'s, sized in `new`.
+    fn normal_equations(&mut self) -> bool {
+        let k = self.k;
+        debug_assert!(self.solved && self.q_fresh.count_ones() as usize == k);
+        let nm = &mut self.normal;
+        // A tone against itself: `Σ_t t` and `Σ_t t²`.
+        let nn = self.n as f64;
+        let (e_diag, f_diag) = (
+            nn * (nn - 1.0) / 2.0,
+            (nn - 1.0) * nn * (2.0 * nn - 1.0) / 6.0,
+        );
+        for i in 0..k {
+            nm.e[i * k + i] = C64::from_re(e_diag);
+            nm.f[i * k + i] = C64::from_re(f_diag);
+            for j in i + 1..k {
+                let (e, f) = dirichlet_ramps(self.n, self.freqs[j] - self.freqs[i]);
+                nm.e[i * k + j] = e;
+                nm.e[j * k + i] = e.conj();
+                nm.f[i * k + j] = f;
+                nm.f[j * k + i] = f.conj();
+            }
+        }
+        let w = 2.0 * std::f64::consts::PI / self.n as f64;
+        let c = &self.coeffs;
+        for i in 0..k {
+            let mut z = self.q[i];
+            for (e, cj) in nm.e[i * k..(i + 1) * k].iter().zip(c) {
+                z -= *e * cj;
+            }
+            nm.grad[i] = -2.0 * w * (c[i].conj() * z).im;
+        }
+        for l in 0..k {
+            for (m, v) in nm.col.iter_mut().enumerate() {
+                *v = nm.e[m * k + l];
+            }
+            self.chol.solve_into(&nm.col, &mut nm.sol);
+            for i in 0..k {
+                let mut m_il = nm.f[i * k + l];
+                for (e, s) in nm.e[i * k..(i + 1) * k].iter().zip(&nm.sol) {
+                    m_il -= *e * s;
+                }
+                nm.hess[i * k + l] = 2.0 * w * w * (c[i].conj() * c[l] * m_il).re;
+            }
+        }
+        nm.grad.iter().chain(&nm.hess).all(|v| v.is_finite())
     }
 
     /// Opens a line search along coordinate `i` with every other
@@ -419,7 +694,7 @@ impl<'a> GramFit<'a> {
         if (0..k).any(|j| j != i && !x[j].is_finite()) {
             return;
         }
-        self.sync(x, Some(i));
+        self.sync(x, Some(i), false);
         let f = k - 1;
         self.line.residual = self.y_energy;
         if f > 0 {
@@ -470,6 +745,8 @@ impl<'a> GramFit<'a> {
         let k = self.k;
         let nn = self.n as f64;
         self.p[i] = choir_dsp::backend::tone_conj_dot(self.n, v, self.y);
+        self.q_fresh &= !(1u64 << i);
+        self.kernels += 1;
         self.freqs[i] = v;
         for s in 0..k - 1 {
             let j = fixed_coordinate(s, i);
@@ -698,66 +975,30 @@ impl OffsetEstimator {
         }
     }
 
-    /// Cyclic coordinate descent over the joint residual: each sweep runs
-    /// a golden-section line search along every coordinate within
-    /// `±radius` of the current point, the radius halves per sweep, and
-    /// the descent stops after `MAX_SWEEPS` or once a full sweep improves
-    /// the residual by less than the tolerance. A line search solves only
-    /// what moves: it is opened once ([`GramFit::hold`] factors the fixed
-    /// tones) and each abscissa is a [`GramFit::probe`].
-    ///
-    /// The first sweep's brackets are the widest, so there each line
-    /// search first probes a fixed [`PREFILTER_GRID`]-point grid across
-    /// its bracket and golden-polishes only the two cells around the grid
-    /// argmin. Grid and polish score the one objective, the joint
-    /// least-squares residual.
-    // The returned coordinate vector is the one heap allocation: the
-    // grid is on the stack, the line's scratch is `gfit`'s, and every
-    // probe runs through the noalloc-annotated `GramFit::hold` / `probe`.
-    fn ccd_refine(&self, gfit: &mut GramFit<'_>, x0: &[f64], radius: f64) -> Optimum {
+    /// One offset search (Eqn. 4) from `x0`: with `basin_hop`, one
+    /// [`basin_sweep`] of `±radius` first, then [`GramFit::descend`] with
+    /// its trust radius starting at `radius` and every coordinate kept
+    /// within `±2·radius` of `x0`. `evals` is the kernel passes `gfit`
+    /// spent. The returned coordinate vector is the one heap allocation.
+    fn search(&self, gfit: &mut GramFit<'_>, x0: &[f64], radius: f64, basin_hop: bool) -> Optimum {
         let mut x = x0.to_vec();
-        let mut best = gfit.eval(&x);
-        let mut evals = 1usize;
-        let mut r = radius;
-        for sweep in 0..MAX_SWEEPS {
-            let before = best;
-            for i in 0..x.len() {
-                let xi = x[i];
-                let (mut lo, mut hi) = (xi - r, xi + r);
-                gfit.hold(i, &x);
-                if sweep == 0 {
-                    (lo, hi) = grid_bracket(lo, hi, |v| gfit.probe(v));
-                    evals += PREFILTER_GRID;
-                }
-                let (xmin, fmin) = golden_section(|v| gfit.probe(v), lo, hi, TOL_BINS);
-                // golden_section spends ~2 + log_φ(range/tol) evals.
-                evals += 2 + (((hi - lo) / TOL_BINS).ln() / 0.481).max(0.0).ceil() as usize;
-                if fmin < best {
-                    best = fmin;
-                    x[i] = xmin;
-                }
-            }
-            r *= 0.5;
-            // Absolute-plus-relative improvement test: residual energies
-            // vary in scale by orders of magnitude.
-            if before - best < TOL_BINS * TOL_BINS + 1e-9 * before.abs() {
-                break;
-            }
+        if basin_hop {
+            basin_sweep(gfit, &mut x, radius);
         }
+        let value = gfit.descend(&mut x, x0, radius);
         Optimum {
             x,
-            value: best,
-            evals,
+            value,
+            evals: gfit.kernels(),
         }
     }
 
     /// Fine stage (Eqn. 4): jointly refines the coarse positions by
-    /// minimising the reconstruction residual. The search probes the
-    /// residual through an incremental [`GramFit`] (allocation-free,
-    /// `O(K²)` per probe) and narrows each first-sweep line search with
-    /// a grid of the same probes (see `ccd_refine`);
-    /// the converged positions then get one full time-domain
-    /// verification fit, which is what the returned channels come from.
+    /// minimising the reconstruction residual — [`GramFit::descend`]'s
+    /// damped Gauss–Newton steps on the projected residual, within
+    /// `SEARCH_RADIUS_BINS`; the converged positions then get one full
+    /// time-domain verification fit, which is what the returned channels
+    /// come from.
     /// Returns one estimate per input position (order preserved).
     pub fn refine(&self, window: &[C64], coarse_bins: &[f64]) -> Vec<ComponentEstimate> {
         assert!(!coarse_bins.is_empty(), "refine: no coarse positions");
@@ -766,7 +1007,7 @@ impl OffsetEstimator {
         scope(Stage::Refine, || {
             let de = self.dechirp(window);
             let mut gfit = GramFit::new(self.n, &de, coarse_bins.len());
-            let opt = self.ccd_refine(&mut gfit, coarse_bins, SEARCH_RADIUS_BINS);
+            let opt = self.search(&mut gfit, coarse_bins, SEARCH_RADIUS_BINS, false);
             let (channels, _) = self.fit(&de, &opt.x);
             // Provenance: the coarse candidates entering the Algorithm-1
             // search, where they converged, and the joint residual there.
@@ -919,10 +1160,11 @@ impl OffsetEstimator {
             // Alternate frequency refinement (against the step-corrected
             // signal — the step term absorbs the skirt that biases the
             // tone-only fit) with step re-fitting; the first corrected
-            // pass searches the wider bracket.
+            // pass searches the wider bracket, after one basin-hopping
+            // sweep.
             let narrow = comps.clone();
             let narrow_residual = self.full_residual(&de, &narrow);
-            for radius in [WIDE_RADIUS_BINS, SEARCH_RADIUS_BINS] {
+            for (radius, basin_hop) in [(WIDE_RADIUS_BINS, true), (SEARCH_RADIUS_BINS, false)] {
                 let steps_model = {
                     let mut m = vec![C64::ZERO; self.n];
                     // A step term is constant over `[0, boundary)`, so
@@ -941,7 +1183,7 @@ impl OffsetEstimator {
                 let corrected: Vec<C64> = de.iter().zip(&steps_model).map(|(d, s)| d - s).collect();
                 let freqs: Vec<f64> = comps.iter().map(|c| c.freq_bins).collect();
                 let mut gfit = GramFit::new(self.n, &corrected, freqs.len());
-                let opt = self.ccd_refine(&mut gfit, &freqs, radius);
+                let opt = self.search(&mut gfit, &freqs, radius, basin_hop);
                 let (channels, _) = self.fit(&corrected, &opt.x);
                 for ((c, &f), h) in comps.iter_mut().zip(&opt.x).zip(channels) {
                     c.freq_bins = f.rem_euclid(self.n as f64);
@@ -1183,17 +1425,48 @@ mod tests {
         );
     }
 
-    /// The descent with every abscissa — grid point and golden-section
-    /// probe alike — a full [`GramFit::eval`], kept as the oracle of
-    /// [`OffsetEstimator::ccd_refine`]. Returns the optimum and how many
-    /// sweep-0 grid brackets moved off the point the line started from.
-    fn descent_by_eval(gfit: &mut GramFit<'_>, x0: &[f64], radius: f64) -> (Optimum, usize) {
+    /// The wide pass's [`basin_sweep`] with every abscissa — grid point
+    /// and golden-section probe alike — a full [`GramFit::eval`]. Returns
+    /// the residual and how many grid brackets moved off the point their
+    /// line started from.
+    fn basin_sweep_by_eval(gfit: &mut GramFit<'_>, x: &mut [f64], radius: f64) -> (f64, usize) {
+        let mut best = gfit.eval(x);
+        let mut moved = 0;
+        for i in 0..x.len() {
+            let xi = x[i];
+            let mut eval_at = |v| {
+                x[i] = v;
+                let fv = gfit.eval(x);
+                x[i] = xi;
+                fv
+            };
+            let (lo, hi) = grid_bracket(xi - radius, xi + radius, &mut eval_at);
+            moved += usize::from(!(lo..=hi).contains(&xi));
+            let (xmin, fmin) = golden_section(eval_at, lo, hi, TOL_BINS);
+            if fmin < best {
+                best = fmin;
+                x[i] = xmin;
+            }
+        }
+        (best, moved)
+    }
+
+    /// Sweeps of [`descent_by_eval`] at most.
+    const ORACLE_SWEEPS: usize = 12;
+
+    /// The oracle of [`GramFit::descend`]: cyclic coordinate descent on
+    /// the residual, every abscissa a full [`GramFit::eval`]. Each sweep
+    /// runs a golden-section line search along every coordinate within
+    /// `±r` of the current point — on the first sweep narrowed by
+    /// [`grid_bracket`], as [`basin_sweep`] does — `r` halves per sweep,
+    /// and the descent stops after [`ORACLE_SWEEPS`] or once a sweep
+    /// improves the residual by less than the tolerance. (The estimator's
+    /// search until the solver replaced it.) `evals` is kernel passes.
+    fn descent_by_eval(gfit: &mut GramFit<'_>, x0: &[f64], radius: f64) -> Optimum {
         let mut x = x0.to_vec();
         let mut best = gfit.eval(&x);
-        let mut evals = 1usize;
         let mut r = radius;
-        let mut moved = 0;
-        for sweep in 0..MAX_SWEEPS {
+        for sweep in 0..ORACLE_SWEEPS {
             let before = best;
             for i in 0..x.len() {
                 let xi = x[i];
@@ -1206,11 +1479,8 @@ mod tests {
                 let (mut lo, mut hi) = (xi - r, xi + r);
                 if sweep == 0 {
                     (lo, hi) = grid_bracket(lo, hi, &mut eval_at);
-                    evals += PREFILTER_GRID;
-                    moved += usize::from(!(lo..=hi).contains(&xi));
                 }
                 let (xmin, fmin) = golden_section(eval_at, lo, hi, TOL_BINS);
-                evals += 2 + (((hi - lo) / TOL_BINS).ln() / 0.481).max(0.0).ceil() as usize;
                 if fmin < best {
                     best = fmin;
                     x[i] = xmin;
@@ -1221,22 +1491,30 @@ mod tests {
                 break;
             }
         }
-        let value = best;
-        (Optimum { x, value, evals }, moved)
+        Optimum {
+            x,
+            value: best,
+            evals: gfit.kernels(),
+        }
+    }
+
+    /// One window of [`corpus`]: the dechirped samples, the search's
+    /// start, its radius and whether it is the wide pass.
+    struct Window {
+        y: Vec<C64>,
+        x0: Vec<f64>,
+        radius: f64,
+        wide: bool,
     }
 
     /// A seeded corpus of dechirped windows — K = 1…6 tones, 8–26 dB,
     /// every other one with boundary-split (step) tones, both search
-    /// radii, coarse positions a pad-10 spectrum's half-cell off: the
-    /// descent by line probes lands, bit for bit, where the descent by
-    /// full solves did, with the same first-sweep grid brackets.
-    #[test]
-    fn descent_by_line_probes_lands_where_descent_by_eval_did() {
+    /// radii, coarse positions a pad-10 spectrum's half-cell off.
+    fn corpus() -> Vec<Window> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let e = est();
         let mut rng = StdRng::seed_from_u64(0x21_11E5);
-        let (mut moved_brackets, mut accepted_moves) = (0usize, 0usize);
+        let mut windows = Vec::new();
         for case in 0..240 {
             let k = 1 + case % 6;
             let snr_db = rng.gen_range(8.0..26.0);
@@ -1245,13 +1523,13 @@ mod tests {
                 .map(|_| {
                     // Box–Muller, one complex Gaussian a draw.
                     let (u, v): (f64, f64) = (rng.gen_range(1e-12..1.0), rng.gen_range(0.0..1.0));
-                    C64::from_polar(sigma * (-2.0 * u.ln()).sqrt(), std::f64::consts::TAU * v)
+                    C64::from_polar(sigma * (-2.0 * u.ln()).sqrt(), TAU * v)
                 })
                 .collect();
             let mut truth: Vec<f64> = Vec::new();
             let mut x0 = Vec::new();
             for _ in 0..k {
-                // Coarse positions reach the descent `find_peaks`'
+                // Coarse positions reach the search `find_peaks`'
                 // exclusion radius (0.8 bins) apart or more.
                 let f = loop {
                     let f = rng.gen_range(1.0..N as f64 - 1.0);
@@ -1260,19 +1538,13 @@ mod tests {
                     }
                 };
                 truth.push(f);
-                let h = C64::from_polar(
-                    rng.gen_range(0.1..1.0),
-                    rng.gen_range(0.0..std::f64::consts::TAU),
-                );
+                let h = C64::from_polar(rng.gen_range(0.1..1.0), rng.gen_range(0.0..TAU));
                 let step = (case / 6 % 2 == 1).then(|| {
-                    let coeff = C64::from_polar(
-                        rng.gen_range(0.1..1.0),
-                        rng.gen_range(0.0..std::f64::consts::TAU),
-                    );
+                    let coeff = C64::from_polar(rng.gen_range(0.1..1.0), rng.gen_range(0.0..TAU));
                     (coeff, rng.gen_range(1..N))
                 });
                 for (t, v) in y.iter_mut().enumerate() {
-                    let tone = C64::cis(std::f64::consts::TAU * f * t as f64 / N as f64);
+                    let tone = C64::cis(TAU * f * t as f64 / N as f64);
                     let amp = match step {
                         Some((coeff, boundary)) if t < boundary => h + coeff,
                         _ => h,
@@ -1281,30 +1553,91 @@ mod tests {
                 }
                 x0.push(f + rng.gen_range(-0.05..0.05));
             }
-            let radius = [SEARCH_RADIUS_BINS, WIDE_RADIUS_BINS][case / 12 % 2];
-            let (want, moved) = descent_by_eval(&mut GramFit::new(N, &y, k), &x0, radius);
-            let got = e.ccd_refine(&mut GramFit::new(N, &y, k), &x0, radius);
+            let wide = case / 12 % 2 == 1;
+            let radius = if wide {
+                WIDE_RADIUS_BINS
+            } else {
+                SEARCH_RADIUS_BINS
+            };
+            windows.push(Window {
+                y,
+                x0,
+                radius,
+                wide,
+            });
+        }
+        windows
+    }
+
+    /// On [`corpus`]'s wide windows, the basin-hopping sweep by line
+    /// probes lands, bit for bit, where the sweep by full solves did,
+    /// with the same grid brackets.
+    #[test]
+    fn basin_sweep_by_line_probes_lands_where_the_sweep_by_eval_did() {
+        let (mut moved_brackets, mut accepted_moves) = (0usize, 0usize);
+        for (case, w) in corpus().iter().enumerate().filter(|(_, w)| w.wide) {
+            let k = w.x0.len();
+            let mut want = w.x0.clone();
+            let (want_value, moved) =
+                basin_sweep_by_eval(&mut GramFit::new(N, &w.y, k), &mut want, w.radius);
+            let mut got = w.x0.clone();
+            let got_value = basin_sweep(&mut GramFit::new(N, &w.y, k), &mut got, w.radius);
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got.x), bits(&want.x), "case {case} K={k} r={radius}");
-            assert_eq!(got.evals, want.evals, "case {case}");
+            assert_eq!(bits(&got), bits(&want), "case {case} K={k}");
             assert!(
-                (got.value - want.value).abs() <= 1e-9 * want.value,
-                "case {case}: {} vs {}",
-                got.value,
-                want.value
+                (got_value - want_value).abs() <= 1e-9 * want_value,
+                "case {case}: {got_value} vs {want_value}"
             );
             moved_brackets += moved;
             accepted_moves += got
-                .x
                 .iter()
-                .zip(&x0)
+                .zip(&w.x0)
                 .filter(|(a, b)| a.to_bits() != b.to_bits())
                 .count();
         }
         // The corpus exercises what it claims to: grid brackets that
-        // moved off the line's start (224 of 840) and real moves.
-        assert!(moved_brackets > 150, "{moved_brackets} grid brackets moved");
-        assert!(accepted_moves > 600, "{accepted_moves} accepted moves");
+        // moved off the line's start (46 of the 420 lines when written)
+        // and real moves (all 420).
+        assert!(moved_brackets > 30, "{moved_brackets} grid brackets moved");
+        assert!(accepted_moves > 300, "{accepted_moves} accepted moves");
+    }
+
+    /// On every window of [`corpus`] the estimator's search — the
+    /// solver, after the basin-hopping sweep on a wide window — lands at
+    /// or below the residual of coordinate descent by full solves
+    /// ([`descent_by_eval`]), and spends under a quarter of its kernel
+    /// passes.
+    #[test]
+    fn the_solver_lands_at_or_below_coordinate_descent_for_a_quarter_of_its_kernels() {
+        let e = est();
+        let (mut spent, mut oracle_spent) = (0usize, 0usize);
+        let mut below = 0usize;
+        for (case, w) in corpus().iter().enumerate() {
+            let k = w.x0.len();
+            let want = descent_by_eval(&mut GramFit::new(N, &w.y, k), &w.x0, w.radius);
+            let got = e.search(&mut GramFit::new(N, &w.y, k), &w.x0, w.radius, w.wide);
+            assert!(
+                got.value <= want.value * (1.0 + 1e-8),
+                "case {case} K={k} r={}: {} vs {} ({:+.2e} relative)",
+                w.radius,
+                got.value,
+                want.value,
+                got.value / want.value - 1.0
+            );
+            spent += got.evals;
+            oracle_spent += want.evals;
+            below += usize::from(got.value < want.value * (1.0 - 1e-8));
+        }
+        // Where the two differ, the solver is the lower (37 windows when
+        // written): coordinate descent stalls along coupled coordinates.
+        assert!(
+            below > 20,
+            "the solver beat coordinate descent on {below} windows"
+        );
+        assert!(
+            4 * spent <= oracle_spent,
+            "the solver spent {spent} kernel passes, coordinate descent {oracle_spent}"
+        );
     }
 
     /// The tone at `f` bins over `n` chips, from `C64::cis` (not the

@@ -688,12 +688,38 @@ unsafe fn conj_row_pairs<const R: usize>(fine: &[C64], rows: *const f64, sums: &
     }
 }
 
+/// Every row sum `Σ_b conj(table[b])·row[b]` of `rows` — at most
+/// [`COARSE_GROUP`] rows of `table.len()` samples, the last one possibly
+/// short — into `sums`, each the oracle's [`super::scalar::conj_row`]:
+/// whole rows fold two to a register ([`conj_row_pairs`]), all sixteen
+/// of an SF8 window at once, and a row that does not pair up (an odd
+/// one, a short last one) runs the oracle's own expression.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn conj_rows(table: &[C64], rows: &[C64], sums: &mut [C64]) {
+    let stride = table.len();
+    // Rows `..paired` are whole and fold in registers; every read of
+    // `conj_row_pairs` lands in `rows[..paired·stride]`.
+    let pr = rows.as_ptr() as *const f64;
+    let whole = rows.len() / stride;
+    let paired = if whole == COARSE_GROUP {
+        conj_row_pairs::<{ COARSE_GROUP / 2 }>(table, pr, sums);
+        whole
+    } else {
+        for a in (0..whole & !1).step_by(2) {
+            conj_row_pairs::<1>(table, pr.add(2 * a * stride), &mut sums[a..]);
+        }
+        whole & !1
+    };
+    for (a, row) in rows.chunks(stride).enumerate().skip(paired) {
+        sums[a] = super::scalar::conj_row(table, row);
+    }
+}
+
 /// AVX2 [`super::tone_conj_dot`]; bit-identical to the oracle. Both
 /// tables are [`tone_into`]'s (the same four-lane `sincos` replays), a
-/// group's whole rows fold two to a register — all sixteen rows of an
-/// SF8 window at once — and the few that do not pair up (an odd row, a
-/// short last one) and the fold over rows run the oracle's own scalar
-/// expressions.
+/// group's rows fold in registers ([`conj_rows`]) and the fold over rows
+/// runs the oracle's own scalar expression.
 pub fn tone_conj_dot(n: usize, freq_bins: f64, y: &[C64]) -> C64 {
     // SAFETY: see `conj_dot`.
     unsafe { tone_conj_dot_impl(n, freq_bins, y) }
@@ -712,27 +738,48 @@ unsafe fn tone_conj_dot_impl(n: usize, freq_bins: f64, y: &[C64]) -> C64 {
     for (g, rows) in y.chunks(COARSE_GROUP * stride).enumerate() {
         let held = rows.len().div_ceil(stride);
         cis_steps(&mut coarse[..held], w, COARSE_GROUP * g * stride, stride);
-        // Rows `..paired` are whole and fold in registers; every read of
-        // `conj_row_pairs` lands in `rows[..paired·stride]`.
-        let pr = rows.as_ptr() as *const f64;
-        let whole = rows.len() / stride;
-        let paired = if whole == COARSE_GROUP {
-            conj_row_pairs::<{ COARSE_GROUP / 2 }>(fine, pr, &mut sums);
-            whole
-        } else {
-            for a in (0..whole & !1).step_by(2) {
-                conj_row_pairs::<1>(fine, pr.add(2 * a * stride), &mut sums[a..]);
-            }
-            whole & !1
-        };
-        for (a, row) in rows.chunks(stride).enumerate().skip(paired) {
-            sums[a] = super::scalar::conj_row(fine, row);
-        }
+        conj_rows(fine, rows, &mut sums);
         for (c, r) in coarse[..held].iter().zip(&sums) {
             acc += c.conj() * r;
         }
     }
     acc
+}
+
+/// AVX2 [`super::tone_ramp_conj_dot`]; bit-identical to the oracle:
+/// [`tone_conj_dot`]'s tables and row folds, the same folds again over
+/// the ramp table, and the fold over rows in the oracle's expressions.
+pub fn tone_ramp_conj_dot(n: usize, freq_bins: f64, y: &[C64]) -> (C64, C64) {
+    // SAFETY: see `conj_dot`.
+    unsafe { tone_ramp_conj_dot_impl(n, freq_bins, y) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn tone_ramp_conj_dot_impl(n: usize, freq_bins: f64, y: &[C64]) -> (C64, C64) {
+    let w = 2.0 * std::f64::consts::PI * freq_bins / n as f64;
+    let stride = super::tone_stride(n);
+    let mut fine = [C64::ZERO; super::MAX_TONE_STRIDE];
+    let fine = &mut fine[..stride];
+    cis_steps(fine, w, 0, 1);
+    let ramp = super::ramp_table(fine);
+    let ramp = &ramp[..stride];
+    let mut coarse = [C64::ZERO; COARSE_GROUP];
+    let mut sums = [C64::ZERO; COARSE_GROUP];
+    let mut ramp_sums = [C64::ZERO; COARSE_GROUP];
+    let (mut p, mut q) = (C64::ZERO, C64::ZERO);
+    for (g, rows) in y.chunks(COARSE_GROUP * stride).enumerate() {
+        let held = rows.len().div_ceil(stride);
+        let first = COARSE_GROUP * g * stride;
+        cis_steps(&mut coarse[..held], w, first, stride);
+        conj_rows(fine, rows, &mut sums);
+        conj_rows(ramp, rows, &mut ramp_sums);
+        for (a, ((c, r), s)) in coarse[..held].iter().zip(&sums).zip(&ramp_sums).enumerate() {
+            let c = c.conj();
+            p += c * r;
+            q += c * (r.scale((first + a * stride) as f64) + *s);
+        }
+    }
+    (p, q)
 }
 
 /// AVX2 [`super::conj_into`]; bit-identical to the oracle.

@@ -431,6 +431,30 @@ pub fn tone_conj_dot(n: usize, freq_bins: f64, y: &[C64]) -> C64 {
     dispatch!(tone_conj_dot(n, freq_bins, y))
 }
 
+/// [`tone_conj_dot`]'s bin `p = Σ_t conj(tone[t])·y[t]` — the same bits
+/// — together with its ramp-weighted twin `q = Σ_t t·conj(tone[t])·y[t]`,
+/// the derivative a frequency's Gauss–Newton step needs (`∂tone/∂f` is
+/// the tone times `j2π·t/n`). Each row `a` of the tone kernel folds a
+/// second sum over the ramp table `b·fine[b]`, and the ramp's coarse part
+/// enters as that row's plain sum scaled by `a·B`: `q = Σ_a
+/// conj(coarse_a)·(a·B·r_a + s_a)`. One pass over `y`, no tone written.
+/// Like [`tone_conj_dot`], an objective's kernel, not a value a later
+/// stage consumes.
+// hot:noalloc — every table lives on the stack.
+pub fn tone_ramp_conj_dot(n: usize, freq_bins: f64, y: &[C64]) -> (C64, C64) {
+    dispatch!(tone_ramp_conj_dot(n, freq_bins, y))
+}
+
+/// The ramp table of [`tone_ramp_conj_dot`]: `fine[b].scale(b)` for `b <
+/// fine.len()`, on the stack.
+fn ramp_table(fine: &[C64]) -> [C64; MAX_TONE_STRIDE] {
+    let mut ramp = [C64::ZERO; MAX_TONE_STRIDE];
+    for (b, (r, f)) in ramp.iter_mut().zip(fine).enumerate() {
+        *r = f.scale(b as f64);
+    }
+    ramp
+}
+
 /// Element-wise conjugate `out[i] = conj(src[i])` over
 /// `zip(out, src)` (downchirp construction).
 pub fn conj_into(src: &[C64], out: &mut [C64]) {

@@ -188,6 +188,29 @@ pub fn tone_conj_dot(n: usize, freq_bins: f64, y: &[C64]) -> C64 {
     acc
 }
 
+/// Oracle for [`super::tone_ramp_conj_dot`]: [`tone_conj_dot`]'s bin `p`
+/// and the ramp-weighted bin `q = Σ_t t·conj(tone[t])·y[t]`, one pass
+/// over the same rows. With `r_a` the row sum [`tone_conj_dot`] folds and
+/// `s_a = Σ_b conj(ramp[b])·y[a·B + b]` the same fold over the ramp
+/// table `ramp[b] = fine[b].scale(b)`, row `a` adds `conj(coarse_a)·r_a`
+/// to `p` and `conj(coarse_a)·(r_a.scale(a·B) + s_a)` to `q`, ascending
+/// in `a` from `C64::ZERO` — so `p` is [`tone_conj_dot`]'s bits.
+pub fn tone_ramp_conj_dot(n: usize, freq_bins: f64, y: &[C64]) -> (C64, C64) {
+    let w = 2.0 * PI * freq_bins / n as f64;
+    let stride = super::tone_stride(n);
+    let fine = fine_table(w, stride);
+    let ramp = super::ramp_table(&fine[..stride]);
+    let (mut p, mut q) = (C64::ZERO, C64::ZERO);
+    for (a, row) in y.chunks(stride).enumerate() {
+        let coarse = super::sincos::cis(w * (a * stride) as f64).conj();
+        let r = conj_row(&fine, row);
+        let s = conj_row(&ramp, row);
+        p += coarse * r;
+        q += coarse * (r.scale((a * stride) as f64) + s);
+    }
+    (p, q)
+}
+
 /// One row of [`tone_conj_dot`]: `Σ_b conj(fine[b])·row[b]`, ascending
 /// from `C64::ZERO`.
 pub(super) fn conj_row(fine: &[C64], row: &[C64]) -> C64 {

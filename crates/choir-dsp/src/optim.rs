@@ -2,12 +2,14 @@
 //!
 //! Sec. 5.1 of the paper observes that the residual `R(f1, …, fK)` is
 //! locally convex in the frequency-offset hypotheses (Fig. 4) and minimises
-//! it with stochastic gradient descent from random starting points. We
-//! descend by per-coordinate line searches instead, which converge fast on
-//! separable-ish locally convex residuals: [`golden_section`] is the exact
-//! 1-D line search on a unimodal interval, and the coordinate sweep that
-//! drives it lives with the residual it minimises, in
-//! `choir_core::estimator`.
+//! it with stochastic gradient descent from random starting points. The
+//! estimator minimises it with damped Gauss–Newton steps over all `K`
+//! frequencies at once (`choir_core::estimator::GramFit::descend`, which
+//! lives with the residual it minimises); what is left here is the 1-D
+//! search on a unimodal interval, [`golden_section`] — the polish of the
+//! estimator's one basin-hopping sweep, and of two single-offset searches
+//! in the decoder (discovery's offset polish, the CFO fit a subtraction
+//! uses).
 
 /// Result of an optimisation run.
 #[derive(Clone, Debug, PartialEq)]

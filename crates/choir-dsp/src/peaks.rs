@@ -279,6 +279,81 @@ pub fn dirichlet(n: usize, f: f64, k_padded: f64, pad: usize) -> C64 {
     (whole * part.conj()).scale(mag)
 }
 
+/// Below this `|ω|` (radians a chip) [`dirichlet_ramps`] sums directly:
+/// its closed form divides by `(1 − e^{jω})³`, which loses a digit per
+/// halving of `ω` (at the switch the two agree to ~1e-13 relative).
+pub const RAMP_DIRECT_BELOW: f64 = 0.05;
+
+/// The ramp-weighted Dirichlet sums `E = Σ_{t<n} t·e^{jωt}` and `F =
+/// Σ_{t<n} t²·e^{jωt}` at `ω = 2πx/n`: for two tones `x` bins apart, a
+/// tone against the other's frequency derivative (`E`) and the two
+/// derivatives against each other (`F`), up to the factors `j2π/n` — what
+/// the offset search's Gauss–Newton normal matrix is built from. `x` is
+/// folded into `[−n/2, n/2]` as in [`dirichlet`]. With `z = e^{jω}` and
+/// `w = zⁿ = e^{j2πx}` they are the geometric series' first and second
+/// derivatives,
+///
+/// ```text
+/// E = (z − n·w + (n − 1)·w·z) / (1 − z)²
+/// F = (z + z² − n²·w + (2n² − 2n − 1)·w·z − (n − 1)²·w·z²) / (1 − z)³
+/// ```
+///
+/// with `1 − z = 2·sin(ω/2)·(sin(ω/2) − j·cos(ω/2))` (no cancellation).
+/// Below [`RAMP_DIRECT_BELOW`] they are summed instead, by the tone
+/// kernel's rows: with `B` = [`tone_stride`](crate::backend::tone_stride),
+/// `t = a·B + b` and `S_m = Σ_b b^m·z^b`, `C_m = Σ_a (aB)^m·z^{aB}`, `E =
+/// C₁S₀ + C₀S₁` and `F = C₂S₀ + 2C₁S₁ + C₀S₂` — two sincos calls and
+/// `B + n/B` terms.
+/// `x = 0` gives the exact integers `n(n−1)/2` and `(n−1)n(2n−1)/6`.
+// hot:noalloc — stack-only arithmetic.
+pub fn dirichlet_ramps(n: usize, x: f64) -> (C64, C64) {
+    let nn = n as f64;
+    let x = x - nn * (x / nn).round();
+    let omega = 2.0 * std::f64::consts::PI * x / nn;
+    if omega.abs() < RAMP_DIRECT_BELOW {
+        let stride = crate::backend::tone_stride(n);
+        let rows = n / stride;
+        // `Σ_i i^m·step^i·(z^step)^i`, m = 0, 1, 2, over `len` terms: the
+        // powers by recurrence, which drifts by ~2ε a term — 1e-14 over a
+        // 64-entry table.
+        let sums = |len: usize, step: usize| {
+            let (zs, mut zi) = (cis(omega * step as f64), C64::ONE);
+            let mut s = [C64::ZERO; 3];
+            for i in 0..len {
+                let t = (i * step) as f64;
+                s[0] += zi;
+                s[1] += zi.scale(t);
+                s[2] += zi.scale(t * t);
+                zi *= zs;
+            }
+            s
+        };
+        let (s, c) = (sums(stride, 1), sums(rows, stride));
+        let mut e = c[1] * s[0] + c[0] * s[1];
+        let mut f = c[2] * s[0] + (c[1] * s[1]).scale(2.0) + c[0] * s[2];
+        // A length that is not a whole number of rows: its tail directly.
+        for t in rows * stride..n {
+            let (z, tf) = (cis(omega * t as f64), t as f64);
+            e += z.scale(tf);
+            f += z.scale(tf * tf);
+        }
+        return (e, f);
+    }
+    let half = cis(0.5 * omega);
+    let d = C64 {
+        re: 2.0 * half.im * half.im,
+        im: -2.0 * half.im * half.re,
+    };
+    let inv = d.inv();
+    let inv2 = inv * inv;
+    let (z, w) = (cis(omega), cis(2.0 * std::f64::consts::PI * x));
+    let (wz, m) = (w * z, nn - 1.0);
+    let e = (z - w.scale(nn) + wz.scale(m)) * inv2;
+    let num = z + z * z - w.scale(nn * nn) + wz.scale(2.0 * nn * nn - 2.0 * nn - 1.0)
+        - (wz * z).scale(m * m);
+    (e, num * inv2 * inv)
+}
+
 /// Magnitude of the Dirichlet kernel at distance `x` bins from the tone
 /// (i.e. how much a tone leaks into a bin `x` away). `n` is the symbol
 /// length.

@@ -469,6 +469,142 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The fused bin and its ramp twin, bit for bit on every backend,
+    // over the same lengths and frequencies as `tone_conj_dot`: the ramp
+    // kernel's `p` is `tone_conj_dot`'s bits.
+    #[test]
+    fn tone_ramp_conj_dot_matches_oracle_bit_exactly(
+        sf in 7u32..13,
+        len_rows in 0usize..70,
+        len_tail in 0usize..64,
+        pos in 0.0f64..1.0,
+        wild_seed in arb_wild_signal(129),
+        tame_seed in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 1..129),
+    ) {
+        let _s = serial();
+        let _r = RestoreBackend;
+        let n = 1usize << sf;
+        let stride = backend::tone_stride(n);
+        let len = len_rows * stride + len_tail % stride;
+        let freq_bins = -1.0 + pos * (n as f64 + 2.0);
+        let wild_y: Vec<C64> = (0..len).map(|i| wild_seed[i % wild_seed.len()]).collect();
+        let tame_y: Vec<C64> = (0..len)
+            .map(|i| tame_seed[i % tame_seed.len()])
+            .map(|(re, im)| c64(re, im))
+            .collect();
+        for y in [&wild_y, &tame_y] {
+            let (p, q) = backend::scalar::tone_ramp_conj_dot(n, freq_bins, y);
+            let bin = backend::scalar::tone_conj_dot(n, freq_bins, y);
+            assert_scalar_bits_eq(BackendKind::Scalar, "tone_ramp_conj_dot p", p, bin);
+            for kind in backend::available() {
+                backend::force(kind);
+                let (gp, gq) = backend::tone_ramp_conj_dot(n, freq_bins, y);
+                assert_scalar_bits_eq(kind, "tone_ramp_conj_dot p", gp, p);
+                assert_scalar_bits_eq(kind, "tone_ramp_conj_dot q", gq, q);
+            }
+        }
+    }
+}
+
+/// The ramp kernel against a libm oracle: `p = Σ_t conj(cis(ωt))·y[t]`
+/// and `q = Σ_t t·conj(cis(ωt))·y[t]` summed directly with `C64::cis`,
+/// within 1e-9 of their scales (`Σ|y|` and `Σ t·|y|`) at every symbol
+/// length the decoder runs most, on every backend.
+#[test]
+fn tone_ramp_conj_dot_matches_a_direct_sum() {
+    let _s = serial();
+    let _r = RestoreBackend;
+    for n in [128usize, 256, 1024] {
+        let y: Vec<C64> = (0..n)
+            .map(|t| {
+                let t = t as f64;
+                c64((t * 0.37).sin() + 0.3, (t * 0.11).cos() - 0.2)
+            })
+            .collect();
+        for freq_bins in [0.0, 0.37, 17.25, n as f64 / 2.0 + 0.61, n as f64 - 1.3] {
+            let w = 2.0 * PI * freq_bins / n as f64;
+            let (mut p, mut q) = (C64::ZERO, C64::ZERO);
+            for (t, v) in y.iter().enumerate() {
+                let term = C64::cis(w * t as f64).conj() * *v;
+                p += term;
+                q += term.scale(t as f64);
+            }
+            let l1: f64 = y.iter().map(|v| v.abs()).sum();
+            let ramp_l1: f64 = y.iter().enumerate().map(|(t, v)| t as f64 * v.abs()).sum();
+            for kind in backend::available() {
+                backend::force(kind);
+                let (gp, gq) = backend::tone_ramp_conj_dot(n, freq_bins, &y);
+                assert!(
+                    (gp - p).abs() <= 1e-9 * l1,
+                    "{kind:?} n {n} f {freq_bins}: {gp:?} vs {p:?}"
+                );
+                assert!(
+                    (gq - q).abs() <= 1e-9 * ramp_l1,
+                    "{kind:?} n {n} f {freq_bins}: {gq:?} vs {q:?}"
+                );
+            }
+        }
+    }
+}
+
+/// `dirichlet_ramps` — closed form above `RAMP_DIRECT_BELOW`, a row-wise
+/// sum below it — against `E = Σ t·e^{jωt}` and `F = Σ t²·e^{jωt}`
+/// summed directly with `C64::cis`: on both sides of the switch, at the
+/// band edge `ω = ±π`, at `ω = 0` (exact integers) and a period away,
+/// within 1e-9 of `Σ t` and `Σ t²`.
+#[test]
+fn dirichlet_ramps_match_direct_sums() {
+    use choir_dsp::peaks::{dirichlet_ramps, RAMP_DIRECT_BELOW};
+    for n in [128usize, 256, 1024, 4096] {
+        let nn = n as f64;
+        let bins = |omega: f64| omega * nn / (2.0 * PI);
+        let mut xs = vec![0.0, nn, -nn / 2.0, nn / 2.0, bins(PI) - 1e-9, 0.37, -3.2];
+        for scale in [0.5, 0.9, 0.999, 1.001, 1.1, 2.0] {
+            xs.push(bins(scale * RAMP_DIRECT_BELOW));
+            xs.push(-bins(scale * RAMP_DIRECT_BELOW));
+        }
+        for x in xs {
+            let omega = 2.0 * PI * x / nn;
+            let (mut e, mut f) = (C64::ZERO, C64::ZERO);
+            for t in 0..n {
+                let (z, t) = (C64::cis(omega * t as f64), t as f64);
+                e += z.scale(t);
+                f += z.scale(t * t);
+            }
+            let (got_e, got_f) = dirichlet_ramps(n, x);
+            let (sum_t, sum_t2) = (
+                nn * (nn - 1.0) / 2.0,
+                (nn - 1.0) * nn * (2.0 * nn - 1.0) / 6.0,
+            );
+            assert!(
+                (got_e - e).abs() <= 1e-9 * sum_t,
+                "n {n} x {x}: E {got_e:?} vs {e:?}"
+            );
+            assert!(
+                (got_f - f).abs() <= 1e-9 * sum_t2,
+                "n {n} x {x}: F {got_f:?} vs {f:?}"
+            );
+        }
+        // A tone against itself: the exact power sums.
+        let (e, f) = dirichlet_ramps(n, 0.0);
+        let (sum_t, sum_t2) = (
+            nn * (nn - 1.0) / 2.0,
+            (nn - 1.0) * nn * (2.0 * nn - 1.0) / 6.0,
+        );
+        assert_eq!(
+            (e.re.to_bits(), e.im.to_bits()),
+            (sum_t.to_bits(), 0.0f64.to_bits())
+        );
+        assert_eq!(
+            (f.re.to_bits(), f.im.to_bits()),
+            (sum_t2.to_bits(), 0.0f64.to_bits())
+        );
+    }
+}
+
 /// The padded transform, bit for bit on every backend: every LoRa symbol
 /// length, the paper's pad and two other Bluestein pads and a radix-2
 /// pad, on a window of the symbol's length (split into short transforms)

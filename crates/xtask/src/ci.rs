@@ -17,8 +17,9 @@
 //!   must deliver at least as many as the base — or, when it carries
 //!   another [`GOLDENS`] file than the base's, lose no more than McNemar's
 //!   rule allows ([`DeliveryRule`]). Then a traced run of either side on two
-//!   workloads: the change's hold tracing and online detection to
-//!   [`TRACE_OVERHEAD_LIMIT`] and [`DETECT_SHARE_LIMIT`], and the pair
+//!   workloads: the change's must hold tracing to [`TRACE_OVERHEAD_LIMIT`]
+//!   and spend no more than [`DETECT_COST_SLACK`] over the base's on
+//!   detection and ingest a unit of input ([`detect_cost`]), and the pair
 //!   prints as a stage table ([`stage_table`]) — read, not gated.
 //! * `cargo xtask ci drift <base-rev>` — the judge of floats. The same
 //!   worktree, under `target/drift/`: runs `trace_dump` and `figures --
@@ -150,9 +151,15 @@ const LEGS: [(&str, Option<&str>); 5] = [
 /// Ceiling on `trace.overhead_frac`: `Outcome`-level tracing must stay
 /// cheap enough to leave on.
 const TRACE_OVERHEAD_LIMIT: f64 = 0.05;
-/// Ceiling on `(core.profile.detect_s + ingest_s) / trace.busy_s`: what
-/// the free-running tracker and the ring may cost beside the decode work.
-const DETECT_SHARE_LIMIT: f64 = 0.10;
+/// How much more the change's traced run may spend on detection and
+/// ingest a unit of input than the base's ([`detect_cost`]): what the
+/// free-running tracker and the ring may cost. Held against the input,
+/// not the busy time — a share of busy time rises with every decode gain.
+const DETECT_COST_SLACK: f64 = 0.10;
+
+/// Samples a second of air: the workloads' 125 kHz channel, one sample a
+/// chip.
+const SAMPLES_PER_AIR_SECOND: f64 = 125e3;
 
 /// `cargo <verb>` on `tree`'s spine with `BENCHMARK.json`'s flags.
 fn spine(tree: &Path, verb: &str) -> Command {
@@ -335,7 +342,7 @@ fn measure(root: &Path, base: &Path, out: &Path) -> Result<(), String> {
                 std::fs::read_to_string(set.join("runs.jsonl")).map_err(|e| e.to_string())?;
             records.push(runs.lines().last().unwrap_or_default().to_string());
         }
-        failures.extend(traced_failures(workload, &records[1]));
+        failures.extend(traced_failures(workload, &records[0], &records[1]));
         for row in stage_table(workload, per, &records[0], &records[1]) {
             println!("{row}");
         }
@@ -490,31 +497,74 @@ fn pair_line(
     )
 }
 
-/// The two budgets a traced run record of `workload` must meet.
-fn traced_failures(workload: &str, record: &str) -> Vec<String> {
-    let read = |key| metric(record, key).ok_or(format!("{workload}: traced record has no {key}"));
-    let ratios = || -> Result<(f64, f64), String> {
-        let idle = read("core.profile.detect_s")? + read("core.profile.ingest_s")?;
-        Ok((read("trace.overhead_frac")?, idle / read("trace.busy_s")?))
+/// A traced record's detection and ingest seconds
+/// (`core.profile.detect_s + ingest_s`, billed in its traced passes) over
+/// the input those passes streamed, and that input's unit. Where the
+/// record states its air — `paced_mix`: `air_seconds` of the whole
+/// stream once, then two traced passes over `quad_air_seconds` of its
+/// head in each of `quads` quads — the cost is seconds an air second,
+/// i.e. proportional to the samples ingested. A record that does not
+/// (`slotted_2u`'s quads) is held against `station.slots_seen`: its slots
+/// are one capture length and a fixed cycle of gaps apart.
+fn detect_cost(record: &str) -> Result<(f64, &'static str), String> {
+    let read = |key| metric(record, key).ok_or(format!("traced record has no {key}"));
+    let seconds = read("core.profile.detect_s")? + read("core.profile.ingest_s")?;
+    let number = |key| detail(record, key).and_then(|v| v.parse::<f64>().ok());
+    match (
+        number("air_seconds"),
+        number("quads"),
+        number("quad_air_seconds"),
+    ) {
+        (Some(air), Some(quads), Some(quad_air)) => {
+            Ok((seconds / (air + 2.0 * quads * quad_air), "air second"))
+        }
+        _ => Ok((seconds / read("station.slots_seen")?, "slot")),
+    }
+}
+
+/// The two budgets the head's traced run record of `workload` must meet:
+/// [`TRACE_OVERHEAD_LIMIT`] on its own, and [`detect_cost`] within
+/// [`DETECT_COST_SLACK`] of the base's.
+fn traced_failures(workload: &str, base: &str, head: &str) -> Vec<String> {
+    let read = || {
+        let overhead = metric(head, "trace.overhead_frac")
+            .ok_or("traced record has no trace.overhead_frac".to_string())?;
+        Ok::<_, String>((overhead, detect_cost(base)?, detect_cost(head)?))
     };
-    let (overhead, detect_share) = match ratios() {
+    let (overhead, (base_cost, unit), (head_cost, _)) = match read() {
         Ok(r) => r,
-        Err(e) => return vec![e],
+        Err(e) => return vec![format!("{workload}: {e}")],
+    };
+    let ratio = head_cost / base_cost;
+    let per_sample = |cost: f64| match unit {
+        "air second" => format!(" ({:.1} ns a sample)", 1e9 * cost / SAMPLES_PER_AIR_SECOND),
+        _ => String::new(),
     };
     println!(
         "ci: perf traced {workload}: trace.overhead_frac {overhead:+.4} (limit {TRACE_OVERHEAD_LIMIT}), \
-         detect+ingest share of busy {detect_share:.4} (limit {DETECT_SHARE_LIMIT})"
+         detect+ingest {:.3} ms per {unit}{} -> {:.3}{}, {:+.1} % (limit +{:.0} %)",
+        1e3 * base_cost,
+        per_sample(base_cost),
+        1e3 * head_cost,
+        per_sample(head_cost),
+        100.0 * (ratio - 1.0),
+        100.0 * DETECT_COST_SLACK
     );
-    let budgets = [
-        (overhead, TRACE_OVERHEAD_LIMIT, "tracing"),
-        (detect_share, DETECT_SHARE_LIMIT, "detection and ingest"),
-    ];
-    budgets
-        .iter()
-        // A ratio that is not a number (no busy time) fails instead of passing.
-        .filter(|(r, limit, _)| r.is_nan() || r >= limit)
-        .map(|(r, _, what)| format!("{workload}: {what} costs {r:.4} of busy time"))
-        .collect()
+    let mut failures = Vec::new();
+    // A value that is not a number (nothing billed, no input) fails
+    // instead of passing.
+    if overhead.is_nan() || overhead >= TRACE_OVERHEAD_LIMIT {
+        failures.push(format!(
+            "{workload}: tracing costs {overhead:.4} of busy time"
+        ));
+    }
+    if ratio.is_nan() || ratio > 1.0 + DETECT_COST_SLACK {
+        failures.push(format!(
+            "{workload}: detection and ingest cost {:+.1} % per {unit} over the base's",
+            100.0 * (ratio - 1.0)
+        ));
+    }
+    failures
 }
 
 /// The stages a traced run bills (`core.profile.*_s`, whole-run seconds).
@@ -596,22 +646,37 @@ fn detail<'a>(record: &'a str, key: &str) -> Option<&'a str> {
 mod tests {
     use super::*;
 
-    /// A traced run record in the shape `spine` writes, cut to the keys
-    /// the gate reads plus a neighbour sharing a prefix with one of them.
-    fn record(overhead: f64, detect_s: f64, busy_s: f64) -> String {
+    /// A traced `paced_mix` run record in the shape `spine` writes, cut to
+    /// the keys the gate reads plus a neighbour sharing a prefix with one
+    /// of them: `quads` quads over the whole 10 s stream.
+    fn record(overhead: f64, detect_s: f64, busy_s: f64, quads: u32) -> String {
         format!(
             "{{\"workload\": \"paced_mix\", \"trace\": 1, \"metrics\": {{\
              \"core.profile.ingest_s\": {{\"value\": 0.01, \"unit\": \"s\"}}, \
              \"core.profile.detect_s\": {{\"value\": {detect_s}, \"unit\": \"s\"}}, \
              \"trace.overhead_frac\": {{\"value\": {overhead}, \"unit\": \"ratio\"}}, \
              \"trace.busy_seconds\": {{\"value\": 99, \"unit\": \"s\"}}, \
-             \"trace.busy_s\": {{\"value\": {busy_s}, \"unit\": \"s\"}}}}, \"faults\": []}}"
+             \"trace.busy_s\": {{\"value\": {busy_s}, \"unit\": \"s\"}}}}, \"details\": {{\
+             \"air_seconds\": \"10.000\", \"quad_air_seconds\": \"10.000\", \"quads\": \"{quads}\"}}, \
+             \"faults\": []}}"
+        )
+    }
+
+    /// A traced `slotted_2u` run record: no air stated, `slots` seen.
+    fn slotted_record(detect_s: f64, slots: u32) -> String {
+        format!(
+            "{{\"workload\": \"slotted_2u\", \"metrics\": {{\
+             \"core.profile.ingest_s\": {{\"value\": 0.03, \"unit\": \"s\"}}, \
+             \"core.profile.detect_s\": {{\"value\": {detect_s}, \"unit\": \"s\"}}, \
+             \"station.slots_seen\": {{\"value\": {slots}, \"unit\": \"count\"}}, \
+             \"trace.overhead_frac\": {{\"value\": 0.001, \"unit\": \"ratio\"}}}}, \
+             \"details\": {{\"quads\": \"47\"}}}}"
         )
     }
 
     #[test]
     fn metric_scanner_reads_exact_keys_only() {
-        let r = record(-0.0115, 0.02, 3.45);
+        let r = record(-0.0115, 0.02, 3.45, 5);
         assert_eq!(metric(&r, "trace.overhead_frac"), Some(-0.0115));
         assert_eq!(metric(&r, "trace.busy_s"), Some(3.45));
         assert_eq!(metric(&r, "core.profile.detect_s"), Some(0.02));
@@ -620,27 +685,62 @@ mod tests {
     }
 
     #[test]
-    fn traced_gate_passes_inside_both_budgets() {
-        // Negative overhead is measurement noise, not a failure.
-        assert!(traced_failures("paced_mix", &record(-0.006, 0.02, 3.0)).is_empty());
-        assert!(traced_failures("paced_mix", &record(0.049, 0.28, 3.0)).is_empty());
+    fn detection_cost_is_held_against_the_air_or_the_slots_streamed() {
+        // (0.2 + 0.01) s over 10 s of stream and five quads' two traced
+        // passes over it: 110 air seconds.
+        let (cost, unit) = detect_cost(&record(0.0, 0.2, 3.0, 5)).expect("cost");
+        assert_eq!(unit, "air second");
+        assert!((cost - 0.21 / 110.0).abs() < 1e-15, "{cost}");
+        let (cost, unit) = detect_cost(&slotted_record(0.002, 376)).expect("cost");
+        assert_eq!(unit, "slot");
+        assert!((cost - 0.032 / 376.0).abs() < 1e-15, "{cost}");
+        let fails = traced_failures("paced_mix", &record(0.0, 0.2, 3.0, 5), "{\"metrics\": {}}");
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("has no"), "{fails:?}");
     }
 
     #[test]
-    fn traced_gate_fails_on_each_budget_and_on_a_missing_key() {
-        let fails = traced_failures("slotted_2u", &record(0.067, 0.02, 3.0));
+    fn traced_gate_passes_a_decode_only_speedup() {
+        // Negative overhead is measurement noise, not a failure.
+        let base = record(0.001, 0.2, 3.0, 5);
+        assert!(traced_failures("paced_mix", &base, &record(-0.006, 0.2, 3.0, 5)).is_empty());
+        // The decode got faster and detection did not: the quads fit
+        // twice the passes in the same busy time, detection's seconds grow
+        // with the air they stream — 110 to 210 air seconds — and per air
+        // second they hold, though their share of busy time rose from
+        // 0.07 to 0.13.
+        let faster = record(0.001, 0.21 * 210.0 / 110.0 - 0.01, 3.0, 10);
+        assert!(traced_failures("paced_mix", &base, &faster).is_empty());
+        // A little dearer, inside the slack.
+        assert!(traced_failures("paced_mix", &base, &record(0.0, 0.215, 3.0, 5)).is_empty());
+        let slotted = slotted_record(0.002, 376);
+        assert!(traced_failures("slotted_2u", &slotted, &slotted_record(0.002, 500)).is_empty());
+    }
+
+    #[test]
+    fn traced_gate_fails_a_detection_slowdown_and_each_budget() {
+        let base = record(0.001, 0.2, 3.0, 5);
+        let fails = traced_failures("slotted_2u", &base, &record(0.067, 0.2, 3.0, 5));
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("tracing costs"), "{fails:?}");
-        // (0.32 + 0.01) / 3.0 = 0.11.
-        let fails = traced_failures("paced_mix", &record(0.0, 0.32, 3.0));
+        // Detection 20 % slower: (1.2·0.2 + 0.01) / 0.21 = +19 %.
+        let fails = traced_failures("paced_mix", &base, &record(0.0, 0.24, 3.0, 5));
         assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("detection and ingest costs"), "{fails:?}");
-        // No busy time and none billed: 0/0 is not a number and must not pass.
-        let fails = traced_failures("paced_mix", &record(0.0, -0.01, 0.0));
+        assert!(
+            fails[0].contains("detection and ingest cost +19.0 %"),
+            "{fails:?}"
+        );
+        // The same on the slots: 20 % more a slot.
+        let fails = traced_failures(
+            "slotted_2u",
+            &slotted_record(0.002, 376),
+            &slotted_record(0.0084, 376),
+        );
         assert_eq!(fails.len(), 1, "{fails:?}");
-        let fails = traced_failures("paced_mix", "{\"metrics\": {}}");
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("has no"), "{fails:?}");
+        // Nothing billed on either side: 0/0 is not a number and must
+        // not pass.
+        let nothing = record(0.0, -0.01, 3.0, 5);
+        assert_eq!(traced_failures("paced_mix", &nothing, &nothing).len(), 1);
     }
 
     #[test]
