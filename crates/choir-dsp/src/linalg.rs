@@ -308,11 +308,7 @@ pub struct CholeskyFactor {
 /// ~4 orders above f64 cancellation residue and ~8 below the smallest
 /// legitimate pivot ratio the offset search produces (two tones 0.05 bins
 /// apart keep `1 − |ρ|² ≈ 8e-4`).
-/// Public so that a solver which eliminates a coordinate of its own —
-/// the offset search's line probe takes the Schur complement of the one
-/// tone that moves — rejects that pivot by the rule every other pivot is
-/// rejected by.
-pub const PIVOT_REL_TOL: f64 = 1e-12;
+const PIVOT_REL_TOL: f64 = 1e-12;
 
 /// One substitution row's reduction `Σ a[m]·b[m]`, in index order from
 /// zero. Below `MIN_KERNEL_ROW` the vector kernel's dispatch + call
@@ -387,23 +383,6 @@ impl CholeskyFactor {
         true
     }
 
-    /// Solves `L·u = b` into `u` (both length k): the forward
-    /// substitution alone, row for row the first half of
-    /// [`Self::solve_into`]. `‖u‖² = bᴴG⁻¹b`, which is all a Schur
-    /// complement needs of the factor. Must only be called after a
-    /// successful [`Self::factor`].
-    // hot:noalloc — substitution runs in the caller's output buffer.
-    pub fn forward_into(&self, b: &[C64], u: &mut [C64]) {
-        let k = self.k;
-        debug_assert!(k > 0, "substitution on an unfactored CholeskyFactor");
-        debug_assert_eq!(b.len(), k);
-        debug_assert_eq!(u.len(), k);
-        for i in 0..k {
-            let s = b[i] - row_dot(&self.l[i * k..i * k + i], &u[..i]);
-            u[i] = s.scale(1.0 / self.l[i * k + i].re);
-        }
-    }
-
     /// Solves `L·Lᴴ·x = b` into `x` (both length k) by forward and back
     /// substitution. Must only be called after a successful
     /// [`Self::factor`].
@@ -420,7 +399,13 @@ impl CholeskyFactor {
     // hot:noalloc — substitution runs in the caller's output buffer.
     pub fn solve_into(&self, b: &[C64], x: &mut [C64]) {
         let k = self.k;
-        self.forward_into(b, x);
+        debug_assert!(k > 0, "substitution on an unfactored CholeskyFactor");
+        debug_assert_eq!(b.len(), k);
+        debug_assert_eq!(x.len(), k);
+        for i in 0..k {
+            let s = b[i] - row_dot(&self.l[i * k..i * k + i], &x[..i]);
+            x[i] = s.scale(1.0 / self.l[i * k + i].re);
+        }
         for i in (0..k).rev() {
             let s = x[i] - row_dot(&self.u[i * k + i + 1..i * k + k], &x[i + 1..k]);
             x[i] = s.scale(1.0 / self.l[i * k + i].re);

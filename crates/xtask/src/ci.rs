@@ -27,9 +27,7 @@
 //!   ([`crate::drift`]). Anything that is not a float must match byte for
 //!   byte (record kinds and order, `evals`, symbols, CRC verdicts,
 //!   digests); a position may drift by 1e-12 relative, a residual, a
-//!   magnitude or a figure leaf by 1e-9; and an offset search whose
-//!   refined positions moved while its coarse input did not is a flipped
-//!   comparison and fails at any size. A change whose tree carries
+//!   magnitude or a figure leaf by 1e-9. A change whose tree carries
 //!   another [`GOLDENS`] file than the base's has declared a decision
 //!   change (DESIGN §13): all of that is then reported, not failed on,
 //!   and what is held is [`crate::drift::decision_change`] — the CRC

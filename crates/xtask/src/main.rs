@@ -27,6 +27,10 @@
 //!   (`avx2.rs` is the single file there that contains `unsafe`); the
 //!   rest of the workspace stays safe Rust dispatching through the
 //!   backend facade.
+//! * **design_names** — every backticked path, `CamelCase` or
+//!   `SCREAMING_CASE` name in DESIGN.md names a word of some `.rs` file
+//!   under `crates/` or `spine/`, or is listed in its "Removed" table
+//!   (see the [`design`] module).
 //!
 //! Violations are suppressed inside `#[cfg(test)]` scope, or with a
 //! `// lint:allow(<rule>) — <reason>` comment on the site's line or the
@@ -42,6 +46,7 @@
 //! see the [`ci`] module.
 
 mod ci;
+mod design;
 mod drift;
 mod rules;
 mod scan;
@@ -107,6 +112,7 @@ fn lint() -> ExitCode {
     let root = workspace_root();
     let mut violations = Vec::new();
     let mut files = 0usize;
+    let mut words = std::collections::HashSet::new();
 
     for path in rust_sources(&root) {
         let rel = path
@@ -118,8 +124,14 @@ fn lint() -> ExitCode {
             continue;
         };
         files += 1;
+        if rel.starts_with("crates/") || rel.starts_with("spine/") {
+            words.extend(design::words(&src).map(str::to_string));
+        }
         let file = scan::SourceFile::new(&rel, &src);
         violations.extend(rules::check_file(&file));
+    }
+    if let Ok(doc) = std::fs::read_to_string(root.join("DESIGN.md")) {
+        violations.extend(design::check("DESIGN.md", &doc, &words));
     }
 
     // Per-crate gates: doc coverage is a hard deny, and every crate
@@ -285,8 +297,23 @@ fn selftest() -> ExitCode {
             failures += 1;
         }
     }
+    // DESIGN.md against the sources: a name that left the tree is caught
+    // unless the Removed table lists it.
+    let words = design::words("pub struct GramFit; impl GramFit { pub fn eval() {} }")
+        .map(str::to_string)
+        .collect();
+    let doc = "`GramFit::eval` replaced `GramFit::probe` and `StepScan`.\n\n\
+               | Removed | PR |\n|---|---|\n| `StepScan` | 29 |\n";
+    let got: Vec<String> = design::check("DESIGN.md", doc, &words)
+        .iter()
+        .map(|v| format!("{}:{}:{}", v.rule, v.line, v.col))
+        .collect();
+    if got != ["design_names:1:26"] {
+        eprintln!("selftest design plant FAILED: expected [\"design_names:1:26\"], got {got:?}");
+        failures += 1;
+    }
     if failures == 0 {
-        println!("xtask selftest: all {} plants behaved", plants.len());
+        println!("xtask selftest: all {} plants behaved", plants.len() + 1);
         ExitCode::SUCCESS
     } else {
         eprintln!("xtask selftest: {failures} plant(s) misbehaved");
