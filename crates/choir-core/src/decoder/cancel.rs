@@ -38,7 +38,24 @@ pub(super) struct UserPass {
     /// signal, so a later pass can put the user back — to re-decode it
     /// against an otherwise-cleaned signal, or, once it is final, to
     /// re-fit its subtraction there.
-    contrib: Vec<C64>,
+    cancelled: Cancelled,
+}
+
+/// What one subtraction of a user's packet removed, as the fit that made
+/// it: the template of every symbol follows from its value and the pass's
+/// timing and CFO, so the gains are all a put-back needs
+/// ([`ChoirDecoder::put_back`]).
+#[derive(Default)]
+struct Cancelled {
+    /// The timing the symbols were placed at (chips).
+    timing_chips: f64,
+    /// The CFO their templates were turned by (bins).
+    cfo_bins: f64,
+    /// Per symbol, in order from symbol 0: its value and the gains fitted
+    /// to its two constant-phase segments ([`SymbolSpan::wrap`]), zero
+    /// where a segment is empty or held no template energy. Empty when
+    /// nothing is subtracted.
+    symbols: Vec<(u16, [C64; 2])>,
 }
 
 /// Where one symbol of a user sits in the working signal.
@@ -199,26 +216,25 @@ impl ChoirDecoder {
     /// Reconstructs and subtracts one user's symbol from the capture:
     /// fits a single complex gain of the analytically generated symbol
     /// waveform (chirp shifted by `Δ`, rotated by the CFO comb) over its
-    /// actual sample span. The subtracted contribution is also accumulated
-    /// in `contrib` (so a later SIC pass can add it back).
-    #[allow(clippy::too_many_arguments)]
+    /// actual sample span. Returns the gains of its two segments, so a
+    /// later SIC pass can add it back.
     fn subtract_symbol(
         &self,
         work: &mut [C64],
-        contrib: &mut [C64],
         slot_start: usize,
         sym_idx: usize,
         value: u16,
         timing_chips: f64,
         cfo_bins: f64,
-    ) {
+    ) -> [C64; 2] {
         scope(Stage::Sic, || {
             let n = self.est.n();
             let span = SymbolSpan::new(work.len(), slot_start, sym_idx, n, timing_chips);
             let mut template = workspace::take(span.len());
             span.chirp_into(n, value, cfo_bins, &self.upchirp, &mut template);
-            self.subtract_chirp(work, contrib, span, &template, value);
+            let gains = self.subtract_chirp(work, span, &template, value);
             workspace::put(template);
+            gains
         })
     }
 
@@ -226,19 +242,20 @@ impl ChoirDecoder {
     /// over it ([`SymbolSpan::chirp_into`]): one least-squares gain per
     /// constant-phase segment ([`SymbolSpan::wrap`]) — independent gains
     /// absorb the phase step at the wrap, and the template's unit constant
-    /// on either side of it, exactly.
-    // hot:noalloc — two dots and two updates a segment, in place.
+    /// on either side of it, exactly. Returns the two gains, zero for a
+    /// segment it left alone.
+    // hot:noalloc — two dots and one update a segment, in place.
     fn subtract_chirp(
         &self,
         work: &mut [C64],
-        contrib: &mut [C64],
         span: SymbolSpan,
         template: &[C64],
         value: u16,
-    ) {
+    ) -> [C64; 2] {
         let SymbolSpan { first, last, .. } = span;
         let wrap = span.wrap(self.est.n(), value);
-        for (lo, hi) in [(first, wrap), (wrap, last)] {
+        let mut gains = [C64::ZERO; 2];
+        for ((lo, hi), gain) in [(first, wrap), (wrap, last)].into_iter().zip(&mut gains) {
             if hi <= lo {
                 continue;
             }
@@ -249,8 +266,54 @@ impl ChoirDecoder {
             }
             let g = conj_dot(t, &work[lo..hi]) / den;
             axpy(&mut work[lo..hi], t, g, true);
-            axpy(&mut contrib[lo..hi], t, g, false);
+            *gain = g;
         }
+        gains
+    }
+
+    /// Puts back what a user's latest subtraction removed, draining the
+    /// record: each symbol's template is synthesised again
+    /// ([`SymbolSpan::chirp_into`] on the same span, value and CFO: the
+    /// same samples), `g·t` of each segment is added into a zeroed row
+    /// and the row is added to `work`. Those are the sums a capture-long
+    /// copy of the removed signal made — `0 + g·t` when it was
+    /// subtracted, `work + that` when it was put back — on every sample a
+    /// symbol covers. Samples outside every span are left alone; the copy
+    /// added `+0` there, which only turned a negative zero positive.
+    // hot:noalloc — two workspace rows, a tone and an update a symbol.
+    fn put_back(&self, work: &mut [C64], slot_start: usize, cancelled: &mut Cancelled) {
+        if cancelled.symbols.is_empty() {
+            return;
+        }
+        scope(Stage::Sic, || {
+            let n = self.est.n();
+            let mut template = workspace::take(n);
+            let mut row = workspace::take(n);
+            let Cancelled {
+                timing_chips,
+                cfo_bins,
+                ..
+            } = *cancelled;
+            for (sym_idx, (value, gains)) in cancelled.symbols.drain(..).enumerate() {
+                let span = SymbolSpan::new(work.len(), slot_start, sym_idx, n, timing_chips);
+                let len = span.len();
+                if len == 0 {
+                    continue;
+                }
+                let (t, row) = (&mut template[..len], &mut row[..len]);
+                span.chirp_into(n, value, cfo_bins, &self.upchirp, t);
+                row.fill(C64::ZERO);
+                let wrap = span.wrap(n, value) - span.first;
+                for ((lo, hi), g) in [(0, wrap), (wrap, len)].into_iter().zip(gains) {
+                    axpy(&mut row[lo..hi], &t[lo..hi], g, false);
+                }
+                for (w, r) in work[span.first..span.last].iter_mut().zip(row.iter()) {
+                    *w += *r;
+                }
+            }
+            workspace::put(row);
+            workspace::put(template);
+        })
     }
 
     /// Golden-refines a user's CFO (bins) by minimising the energy left
@@ -326,16 +389,14 @@ impl ChoirDecoder {
             st.user.timing_chips,
             st.user.cfo_bins(self.est.n()),
         );
+        // The record is empty: this turn began by putting the user back.
+        let timing_chips = st.user.timing_chips;
+        st.cancelled.timing_chips = timing_chips;
+        st.cancelled.cfo_bins = cfo_bins;
         for (sym_idx, &value) in st.symbols.iter().enumerate() {
-            self.subtract_symbol(
-                work,
-                &mut st.contrib,
-                slot_start,
-                sym_idx,
-                value,
-                st.user.timing_chips,
-                cfo_bins,
-            );
+            let gains =
+                self.subtract_symbol(work, slot_start, sym_idx, value, timing_chips, cfo_bins);
+            st.cancelled.symbols.push((value, gains));
         }
     }
 
@@ -371,7 +432,9 @@ impl ChoirDecoder {
         );
         st.symbols
             .extend(st.decisions[header..].iter().map(|d| d.value()));
-        let frame = decode_frame(&self.params, &st.symbols[header..]);
+        let frame = scope(Stage::Demod, || {
+            decode_frame(&self.params, &st.symbols[header..])
+        });
         st.is_final = matches!(&frame, Ok(f) if f.crc_ok && f.fec_reliable);
         st.frame = Some(frame);
         true
@@ -402,7 +465,7 @@ impl ChoirDecoder {
                 erasures: 0,
                 frame: None,
                 is_final: false,
-                contrib: vec![C64::ZERO; work.len()],
+                cancelled: Cancelled::default(),
             })
             .collect();
         // The first pass decodes the strong users under full interference,
@@ -415,13 +478,8 @@ impl ChoirDecoder {
         let users = states.len();
         for pass in 0..passes {
             for (turn, st) in states.iter_mut().enumerate() {
-                if pass > 0 {
-                    // Put this user back.
-                    for (w, c) in work.iter_mut().zip(st.contrib.iter_mut()) {
-                        *w += *c;
-                        *c = C64::ZERO;
-                    }
-                }
+                // Put this user back (nothing in the first pass).
+                self.put_back(&mut work, slot_start, &mut st.cancelled);
                 // The last turn of the last pass has nobody after it:
                 // `frame_users` reads decisions, never `work`.
                 let cancel = (pass, turn) != (passes - 1, users - 1);
@@ -432,6 +490,12 @@ impl ChoirDecoder {
                 super::TURN_WINDOWS.with(|t| {
                     t.borrow_mut()
                         .push(super::DEMODULATED.with(|c| c.get()) - before)
+                });
+                #[cfg(test)]
+                super::TURN_WORK.with(|t| {
+                    if let Some(turns) = t.borrow_mut().as_mut() {
+                        turns.push(work.clone());
+                    }
                 });
             }
         }
@@ -481,8 +545,7 @@ mod tests {
             let value = symbols[sym_idx];
             let template = libm_template(&span, n, value, cfo, 0);
             let mut left = stretch.to_vec();
-            let mut removed = vec![C64::ZERO; left.len()];
-            dec.subtract_chirp(&mut left, &mut removed, span, &template, value);
+            dec.subtract_chirp(&mut left, span, &template, value);
             total += left
                 .iter()
                 .take(n + timing_chips.ceil() as usize)
@@ -524,13 +587,14 @@ mod tests {
                         for (w, c) in work[span.first..span.last].iter_mut().zip(&chirp) {
                             *w += C64 { re: 1.7, im: -0.4 } * c;
                         }
+                        let before = work.clone();
+                        let removed = |after: &[C64]| -> Vec<C64> {
+                            before.iter().zip(after).map(|(y, a)| y - a).collect()
+                        };
                         let mut left = work.clone();
-                        let mut got = vec![C64::ZERO; len];
-                        dec.subtract_symbol(
-                            &mut left, &mut got, slot_start, sym_idx, value, timing, cfo,
-                        );
-                        let mut want = vec![C64::ZERO; len];
-                        dec.subtract_chirp(&mut work, &mut want, span, &chirp, value);
+                        dec.subtract_symbol(&mut left, slot_start, sym_idx, value, timing, cfo);
+                        dec.subtract_chirp(&mut work, span, &chirp, value);
+                        let (got, want) = (removed(&left), removed(&work));
                         let diff: f64 =
                             got.iter().zip(&want).map(|(g, w)| (g - w).norm_sqr()).sum();
                         let norm: f64 = want.iter().map(|w| w.norm_sqr()).sum();
@@ -604,6 +668,131 @@ mod tests {
                 probes.release();
             }
         }
+    }
+
+    /// The SIC passes of `decode_with_users` as they ran while each user
+    /// held a capture-long copy of what its subtraction removed, kept as
+    /// the oracle of [`ChoirDecoder::put_back`]: a turn accumulates
+    /// `0 + g·t` into the copy as it subtracts, a later pass adds the
+    /// whole copy back and zeroes it. Returns the working signal after
+    /// every turn.
+    fn work_by_contrib(
+        dec: &ChoirDecoder,
+        samples: &[C64],
+        slot_start: usize,
+        num_data_symbols: usize,
+        users: Vec<UserEstimate>,
+    ) -> Vec<Vec<C64>> {
+        let n = dec.est.n();
+        let total_syms = dec.params.preamble_len + 2 + num_data_symbols;
+        let mut work = samples.to_vec();
+        let mut states: Vec<(UserPass, Vec<C64>)> = users
+            .into_iter()
+            .map(|user| {
+                let st = UserPass {
+                    user,
+                    decisions: Vec::new(),
+                    symbols: Vec::new(),
+                    erasures: 0,
+                    frame: None,
+                    is_final: false,
+                    cancelled: Cancelled::default(),
+                };
+                (st, vec![C64::ZERO; work.len()])
+            })
+            .collect();
+        let passes = dec.cfg.sic_passes.max(1);
+        let users = states.len();
+        let mut after = Vec::new();
+        for pass in 0..passes {
+            for (turn, (st, contrib)) in states.iter_mut().enumerate() {
+                if pass > 0 {
+                    for (w, c) in work.iter_mut().zip(contrib.iter_mut()) {
+                        *w += *c;
+                        *c = C64::ZERO;
+                    }
+                }
+                let cancel = (pass, turn) != (passes - 1, users - 1);
+                if !st.is_final || cancel {
+                    dec.acquire(&work, slot_start, &mut st.user);
+                    let held = st.is_final || dec.demodulate(&work, slot_start, total_syms, st);
+                    if held && cancel {
+                        let timing = st.user.timing_chips;
+                        let cfo = dec.refine_cfo_for_subtraction(
+                            &work,
+                            slot_start,
+                            &st.symbols,
+                            timing,
+                            st.user.cfo_bins(n),
+                        );
+                        for (sym_idx, &value) in st.symbols.iter().enumerate() {
+                            let span = SymbolSpan::new(work.len(), slot_start, sym_idx, n, timing);
+                            let mut t = vec![C64::ZERO; span.len()];
+                            span.chirp_into(n, value, cfo, &dec.upchirp, &mut t);
+                            let gains = dec.subtract_chirp(&mut work, span, &t, value);
+                            let wrap = span.wrap(n, value);
+                            let segments = [(span.first, wrap), (wrap, span.last)];
+                            for ((lo, hi), g) in segments.into_iter().zip(gains) {
+                                if hi > lo {
+                                    let t = &t[lo - span.first..hi - span.first];
+                                    axpy(&mut contrib[lo..hi], t, g, false);
+                                }
+                            }
+                        }
+                    }
+                }
+                after.push(work.clone());
+            }
+        }
+        after
+    }
+
+    #[test]
+    fn a_put_back_from_gains_is_the_capture_long_put_back() {
+        // Seeded five-user near-far slots: the working signal after every
+        // turn of both passes (and of a third, where a record emptied by
+        // one put-back must stay empty), bit for bit, whether a user is
+        // put back from its gains or from a copy of what it removed.
+        let profiles = vec![
+            profile(3.13, 0.08),
+            profile(-10.62, 0.21),
+            profile(25.44, 0.02),
+            profile(-40.91, 0.33),
+            profile(60.27, 0.15),
+        ];
+        let mut compared = 0;
+        for (seed, sic_passes) in [(3, 2), (11, 2), (12, 3)] {
+            let s = ScenarioBuilder::new(params())
+                .snrs_db(&[22.0, 20.0, 18.0, 16.0, 14.0])
+                .payload_len(8)
+                .profiles(profiles.clone())
+                .seed(seed)
+                .build();
+            let cfg = super::super::ChoirConfig {
+                sic_passes,
+                ..Default::default()
+            };
+            let dec = ChoirDecoder::with_config(s.params, cfg);
+            let nds = lora_phy::frame::frame_symbol_count(&s.params, 8);
+            let users = dec.discover_users(&s.samples, s.slot_start);
+            assert!(users.len() >= 4, "seed {seed}: {} users", users.len());
+            super::super::TURN_WORK.with(|t| *t.borrow_mut() = Some(Vec::new()));
+            dec.decode_with_users(&s.samples, s.slot_start, nds, users.clone());
+            let got = super::super::TURN_WORK
+                .with(|t| t.borrow_mut().take())
+                .unwrap_or_default();
+            let want = work_by_contrib(&dec, &s.samples, s.slot_start, nds, users.clone());
+            assert_eq!(got.len(), sic_passes * users.len(), "seed {seed}");
+            assert_eq!(got.len(), want.len(), "seed {seed}");
+            for (turn, (g, w)) in got.iter().zip(&want).enumerate() {
+                let same = g.iter().zip(w).all(|(a, b)| {
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+                });
+                assert!(same, "seed {seed}: turn {turn} differs");
+                compared += 1;
+            }
+        }
+        assert!(compared >= 35, "{compared} turns");
     }
 
     #[test]

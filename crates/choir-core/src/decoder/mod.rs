@@ -214,6 +214,9 @@ thread_local! {
     /// Test probe: the windows each user turn on this thread demodulated,
     /// in turn order.
     static TURN_WINDOWS: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Test probe, off until a test sets it to `Some`: the working signal
+    /// after each user turn on this thread, in turn order.
+    static TURN_WORK: std::cell::RefCell<Option<Vec<Vec<C64>>>> = const { std::cell::RefCell::new(None) };
 }
 
 impl ChoirDecoder {

@@ -24,7 +24,8 @@ pub enum Stage {
     /// Fractional-offset refinement: the Algorithm-1 residual search,
     /// boundary-split fitting and timing/CFO disambiguation.
     Refine,
-    /// Per-user aligned comb demodulation.
+    /// Per-user aligned comb demodulation, and the frame chain its
+    /// decisions feed (frame decoding and CRC-guided list decoding).
     Demod,
     /// Successive interference cancellation: reconstruction, subtraction
     /// and packet-level re-acquisition passes.

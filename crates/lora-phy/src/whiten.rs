@@ -8,29 +8,35 @@
 //! paper splices *sensed* bits so that whitening/coding does not destroy
 //! MSB overlap) is only that whitening is a fixed, invertible XOR mask.
 
-/// Generates `len` whitening bytes from the PN9 LFSR with seed `0x1FF`.
-pub fn whitening_sequence(len: usize) -> Vec<u8> {
-    let mut state: u16 = 0x1FF;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
+/// The PN9 LFSR's output bytes from seed `0x1FF`, least significant bit
+/// first — an endless stream, so whitening needs no buffer.
+struct Pn9(u16);
+
+impl Iterator for Pn9 {
+    type Item = u8;
+
+    fn next(&mut self) -> Option<u8> {
         let mut byte = 0u8;
         for bit in 0..8 {
-            let b = (state & 1) as u8;
+            let b = (self.0 & 1) as u8;
             byte |= b << bit;
             // Feedback: x^9 + x^5 + 1 → new MSB = bit0 ^ bit5.
-            let fb = (state ^ (state >> 5)) & 1;
-            state = (state >> 1) | (fb << 8);
+            let fb = (self.0 ^ (self.0 >> 5)) & 1;
+            self.0 = (self.0 >> 1) | (fb << 8);
         }
-        out.push(byte);
+        Some(byte)
     }
-    out
+}
+
+/// Generates `len` whitening bytes from the PN9 LFSR with seed `0x1FF`.
+pub fn whitening_sequence(len: usize) -> Vec<u8> {
+    Pn9(0x1FF).take(len).collect()
 }
 
 /// XORs `data` with the whitening sequence in place. Involutive: applying
 /// twice restores the original bytes.
 pub fn whiten(data: &mut [u8]) {
-    let seq = whitening_sequence(data.len());
-    for (d, w) in data.iter_mut().zip(seq) {
+    for (d, w) in data.iter_mut().zip(Pn9(0x1FF)) {
         *d ^= w;
     }
 }
