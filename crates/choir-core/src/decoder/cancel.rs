@@ -12,6 +12,7 @@ use lora_phy::frame::{decode_frame, DecodedFrame, FrameError};
 
 use super::demod::CombDecision;
 use super::{ChoirDecoder, DecodedUser, UserEstimate};
+use crate::estimator::ToneFit;
 use crate::profile::{scope, Stage};
 
 /// One user's state across the SIC passes.
@@ -116,100 +117,50 @@ impl SymbolSpan {
     }
 }
 
-/// What a CFO search reads of the signal, built once: the two-symbol
-/// stretches after symbols 1, 3 and 5, each fitted symbol's two
-/// constant-phase segments derotated by its chirp.
-struct CfoProbes {
-    /// Symbol length in chips.
-    n: usize,
-    /// `y·conj(chirp)` of every fitted segment, back to back (a
-    /// workspace buffer).
-    derotated: Vec<C64>,
-    /// Length and chirp energy `‖chirp‖²` of each, in order: at most two
-    /// a stretch.
-    segments: Vec<(usize, f64)>,
-    /// Energy of the probed samples — the objective when nothing fits.
-    energy: f64,
-}
-
-impl CfoProbes {
-    /// `None` when the frame is too short to hold a probe symbol. `up` is
-    /// the base up-chirp ([`SymbolSpan::chirp_into`]).
-    fn new(
-        n: usize,
-        up: &[C64],
-        work: &[C64],
-        slot_start: usize,
-        symbols: &[u16],
-        timing_chips: f64,
-    ) -> Option<Self> {
-        if symbols.len() <= 1 {
-            return None;
-        }
-        // A span never outgrows its two-symbol stretch.
-        let mut probes = CfoProbes {
-            n,
-            derotated: workspace::take(3 * 2 * n),
-            segments: Vec::with_capacity(6),
-            energy: 0.0,
-        };
-        let mut chirp = workspace::take(2 * n);
-        let mut filled = 0;
-        for sym_idx in [1usize, 3, 5].into_iter().filter(|&i| i < symbols.len()) {
-            // The stretch rebased to index 0, with the span of its symbol
-            // there.
-            let lo = slot_start + sym_idx * n;
-            let stretch = &work[lo..(lo + 2 * n).min(work.len())];
-            let span = SymbolSpan::new(stretch.len(), 0, 0, n, timing_chips);
-            let value = symbols[sym_idx];
-            probes.energy += stretch
-                .iter()
-                .take(n + timing_chips.ceil() as usize)
-                .map(|z| z.norm_sqr())
-                .sum::<f64>();
-            let chirp = &mut chirp[..span.len()];
-            span.chirp_into(n, value, 0.0, up, chirp);
-            let wrap = span.wrap(n, value);
-            for (a, b) in [(span.first, wrap), (wrap, span.last)] {
-                if b <= a {
-                    continue;
-                }
-                let chirp = &chirp[a - span.first..b - span.first];
-                let chirp_energy: f64 = chirp.iter().map(|c| c.norm_sqr()).sum();
-                if chirp_energy <= 1e-12 {
-                    continue;
-                }
-                let seg = &mut probes.derotated[filled..filled + (b - a)];
-                for ((z, y), c) in seg.iter_mut().zip(&stretch[a..b]).zip(chirp) {
-                    *z = y * c.conj();
-                }
-                probes.segments.push((b - a, chirp_energy));
-                filled += b - a;
+/// Fills `fit` with what the subtraction's CFO fit reads of the signal:
+/// the two-symbol stretches after symbols 1, 3 and 5, each fitted
+/// symbol's two constant-phase segments derotated by its chirp, with the
+/// chirp's energy as the segment's basis energy. `up` is the base
+/// up-chirp ([`SymbolSpan::chirp_into`]); a frame too short for a probe
+/// symbol leaves the fit empty.
+// hot:noalloc — one chirp row from the workspace, segments into the fit.
+fn cfo_segments(
+    fit: &mut ToneFit<'_>,
+    up: &[C64],
+    work: &[C64],
+    slot_start: usize,
+    symbols: &[u16],
+    timing_chips: f64,
+) {
+    let n = up.len();
+    // A span never outgrows its two-symbol stretch.
+    let mut chirp = workspace::take(2 * n);
+    for sym_idx in [1usize, 3, 5].into_iter().filter(|&i| i < symbols.len()) {
+        // The stretch rebased to index 0, with the span of its symbol
+        // there.
+        let lo = slot_start + sym_idx * n;
+        let stretch = &work[lo..(lo + 2 * n).min(work.len())];
+        let span = SymbolSpan::new(stretch.len(), 0, 0, n, timing_chips);
+        let value = symbols[sym_idx];
+        let chirp = &mut chirp[..span.len()];
+        span.chirp_into(n, value, 0.0, up, chirp);
+        let wrap = span.wrap(n, value);
+        for (a, b) in [(span.first, wrap), (wrap, span.last)] {
+            if b <= a {
+                continue;
+            }
+            let chirp = &chirp[a - span.first..b - span.first];
+            let chirp_energy: f64 = chirp.iter().map(|c| c.norm_sqr()).sum();
+            if chirp_energy <= 1e-12 {
+                continue;
+            }
+            let seg = fit.push(b - a, chirp_energy);
+            for ((z, y), c) in seg.iter_mut().zip(&stretch[a..b]).zip(chirp) {
+                *z = y * c.conj();
             }
         }
-        workspace::put(chirp);
-        Some(probes)
     }
-
-    /// Energy left in the probed samples after the best per-segment fit
-    /// at `cfo_bins`: the search's objective.
-    // hot:noalloc — one fused DTFT bin per segment of the held buffer.
-    fn residual_at(&self, cfo_bins: f64) -> f64 {
-        let mut fitted = 0.0;
-        let mut at = 0;
-        for &(len, chirp_energy) in &self.segments {
-            let segment = &self.derotated[at..at + len];
-            let bin = choir_dsp::backend::tone_conj_dot(self.n, cfo_bins, segment);
-            fitted += bin.norm_sqr() / chirp_energy;
-            at += len;
-        }
-        self.energy - fitted
-    }
-
-    /// Hands the derotated buffer back to the workspace.
-    fn release(self) {
-        workspace::put(self.derotated);
-    }
+    workspace::put(chirp);
 }
 
 impl ChoirDecoder {
@@ -316,18 +267,20 @@ impl ChoirDecoder {
         })
     }
 
-    /// Golden-refines a user's CFO (bins) by minimising the energy left
-    /// after subtracting its reconstructed symbols from a few probe
-    /// windows. Gain fitting is per segment, so this isolates the pure
-    /// frequency error that per-window gains cannot absorb.
+    /// Refines a user's CFO (bins) by minimising the energy left after
+    /// subtracting its reconstructed symbols from a few probe windows.
+    /// Gain fitting is per segment, so this isolates the pure frequency
+    /// error that per-window gains cannot absorb.
     ///
     /// No probe subtracts anything. With one least-squares gain per
     /// constant-phase segment, `‖y − g·t‖² = ‖y‖² − |⟨t, y⟩|²/‖t‖²`, and
     /// the template is `t[i] = chirp[i]·e^{jwi}`, so `⟨t, y⟩` is one DTFT
     /// bin of the derotated segment `y·conj(chirp)` at the probed CFO
-    /// (up to a unit phase) and `‖t‖² = ‖chirp‖²`. The derotated segments
-    /// and both energies are built once per search ([`CfoProbes`]); a
-    /// probe is at most six bins.
+    /// (up to a unit phase) and `‖t‖² = ‖chirp‖²`: the energy left is
+    /// `Σ‖y‖²` plus a [`ToneFit`]'s residual over the derotated segments
+    /// ([`cfo_segments`]), built once a fit and fitted within ±0.15 bins
+    /// of `cfo_init`.
+    // hot:noalloc — one workspace buffer for the derotated segments.
     fn refine_cfo_for_subtraction(
         &self,
         work: &[C64],
@@ -338,18 +291,20 @@ impl ChoirDecoder {
     ) -> f64 {
         scope(Stage::Refine, || {
             let n = self.est.n();
-            let probes = CfoProbes::new(n, &self.upchirp, work, slot_start, symbols, timing_chips);
-            let Some(probes) = probes else {
-                return cfo_init;
-            };
-            let (best, _) = choir_dsp::optim::golden_section(
-                |cfo| probes.residual_at(cfo),
-                cfo_init - 0.15,
-                cfo_init + 0.15,
-                1e-4,
+            let mut derotated = workspace::take(3 * 2 * n);
+            let mut fit = ToneFit::new(n, &mut derotated);
+            cfo_segments(
+                &mut fit,
+                &self.upchirp,
+                work,
+                slot_start,
+                symbols,
+                timing_chips,
             );
-            probes.release();
-            best
+            // Trust radius 0.075, so iterates stay within ±0.15 bins.
+            let cfo = fit.descend(cfo_init, 0.075);
+            workspace::put(derotated);
+            cfo
         })
     }
 
@@ -555,6 +510,29 @@ mod tests {
         total
     }
 
+    /// The energy of the samples the CFO fit probes: the first `n +
+    /// ceil(timing)` of each stretch [`copy_subtract_sum`] reads.
+    fn probed_energy(
+        n: usize,
+        work: &[C64],
+        slot_start: usize,
+        symbols: &[u16],
+        timing: f64,
+    ) -> f64 {
+        [1usize, 3, 5]
+            .into_iter()
+            .filter(|&i| i < symbols.len())
+            .map(|sym_idx| {
+                let lo = slot_start + sym_idx * n;
+                work[lo..(lo + 2 * n).min(work.len())]
+                    .iter()
+                    .take(n + timing.ceil() as usize)
+                    .map(|z| z.norm_sqr())
+                    .sum::<f64>()
+            })
+            .sum()
+    }
+
     #[test]
     fn subtraction_matches_the_libm_template() {
         // What `subtract_symbol` removes against what the libm template
@@ -641,16 +619,19 @@ mod tests {
                 ("data", whole, moved, &symbols[9..], None),
                 ("cut short", cut, s.slot_start, &symbols[..], Some(3)),
             ] {
-                let probes = CfoProbes::new(n, &dec.upchirp, work, slot_start, symbols, timing)
-                    .expect("six symbols hold three probes");
+                let mut derotated = vec![C64::ZERO; 6 * n];
+                let mut fit = ToneFit::new(n, &mut derotated);
+                cfo_segments(&mut fit, &dec.upchirp, work, slot_start, symbols, timing);
                 if let Some(held) = held {
-                    assert_eq!(probes.segments.len(), held, "{what}");
+                    assert_eq!(fit.segments(), held, "{what}");
                 } else {
-                    assert!(probes.segments.len() > 3, "{what}: no wrap inside a span");
+                    assert!(fit.segments() > 3, "{what}: no wrap inside a span");
                 }
+                // `Σ‖y‖²` over the probed samples: the residual's constant.
+                let energy = probed_energy(n, work, slot_start, symbols, timing);
                 for step in -15..=15 {
                     let cfo = cfo_init + step as f64 * 0.01;
-                    let fast = probes.residual_at(cfo);
+                    let fast = energy + fit.residual(cfo);
                     let slow = copy_subtract_sum(&dec, work, slot_start, symbols, timing, cfo);
                     assert!(
                         (fast - slow).abs() <= 1e-9 * slow,
@@ -659,13 +640,8 @@ mod tests {
                     );
                 }
                 // The fit is the strong user's: most of the energy goes.
-                assert!(
-                    probes.residual_at(cfo_init) < 0.5 * probes.energy,
-                    "{what}: {} of {}",
-                    probes.residual_at(cfo_init),
-                    probes.energy
-                );
-                probes.release();
+                let left = energy + fit.residual(cfo_init);
+                assert!(left < 0.5 * energy, "{what}: {left} of {energy}");
             }
         }
     }

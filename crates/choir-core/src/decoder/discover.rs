@@ -11,25 +11,9 @@ use choir_dsp::workspace;
 use lora_phy::frame::SYNC_SYMBOLS;
 
 use super::{ChoirConfig, ChoirDecoder, UserEstimate};
-use crate::estimator::{boundary_scan, projection_prefix};
+use crate::estimator::{boundary_scan, projection_prefix, ToneFit};
 use crate::profile::{scope, Stage};
 use crate::sic::phased_sic;
-
-/// Summed correlation energy `Σ_w |Σ_t de_w[t]·e^{−j2π·pos·t/n}|²` of the
-/// dechirped windows laid back to back in `windows` against the tone at
-/// `pos_bins` — one DTFT bin per window (no FFT, one fractional
-/// frequency). The tone is synthesised once into `tone`, whose length is
-/// the symbol length, and shared by every window.
-// hot:noalloc — the tone goes into the caller's workspace buffer.
-fn tone_energy(windows: &[C64], pos_bins: f64, tone: &mut [C64]) -> f64 {
-    let n = tone.len();
-    choir_dsp::backend::tone_into(tone, n, pos_bins);
-    let mut s = 0.0;
-    for de in windows.chunks_exact(n) {
-        s += conj_dot(tone, de).norm_sqr();
-    }
-    s
-}
 
 /// The two constant-phase sums of a dechirped window `de` of a symbol
 /// carrying `value` against `tone`: `a = Σ_{t<n−value} conj(tone[t])·de[t]`
@@ -194,8 +178,11 @@ impl ChoirDecoder {
     /// Re-reads a user's aggregate offset from its preamble windows on
     /// its own chip grid: read at `ceil(Δ)`, a preamble chirp (value 0,
     /// no wrap inside the window) dechirps to one clean tone at `μ +
-    /// ceil(Δ)`, so its position can be localised to milli-bins by a
-    /// golden search on correlation energy.
+    /// ceil(Δ)`, so its position is the one frequency of windows 2, 4
+    /// and 6, each with its own gain ([`ToneFit`]), fitted within ±0.6
+    /// bins of the estimate held. A window past the capture is left out;
+    /// with none the fit keeps its start.
+    // hot:noalloc — one workspace buffer for the dechirped windows.
     pub(super) fn refine_offset_aligned(
         &self,
         samples: &[C64],
@@ -203,37 +190,22 @@ impl ChoirDecoder {
         user: &UserEstimate,
     ) -> f64 {
         scope(Stage::Refine, || {
-            let n = self.est.n() as f64;
+            let len = self.est.n();
+            let n = len as f64;
             let align = Alignment::new(user.timing_chips);
             let chip = align.chip as f64;
             let init = (user.offset_bins + chip).rem_euclid(n);
-            // The windows are fixed for the whole search, so dechirp them
-            // once instead of per probe.
-            let len = self.est.n();
-            let mut probes = workspace::take(3 * len);
-            let mut held = 0;
+            let mut windows = workspace::take(3 * len);
+            let mut fit = ToneFit::new(len, &mut windows);
             for sym_idx in [2, 4, 6] {
                 if let Some(win) = self.aligned_window(samples, slot_start, sym_idx, &align) {
-                    self.est
-                        .dechirp_into(win, &mut probes[held * len..(held + 1) * len]);
-                    held += 1;
+                    self.est.dechirp_into(win, fit.push(len, n));
                 }
             }
-            // No probe window inside the capture: the score is flat and a
-            // golden search over it walks to the bracket edge, so the
-            // estimate the caller holds is the best there is.
-            let refined = if held == 0 {
-                user.offset_bins
-            } else {
-                let mut tone = workspace::take(len);
-                let score = |pos: f64| -tone_energy(&probes[..held * len], pos, &mut tone);
-                let (pos, _) =
-                    choir_dsp::optim::golden_section(score, init - 0.6, init + 0.6, 1e-3);
-                workspace::put(tone);
-                (pos - chip).rem_euclid(n)
-            };
-            workspace::put(probes);
-            refined
+            // Trust radius 0.3, so iterates stay within ±0.6 bins.
+            let pos = fit.descend(init, 0.3);
+            workspace::put(windows);
+            (pos - chip).rem_euclid(n)
         })
     }
 
@@ -451,16 +423,16 @@ mod tests {
         );
     }
 
-    /// The correlation the timing searches score by, against the direct
-    /// libm evaluation it replaced: same DTFT bin, summed over the
-    /// windows that share the probed position.
+    /// The correlation the offset polish fits by, against the direct libm
+    /// evaluation it replaced: same DTFT bin, summed over the windows
+    /// that share the probed position — `−R` of a [`ToneFit`] whose
+    /// windows' basis energy is 1.
     #[test]
     fn tone_energy_matches_direct_libm_correlation() {
         use rand::SeedableRng;
         let n = 256;
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let windows = choir_channel::noise::awgn(&mut rng, 3 * n, 1.0);
-        let mut tone = vec![C64::ZERO; n];
         for pos in [0.0, 0.37, 17.5, 128.0, 200.123_456, 255.999, 256.4] {
             let w = -2.0 * std::f64::consts::PI * pos / n as f64;
             for held in 0..=3 {
@@ -475,7 +447,12 @@ mod tests {
                         acc.norm_sqr()
                     })
                     .sum();
-                let got = tone_energy(&windows[..held * n], pos, &mut tone);
+                let mut room = vec![C64::ZERO; 3 * n];
+                let mut fit = ToneFit::new(n, &mut room);
+                for de in windows[..held * n].chunks_exact(n) {
+                    fit.push(n, 1.0).copy_from_slice(de);
+                }
+                let got = -fit.residual(pos);
                 assert!(
                     (got - direct).abs() <= 1e-9 * direct,
                     "pos {pos}, {held} windows: {got} vs {direct}"
