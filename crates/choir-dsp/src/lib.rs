@@ -3,8 +3,7 @@
 //! Self-contained digital signal processing primitives used throughout the
 //! Choir reproduction (SIGCOMM 2017): complex arithmetic, FFTs (radix-2 and
 //! Bluestein for arbitrary sizes), spectral peak detection with Dirichlet
-//! leakage modelling, small dense complex linear algebra, derivative-free
-//! local optimisation and statistics.
+//! leakage modelling, small dense complex linear algebra and statistics.
 //!
 //! Nothing in this crate knows about LoRa: it is the layer the PHY and the
 //! Choir decoder are built on, and it deliberately has no dependencies
@@ -33,7 +32,6 @@ pub mod checks;
 pub mod complex;
 pub mod fft;
 pub mod linalg;
-pub mod optim;
 pub mod peaks;
 pub mod stats;
 pub mod workspace;

@@ -3,7 +3,6 @@
 use choir_dsp::complex::{c64, energy, C64};
 use choir_dsp::fft::{dft_naive, plan, FftPlan};
 use choir_dsp::linalg::{least_squares_refs, residual_energy_refs};
-use choir_dsp::optim::golden_section;
 use choir_dsp::peaks::find_peaks;
 use choir_dsp::stats;
 use proptest::prelude::*;
@@ -92,12 +91,6 @@ proptest! {
         prop_assert!((coeffs[0] - c1).abs() < 1e-6);
         prop_assert!((coeffs[1] - c2).abs() < 1e-6);
         prop_assert!(residual_energy_refs(&[&b1, &b2], &coeffs, &y) < 1e-12);
-    }
-
-    #[test]
-    fn golden_section_finds_shifted_quadratic(c in -5.0f64..5.0) {
-        let (x, _) = golden_section(|x| (x - c).powi(2), -10.0, 10.0, 1e-9);
-        prop_assert!((x - c).abs() < 1e-6);
     }
 
     #[test]
